@@ -15,7 +15,7 @@ from .core import (
     feature_supnorm,
     split_feature,
 )
-from .activations import Activation, analyticity_params, parse_activation
+from .activations import Activation, parse_activation
 from .graph import (
     ComputationGraph,
     Node,

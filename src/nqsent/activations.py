@@ -12,11 +12,6 @@ which are needed to express per-sample normalization (LayerNorm, softmax)
 as scalar graph nodes. ``dicke_delta`` is the ReLU tent
 relu(x-1) - 2 relu(x) + relu(x+1), equal to the Kronecker delta at 0 on
 integer inputs.
-
-For bound certification, :func:`analyticity_params` returns a Bernstein
-ellipse parameter and a sup bound for the rescaled function; it returns
-``None`` for kinds where the machinery does not apply (relu, gelu,
-dicke_delta, rsqrt, recip).
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import AmplitudeOverflowError, ContractError, DomainError, NumericError
+from .errors import AmplitudeOverflowError, ContractError, NumericError
 
 EXP_OVERFLOW_LIMIT = 700.0
 
@@ -150,13 +145,6 @@ class Activation:
             base = base and _KINDS[self.second].holomorphic
         return base
 
-    @property
-    def entire(self) -> bool:
-        base = _KINDS[self.kind].entire
-        if self.mode == "pair":
-            base = base and _KINDS[self.second].entire
-        return base
-
     def apply(self, x):
         """Apply to a real scalar or array; complex input only for holomorphic kinds."""
         arr = np.asarray(x)
@@ -252,136 +240,3 @@ def format_activation(a: Activation) -> str:
         return f"(1+i)*{base}"
     return f"{base}+i*{a.second}"
 
-
-# ---------------------------------------------------------------------------
-# Bernstein ellipse machinery
-# ---------------------------------------------------------------------------
-
-ELLIPSE_MARGIN = 0.9  # shrink semi-minor axis 10% away from nearest singularity
-BOUNDARY_SAMPLES = 10_000
-SUP_INFLATION = 1.1
-_A_GRID = [0.25 * j for j in range(1, 15)]
-_DEFAULT_D_REF = 16
-
-
-def ellipse_boundary(a: float, count: int = BOUNDARY_SAMPLES) -> np.ndarray:
-    """Points on the boundary of the Bernstein ellipse with parameter a."""
-    theta = 2.0 * math.pi * (np.arange(count) + 0.5) / count
-    return np.cosh(a) * np.cos(theta) + 1j * np.sinh(a) * np.sin(theta)
-
-
-def ellipse_param_avoiding(poles, margin: float = ELLIPSE_MARGIN) -> float:
-    """Largest safe parameter a such that B(a) avoids every pole, with margin.
-
-    The critical ellipse through pole x+iy satisfies
-    (x/cosh a)^2 + (y/sinh a)^2 = 1; we bisect for it and keep an ellipse
-    whose semi-minor axis is ``margin`` times the critical one.
-    """
-
-    def inside(a, z):
-        return (z.real / math.cosh(a)) ** 2 + (z.imag / math.sinh(a)) ** 2 < 1.0
-
-    a_min = None
-    for z in poles:
-        lo, hi = 1e-9, 20.0
-        if inside(lo, z):
-            a_crit = lo
-        elif not inside(hi, z):
-            a_crit = hi
-        else:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if inside(mid, z):
-                    hi = mid
-                else:
-                    lo = mid
-            a_crit = lo
-        a_min = a_crit if a_min is None else min(a_min, a_crit)
-    if a_min is None:
-        raise DomainError("no poles supplied")
-    return math.asinh(margin * math.sinh(a_min))
-
-
-def poles_in_x(kind: str, scale: float, shift: float = 0.0, terms: int = 3) -> list[complex] | None:
-    """Singularities of sigma(scale*x + shift) in the x plane, nearest first.
-
-    None for entire kinds; raises for kinds with no analytic extension.
-    """
-    info = _KINDS[kind]
-    if info.entire:
-        return None
-    if info.pole_spacing is None:
-        return None  # non-analytic, caller must bail out
-    out = []
-    for m in range(-terms, terms):
-        z = 1j * info.pole_spacing * (m + 0.5)
-        out.append((z - shift) / scale)
-    out.sort(key=abs)
-    return out
-
-
-def _certifiable_kinds(a: Activation) -> list[str]:
-    kinds = [a.kind]
-    if a.mode == "pair":
-        kinds.append(a.second)
-    return kinds
-
-
-def analyticity_params(
-    a: Activation, t_bar: float, wrap_exp: bool = False, d_ref: int = _DEFAULT_D_REF
-) -> tuple[float, float] | None:
-    """Conservative Bernstein parameter and sup bound for f(x) = F(t_bar * x).
-
-    F is the activation's complex lift, composed with exp when ``wrap_exp``.
-    Returns None for kinds without an analytic extension covering the domain
-    (relu, gelu, dicke_delta, rsqrt, recip). For entire kinds the parameter
-    is chosen from a small grid to roughly minimize the certified error at a
-    reference degree; pole-limited kinds (tanh, softplus) get the largest
-    ellipse clearing the nearest singularity by a 10% margin.
-    """
-    if t_bar <= 0:
-        raise DomainError("t_bar must be positive")
-    if not a.holomorphic:
-        return None
-
-    def f(z):
-        return a.apply(z * t_bar) if np.iscomplexobj(z) else a.apply(np.asarray(z, dtype=complex) * t_bar)
-
-    def lift(z):
-        val = f(z)
-        return _checked_exp(val) if wrap_exp else val
-
-    if a.entire:
-        best = None
-        for a_try in _A_GRID:
-            boundary = ellipse_boundary(a_try)
-            try:
-                sup = float(np.max(np.abs(lift(boundary))))
-            except AmplitudeOverflowError:
-                break
-            if not math.isfinite(sup):
-                break
-            c_try = sup * SUP_INFLATION
-            score = math.log(max(c_try, 1e-300)) - a_try * d_ref
-            if best is None or score < best[0]:
-                best = (score, a_try, c_try)
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    # pole-limited: collect singularities of every certifiable kind
-    poles = []
-    for kind in _certifiable_kinds(a):
-        p = poles_in_x(kind, t_bar)
-        if p is None and not _KINDS[kind].entire:
-            return None
-        if p:
-            poles.extend(p)
-    if not poles:
-        return None
-    a_safe = ellipse_param_avoiding(poles)
-    boundary = ellipse_boundary(a_safe)
-    sup = float(np.max(np.abs(lift(boundary))))
-    if not math.isfinite(sup):
-        return None
-    return a_safe, sup * SUP_INFLATION

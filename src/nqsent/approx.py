@@ -30,6 +30,12 @@ from .statevector import Statevector, materialize
 from .entanglement import fa_slack_from_bound, subregion_entropy
 
 MULTIVAR_CAP = 4
+# cap on the K^mu quadrature points of a multivariable fit. The grid (mu
+# float64 rows), its complex values and the residual graph's per-node
+# temporaries all grow with it; 4M points stay within a few hundred MiB.
+# A mu=2, d=51 fit uses 43k points; a mu=4 cosnet fit at auto degree and
+# n=12 would need 3.7e7.
+FIT_POINT_CAP = 1 << 22
 MONOMIAL_DEGREE_CAP = 30
 DENSE_GRID_POINTS = 10_000
 _SUP_INFLATION = 1.1
@@ -155,6 +161,8 @@ def cheb_fit_multi(
         return out
 
     K = (4 if mu <= 2 else 2) * (d + 1)
+    if K**mu > FIT_POINT_CAP:
+        raise CapacityError(f"degree {d} needs {K}^{mu} quadrature points, above the cap {FIT_POINT_CAP}")
     nodes = _quad_nodes(K)
     mesh = np.meshgrid(*([nodes] * mu), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh]) * np.asarray(t_bars)[:, None]
@@ -216,7 +224,7 @@ class _PolyStateEvaluator:
         self.poly = poly
         self.n = reduced.n
 
-    def eval_bits(self, bits, threads: int = 1, chunk: int = 1 << 16):
+    def eval_bits(self, bits):
         return self.poly.evaluate(self.reduced.feature_values(np.asarray(bits)))
 
 

@@ -8,6 +8,7 @@ configuration on stdout so artifacts can be reproduced byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,9 +22,7 @@ from .errors import NqsError
 from .experiments import (
     ExperimentConfig,
     preset_configs,
-    run_cosnet_k_sweep,
-    run_sweep,
-    SweepResult,
+    run_configs,
     benchmark_reduction,
     write_aggregates,
     write_csv,
@@ -186,28 +185,17 @@ def _cmd_run(args) -> int:
         raise _UsageError("pass exactly one of --config or --preset")
     if args.config:
         with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(json.load(fh))
-        if args.seed is not None:
-            cfg.seed = args.seed
-        configs = [cfg]
+            configs = [ExperimentConfig.from_json(json.load(fh))]
     else:
         configs = preset_configs(args.preset)
-        if args.seed is not None:
-            for cfg in configs:
-                cfg.seed = args.seed
+    if args.seed is not None:
+        # copies, so the shared preset objects keep their seeds
+        configs = [dataclasses.replace(cfg, seed=args.seed) for cfg in configs]
     _echo_config(args, {"experiments": [c.to_json() for c in configs]})
-    rows, excluded, page_ref = [], [], None
-    for cfg in configs:
-        runner = run_cosnet_k_sweep if cfg.k_grid and cfg.ansatz.get("family") == "cosnet" else run_sweep
-        res = runner(cfg, threads=args.threads)
-        rows.extend(res.rows)
-        excluded.extend(res.excluded)
-        if res.page_reference:
-            page_ref = (page_ref or {}) | res.page_reference
-    merged = SweepResult(rows=rows, excluded=excluded, page_reference=page_ref)
-    write_csv(merged, args.out)
-    write_aggregates(merged, str(args.out) + ".agg.json")
-    _emit({"schema_version": 1, "rows": len(rows), "excluded": len(excluded), "out": args.out})
+    result = run_configs(configs, threads=args.threads)
+    write_csv(result, args.out)
+    write_aggregates(result, str(args.out) + ".agg.json")
+    _emit({"schema_version": 1, "rows": len(result.rows), "excluded": len(result.excluded), "out": args.out})
     return 0
 
 

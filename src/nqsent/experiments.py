@@ -370,11 +370,12 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
     return PRESETS[name]
 
 
-def run_preset(name: str, threads: int = 1) -> SweepResult:
+def run_configs(configs: list[ExperimentConfig], threads: int = 1) -> SweepResult:
+    """Run each config (k sweep for cosnet configs with a k grid) and merge the results."""
     rows: list[SweepRow] = []
     excluded: list[dict] = []
     page_ref = None
-    for cfg in preset_configs(name):
+    for cfg in configs:
         runner = run_cosnet_k_sweep if cfg.k_grid and cfg.ansatz.get("family") == "cosnet" else run_sweep
         res = runner(cfg, threads=threads)
         rows.extend(res.rows)

@@ -21,9 +21,9 @@ linearly dependent rows are dropped by a greedy QR pass.
 
 from __future__ import annotations
 
+import concurrent.futures
 import heapq
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +40,29 @@ DEPENDENCE_TOL = 1e-10
 # magnitude count as constants; anything larger stays a feature so folding
 # never discards float-significant spin dependence
 _CONST_TOL = 1e-15
+
+
+def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """Write ``fn(start, stop)`` for consecutive ``chunk``-sized ranges of
+    ``0..count`` into one complex128 array of length ``count``.
+
+    Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
+    floating-point result is the same for any thread count.
+    """
+    out = np.empty(count, dtype=np.complex128)
+    starts = range(0, count, chunk)
+
+    def run(start):
+        stop = min(start + chunk, count)
+        out[start:stop] = fn(start, stop)
+
+    if threads > 1 and len(starts) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))  # re-raises the first failing chunk's error
+    else:
+        for start in starts:
+            run(start)
+    return out
 
 
 @dataclass(frozen=True)
@@ -231,23 +254,14 @@ class ComputationGraph:
         return np.asarray(out, dtype=np.complex128)
 
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-        """Amplitudes for an array of configuration bits.
-
-        Work is split into fixed-size chunks; the chunking (and therefore
-        every floating-point operation) is independent of the thread count.
-        """
+        """Amplitudes for an array of configuration bits, in thread-independent chunks."""
         bits = np.asarray(bits, dtype=np.int64)
-        pieces = [bits[i : i + chunk] for i in range(0, len(bits), chunk)]
 
-        def run(piece):
+        def run(start, stop):
+            piece = bits[start:stop]
             return self.eval_ports(spin_matrix(piece, self.n).T, bits=piece)
 
-        if threads > 1 and len(pieces) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, pieces))
-        else:
-            results = [run(p) for p in pieces]
-        return np.concatenate(results) if results else np.zeros(0, dtype=np.complex128)
+        return _run_chunks(run, len(bits), threads, chunk)
 
 
 def _relabel_overflow(exc: AmplitudeOverflowError, bits: np.ndarray | None) -> AmplitudeOverflowError:
@@ -363,17 +377,12 @@ class ReducedForm:
 
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         bits = np.asarray(bits, dtype=np.int64)
-        pieces = [bits[i : i + chunk] for i in range(0, len(bits), chunk)]
 
-        def run(piece):
+        def run(start, stop):
+            piece = bits[start:stop]
             return self.residual.eval_ports(self.feature_values(piece), bits=piece)
 
-        if threads > 1 and len(pieces) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, pieces))
-        else:
-            results = [run(p) for p in pieces]
-        return np.concatenate(results) if results else np.zeros(0, dtype=np.complex128)
+        return _run_chunks(run, len(bits), threads, chunk)
 
 
 def eval_reduced(r: ReducedForm, s: SpinConfig) -> complex:

@@ -1,23 +1,23 @@
 """Exact dense statevectors over all 2^n configurations.
 
-Amplitudes are stored as complex128 indexed by configuration bits. Chunked
-evaluation parallelizes over fixed-size index ranges; the chunk structure
-(and therefore every floating-point result including the norm, which is
-reduced over per-chunk partial norms in chunk order) does not depend on the
-thread count, so output is byte-identical across --threads settings.
+Amplitudes are stored as complex128 indexed by configuration bits. One
+chunk driver (``graph._run_chunks``) evaluates fixed-size index ranges on a
+thread pool straight into the amplitude array, and the norm is reduced over
+the same chunks in chunk order. The chunk structure, and therefore every
+floating-point result, does not depend on the thread count, so output is
+byte-identical across --threads settings.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .core import check_n
 from .errors import ContractError, DegenerateStateError
-from .graph import DEFAULT_CHUNK, ComputationGraph, ReducedForm
+from .graph import DEFAULT_CHUNK, ComputationGraph, ReducedForm, _run_chunks
 
 NQSV_MAGIC = b"NQSV"
 NQSV_VERSION = 1
@@ -55,42 +55,34 @@ def from_amplitudes(raw: np.ndarray, max_n: int | None = None) -> Statevector:
 def materialize(
     obj: ComputationGraph | ReducedForm,
     threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
     max_n: int | None = None,
 ) -> Statevector:
-    """Evaluate every amplitude of a graph or reduced form and normalize."""
+    """Evaluate every amplitude of a graph or reduced form and normalize.
+
+    Only ``obj.n`` and ``obj.eval_bits(bits)`` are used; ``eval_bits`` is
+    called once per chunk of global configuration bits.
+    """
     n = obj.n
     check_n(n, max_n)
     total = 1 << n
-    starts = list(range(0, total, chunk))
-
-    def run(start):
-        bits = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        return obj.eval_bits(bits, threads=1, chunk=chunk)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(run, starts))
-    else:
-        pieces = [run(s) for s in starts]
-
-    amplitudes = np.concatenate(pieces)
+    amplitudes = _run_chunks(
+        lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, threads
+    )
+    chunks = [amplitudes[start : start + DEFAULT_CHUNK] for start in range(0, total, DEFAULT_CHUNK)]
     # individual amplitudes can sit near the float ceiling (or floor), so the
     # squared norm is accumulated in units of the largest magnitude
-    scale = 0.0
-    for piece in pieces:
-        if piece.size:
-            scale = max(scale, float(np.abs(piece).max()))
+    scale = max(float(np.abs(piece).max()) for piece in chunks)
     if scale == 0.0:
         raise DegenerateStateError("all amplitudes vanish; state cannot be normalized")
     norm_sq_scaled = 0.0
-    for piece in pieces:  # sequential, chunk-ordered reduction
+    for piece in chunks:  # sequential, chunk-ordered reduction
         scaled = piece / scale
         norm_sq_scaled += float(np.sum(scaled.real**2 + scaled.imag**2))
     norm = scale * float(np.sqrt(norm_sq_scaled))
     if not np.isfinite(norm) or norm == 0.0:
         raise DegenerateStateError(f"state norm {norm} cannot normalize the amplitudes")
-    return Statevector(amplitudes / norm, n, norm)
+    amplitudes /= norm
+    return Statevector(amplitudes, n, norm)
 
 
 def overlap(psi: Statevector, phi: Statevector) -> complex:

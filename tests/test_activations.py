@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nqsent.activations import (
-    Activation,
-    analyticity_params,
-    apply,
-    ellipse_boundary,
-    format_activation,
-    parse_activation,
-)
+from nqsent.activations import Activation, apply, format_activation, parse_activation
+from nqsent.ansatz import SnnqsSpec, build_snnqs
+from nqsent.approx import reduced_certificate
+from nqsent.core import RngStream, feature_supnorm
 from nqsent.errors import ContractError, NumericError
+from nqsent.graph import feature_reduce
 
 
 def test_tanh_zero():
@@ -103,40 +100,57 @@ def test_parse_rejects_garbage():
         parse_activation("softplus")
 
 
+def _one_feature(activation, parameterization="wrap_exp", scale=1.0):
+    """Reduced form G(t) of a one-feature snnqs graph, and its domain t_bar."""
+    spec = SnnqsSpec(6, activation, parameterization, weight_std=scale, bias_std=scale)
+    r = feature_reduce(build_snnqs(spec, RngStream(12).child(0)))
+    assert r.mu == 1
+    return r, feature_supnorm(r.features[0])
+
+
+def _ellipse(a, count):
+    theta = 2.0 * math.pi * np.arange(count) / count
+    return np.cosh(a) * np.cos(theta) + 1j * np.sinh(a) * np.sin(theta)
+
+
 def test_analyticity_none_for_nonanalytic():
     for kind in ("relu", "gelu", "dicke_delta", "rsqrt", "recip"):
-        assert analyticity_params(Activation(kind) if kind != "rsqrt" else Activation("rsqrt"), 1.0) is None
+        r, _ = _one_feature(kind)
+        assert reduced_certificate(r) is None
 
 
 def test_analyticity_entire_returns_valid_bound():
-    out = analyticity_params(Activation("sin"), 2.0)
-    assert out is not None
-    a, C = out
-    assert a > 0 and C > 0
+    r, t_bar = _one_feature("sin", "direct")
+    cert = reduced_certificate(r)
+    assert cert is not None and cert.exact_degree is None
+    assert cert.a > 0 and cert.C > 0
     # oracle: dense boundary sampling must stay below the inflated bound
-    boundary = ellipse_boundary(a, 4096)
-    vals = np.abs(np.sin(2.0 * boundary))
-    assert vals.max() <= C
+    t = t_bar * _ellipse(cert.a, 4096)
+    vals = np.sin(t)
+    assert np.allclose(r.residual.eval_ports(t[None, :]), vals)
+    assert np.abs(vals).max() <= cert.C
 
 
 def test_analyticity_exp_tanh_pole_margin():
-    # tanh(t_bar * z) has poles at z = i pi/(2 t_bar); the ellipse must stay
-    # 10% inside, and the sup bound must dominate a dense boundary sample
-    t_bar = 1.0
-    out = analyticity_params(Activation("tanh"), t_bar, wrap_exp=True)
-    assert out is not None
-    a, C = out
-    assert math.sinh(a) <= 0.9 * math.pi / 2 + 1e-12
-    boundary = ellipse_boundary(a, 10_000)
-    vals = np.abs(np.exp(np.tanh(t_bar * boundary)))
+    # tanh(t) has poles at t = i pi/2; the ellipse scaled by t_bar must stay
+    # 10% inside them, and the sup bound must dominate a dense boundary sample
+    r, t_bar = _one_feature("i*tanh")
+    cert = reduced_certificate(r)
+    assert cert is not None
+    assert t_bar * math.sinh(cert.a) <= 0.9 * math.pi / 2 * (1 + 1e-12)
+    t = t_bar * _ellipse(cert.a, 40_000)
+    vals = np.exp(1j * np.tanh(t))
+    assert np.allclose(r.residual.eval_ports(t[None, :]), vals)
     assert np.isfinite(vals).all()
-    assert vals.max() <= C
+    assert np.abs(vals).max() <= cert.C
 
 
 def test_analyticity_scales_with_t_bar():
-    a1, _ = analyticity_params(Activation("tanh"), 1.0)
-    a4, _ = analyticity_params(Activation("tanh"), 4.0)
-    assert a4 < a1  # farther reach means a slimmer safe ellipse
+    r1, t1 = _one_feature("tanh")
+    r4, t4 = _one_feature("tanh", scale=4.0)
+    assert t4 == pytest.approx(4.0 * t1)
+    # farther reach means a slimmer safe ellipse
+    assert reduced_certificate(r4).a < reduced_certificate(r1).a
 
 
 def test_exp_overflow_guard():

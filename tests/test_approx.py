@@ -51,11 +51,12 @@ def test_runge_like_geometric_rate():
 
 
 def test_certified_bound_dominates_empirical():
-    from nqsent.activations import analyticity_params
-
-    params = analyticity_params(Activation("sin"), 2.0)
+    g = build_snnqs(SnnqsSpec(6, "sin", "direct"), RngStream(12).child(0))
+    r = feature_reduce(g)
+    cert = reduced_certificate(r)
+    t_bar = feature_supnorm(r.features[0])
     for d in (4, 8, 12):
-        fit = cheb_fit_1d(np.sin, 2.0, d, analytic=params)
+        fit = cheb_fit_1d(lambda t: r.g_eval(t[None, :]), t_bar, d, analytic=(cert.a, cert.C))
         assert fit.error_bound is not None
         assert fit.error_empirical <= fit.error_bound
 
@@ -94,6 +95,16 @@ def test_multi_polynomial_exact():
 def test_multi_capacity():
     with pytest.raises(CapacityError):
         cheb_fit_multi(lambda t: t[0], (1.0,) * 5, 3)
+
+
+def test_multi_quadrature_point_cap():
+    # mu=4 uses K = 2(d+1) nodes per axis: d=22 needs 46^4 = 4.48M points,
+    # just above the 2^22 = 4.19M cap, and must fail before G is called
+    def G(t):
+        raise AssertionError("G evaluated despite the point cap")
+
+    with pytest.raises(CapacityError):
+        cheb_fit_multi(G, (1.0,) * 4, 22)
 
 
 def test_monomial_expand_t2_t3():

@@ -153,6 +153,22 @@ def test_run_config_and_determinism(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3 * 2
 
 
+def test_run_seed_leaves_preset_unchanged(tmp_path, capsys, monkeypatch):
+    from nqsent import experiments
+
+    seeds = []
+
+    def fake_sweep(cfg, threads=1):
+        seeds.append(cfg.seed)
+        return experiments.SweepResult(rows=[])
+
+    monkeypatch.setattr(experiments, "run_sweep", fake_sweep)
+    before = experiments.PRESETS["fig1b"][0].seed
+    assert main(["--seed", "99", "run", "--preset", "fig1b", "--out", str(tmp_path / "x.csv")]) == 0
+    assert seeds == [99]
+    assert experiments.PRESETS["fig1b"][0].seed == before
+
+
 def test_run_requires_exactly_one_source(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["run", "--preset", "fig1a", "--config", "x.json", "--out", str(tmp_path / "y.csv")]) == 1

@@ -7,7 +7,7 @@ from conftest import random_dag, random_evaluable_dag
 
 from nqsent.activations import Activation
 from nqsent.core import RngStream, SpinConfig
-from nqsent.errors import ContractError, CycleError
+from nqsent.errors import AmplitudeOverflowError, ContractError, CycleError
 from nqsent.graph import (
     ComputationGraph,
     Node,
@@ -260,9 +260,35 @@ def test_output_uniqueness_enforced():
 def test_eval_bits_thread_determinism():
     g = build_mlp(MlpSpec(n=8, width=4, depth=2), RngStream(5).child(3))
     bits = np.arange(256)
-    a = g.eval_bits(bits, threads=1, chunk=32)
-    b = g.eval_bits(bits, threads=4, chunk=32)
-    assert np.array_equal(a, b)
+    for ev in (g, feature_reduce(g)):
+        a = ev.eval_bits(bits, threads=1, chunk=32)
+        b = ev.eval_bits(bits, threads=4, chunk=32)
+        assert np.array_equal(a, b)
+        # chunking only splits the work: one chunk gives the same amplitudes
+        assert np.array_equal(a, ev.eval_bits(bits, chunk=256))
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["graph", "reduced"])
+def test_overflow_names_configuration_past_first_chunk(reduced):
+    # log-amplitude 700 s_7 + s_0 + ... + s_6 exceeds the exp limit 700 only
+    # when spin 7 is up (bits >= 128), i.e. from the third 64-config chunk on
+    n = 8
+    g = ComputationGraph(
+        [
+            Node(0, "nonlinear", tuple((("s", i), 700.0 if i == 7 else 1.0) for i in range(n)),
+                 activation=Activation("identity")),
+            Node(1, "output", ((0, 1.0),), output_mode="log_amplitude"),
+        ],
+        n=n,
+    )
+    ev = feature_reduce(g) if reduced else g
+    with pytest.raises(AmplitudeOverflowError) as err:
+        ev.eval_bits(np.arange(1 << n), threads=2, chunk=64)
+    bits = err.value.bits
+    assert bits >= 128
+    assert f"bits={bits:#x}" in str(err.value)
+    with pytest.raises(AmplitudeOverflowError):
+        ev.eval_bits(np.array([bits]))
 
 
 def test_random_graphs_reduced_eval_matches():

@@ -4,7 +4,8 @@ import pytest
 from conftest import haar_state, random_evaluable_dag
 
 from nqsent.ansatz import DickeSpec, MlpSpec, SnnqsSpec, build_dicke, build_mlp, build_snnqs
-from nqsent.core import RngStream
+from nqsent.approx import auxiliary_state, cheb_fit_multi
+from nqsent.core import RngStream, feature_supnorm
 from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError
 from nqsent.graph import feature_reduce
 from nqsent.statevector import (
@@ -126,11 +127,15 @@ def test_materialize_agrees_with_reduced_form_transformer():
 
 def test_materialize_thread_and_chunk_invariance():
     g = build_mlp(MlpSpec(n=9, width=4, depth=2), RngStream(33).child(0))
-    base = materialize(g, threads=1)
-    for threads in (2, 4):
-        other = materialize(g, threads=threads)
-        assert np.array_equal(base.amplitudes, other.amplitudes)
-        assert base.norm_was == other.norm_was
+    # the auxiliary state at n=17 spans two chunks of the shared driver
+    r = feature_reduce(build_snnqs(SnnqsSpec(n=17, activation="i*tanh", bias_std=0.5), RngStream(33).child(1)))
+    fit = cheb_fit_multi(r.g_eval, [feature_supnorm(f) for f in r.features], 8)
+    for make in (lambda t: materialize(g, threads=t), lambda t: auxiliary_state(r, fit, threads=t)):
+        base = make(1)
+        for threads in (2, 4):
+            other = make(threads)
+            assert np.array_equal(base.amplitudes, other.amplitudes)
+            assert base.norm_was == other.norm_was
 
 
 def test_capacity_cap():
