@@ -27,7 +27,6 @@ from .graph import (
     load_graph,
     save_graph,
     to_json,
-    validate_and_sort,
 )
 from .statevector import Statevector, from_amplitudes, load_nqsv, materialize, overlap, save_nqsv, two_norm_distance
 from .entanglement import (
@@ -67,6 +66,6 @@ from .ansatz import (
     build_snnqs,
     build_transformer,
 )
-from .experiments import ExperimentConfig, SweepResult, benchmark_reduction, run_cosnet_k_sweep, run_sweep
+from .experiments import ExperimentConfig, SweepResult, run_cosnet_k_sweep, run_sweep
 
 __version__ = "0.1.0"

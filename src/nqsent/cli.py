@@ -8,7 +8,6 @@ configuration on stdout so artifacts can be reproduced byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -17,13 +16,12 @@ import numpy as np
 
 from . import analytic
 from .approx import full_bound_report
-from .core import Subregion, check_n
+from .core import Subregion, check_n, feature_supnorm
 from .errors import NqsError
 from .experiments import (
     ExperimentConfig,
     preset_configs,
     run_configs,
-    benchmark_reduction,
     write_aggregates,
     write_csv,
 )
@@ -99,7 +97,7 @@ def _cmd_reduce(args) -> int:
         "k": r.k,
         "n": r.n,
         "features": [
-            {"weights": f.weights.tolist(), "bias": f.bias, "supnorm": float(np.abs(f.weights).sum() + abs(f.bias))}
+            {"weights": f.weights.tolist(), "bias": f.bias, "supnorm": feature_supnorm(f)}
             for f in r.features
         ],
         "residual_graph": to_json(r.residual),
@@ -189,21 +187,13 @@ def _cmd_run(args) -> int:
     else:
         configs = preset_configs(args.preset)
     if args.seed is not None:
-        # copies, so the shared preset objects keep their seeds
-        configs = [dataclasses.replace(cfg, seed=args.seed) for cfg in configs]
+        for cfg in configs:
+            cfg.seed = args.seed
     _echo_config(args, {"experiments": [c.to_json() for c in configs]})
     result = run_configs(configs, threads=args.threads)
     write_csv(result, args.out)
     write_aggregates(result, str(args.out) + ".agg.json")
     _emit({"schema_version": 1, "rows": len(result.rows), "excluded": len(result.excluded), "out": args.out})
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    g = load_graph(args.graph)
-    report = benchmark_reduction(g, args.samples, seed=args.seed or 0, threads=args.threads)
-    _echo_config(args)
-    _emit(report, args.out)
     return 0
 
 
@@ -267,12 +257,6 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", help="named preset (e.g. fig1a, fig2b, supp_sn_phase)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("bench", help="compare full vs reduced forward-pass cost")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--samples", type=int, default=1 << 16)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

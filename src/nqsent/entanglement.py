@@ -43,36 +43,33 @@ class BipartitionMatrix:
         return self.region.n
 
 
-def _scatter_indices(members: list[int], count: int) -> np.ndarray:
-    """Map dense indices 0..2^m-1 onto configuration bits at given positions."""
-    idx = np.arange(count, dtype=np.int64)
-    out = np.zeros(count, dtype=np.int64)
-    for j, pos in enumerate(members):
-        out |= ((idx >> j) & 1) << pos
-    return out
+def _axes(region: Subregion) -> list[int]:
+    """Axis order of the (2,)*n amplitude tensor that puts A's spins in the
+    rows and the complement's in the columns, each side largest member first
+    so that its smallest member lands on index bit 0. Spin i is bit i of the
+    configuration, which is axis n-1-i."""
+    n = region.n
+    return [n - 1 - i for i in reversed(region.members())] + [
+        n - 1 - i for i in reversed(region.complement().members())
+    ]
 
 
 def bipartition(psi: Statevector, region: Subregion) -> BipartitionMatrix:
-    """Bit-scatter the amplitudes into a 2^|A| x 2^(n-|A|) matrix."""
+    """Permute the amplitudes into a 2^|A| x 2^(n-|A|) matrix."""
     if region.n != psi.n:
         raise ContractError(f"region has n={region.n}, state has n={psi.n}")
     m = region.size
     if m == 0 or m == psi.n:
         raise ContractError("subregion must be a proper nonempty subset")
-    rows = _scatter_indices(region.members(), 1 << m)
-    cols = _scatter_indices(region.complement().members(), 1 << (psi.n - m))
-    M = psi.amplitudes[rows[:, None] | cols[None, :]]
-    return BipartitionMatrix(M, region)
+    tensor = psi.amplitudes.reshape((2,) * psi.n).transpose(_axes(region))
+    # a C-ordered copy, never a view of the state, even for the identity order
+    return BipartitionMatrix(np.array(tensor, order="C").reshape(1 << m, -1), region)
 
 
 def flatten(bm: BipartitionMatrix) -> np.ndarray:
     """Inverse of :func:`bipartition`: amplitudes back in bits order."""
-    m = bm.region.size
-    rows = _scatter_indices(bm.region.members(), 1 << m)
-    cols = _scatter_indices(bm.region.complement().members(), 1 << (bm.n - m))
-    out = np.empty(1 << bm.n, dtype=np.complex128)
-    out[rows[:, None] | cols[None, :]] = bm.M
-    return out
+    tensor = bm.M.reshape((2,) * bm.n).transpose(np.argsort(_axes(bm.region)))
+    return np.array(tensor, order="C").reshape(-1)
 
 
 @dataclass

@@ -12,9 +12,9 @@ trials at a grid point.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -24,13 +24,11 @@ from .core import RngStream, Subregion
 from .errors import (
     AmplitudeOverflowError,
     ContractError,
-    ConsistencyError,
     DegenerateStateError,
     ExperimentError,
 )
 from .ansatz import ansatz_from_config
 from .entanglement import subregion_entropy
-from .graph import ComputationGraph, feature_reduce
 from .statevector import materialize
 
 log = logging.getLogger(__name__)
@@ -215,43 +213,6 @@ def run_cosnet_k_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     return result
 
 
-def benchmark_reduction(
-    g: ComputationGraph, sample_count: int, seed: int = 0, threads: int = 1
-) -> dict:
-    """Wall-time comparison of the full forward pass against the reduced form.
-
-    Outputs must agree to 1e-12 relative sup-norm; a mismatch is an error,
-    not a data point.
-    """
-    gen = RngStream(seed).child(0xBE).generator()
-    bits = gen.integers(0, 1 << g.n, size=sample_count, dtype=np.int64)
-    t0 = time.perf_counter()
-    full = g.eval_bits(bits, threads=threads)
-    t1 = time.perf_counter()
-    reduced = feature_reduce(g)
-    t2 = time.perf_counter()
-    red = reduced.eval_bits(bits, threads=threads)
-    t3 = time.perf_counter()
-    scale = float(np.abs(full).max())
-    err = float(np.abs(full - red).max())
-    if err > 1e-12 * max(scale, 1e-300):
-        raise ConsistencyError(f"reduced evaluation deviates by {err:.3e} (scale {scale:.3e})")
-    t_full = t1 - t0
-    t_red = t3 - t2
-    return {
-        "schema_version": 1,
-        "n": g.n,
-        "k": g.k,
-        "mu": reduced.mu,
-        "sample_count": sample_count,
-        "t_full_s": t_full,
-        "t_reduced_s": t_red,
-        "t_reduce_transform_s": t2 - t1,
-        "speedup": t_full / t_red if t_red > 0 else float("inf"),
-        "max_abs_err": err,
-    }
-
-
 # ---------------------------------------------------------------------------
 # CSV / JSON artifacts
 # ---------------------------------------------------------------------------
@@ -365,9 +326,11 @@ PRESETS = _build_presets()
 
 
 def preset_configs(name: str) -> list[ExperimentConfig]:
+    """Copies of a preset's configs; presets share ``ansatz`` dicts, so
+    callers that edit a config must not reach the registry."""
     if name not in PRESETS:
         raise ContractError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name]
+    return copy.deepcopy(PRESETS[name])
 
 
 def run_configs(configs: list[ExperimentConfig], threads: int = 1) -> SweepResult:

@@ -16,7 +16,9 @@ Feature reduction rewrites the amplitude as G(t_1..t_mu) over mu affine
 features with mu <= k+1, k the number of live nonlinear nodes: each
 nonlinear pre-activation contributes its direct affine part as a candidate
 feature, the output contributes one more, constants are folded, and
-linearly dependent rows are dropped by a greedy QR pass.
+linearly dependent rows are dropped by a greedy QR pass. G is the original
+DAG restricted to the nodes that read a nonlinear output, plus the
+nonlinear nodes and the output, which read the features through ports.
 """
 
 from __future__ import annotations
@@ -317,11 +319,6 @@ def _consumer_counts(nodes: dict[int, Node], live_order: list[int]) -> dict[int,
     return counts
 
 
-def validate_and_sort(g: ComputationGraph) -> list[int]:
-    """Deterministic topological ordering (Kahn, lowest id first)."""
-    return list(g.order)
-
-
 def eval_full(g: ComputationGraph, s: SpinConfig) -> complex:
     """Amplitude of a single configuration via a full forward pass."""
     if s.n != g.n:
@@ -340,7 +337,12 @@ class ReducedForm:
 
     ``residual`` is a computation graph whose ports are the feature values,
     so G carries no symbolic algebra: it is the original DAG with all input
-    dependence rerouted through the retained features.
+    dependence rerouted through the retained features. It keeps, under their
+    original ids, the nonlinear nodes, the output and every linear node that
+    reads a nonlinear output, with their edges among those nodes. Each
+    nonlinear node and the output also reads its direct affine part as
+    port edges beta . t plus bias gamma. Input nodes and linear nodes that
+    read only spins drop out.
     """
 
     features: list[AffineFeature]
@@ -392,57 +394,44 @@ def eval_reduced(r: ReducedForm, s: SpinConfig) -> complex:
     return complex(r.g_eval(t))
 
 
-class _Affine:
-    """Value decomposed as w.s + c + lam.phi over nonlinear outputs phi."""
-
-    __slots__ = ("w", "c", "lam")
-
-    def __init__(self, n, k):
-        self.w = np.zeros(n)
-        self.c = 0.0 + 0.0j
-        self.lam = np.zeros(k, dtype=np.complex128)
-
-
 def feature_reduce(g: ComputationGraph, tol: float = DEPENDENCE_TOL) -> ReducedForm:
     """Collect candidate features, drop constants and dependent rows, and
-    rewrite the graph over the retained feature ports."""
-    nonlinear_ids = [nid for nid in g.live_order if g.nodes[nid].kind == "nonlinear"]
-    k = len(nonlinear_ids)
-    phi_index = {nid: j for j, nid in enumerate(nonlinear_ids)}
+    rewrite the graph over the retained feature ports.
 
-    sym: dict[int, _Affine] = {}
-    pre_forms: list[_Affine] = [None] * k
-    out_form = None
+    Each live value splits into a direct affine part w.s + c and a part that
+    reads nonlinear outputs phi, which are atoms with no direct part. The direct
+    parts of the nonlinear pre-activations and of the output are the
+    candidate features.
+    """
+    zero = np.zeros(g.n)
+    direct: dict[int, tuple[np.ndarray, complex]] = {}
+    reads_phi: dict[int, bool] = {}
+    candidates = []  # (w, c.real), nonlinear nodes in live order, then the output
     for nid in g.live_order:
         node = g.nodes[nid]
-        form = _Affine(g.n, k)
-        form.c = node.bias
-        for ref, w in node.inputs:
+        w, c = np.zeros(g.n), node.bias
+        for ref, wt in node.inputs:
             if _is_raw(ref):
-                form.w[ref[1]] += w.real
+                w[ref[1]] += wt.real
             else:
-                src = sym[ref]
-                form.w += w.real * src.w
-                form.c += w * src.c
-                form.lam += w * src.lam
+                w_src, c_src = direct[ref]
+                w += wt.real * w_src
+                c += wt * c_src
         if node.kind == "nonlinear":
-            pre_forms[phi_index[nid]] = form
-            atom = _Affine(g.n, k)
-            atom.lam[phi_index[nid]] = 1.0
-            sym[nid] = atom
-        elif node.kind == "output":
-            out_form = form
-            sym[nid] = form
+            candidates.append((w, c.real))
+            direct[nid] = (zero, 0j)
+            reads_phi[nid] = True
         else:
-            sym[nid] = form
-
-    candidates = [(f.w, f.c.real) for f in pre_forms] + [(out_form.w, out_form.c.real)]
+            direct[nid] = (w, c)
+            reads_phi[nid] = any(not _is_raw(ref) and reads_phi[ref] for ref, _ in node.inputs)
+    out_c = direct[g.output_id][1]
+    candidates.append((direct[g.output_id][0], out_c.real))
 
     # constants fold into the residual graph rather than becoming features
     is_const = [np.abs(w).sum() <= _CONST_TOL * max(1.0, abs(b) + np.abs(w).sum()) for w, b in candidates]
 
     rows = [np.concatenate([w, [b]]) for w, b in candidates]
-    retained: list[int] = []
+    slot: dict[int, int] = {}  # candidate index -> feature index
     basis: list[np.ndarray] = []
     for j, row in enumerate(rows):
         if is_const[j]:
@@ -452,20 +441,20 @@ def feature_reduce(g: ComputationGraph, tol: float = DEPENDENCE_TOL) -> ReducedF
             for q in basis:
                 v -= (q @ v) * q
         if np.linalg.norm(v) > tol * np.linalg.norm(row):
-            retained.append(j)
+            slot[j] = len(basis)
             basis.append(v / np.linalg.norm(v))
 
-    mu = len(retained)
-    features = [AffineFeature(candidates[j][0].copy(), candidates[j][1]) for j in retained]
+    mu = len(slot)
+    features = [AffineFeature(candidates[j][0].copy(), candidates[j][1]) for j in slot]
 
     # express every candidate as beta . features + gamma
     betas = np.zeros((len(candidates), mu))
     gammas = np.zeros(len(candidates), dtype=np.complex128)
     if mu:
-        A = np.column_stack([rows[j] for j in retained] + [np.eye(g.n + 1)[-1]])
+        A = np.column_stack([rows[j] for j in slot] + [np.eye(g.n + 1)[-1]])
     for j, row in enumerate(rows):
-        if j in retained:
-            betas[j, retained.index(j)] = 1.0
+        if j in slot:
+            betas[j, slot[j]] = 1.0
         elif is_const[j] or mu == 0:
             gammas[j] = candidates[j][1]
         else:
@@ -474,44 +463,28 @@ def feature_reduce(g: ComputationGraph, tol: float = DEPENDENCE_TOL) -> ReducedF
             gammas[j] = x[mu]
 
     # imaginary constant part of the output reappears in its residual bias
-    out_imag = out_form.c - out_form.c.real
+    gammas[-1] += out_c - out_c.real
 
+    # the residual keeps every node that reads a nonlinear output, under its
+    # own id and with its edges among kept nodes; nonlinear nodes and the
+    # output take their direct parts through port edges and bias instead
     residual_nodes = []
-    port = lambda m: ("s", m)
-    new_phi_id = {}
-    for j, nid in enumerate(nonlinear_ids):
-        inputs = [(port(m), betas[j, m]) for m in range(mu) if betas[j, m] != 0.0]
-        inputs += [
-            (new_phi_id[nonlinear_ids[i]], pre_forms[j].lam[i].real)
-            for i in range(j)
-            if pre_forms[j].lam[i] != 0.0
-        ]
+    j = 0
+    for nid in g.live_order:
+        node = g.nodes[nid]
+        inner = tuple((ref, wt) for ref, wt in node.inputs if not _is_raw(ref) and reads_phi[ref])
+        if node.kind in ("input", "linear"):
+            if reads_phi[nid]:
+                residual_nodes.append(Node(nid, "linear", inner))
+            continue
+        ports = tuple((("s", m), beta) for m, beta in enumerate(betas[j]) if beta != 0.0)
+        bias = gammas[j] if node.kind == "output" else gammas[j].real
         residual_nodes.append(
-            Node(
-                id=j,
-                kind="nonlinear",
-                inputs=tuple(inputs),
-                bias=gammas[j].real,
-                activation=g.nodes[nid].activation,
-            )
+            Node(nid, node.kind, ports + inner, bias=bias, activation=node.activation, output_mode=node.output_mode)
         )
-        new_phi_id[nid] = j
-    out_j = len(candidates) - 1
-    out_inputs = [(port(m), betas[out_j, m]) for m in range(mu) if betas[out_j, m] != 0.0]
-    out_inputs += [
-        (new_phi_id[nonlinear_ids[i]], out_form.lam[i]) for i in range(k) if out_form.lam[i] != 0.0
-    ]
-    residual_nodes.append(
-        Node(
-            id=k,
-            kind="output",
-            inputs=tuple(out_inputs),
-            bias=gammas[out_j] + out_imag,
-            output_mode=g.output_node.output_mode,
-        )
-    )
+        j += 1
     residual = ComputationGraph(residual_nodes, n=mu)
-    return ReducedForm(features=features, residual=residual, n=g.n, k=k)
+    return ReducedForm(features=features, residual=residual, n=g.n, k=g.k)
 
 
 # ---------------------------------------------------------------------------

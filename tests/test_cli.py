@@ -178,13 +178,6 @@ def test_run_unknown_preset(tmp_path, capsys):
     assert main(["run", "--preset", "fig9z", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_bench_command(sin_graph_path, capsys):
-    assert main(["bench", "--graph", sin_graph_path, "--samples", "2048"]) == 0
-    doc = _last_json(capsys)
-    assert doc["max_abs_err"] <= 1e-12
-    assert doc["mu"] == 1
-
-
 def test_missing_file_is_usage(capsys):
     assert main(["validate", "--graph", "/nonexistent/g.json"]) == 1
 

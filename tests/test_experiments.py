@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from nqsent.analytic import dicke_entropy, page_value
-from nqsent.ansatz import MlpSpec, build_mlp
-from nqsent.core import RngStream
-from nqsent.errors import ConsistencyError, ContractError, ExperimentError
+from nqsent.errors import ContractError, ExperimentError
 from nqsent.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     PRESETS,
-    benchmark_reduction,
     preset_configs,
     run_cosnet_k_sweep,
     run_sweep,
@@ -163,29 +160,6 @@ def test_csv_and_aggregate_artifacts(tmp_path):
     assert doc["points"]
 
 
-def test_benchmark_reports_and_matches():
-    g = build_mlp(MlpSpec(n=10, width=5, depth=2, layernorm=False), RngStream(1).child(0))
-    rep = benchmark_reduction(g, 1 << 12, seed=7)
-    assert rep["max_abs_err"] <= 1e-12
-    assert rep["mu"] == 5
-    assert rep["t_full_s"] > 0 and rep["t_reduced_s"] > 0
-    assert "speedup" in rep
-
-
-def test_benchmark_trivial_graph_ratio_near_one():
-    # nothing to reduce: a single linear output; both paths do the same work
-    from nqsent.graph import ComputationGraph, Node
-
-    g = ComputationGraph(
-        [Node(0, "output", tuple((("s", i), 0.1 * (i + 1)) for i in range(8)), bias=0.05, output_mode="amplitude")],
-        n=8,
-    )
-    rep = benchmark_reduction(g, 1 << 12, seed=1)
-    assert rep["mu"] == 1
-    assert rep["max_abs_err"] <= 1e-12
-    assert 0.05 < rep["speedup"] < 20.0  # same asymptotic work; timing noise allowed
-
-
 def test_presets_registry_valid():
     expected = {"fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b", "supp_sn_real", "supp_sn_phase", "supp_sn_general"}
     assert expected <= set(PRESETS)
@@ -196,6 +170,14 @@ def test_presets_registry_valid():
             assert cfg.ansatz.get("family") in {"snnqs", "mlp", "transformer", "cosnet", "dicke"}
     with pytest.raises(ContractError):
         preset_configs("fig9z")
+
+
+def test_preset_configs_are_copies():
+    before = [cfg.to_json() for configs in PRESETS.values() for cfg in configs]
+    for cfg in preset_configs("fig1c"):
+        cfg.seed = 99
+        cfg.ansatz["bias_std"] = 9.0  # fig1c_snnqs shares this dict with fig1d_snnqs
+    assert [cfg.to_json() for configs in PRESETS.values() for cfg in configs] == before
 
 
 def test_preset_smoke_run_small():

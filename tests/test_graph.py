@@ -16,9 +16,9 @@ from nqsent.graph import (
     feature_reduce,
     from_json,
     to_json,
-    validate_and_sort,
+    _is_raw,
 )
-from nqsent.ansatz import MlpSpec, SnnqsSpec, build_mlp, build_snnqs
+from nqsent.ansatz import MlpSpec, SnnqsSpec, TransformerSpec, build_mlp, build_snnqs, build_transformer
 
 
 def chain_graph():
@@ -34,7 +34,7 @@ def chain_graph():
 
 def test_toposort_chain():
     g = chain_graph()
-    assert validate_and_sort(g) == [0, 1, 2]
+    assert g.order == [0, 1, 2]
 
 
 def test_toposort_4in_4hidden_example():
@@ -49,8 +49,7 @@ def test_toposort_4in_4hidden_example():
         Node(8, "output", ((6, 1.0), (7, 1.0)), output_mode="amplitude"),
     ]
     g = ComputationGraph(nodes, n=4)
-    order = validate_and_sort(g)
-    pos = {nid: i for i, nid in enumerate(order)}
+    pos = {nid: i for i, nid in enumerate(g.order)}
     for inp in range(4):
         for hid in (4, 5, 6, 7):
             assert pos[inp] < pos[hid]
@@ -154,6 +153,39 @@ def test_reduced_matches_full_exhaustive_mlp():
     red = r.eval_bits(bits)
     scale = np.abs(full).max()
     assert np.abs(full - red).max() <= 1e-12 * scale
+
+
+def test_reduced_mlp_w5d2_matches_full():
+    g = build_mlp(MlpSpec(n=10, width=5, depth=2, layernorm=False), RngStream(1).child(0))
+    r = feature_reduce(g)
+    assert r.mu == 5
+    bits = np.arange(1 << 10)
+    assert np.abs(g.eval_bits(bits) - r.eval_bits(bits)).max() <= 1e-12
+
+
+def test_reduced_linear_output_matches_full():
+    # nothing to reduce: a single linear output is its own one feature
+    g = ComputationGraph(
+        [Node(0, "output", tuple((("s", i), 0.1 * (i + 1)) for i in range(8)), bias=0.05, output_mode="amplitude")],
+        n=8,
+    )
+    r = feature_reduce(g)
+    assert r.mu == 1
+    bits = np.arange(1 << 8)
+    assert np.abs(g.eval_bits(bits) - r.eval_bits(bits)).max() <= 1e-12
+
+
+def test_residual_keeps_the_original_dag():
+    # a dense rewrite over k nonlinear outputs gives each node up to k edges;
+    # the residual keeps the original edges plus at most mu ports per node
+    spec = TransformerSpec(n=11, patch=6, stride=5, embed_dim=8, heads=2, ffn_width=8)
+    g = build_transformer(spec, RngStream(0))
+    r = feature_reduce(g)
+    assert (g.k, r.mu) == (328, 11)
+    live_edges = sum(1 for nid in g.live_order for ref, _ in g.nodes[nid].inputs if not _is_raw(ref))
+    residual_edges = sum(len(node.inputs) for node in r.residual.nodes.values())
+    assert residual_edges <= live_edges + r.mu * (r.k + 1)
+    assert set(r.residual.nodes) <= set(g.live_order)
 
 
 def test_feature_reduce_idempotent():
