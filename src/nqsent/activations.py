@@ -115,7 +115,7 @@ class Activation:
                 raise ContractError("pair mode requires a valid second kind")
         if self.kind == "softplus" and (self.beta is None or self.beta <= 0):
             raise ContractError("softplus requires beta > 0")
-        if self.kind == "poly":
+        if "poly" in self._parts:
             if not self.coeffs:
                 raise ContractError("poly requires coefficients")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -139,11 +139,42 @@ class Activation:
         return _KINDS[kind].fn
 
     @property
+    def _parts(self) -> tuple[str, ...]:
+        return (self.kind, self.second) if self.mode == "pair" else (self.kind,)
+
+    @property
     def holomorphic(self) -> bool:
-        base = _KINDS[self.kind].holomorphic
-        if self.mode == "pair":
-            base = base and _KINDS[self.second].holomorphic
-        return base
+        return all(_KINDS[k].holomorphic for k in self._parts)
+
+    @property
+    def degree(self) -> int | None:
+        """Polynomial degree; None unless every part is identity or poly."""
+        degrees = []
+        for k in self._parts:
+            if k == "identity":
+                degrees.append(1)
+            elif k == "poly":
+                nonzero = np.nonzero(self.coeffs)[0]
+                degrees.append(int(nonzero.max()) if nonzero.size else 0)
+            else:
+                return None
+        return max(degrees)
+
+    @property
+    def pole_distance(self) -> float | None:
+        """Distance from the real axis of the nearest singularity; None when
+        every part is entire.
+
+        A pole-limited part contributes pole_spacing/2; a part that is not
+        holomorphic contributes 0.0, since its evaluator is no analytic
+        continuation off the real axis.
+        """
+        distances = [
+            _KINDS[k].pole_spacing / 2.0 if _KINDS[k].pole_spacing is not None else 0.0
+            for k in self._parts
+            if not _KINDS[k].entire
+        ]
+        return min(distances) if distances else None
 
     def apply(self, x):
         """Apply to a real scalar or array; complex input only for holomorphic kinds."""

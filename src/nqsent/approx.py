@@ -1,10 +1,12 @@
 """Chebyshev approximation (one and several variables), polynomial auxiliary
 states, and the explicit entropy-bound chain.
 
-Coefficients come from Chebyshev-Gauss quadrature at 4(d+1) nodes per axis
-(2(d+1) for three or more variables), which reproduces the truncated
-Chebyshev series up to negligible aliasing. Certified error bounds use the
-ellipse parameter a and sup bound C of the approximated function:
+One tensor-product fit serves every number of variables mu; the
+one-variable fit is its mu=1 case. Coefficients come from Chebyshev-Gauss
+quadrature at 4(d+1) nodes per axis (2(d+1) for three or more variables),
+which reproduces the truncated Chebyshev series up to negligible aliasing.
+Certified error bounds use the ellipse parameter a and sup bound C of the
+approximated function, with the formula chosen by ``Certificate.error_bound``:
 
     1 variable :  2 C rho^-d / (rho - 1),            rho = e^a
     k variables:  C k rho^-1 (2 rho / (rho-1))^k rho^-d   (shared a)
@@ -22,11 +24,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .activations import _KINDS
 from .core import Subregion, feature_supnorm
 from .errors import CapacityError, ContractError, DegreeError, DomainError, NumericError
 from .graph import ComputationGraph, ReducedForm, feature_reduce, _is_raw
-from .statevector import Statevector, materialize
+from .statevector import Statevector, materialize, two_norm_distance
 from .entanglement import fa_slack_from_bound, subregion_entropy
 
 MULTIVAR_CAP = 4
@@ -40,8 +41,6 @@ MONOMIAL_DEGREE_CAP = 30
 DENSE_GRID_POINTS = 10_000
 _SUP_INFLATION = 1.1
 _A_GRID = [0.25 * j for j in range(1, 15)]
-_NON_ANALYTIC = {"relu", "gelu", "dicke_delta", "rsqrt", "recip"}
-_POLY_KINDS = {"identity", "poly"}
 _EINSUM = {
     1: "a,aB->B",
     2: "ab,aB,bB->B",
@@ -98,8 +97,10 @@ def _cos_matrix(degree: int, count: int) -> np.ndarray:
     return np.cos(np.pi * j * (i + 0.5) / count)
 
 
-def _grid_1d(points: int) -> np.ndarray:
-    return np.linspace(-1.0, 1.0, points)
+def _tensor_grid(x: np.ndarray, mu: int) -> np.ndarray:
+    """All mu-tuples of the 1-D points x, as a (mu, len(x)**mu) array in C order."""
+    mesh = np.meshgrid(*([x] * mu), indexing="ij")
+    return np.stack([m.ravel() for m in mesh])
 
 
 def bernstein_bound_1d(a: float, C: float, d: int) -> float:
@@ -113,29 +114,26 @@ def bernstein_bound_multi(a: float, C: float, d: int, mu: int) -> float:
     return prefactor * rho ** (-d)
 
 
+@dataclass
+class Certificate:
+    a: float | None  # shared ellipse parameter; None for exact polynomials
+    C: float | None
+    exact_degree: int | None  # max per-variable degree when G is polynomial
+
+    def error_bound(self, d: int, mu: int) -> float:
+        if self.exact_degree is not None:
+            return 0.0 if d >= self.exact_degree else math.inf
+        if mu == 1:
+            return bernstein_bound_1d(self.a, self.C, d)
+        return bernstein_bound_multi(self.a, self.C, d, mu)
+
+
 def cheb_fit_1d(f, t_bar: float, d: int, analytic: tuple[float, float] | None = None) -> ChebyshevApprox:
     """Fit x -> f(t_bar * x) on [-1, 1] by a degree-d Chebyshev expansion.
 
     ``analytic`` optionally supplies (a, C) for a certified error bound.
     """
-    if d < 0:
-        raise DomainError("degree must be nonnegative")
-    if t_bar <= 0:
-        raise DomainError("t_bar must be positive")
-    K = 4 * (d + 1)
-    nodes = _quad_nodes(K)
-    fv = np.asarray(f(t_bar * nodes), dtype=np.complex128)
-    if not np.all(np.isfinite(fv)):
-        raise NumericError("function not finite at quadrature nodes")
-    coeffs = (_cos_matrix(d, K) @ fv) * (2.0 / K)
-    coeffs[0] /= 2.0
-    approx = ChebyshevApprox(coeffs, (float(t_bar),), d, None, 0.0)
-    grid = _grid_1d(DENSE_GRID_POINTS)
-    resid = np.abs(np.asarray(f(t_bar * grid), dtype=np.complex128) - approx.evaluate_unit(grid[None, :]))
-    approx.error_empirical = float(resid.max())
-    if analytic is not None:
-        approx.error_bound = bernstein_bound_1d(analytic[0], analytic[1], d)
-    return approx
+    return cheb_fit_multi(lambda t: f(t[0]), (t_bar,), d, analytic)
 
 
 def cheb_fit_multi(
@@ -144,7 +142,7 @@ def cheb_fit_multi(
     """Tensor-product fit of G(t_1..t_mu); G maps a (mu, B) array to (B,) values.
 
     ``analytic`` supplies a shared ellipse parameter and sup bound; the
-    certified constant follows the multivariable Bernstein lemma.
+    certified error follows the Bernstein bound for mu variables.
     """
     t_bars = tuple(float(t) for t in t_bars)
     mu = len(t_bars)
@@ -154,19 +152,14 @@ def cheb_fit_multi(
         raise ContractError("need at least one variable")
     if d < 0:
         raise DomainError("degree must be nonnegative")
-    if mu == 1:
-        out = cheb_fit_1d(lambda t: G(np.atleast_2d(t)), t_bars[0], d, analytic=None)
-        if analytic is not None:
-            out.error_bound = bernstein_bound_1d(analytic[0], analytic[1], d)
-        return out
+    if min(t_bars) <= 0:
+        raise DomainError("t_bar must be positive")
 
     K = (4 if mu <= 2 else 2) * (d + 1)
     if K**mu > FIT_POINT_CAP:
         raise CapacityError(f"degree {d} needs {K}^{mu} quadrature points, above the cap {FIT_POINT_CAP}")
-    nodes = _quad_nodes(K)
-    mesh = np.meshgrid(*([nodes] * mu), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh]) * np.asarray(t_bars)[:, None]
-    vals = np.asarray(G(pts), dtype=np.complex128).reshape((K,) * mu)
+    scale_t = np.asarray(t_bars)[:, None]
+    vals = np.asarray(G(_tensor_grid(_quad_nodes(K), mu) * scale_t), dtype=np.complex128).reshape((K,) * mu)
     if not np.all(np.isfinite(vals)):
         raise NumericError("function not finite on the quadrature grid")
     cos = _cos_matrix(d, K)
@@ -184,14 +177,11 @@ def cheb_fit_multi(
     approx = ChebyshevApprox(coeffs, t_bars, d, None, 0.0)
 
     per_axis = max(2, int(math.ceil(DENSE_GRID_POINTS ** (1.0 / mu))))
-    g1 = _grid_1d(per_axis)
-    gmesh = np.meshgrid(*([g1] * mu), indexing="ij")
-    gx = np.stack([m.ravel() for m in gmesh])
-    gt = gx * np.asarray(t_bars)[:, None]
-    resid = np.abs(np.asarray(G(gt), dtype=np.complex128) - approx.evaluate_unit(gx))
+    gx = _tensor_grid(np.linspace(-1.0, 1.0, per_axis), mu)
+    resid = np.abs(np.asarray(G(gx * scale_t), dtype=np.complex128) - approx.evaluate_unit(gx))
     approx.error_empirical = float(resid.max())
     if analytic is not None:
-        approx.error_bound = bernstein_bound_multi(analytic[0], analytic[1], d, mu)
+        approx.error_bound = Certificate(analytic[0], analytic[1], None).error_bound(d, mu)
     return approx
 
 
@@ -283,17 +273,6 @@ def poly_mlp_bound(w0: int, d0: int, h: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _residual_kinds(r: ReducedForm) -> list[str]:
-    kinds = []
-    for nid in r.residual.live_order:
-        node = r.residual.nodes[nid]
-        if node.kind == "nonlinear":
-            kinds.append(node.activation.kind)
-            if node.activation.mode == "pair":
-                kinds.append(node.activation.second)
-    return kinds
-
-
 def polynomial_degree_vector(r: ReducedForm) -> np.ndarray | None:
     """Per-variable degree of G when the reduced evaluator is a polynomial."""
     res = r.residual
@@ -307,82 +286,56 @@ def polynomial_degree_vector(r: ReducedForm) -> np.ndarray | None:
             vec = np.eye(r.mu, dtype=np.int64)[ref[1]] if _is_raw(ref) else deg[ref]
             acc = np.maximum(acc, vec)
         if node.kind == "nonlinear":
-            kind = node.activation.kind
-            if kind not in _POLY_KINDS or (node.activation.mode == "pair" and node.activation.second not in _POLY_KINDS):
+            h = node.activation.degree
+            if h is None:
                 return None
-            if kind == "poly":
-                coeffs = np.asarray(node.activation.coeffs)
-                h = int(np.nonzero(coeffs)[0].max()) if np.any(coeffs) else 0
-                acc = acc * h
+            acc = acc * h
         deg[nid] = acc
     return deg[res.output_id]
-
-
-@dataclass
-class Certificate:
-    a: float | None  # shared ellipse parameter; None for exact polynomials
-    C: float | None
-    exact_degree: int | None  # max per-variable degree when G is polynomial
-
-    def error_bound(self, d: int, mu: int) -> float:
-        if self.exact_degree is not None:
-            return 0.0 if d >= self.exact_degree else math.inf
-        if mu == 1:
-            return bernstein_bound_1d(self.a, self.C, d)
-        return bernstein_bound_multi(self.a, self.C, d, mu)
 
 
 def _boundary_grid(a: float, mu: int, total: int = DENSE_GRID_POINTS) -> np.ndarray:
     per_axis = max(8, int(round(total ** (1.0 / mu))))
     theta = 2.0 * math.pi * (np.arange(per_axis) + 0.5) / per_axis
     ring = np.cosh(a) * np.cos(theta) + 1j * np.sinh(a) * np.sin(theta)
-    mesh = np.meshgrid(*([ring] * mu), indexing="ij")
-    return np.stack([m.ravel() for m in mesh])
+    return _tensor_grid(ring, mu)
 
 
 def reduced_certificate(r: ReducedForm, d_ref: int = 16) -> Certificate | None:
     """Analyticity certificate for the reduced evaluator, when obtainable.
 
-    Exact polynomial evaluators certify with zero error. Otherwise all
-    activation kinds must be analytic; pole-limited kinds (tanh, softplus)
-    are only certified when their pre-activations read the feature ports
-    directly, in which case the shared ellipse keeps the affine image away
-    from the nearest singularity with a 10% margin. The sup bound C is a
-    boundary-sampling estimate inflated by 10%.
+    Every residual nonlinearity must be holomorphic, since the sup bound is
+    sampled on complex points. Exact polynomial evaluators certify with zero
+    error. Pole-limited kinds (tanh) are only certified when their
+    pre-activations read the feature ports directly, in which case the
+    shared ellipse keeps the affine image away from the nearest singularity
+    with a 10% margin. The sup bound C is a boundary-sampling estimate
+    inflated by 10%.
     """
     if r.mu == 0:
         return None
-    kinds = set(_residual_kinds(r))
-    if kinds & _NON_ANALYTIC:
-        return None
-    degvec = polynomial_degree_vector(r)
-    if degvec is not None:
-        return Certificate(a=None, C=None, exact_degree=int(degvec.max()))
-    if r.mu > MULTIVAR_CAP:
-        return None
-
     t_bars = np.array([feature_supnorm(f) for f in r.features])
     sinh_cap = None
     for nid in r.residual.live_order:
         node = r.residual.nodes[nid]
         if node.kind != "nonlinear":
             continue
-        limited = [
-            k
-            for k in ([node.activation.kind] + ([node.activation.second] if node.activation.mode == "pair" else []))
-            if not _KINDS[k].entire
-        ]
-        if not limited:
+        act = node.activation
+        if not act.holomorphic:
+            return None
+        if act.pole_distance is None:
             continue
         if any(not _is_raw(ref) for ref, _ in node.inputs):
             return None  # pole-limited nonlinearity composed with another one
         reach = sum(abs(w.real) * t_bars[ref[1]] for ref, w in node.inputs)
-        if reach == 0.0:
-            continue
-        for k in limited:
-            nearest = _KINDS[k].pole_spacing / 2.0
-            cap = 0.9 * nearest / reach
+        if reach > 0.0:
+            cap = 0.9 * act.pole_distance / reach
             sinh_cap = cap if sinh_cap is None else min(sinh_cap, cap)
+    degvec = polynomial_degree_vector(r)
+    if degvec is not None:
+        return Certificate(a=None, C=None, exact_degree=int(degvec.max()))
+    if r.mu > MULTIVAR_CAP:
+        return None
 
     def sup_on(a_try: float) -> float:
         pts = _boundary_grid(a_try, r.mu) * t_bars[:, None]
@@ -459,8 +412,6 @@ def full_bound_report(
     With a certificate the report is rigorous (up to the sampled C); without
     one it carries the empirical fit error only and no final bound.
     """
-    from .statevector import two_norm_distance  # local to avoid cycle noise
-
     r = feature_reduce(g)
     if r.mu == 0:
         raise ContractError("state has no feature dependence; nothing to bound")
@@ -479,10 +430,7 @@ def full_bound_report(
     else:
         d = int(degree)
 
-    analytic = (cert.a, cert.C) if cert is not None and cert.a is not None else None
-    fit = cheb_fit_multi(r.g_eval, t_bars, d, analytic=analytic)
-    if cert is not None and cert.exact_degree is not None:
-        fit.error_bound = cert.error_bound(d, r.mu)
+    fit = cheb_fit_multi(r.g_eval, t_bars, d)
 
     psi = materialize(g, threads=threads)
     psi_aux = auxiliary_state(r, fit, threads=threads)
@@ -490,9 +438,9 @@ def full_bound_report(
     s_aux = subregion_entropy(psi_aux, region).entropy
     dist = two_norm_distance(psi, psi_aux)
 
-    certified = fit.error_bound is not None and math.isfinite(fit.error_bound)
+    eps_raw = cert.error_bound(d, r.mu) if cert is not None else None
+    certified = eps_raw is not None and math.isfinite(eps_raw)
     if certified:
-        eps_raw = fit.error_bound
         eps_poly = eps_raw / psi.norm_was
         delta_bound = 2.0 * math.sqrt(eps_poly) * 2.0 ** (g.n / 4.0)
         trace_bound = min(1.0, delta_bound)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic
 from .approx import full_bound_report
-from .core import Subregion, check_n, feature_supnorm
+from .core import Subregion, feature_supnorm
 from .errors import NqsError
 from .experiments import (
     ExperimentConfig,
@@ -108,7 +108,6 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_statevector(args) -> int:
     g = load_graph(args.graph)
-    check_n(g.n, args.max_n)
     psi = materialize(g, threads=args.threads, max_n=args.max_n)
     save_nqsv(psi, args.out)
     _echo_config(args)

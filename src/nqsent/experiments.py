@@ -246,19 +246,15 @@ def write_aggregates(result: SweepResult, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cfg(**kw) -> ExperimentConfig:
-    return ExperimentConfig(**kw)
-
-
 def _build_presets() -> dict[str, list[ExperimentConfig]]:
     presets: dict[str, list[ExperimentConfig]] = {}
 
     # deterministic half-filling superposition state
     presets["fig1a"] = [
-        _cfg(name="fig1a_dicke", ansatz={"family": "dicke"}, n_grid=[22], region_mode="sweep-size", trials=1, regions_per_trial=1)
+        ExperimentConfig(name="fig1a_dicke", ansatz={"family": "dicke"}, n_grid=[22], region_mode="sweep-size", trials=1, regions_per_trial=1)
     ]
     presets["fig1b"] = [
-        _cfg(name="fig1b_dicke", ansatz={"family": "dicke"}, n_grid=list(range(4, 23, 2)), region_mode="fixed-half", trials=1, regions_per_trial=1)
+        ExperimentConfig(name="fig1b_dicke", ansatz={"family": "dicke"}, n_grid=list(range(4, 23, 2)), region_mode="fixed-half", trials=1, regions_per_trial=1)
     ]
 
     snnqs_phase = {"family": "snnqs", "activation": "i*tanh", "parameterization": "wrap_exp", "bias_std": 0.5}
@@ -266,27 +262,27 @@ def _build_presets() -> dict[str, list[ExperimentConfig]]:
     tnqs_fig1 = {"family": "transformer", "patch": 6, "stride": 5, "embed_dim": 32, "heads": 4, "layers": 2, "ffn_width": 64}
 
     presets["fig1c"] = [
-        _cfg(name="fig1c_snnqs", ansatz=snnqs_phase, n_grid=[22], region_mode="random-subset", sizes=list(range(1, 12)), trials=20, regions_per_trial=10),
-        _cfg(name="fig1c_mlp", ansatz=mlp_fig1, n_grid=[22], region_mode="random-subset", sizes=list(range(1, 12)), trials=20, regions_per_trial=10),
+        ExperimentConfig(name="fig1c_snnqs", ansatz=snnqs_phase, n_grid=[22], region_mode="random-subset", sizes=list(range(1, 12)), trials=20, regions_per_trial=10),
+        ExperimentConfig(name="fig1c_mlp", ansatz=mlp_fig1, n_grid=[22], region_mode="random-subset", sizes=list(range(1, 12)), trials=20, regions_per_trial=10),
         # transformer runs at n=16 instead of 22: the decomposed attention
         # graph is large and the full 22-spin sweep takes hours
-        _cfg(name="fig1c_tnqs", ansatz=tnqs_fig1, n_grid=[16], region_mode="random-subset", sizes=list(range(1, 9)), trials=20, regions_per_trial=10),
+        ExperimentConfig(name="fig1c_tnqs", ansatz=tnqs_fig1, n_grid=[16], region_mode="random-subset", sizes=list(range(1, 9)), trials=20, regions_per_trial=10),
     ]
     presets["fig1d"] = [
-        _cfg(name="fig1d_snnqs", ansatz=snnqs_phase, n_grid=list(range(8, 23, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
+        ExperimentConfig(name="fig1d_snnqs", ansatz=snnqs_phase, n_grid=list(range(8, 23, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
         # MLP and transformer n grids stop short of 22: the LayerNorm and
         # attention decompositions make large-n sweeps slow
-        _cfg(name="fig1d_mlp", ansatz=mlp_fig1, n_grid=list(range(8, 19, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
-        _cfg(name="fig1d_tnqs", ansatz=tnqs_fig1, n_grid=[8, 10, 12, 14], region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
+        ExperimentConfig(name="fig1d_mlp", ansatz=mlp_fig1, n_grid=list(range(8, 19, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
+        ExperimentConfig(name="fig1d_tnqs", ansatz=tnqs_fig1, n_grid=[8, 10, 12, 14], region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
     ]
 
     cosnet = {"family": "cosnet", "sigma_a": 10.0, "sigma_w": 1.0}
     # cosine networks run at n=14 instead of 22 to keep the k=512 sweep fast
     presets["fig2a"] = [
-        _cfg(name="fig2a_cosnet", ansatz=cosnet, n_grid=[14], region_mode="random-subset", sizes=list(range(1, 8)), trials=20, regions_per_trial=5, k_grid=[2, 16, 128, 512])
+        ExperimentConfig(name="fig2a_cosnet", ansatz=cosnet, n_grid=[14], region_mode="random-subset", sizes=list(range(1, 8)), trials=20, regions_per_trial=5, k_grid=[2, 16, 128, 512])
     ]
     presets["fig2b"] = [
-        _cfg(name="fig2b_cosnet", ansatz=cosnet, n_grid=[14], region_mode="random-subset", sizes=[7], trials=20, regions_per_trial=5, k_grid=[1, 2, 4, 8, 16, 32, 64, 128, 256])
+        ExperimentConfig(name="fig2b_cosnet", ansatz=cosnet, n_grid=[14], region_mode="random-subset", sizes=[7], trials=20, regions_per_trial=5, k_grid=[1, 2, 4, 8, 16, 32, 64, 128, 256])
     ]
 
     for label, mode in (("real", "real"), ("phase", "imag"), ("general", "mixed")):
@@ -294,7 +290,7 @@ def _build_presets() -> dict[str, list[ExperimentConfig]]:
         for act in ("tanh", "sin", "relu", "gelu"):
             name = act if mode == "real" else (f"i*{act}" if mode == "imag" else f"(1+i)*{act}")
             configs.append(
-                _cfg(
+                ExperimentConfig(
                     name=f"supp_sn_{label}_{act}",
                     ansatz={"family": "snnqs", "activation": name, "parameterization": "wrap_exp", "bias_std": 1.0},
                     n_grid=[22],
@@ -309,7 +305,7 @@ def _build_presets() -> dict[str, list[ExperimentConfig]]:
     # MLP supplement panels run at n=16 instead of 22 for speed
     for w, dpt in ((2, 3), (5, 2), (5, 5)):
         presets[f"supp_mlp_w{w}d{dpt}"] = [
-            _cfg(
+            ExperimentConfig(
                 name=f"supp_mlp_w{w}d{dpt}",
                 ansatz={"family": "mlp", "width": w, "depth": dpt, "layernorm": True},
                 n_grid=[16],

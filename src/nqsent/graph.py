@@ -105,7 +105,6 @@ class ComputationGraph:
         self._flag_reachability()
         self.live_order = [i for i in self.order if i not in self.dead]
         self.k = sum(1 for i in self.live_order if self.nodes[i].kind == "nonlinear")
-        self.k_total = sum(1 for v in self.nodes.values() if v.kind == "nonlinear")
         self._consumers = _consumer_counts(self.nodes, self.live_order)
         self._value_real, self._acc_real = self._node_real_flags()
         for nid in self.live_order:
@@ -150,7 +149,6 @@ class ComputationGraph:
                         raise ContractError(
                             "complex output weights are only allowed on edges without direct spin dependence"
                         )
-        self._carries = carries
 
     def _carries_spin_dependence(self) -> dict[int, bool]:
         carries: dict[int, bool] = {}

@@ -39,17 +39,33 @@ class Statevector:
             )
 
 
+def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
+    """Divide a complex128 amplitude array by its 2-norm in place."""
+    chunks = [amplitudes[start : start + DEFAULT_CHUNK] for start in range(0, amplitudes.shape[0], DEFAULT_CHUNK)]
+    # individual amplitudes can sit near the float ceiling (or floor), so the
+    # squared norm is accumulated in units of the largest magnitude
+    scale = max(float(np.abs(piece).max()) for piece in chunks)
+    if scale == 0.0:
+        raise DegenerateStateError("all amplitudes vanish; state cannot be normalized")
+    norm_sq_scaled = 0.0
+    for piece in chunks:  # sequential, chunk-ordered reduction
+        scaled = piece / scale
+        norm_sq_scaled += float(np.sum(scaled.real**2 + scaled.imag**2))
+    norm = scale * float(np.sqrt(norm_sq_scaled))
+    if not np.isfinite(norm) or norm == 0.0:
+        raise DegenerateStateError(f"state norm {norm} cannot normalize the amplitudes")
+    amplitudes /= norm
+    return Statevector(amplitudes, n, norm)
+
+
 def from_amplitudes(raw: np.ndarray, max_n: int | None = None) -> Statevector:
-    """Normalize a raw amplitude array of length 2^n into a Statevector."""
-    raw = np.asarray(raw, dtype=np.complex128)
+    """Normalize a copy of a raw amplitude array of length 2^n into a Statevector."""
+    raw = np.array(raw, dtype=np.complex128)
     n = int(raw.shape[0]).bit_length() - 1
     if raw.shape != (1 << n,):
         raise ContractError(f"length {raw.shape[0]} is not a power of two")
     check_n(n, max_n)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise DegenerateStateError("all amplitudes vanish")
-    return Statevector(raw / norm, n, norm)
+    return _normalized(raw, n)
 
 
 def materialize(
@@ -68,21 +84,7 @@ def materialize(
     amplitudes = _run_chunks(
         lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, threads
     )
-    chunks = [amplitudes[start : start + DEFAULT_CHUNK] for start in range(0, total, DEFAULT_CHUNK)]
-    # individual amplitudes can sit near the float ceiling (or floor), so the
-    # squared norm is accumulated in units of the largest magnitude
-    scale = max(float(np.abs(piece).max()) for piece in chunks)
-    if scale == 0.0:
-        raise DegenerateStateError("all amplitudes vanish; state cannot be normalized")
-    norm_sq_scaled = 0.0
-    for piece in chunks:  # sequential, chunk-ordered reduction
-        scaled = piece / scale
-        norm_sq_scaled += float(np.sum(scaled.real**2 + scaled.imag**2))
-    norm = scale * float(np.sqrt(norm_sq_scaled))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise DegenerateStateError(f"state norm {norm} cannot normalize the amplitudes")
-    amplitudes /= norm
-    return Statevector(amplitudes, n, norm)
+    return _normalized(amplitudes, n)
 
 
 def overlap(psi: Statevector, phi: Statevector) -> complex:
@@ -118,8 +120,4 @@ def load_nqsv(path) -> Statevector:
         data = np.frombuffer(fh.read(), dtype="<c16")
     if data.shape != (1 << n,):
         raise ContractError(f"{path}: truncated dump")
-    amplitudes = data.astype(np.complex128)
-    norm = float(np.linalg.norm(amplitudes))
-    if norm == 0.0:
-        raise DegenerateStateError(f"{path}: zero-norm state")
-    return Statevector(amplitudes / norm, n, norm)
+    return _normalized(data.astype(np.complex128), n)

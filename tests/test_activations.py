@@ -113,6 +113,27 @@ def _ellipse(a, count):
     return np.cosh(a) * np.cos(theta) + 1j * np.sinh(a) * np.sin(theta)
 
 
+def test_degree_only_for_polynomial_parts():
+    assert Activation("identity").degree == 1
+    assert Activation("poly", coeffs=(0.3, 0.0, 2.0, 0.0)).degree == 2
+    assert Activation("poly", "imag", coeffs=(0.0,)).degree == 0
+    assert Activation("poly", "pair", second="identity", coeffs=(1.0, 0.0, 0.0, 4.0)).degree == 3
+    for text in ("tanh", "sin", "exp", "relu", "softplus(2.0)", "identity+i*sin", "sin+i*identity"):
+        assert parse_activation(text).degree is None
+    with pytest.raises(ContractError):
+        Activation("identity", "pair", second="poly")  # the second part needs coefficients too
+
+
+def test_pole_distance_of_nearest_singularity():
+    for text in ("sin", "cos", "exp", "identity", "poly(1,2)", "i*sin", "sin+i*cos"):
+        assert parse_activation(text).pole_distance is None
+    for text in ("tanh", "i*tanh", "tanh+i*sin", "sin+i*tanh"):
+        assert parse_activation(text).pole_distance == math.pi / 2
+    # evaluators that are no analytic continuation certify no strip at all
+    for text in ("relu", "softplus(2.0)", "recip", "sin+i*relu"):
+        assert parse_activation(text).pole_distance == 0.0
+
+
 def test_analyticity_none_for_nonanalytic():
     for kind in ("relu", "gelu", "dicke_delta", "rsqrt", "recip"):
         r, _ = _one_feature(kind)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nqsent.activations import Activation
-from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
+from nqsent.ansatz import CosnetSpec, DickeSpec, SnnqsSpec, build_cosnet, build_dicke, build_snnqs
 from nqsent.approx import (
     bernstein_bound_1d,
     auxiliary_state,
@@ -68,6 +69,13 @@ def test_multi_reduces_to_1d():
     a = cheb_fit_multi(G, (1.5,), 9)
     b = cheb_fit_1d(lambda t: np.exp(np.sin(t)), 1.5, 9)
     assert np.allclose(a.coeffs, b.coeffs)
+
+
+def test_fit_rejects_nonpositive_domain():
+    with pytest.raises(DomainError):
+        cheb_fit_1d(np.sin, 0.0, 4)
+    with pytest.raises(DomainError):
+        cheb_fit_multi(lambda t: t[0] * t[1], (1.0, -2.0), 4)
 
 
 def test_multi_separable_outer_product():
@@ -270,6 +278,21 @@ def test_full_report_relu_empirical_only():
         full_bound_report(g, Subregion(0b1111, 8), degree="auto")
 
 
+def _softplus_graph():
+    return build_snnqs(SnnqsSpec(n=6, activation="softplus(2.0)", parameterization="direct"), RngStream(3).child(0))
+
+
+def test_softplus_has_no_certificate():
+    # softplus is not holomorphic: the ellipse sampling cannot evaluate it
+    g = _softplus_graph()
+    assert reduced_certificate(feature_reduce(g)) is None
+    with pytest.raises(DomainError):
+        full_bound_report(g, Subregion(0b111, 6), degree="auto")
+    report = full_bound_report(g, Subregion(0b111, 6), degree=8)
+    assert report.empirical_only and not report.certified
+    assert report.entropy_bound_final is None
+
+
 def test_full_report_dominates_measured():
     g = build_snnqs(SnnqsSpec(n=10, activation="sin", parameterization="direct", bias_std=0.5), RngStream(42).child(0))
     for d in (6, 12):
@@ -342,3 +365,28 @@ def test_report_capacity_propagates_for_many_features():
     assert feature_reduce(g).mu > 4
     with pytest.raises(CapacityError):
         full_bound_report(g, Subregion(0b11, 6), degree=3)
+
+
+_CERTIFIABLE_FAMILIES = {
+    "snnqs i*tanh": lambda rng: build_snnqs(SnnqsSpec(n=10, activation="i*tanh", bias_std=0.5), rng),
+    "snnqs sin direct": lambda rng: build_snnqs(
+        SnnqsSpec(n=10, activation="sin", parameterization="direct", bias_std=0.5), rng
+    ),
+    "snnqs tanh": lambda rng: build_snnqs(SnnqsSpec(n=10, activation="tanh", bias_std=0.5), rng),
+    "snnqs tanh+i*sin": lambda rng: build_snnqs(SnnqsSpec(n=10, activation="tanh+i*sin", bias_std=0.5), rng),
+    "cosnet k=1": lambda rng: build_cosnet(CosnetSpec(n=10, k=1), rng),
+}
+
+
+@given(
+    family=st.sampled_from(sorted(_CERTIFIABLE_FAMILIES)),
+    seed=st.integers(0, 2**31 - 1),
+    spins=st.sets(st.integers(0, 9), min_size=5, max_size=5),
+)
+def test_bound_chain_dominates_measured(family, seed, spins):
+    g = _CERTIFIABLE_FAMILIES[family](RngStream(seed).child(0))
+    report = full_bound_report(g, Subregion(sum(1 << i for i in spins), 10), degree="auto")
+    assert report.certified
+    assert report.entropy_bound_final >= report.measured_entropy
+    assert report.measured_two_norm_distance <= report.delta_norm_bound
+    assert report.error_empirical <= report.eps_raw

@@ -116,6 +116,15 @@ def test_bound_auto_without_certificate_is_domain_error(tmp_path, capsys):
     assert err["error"]["type"] == "DomainError"
 
 
+def test_bound_auto_softplus_is_domain_error(tmp_path, capsys):
+    g = build_snnqs(SnnqsSpec(n=6, activation="softplus(2.0)", parameterization="direct"), RngStream(3).child(0))
+    path = tmp_path / "softplus.json"
+    save_graph(g, path)
+    assert main(["bound", "--graph", str(path), "--region", "7", "--degree", "auto"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DomainError"
+
+
 def test_page_command(capsys, tmp_path):
     out = str(tmp_path / "page.csv")
     assert main(["page", "--n", "6", "--out", out]) == 0

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,26 @@ def test_dump_roundtrip(tmp_path):
     # writing again produces identical bytes
     save_nqsv(back, path)
     assert path.read_bytes() == raw
+
+
+def _assert_huge_pair_normalized(psi):
+    assert psi.n == 2
+    assert psi.amplitudes == pytest.approx([2**-0.5, 2**-0.5, 0.0, 0.0], rel=1e-15)
+    assert psi.norm_was == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+def test_from_amplitudes_above_norm_overflow():
+    # |a|^2 overflows a float64, so a plain 2-norm would return inf
+    raw = np.array([1e200, 1e200, 0.0, 0.0], dtype=np.complex128)
+    _assert_huge_pair_normalized(from_amplitudes(raw))
+    assert np.array_equal(raw, [1e200, 1e200, 0.0, 0.0])  # input not divided in place
+
+
+def test_load_nqsv_above_norm_overflow(tmp_path):
+    path = tmp_path / "huge.nqsv"
+    body = np.array([1e200, 1e200, 0.0, 0.0], dtype="<c16").tobytes()
+    path.write_bytes(b"NQSV" + struct.pack("<III", 1, 2, 0) + body)
+    _assert_huge_pair_normalized(load_nqsv(path))
 
 
 def test_random_graph_states_normalized():
