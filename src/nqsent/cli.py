@@ -126,6 +126,7 @@ def _cmd_entropy(args) -> int:
             "eigenvalues": result.eigenvalues.tolist(),
             "entropy": result.entropy,
             "schmidt_rank": result.schmidt_rank,
+            "tail": result.tail,
             "log_base": result.log_base,
             "region_mask_hex": f"{region.mask:x}",
             "subsystem_size": region.size,

@@ -2,9 +2,16 @@
 distances.
 
 Entropies are computed and stored in nats; base 2 is a presentation
-conversion. Eigenvalues come from the Gram matrix of the bipartition matrix
-formed on the smaller side, which costs O(4^min(|A|, n-|A|)) memory instead
-of a full SVD of the 2^|A| x 2^(n-|A|) matrix.
+conversion. Eigenvalues come from the smaller side of the bipartition matrix
+M, never from a full SVD of the 2^|A| x 2^(n-|A|) matrix. The entropy bound
+says Schmidt ranks are small, so :func:`entropy` first tries a randomized
+range finder with one power step (Halko, Martinsson and Tropp, SIAM Review
+53 (2011), Alg. 4.3 and the a-posteriori check of its section 4.3): an
+orthonormal Q with the tail ||M - Q Q^dag M||_F^2 computed exactly and
+accepted only up to RANK_THRESHOLD_ABS, after which the spectrum is that of
+the small Gram of Q^dag M. When no sketch within the width cap captures the
+state, it falls back to the dense O(4^min(|A|, n-|A|)) Gram and its full
+eigensolve.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Subregion
+from .core import RngStream, Subregion
 from .errors import CapacityError, ContractError, ConsistencyError, DomainError, NumericError
 from .statevector import Statevector
 
@@ -24,6 +31,8 @@ _EIG_CLAMP = -1e-12
 _DRIFT_RENORM = 1e-10
 _DRIFT_ERROR = 1e-8
 REDUCED_DM_MAX_ROWS = 1 << 13
+_SKETCH_START = 16
+_TAIL_BLOCK = 1 << 18  # elements of the sketch's residual temporary
 
 
 @dataclass
@@ -78,6 +87,7 @@ class EntropyResult:
     entropy: float
     schmidt_rank: int
     log_base: str = "e"
+    tail: float = 0.0  # ||M - Q Q^dag M||_F^2 of an accepted sketch, 0.0 for the dense Gram
 
     def converted(self, base: str) -> "EntropyResult":
         if base == self.log_base:
@@ -92,16 +102,25 @@ class EntropyResult:
 def entropy(bm: BipartitionMatrix, threshold_rel: float = RANK_THRESHOLD_REL) -> EntropyResult:
     """Spectrum, entropy (nats) and numerical Schmidt rank of the bipartition.
 
-    The Gram matrix is accumulated over fixed-size blocks of the long axis in
-    block order, so results do not depend on the thread count of upstream
-    evaluation.
+    M is the bipartition matrix read on its smaller side, as a transposed
+    view when |A| > n/2 (M^T conj(M) has the spectrum of M^dag M). A sketch
+    Q of M's range is tried first; when its tail delta = ||M - Q Q^dag M||_F^2
+    is at most RANK_THRESHOLD_ABS, the spectrum is that of B = Q^dag M padded
+    with zeros to the row count. Since Q^dag (M - Q B) = 0, M^dag M = B^dag B
+    + E^dag E with E = M - Q B, so by Weyl each eigenvalue lies within delta
+    of the exact one. Otherwise the dense Gram M M^dag is diagonalized.
+    ``tail`` reports delta, and 0.0 on the dense path. Both paths run in a
+    fixed order and the sketch draws from a stream keyed by the region alone,
+    so results do not depend on the thread count of upstream evaluation.
     """
-    M = bm.M if bm.M.shape[0] <= bm.M.shape[1] else bm.M.conj().T
-    gram = _blocked_gram(M)
+    M = bm.M if bm.M.shape[0] <= bm.M.shape[1] else bm.M.T
+    sketch = _sketched_gram(M, bm.region)
+    gram, tail = sketch if sketch is not None else (_blocked_gram(M), 0.0)
     try:
-        lam = np.linalg.eigvalsh(gram)[::-1]
+        lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
+    lam = np.sort(np.concatenate([lam, np.zeros(M.shape[0] - lam.size)]))[::-1]
     if lam.size and lam[-1] < _EIG_CLAMP:
         raise NumericError(f"Gram eigenvalue {lam[-1]:.3e} below clamp window")
     lam = np.clip(lam, 0.0, None)
@@ -114,7 +133,57 @@ def entropy(bm: BipartitionMatrix, threshold_rel: float = RANK_THRESHOLD_REL) ->
     ent = float(-(nz * np.log(nz)).sum()) if nz.size else 0.0
     cut = max(threshold_rel * float(lam[0]) if lam.size else 0.0, RANK_THRESHOLD_ABS)
     rank = int((lam > cut).sum())
-    return EntropyResult(eigenvalues=lam, entropy=ent, schmidt_rank=rank)
+    return EntropyResult(eigenvalues=lam, entropy=ent, schmidt_rank=rank, tail=tail)
+
+
+def _sketched_gram(M: np.ndarray, region: Subregion) -> tuple[np.ndarray, float] | None:
+    """Gram of B = Q^dag M and the tail ||M - Q B||_F^2 for an orthonormal
+    Q = orth(M M^dag Omega), or None when no sketch within the width cap
+    leaves a tail of at most RANK_THRESHOLD_ABS.
+
+    Omega starts at _SKETCH_START columns and doubles; new columns are
+    appended to Z = Omega^dag M rather than redrawn. Z Z^dag = Omega^dag M
+    M^dag Omega is the Gram compressed to the sketch, and its eigenvalues
+    follow M's. While the smallest is above RANK_THRESHOLD_ABS of the largest,
+    M has more eigenvalues above the tail threshold than the sketch has
+    columns, so the sketch grows without forming Y = M Z^dag, Q or the tail.
+
+    The width stays at most rows/8 and rows^2/cols: a full-rank state then
+    pays at most an eighth of the dense Gram's products on top of the dense
+    path, and an accepted sketch at most half of them. When the cap leaves
+    room for fewer than two widths (fewer than 256 rows, or more than
+    rows^2/32 columns), the dense path is taken at once.
+    """
+    rows, cols = M.shape
+    cap = min(rows // 8, rows * rows // cols)
+    if cap < 2 * _SKETCH_START:
+        return None
+    gen = RngStream(region.n, int(region.mask)).generator()
+    z = np.zeros((0, cols), dtype=np.complex128)
+    y = np.zeros((rows, 0), dtype=np.complex128)
+    width = _SKETCH_START
+    while width <= cap:
+        omega = gen.standard_normal((width - z.shape[0], rows)).astype(np.complex128)
+        z = np.vstack([z, omega @ M])
+        ev = np.linalg.eigvalsh(z @ z.conj().T)
+        if ev[0] <= RANK_THRESHOLD_ABS * ev[-1]:
+            y = np.hstack([y, M @ z[y.shape[1] :].conj().T])
+            q = np.linalg.qr(y)[0]
+            b = q.conj().T @ M
+            tail = 0.0
+            # blocks bound the residual's temporary; each is made in M's own
+            # memory order so that subtracting and flattening copy nothing
+            block = max(1, _TAIL_BLOCK // rows)
+            for start in range(0, cols, block):
+                piece = M[:, start : start + block]
+                resid = np.matmul(q, b[:, start : start + block], out=np.empty_like(piece, np.complex128))
+                resid -= piece
+                resid = resid.ravel(order="K")
+                tail += float(np.vdot(resid, resid).real)
+            if tail <= RANK_THRESHOLD_ABS:
+                return b @ b.conj().T, tail
+        width *= 2
+    return None
 
 
 def _blocked_gram(M: np.ndarray, block: int = 1 << 14) -> np.ndarray:

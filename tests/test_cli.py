@@ -83,6 +83,7 @@ def test_statevector_entropy_pipeline(dicke4_path, tmp_path, capsys):
     doc = _last_json(capsys)
     assert doc["entropy"] == pytest.approx(0.8675632284814612)
     assert doc["schmidt_rank"] == 3
+    assert doc["tail"] == 0.0  # a 4x4 bipartition takes the dense Gram
     capsys.readouterr()
     assert main(["--log-base", "2", "entropy", "--state", out, "--region", "3"]) == 0
     doc2 = _last_json(capsys)

@@ -8,8 +8,11 @@ from conftest import haar_state
 
 from nqsent.analytic import dicke_entropy, dicke_spectrum
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
+from nqsent import entanglement
 from nqsent.core import RngStream, Subregion
 from nqsent.entanglement import (
+    RANK_THRESHOLD_ABS,
+    BipartitionMatrix,
     binary_entropy,
     bipartition,
     entropy,
@@ -110,6 +113,113 @@ def test_gram_eigenvalues_match_svd():
         sv = np.linalg.svd(bm.M, compute_uv=False)
         lam = np.sort(sv**2)[::-1]
         assert np.abs(res.eigenvalues[: lam.size] - lam).max() < 1e-10
+
+
+def _sketch_spy(monkeypatch) -> list:
+    """Record whether each entropy call's sketch was accepted."""
+    accepted = []
+    real = entanglement._sketched_gram
+
+    def spy(M, region):
+        out = real(M, region)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(entanglement, "_sketched_gram", spy)
+    return accepted
+
+
+def _dense_entropy(bm, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(entanglement, "_sketched_gram", lambda M, region: None)
+        return entropy(bm)
+
+
+def test_sketch_matches_dense_every_size(monkeypatch):
+    # n=18: the sketch needs at least 256 rows, and snnqs half cuts at n=16
+    # need more columns than its cap of 32 allows there
+    n = 18
+    states = [
+        materialize(build_snnqs(SnnqsSpec(n=n, activation="i*tanh"), RngStream(3).child(0))),
+        materialize(build_dicke(DickeSpec(n))),
+    ]
+    accepted = _sketch_spy(monkeypatch)
+    gen = np.random.default_rng(17)
+    for psi in states:
+        for m in range(1, n):
+            for mask in ((1 << m) - 1, Subregion.from_members(gen.choice(n, m, replace=False), n).mask):
+                bm = bipartition(psi, Subregion(int(mask), n))
+                fast = entropy(bm)
+                dense = _dense_entropy(bm, monkeypatch)
+                assert dense.tail == 0.0
+                assert fast.eigenvalues.size == dense.eigenvalues.size == 1 << min(m, n - m)
+                assert np.abs(fast.eigenvalues - dense.eigenvalues).max() <= 1e-12
+                assert abs(fast.entropy - dense.entropy) <= 1e-12
+    # snnqs half cuts and Dicke cuts with 256 or more rows are sketched
+    assert sum(accepted) == 8
+
+
+def test_haar_state_falls_back_to_dense_gram(monkeypatch):
+    gen = np.random.default_rng(19)
+    psi = from_amplitudes(haar_state(16, gen))
+    accepted = _sketch_spy(monkeypatch)
+    bm = bipartition(psi, Subregion(0b0101010101010101, 16))
+    res = entropy(bm)
+    assert accepted == [False]
+    assert res.tail == 0.0
+    lam = np.clip(np.linalg.eigvalsh(entanglement._blocked_gram(bm.M))[::-1], 0.0, None)
+    if abs(lam.sum() - 1.0) > 1e-10 or lam.sum() != 1.0:
+        lam = lam / lam.sum()
+    assert res.eigenvalues.tobytes() == lam.tobytes()
+    assert res.schmidt_rank == 256
+
+
+@pytest.mark.parametrize("rank,sketched", [(1, True), (16, True), (17, True), (64, False)])
+def test_exact_schmidt_rank_across_sketch_widths(rank, sketched, monkeypatch):
+    gen = np.random.default_rng(rank)
+
+    def frame(dim):
+        raw = gen.normal(size=(dim, rank)) + 1j * gen.normal(size=(dim, rank))
+        return np.linalg.qr(raw)[0]
+
+    s = gen.uniform(0.5, 1.0, size=rank)
+    M = (frame(256) * (s / np.linalg.norm(s))) @ frame(256).conj().T
+    accepted = _sketch_spy(monkeypatch)
+    res = entropy(BipartitionMatrix(M, Subregion((1 << 8) - 1, 16)))
+    assert res.schmidt_rank == rank
+    assert accepted == [sketched]
+    assert 0.0 <= res.tail <= RANK_THRESHOLD_ABS
+    assert res.eigenvalues.size == 256
+    assert res.entropy == pytest.approx(-(s**2 / (s**2).sum() * np.log(s**2 / (s**2).sum())).sum(), abs=1e-12)
+
+
+def test_sketch_rejects_a_tail_above_threshold(monkeypatch):
+    # three large Schmidt weights over 200 of 1e-15 each: the compressed Gram
+    # looks rank deficient, but any sketch within the cap leaves a tail of
+    # about 2e-13, so the dense path must serve the call
+    gen = np.random.default_rng(23)
+    lam = np.concatenate([[0.6, 0.3, 0.1], np.full(200, 1e-15)])
+    lam /= lam.sum()
+    frames = [np.linalg.qr(gen.normal(size=(256, lam.size)) + 1j * gen.normal(size=(256, lam.size)))[0] for _ in range(2)]
+    M = (frames[0] * np.sqrt(lam)) @ frames[1].conj().T
+    accepted = _sketch_spy(monkeypatch)
+    res = entropy(BipartitionMatrix(M, Subregion((1 << 8) - 1, 16)))
+    assert accepted == [False]
+    assert res.tail == 0.0
+    assert res.schmidt_rank == 3
+    assert res.entropy == pytest.approx(-(lam * np.log(lam)).sum(), abs=1e-12)
+
+
+def test_entropy_bytes_repeat_and_ignore_threads(monkeypatch):
+    g = build_snnqs(SnnqsSpec(n=16, activation="i*tanh"), RngStream(5).child(1))
+    region = Subregion.from_members(np.arange(0, 16, 2), 16)
+    accepted = _sketch_spy(monkeypatch)
+    results = [entropy(bipartition(materialize(g, threads=t), region)) for t in (1, 2, 2)]
+    assert accepted == [True] * 3
+    for res in results[1:]:
+        assert res.eigenvalues.tobytes() == results[0].eigenvalues.tobytes()
+        assert res.entropy == results[0].entropy
+        assert res.tail == results[0].tail
 
 
 def test_linear_snnqs_every_bipartition_product():
