@@ -5,23 +5,12 @@ feature reduction, dense statevectors, subregion entropies and Schmidt
 ranks, Chebyshev auxiliary states, and the explicit entropy-bound chain.
 """
 
-from .core import (
-    AffineFeature,
-    RngStream,
-    SpinConfig,
-    SplitFeature,
-    Subregion,
-    enumerate_configs,
-    feature_supnorm,
-    split_feature,
-)
+from .core import AffineFeature, RngStream, Subregion, feature_supnorm
 from .activations import Activation, parse_activation
 from .graph import (
     ComputationGraph,
     Node,
     ReducedForm,
-    eval_full,
-    eval_reduced,
     feature_reduce,
     from_json,
     load_graph,
@@ -35,7 +24,6 @@ from .entanglement import (
     bipartition,
     entropy,
     fannes_audenaert_bound,
-    pure_trace_distance,
     reduced_trace_distance,
     subregion_entropy,
 )
@@ -48,8 +36,6 @@ from .approx import (
     degree_for_n,
     degree_for_n_multi,
     full_bound_report,
-    monomial_expand,
-    poly_mlp_bound,
     rank_bound,
 )
 from .analytic import dicke_entropy, dicke_entropy_asymptotic, dicke_spectrum, page_value

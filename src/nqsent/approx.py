@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import Subregion, feature_supnorm
-from .errors import CapacityError, ContractError, DegreeError, DomainError, NumericError
+from .errors import CapacityError, ContractError, DomainError, NumericError
 from .graph import ComputationGraph, ReducedForm, feature_reduce, _is_raw
 from .statevector import Statevector, materialize, two_norm_distance
 from .entanglement import fa_slack_from_bound, subregion_entropy
@@ -37,10 +37,11 @@ MULTIVAR_CAP = 4
 # A mu=2, d=51 fit uses 43k points; a mu=4 cosnet fit at auto degree and
 # n=12 would need 3.7e7.
 FIT_POINT_CAP = 1 << 22
-MONOMIAL_DEGREE_CAP = 30
 DENSE_GRID_POINTS = 10_000
 _SUP_INFLATION = 1.1
 _A_GRID = [0.25 * j for j in range(1, 15)]
+# the ellipse is chosen to minimize the error bound C rho^-d at this degree
+_A_SCORE_DEGREE = 16
 _EINSUM = {
     1: "a,aB->B",
     2: "ab,aB,bB->B",
@@ -185,27 +186,6 @@ def cheb_fit_multi(
     return approx
 
 
-def monomial_expand(c: ChebyshevApprox) -> np.ndarray:
-    """Exact per-variable change of basis to monomials in the rescaled
-    variables x_j = t_j / t_bar_j; index order matches the coefficient tensor."""
-    if c.degree > MONOMIAL_DEGREE_CAP:
-        raise DegreeError(
-            f"degree {c.degree} above the monomial conversion limit {MONOMIAL_DEGREE_CAP}; "
-            "evaluate in the Chebyshev basis instead"
-        )
-    d = c.degree
-    conv = np.zeros((d + 1, d + 1))
-    for j in range(d + 1):
-        unit = np.zeros(j + 1)
-        unit[j] = 1.0
-        conv[: j + 1, j] = np.polynomial.chebyshev.cheb2poly(unit)
-    out = c.coeffs
-    for _ in range(c.mu):
-        out = np.tensordot(conv, out, axes=([1], [0]))
-        out = np.moveaxis(out, 0, -1)
-    return out
-
-
 class _PolyStateEvaluator:
     """Amplitude evaluator P(t_1(s)..t_mu(s)) for materialize()."""
 
@@ -260,14 +240,6 @@ def degree_for_n_multi(n: int, rho_star: float, C: float, mu: int) -> int:
     return max(0, math.ceil(value))
 
 
-def poly_mlp_bound(w0: int, d0: int, h: int) -> float:
-    """Entropy cap w0 * ln((h^d0 + 1)(h^d0 + 2)/2) for polynomial-activation MLPs."""
-    if w0 < 1 or d0 < 1 or h < 1:
-        raise DomainError("need w0, d0, h >= 1")
-    hp = h**d0
-    return w0 * math.log((hp + 1) * (hp + 2) // 2)
-
-
 # ---------------------------------------------------------------------------
 # certificates for reduced forms
 # ---------------------------------------------------------------------------
@@ -301,7 +273,7 @@ def _boundary_grid(a: float, mu: int, total: int = DENSE_GRID_POINTS) -> np.ndar
     return _tensor_grid(ring, mu)
 
 
-def reduced_certificate(r: ReducedForm, d_ref: int = 16) -> Certificate | None:
+def reduced_certificate(r: ReducedForm) -> Certificate | None:
     """Analyticity certificate for the reduced evaluator, when obtainable.
 
     Every residual nonlinearity must be holomorphic, since the sup bound is
@@ -354,7 +326,7 @@ def reduced_certificate(r: ReducedForm, d_ref: int = 16) -> Certificate | None:
                 break
             if not math.isfinite(sup):
                 break
-            score = math.log(max(sup, 1e-300)) - a_try * d_ref
+            score = math.log(max(sup, 1e-300)) - a_try * _A_SCORE_DEGREE
             if best is None or score < best[0]:
                 best = (score, a_try, sup * _SUP_INFLATION)
         if best is None:

@@ -1,17 +1,16 @@
-"""Foundational types: spin configurations, subregions, affine features and
+"""The spin cap and the foundational types: subregions, affine features and
 seeded random streams.
 
-Spins are +/-1 valued. Configuration ``bits`` encode spin ``i`` (0-indexed)
-in bit ``i``: set bit means +1, clear bit means -1. All enumeration is in
-ascending ``bits`` order, so array indices of a statevector coincide with
-configuration bits.
+Spins are +/-1 valued. A configuration is an integer ``bits`` that encodes
+spin ``i`` (0-indexed) in bit ``i``: set bit means +1, clear bit means -1.
+All enumeration is in ascending ``bits`` order, so array indices of a
+statevector coincide with configuration bits.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -43,38 +42,6 @@ def check_n(n: int, max_n: int | None = None) -> None:
         raise CapacityError(f"n={n} outside supported range 1..{cap}")
 
 
-@dataclass(frozen=True)
-class SpinConfig:
-    """One configuration of ``n`` spins packed into an unsigned integer."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.n):
-            raise ContractError(f"bits={self.bits} out of range for n={self.n}")
-
-    def spin(self, i: int) -> int:
-        """Value (+1 or -1) of spin ``i`` (0-indexed)."""
-        return 1 if (self.bits >> i) & 1 else -1
-
-    def values(self) -> np.ndarray:
-        """All spin values as a float array of +/-1, index = spin."""
-        idx = np.arange(self.n)
-        return ((self.bits >> idx) & 1) * 2.0 - 1.0
-
-
-def enumerate_configs(n: int, max_n: int | None = None) -> Iterator[SpinConfig]:
-    """Yield all 2^n configurations in ascending bits order."""
-    check_n(n, max_n)  # validate eagerly, before the first next()
-
-    def _gen():
-        for bits in range(1 << n):
-            yield SpinConfig(bits, n)
-
-    return _gen()
-
-
 def spin_matrix(bits: np.ndarray, n: int) -> np.ndarray:
     """(len(bits), n) float64 matrix of spin values for an array of configs."""
     bits = np.asarray(bits, dtype=np.int64)
@@ -95,7 +62,7 @@ class Subregion:
     @classmethod
     def from_members(cls, members, n: int) -> "Subregion":
         mask = 0
-        for i in members:
+        for i in map(int, members):
             if not 0 <= i < n:
                 raise ContractError(f"spin index {i} out of range for n={n}")
             mask |= 1 << i
@@ -127,37 +94,6 @@ class AffineFeature:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def evaluate(self, s: SpinConfig) -> float:
-        """Single-config value, accumulating terms in ascending spin index."""
-        if s.n != self.n:
-            raise ContractError(f"config has n={s.n}, feature has n={self.n}")
-        acc = 0.0
-        for i in range(self.n):
-            acc += self.weights[i] * (1.0 if (s.bits >> i) & 1 else -1.0)
-        return acc + self.bias
-
-    def evaluate_split_order(self, s: SpinConfig, region: Subregion) -> float:
-        """Value with summation grouped as (members of A asc + b/2) + (rest asc + b/2).
-
-        This is the floating-point order matched bit-exactly by
-        :func:`split_feature` parts.
-        """
-        if s.n != self.n or region.n != self.n:
-            raise ContractError("dimension mismatch")
-        accx = 0.0
-        for i in region.members():
-            accx += self.weights[i] * (1.0 if (s.bits >> i) & 1 else -1.0)
-        accx += self.bias / 2.0
-        accy = 0.0
-        for i in region.complement().members():
-            accy += self.weights[i] * (1.0 if (s.bits >> i) & 1 else -1.0)
-        accy += self.bias / 2.0
-        return accx + accy
-
-    def eval_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Vectorized values for an array of configuration bits."""
-        return spin_matrix(bits, self.n) @ self.weights + self.bias
-
     def eval_all(self) -> np.ndarray:
         """Values over all 2^n configurations in ascending bits order.
 
@@ -171,49 +107,6 @@ class AffineFeature:
             np.add(out[:size], 2.0 * self.weights[i], out=out[size : 2 * size])
             size *= 2
         return out
-
-
-@dataclass(frozen=True)
-class SplitFeature:
-    """Affine feature split across a bipartition: x lives on A, y on the rest.
-
-    The parent bias is shared half/half, so x(u) + y(v) reconstructs the
-    parent value on every configuration.
-    """
-
-    x_part: AffineFeature
-    y_part: AffineFeature
-    region: Subregion
-
-    def evaluate_parts(self, s: SpinConfig) -> tuple[float, float]:
-        accx = 0.0
-        for i in self.region.members():
-            accx += self.x_part.weights[i] * (1.0 if (s.bits >> i) & 1 else -1.0)
-        accx += self.x_part.bias
-        accy = 0.0
-        for i in self.region.complement().members():
-            accy += self.y_part.weights[i] * (1.0 if (s.bits >> i) & 1 else -1.0)
-        accy += self.y_part.bias
-        return accx, accy
-
-    def reconstruct(self, s: SpinConfig) -> float:
-        x, y = self.evaluate_parts(s)
-        return x + y
-
-
-def split_feature(f: AffineFeature, region: Subregion) -> SplitFeature:
-    """Split f into parts supported on the subregion and its complement."""
-    if f.n != region.n:
-        raise ContractError(f"feature has n={f.n}, region has n={region.n}")
-    wx = np.zeros(f.n)
-    wy = np.zeros(f.n)
-    for i in range(f.n):
-        if (region.mask >> i) & 1:
-            wx[i] = f.weights[i]
-        else:
-            wy[i] = f.weights[i]
-    half = f.bias / 2.0
-    return SplitFeature(AffineFeature(wx, half), AffineFeature(wy, half), region)
 
 
 def feature_supnorm(f: AffineFeature) -> float:
@@ -240,10 +133,15 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # numpy integers would overflow in the 64-bit mixing and key arithmetic
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "stream_id", int(self.stream_id))
+
     def child(self, *indices: int) -> "RngStream":
         h = self.stream_id
         for ix in indices:
-            h = _splitmix64(h ^ (ix & _MASK64))
+            h = _splitmix64(h ^ (int(ix) & _MASK64))
         return RngStream(self.seed, h)
 
     def generator(self) -> np.random.Generator:

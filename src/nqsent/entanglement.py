@@ -33,6 +33,7 @@ _DRIFT_ERROR = 1e-8
 REDUCED_DM_MAX_ROWS = 1 << 13
 _SKETCH_START = 16
 _TAIL_BLOCK = 1 << 18  # elements of the sketch's residual temporary
+_GRAM_BLOCK = 1 << 14  # columns per product of the dense Gram
 
 
 @dataclass
@@ -99,7 +100,7 @@ class EntropyResult:
         raise DomainError(f"unsupported log base {base!r}")
 
 
-def entropy(bm: BipartitionMatrix, threshold_rel: float = RANK_THRESHOLD_REL) -> EntropyResult:
+def entropy(bm: BipartitionMatrix) -> EntropyResult:
     """Spectrum, entropy (nats) and numerical Schmidt rank of the bipartition.
 
     M is the bipartition matrix read on its smaller side, as a transposed
@@ -131,7 +132,7 @@ def entropy(bm: BipartitionMatrix, threshold_rel: float = RANK_THRESHOLD_REL) ->
         lam = lam / lam.sum()
     nz = lam[lam > 0.0]
     ent = float(-(nz * np.log(nz)).sum()) if nz.size else 0.0
-    cut = max(threshold_rel * float(lam[0]) if lam.size else 0.0, RANK_THRESHOLD_ABS)
+    cut = max(RANK_THRESHOLD_REL * float(lam[0]) if lam.size else 0.0, RANK_THRESHOLD_ABS)
     rank = int((lam > cut).sum())
     return EntropyResult(eigenvalues=lam, entropy=ent, schmidt_rank=rank, tail=tail)
 
@@ -158,7 +159,7 @@ def _sketched_gram(M: np.ndarray, region: Subregion) -> tuple[np.ndarray, float]
     cap = min(rows // 8, rows * rows // cols)
     if cap < 2 * _SKETCH_START:
         return None
-    gen = RngStream(region.n, int(region.mask)).generator()
+    gen = RngStream(region.n, region.mask).generator()
     z = np.zeros((0, cols), dtype=np.complex128)
     y = np.zeros((rows, 0), dtype=np.complex128)
     width = _SKETCH_START
@@ -186,21 +187,19 @@ def _sketched_gram(M: np.ndarray, region: Subregion) -> tuple[np.ndarray, float]
     return None
 
 
-def _blocked_gram(M: np.ndarray, block: int = 1 << 14) -> np.ndarray:
+def _blocked_gram(M: np.ndarray) -> np.ndarray:
     rows, cols = M.shape
-    if cols <= block:
+    if cols <= _GRAM_BLOCK:
         return M @ M.conj().T
     gram = np.zeros((rows, rows), dtype=np.complex128)
-    for start in range(0, cols, block):
-        piece = M[:, start : start + block]
+    for start in range(0, cols, _GRAM_BLOCK):
+        piece = M[:, start : start + _GRAM_BLOCK]
         gram += piece @ piece.conj().T
     return gram
 
 
-def subregion_entropy(
-    psi: Statevector, region: Subregion, threshold_rel: float = RANK_THRESHOLD_REL
-) -> EntropyResult:
-    return entropy(bipartition(psi, region), threshold_rel)
+def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
+    return entropy(bipartition(psi, region))
 
 
 def reduced_density(psi: Statevector, region: Subregion) -> np.ndarray:
@@ -211,14 +210,6 @@ def reduced_density(psi: Statevector, region: Subregion) -> np.ndarray:
         )
     M = bipartition(psi, region).M
     return M @ M.conj().T
-
-
-def pure_trace_distance(psi: Statevector, phi: Statevector) -> float:
-    """Half trace distance of two pure states: sqrt(1 - |<psi|phi>|^2)."""
-    if psi.n != phi.n:
-        raise ContractError(f"dimension mismatch: n={psi.n} vs n={phi.n}")
-    ov = np.vdot(psi.amplitudes, phi.amplitudes)
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, abs(ov) ** 2))))
 
 
 def reduced_trace_distance(psi: Statevector, phi: Statevector, region: Subregion) -> float:
@@ -242,8 +233,8 @@ def binary_entropy(t: float) -> float:
     return float(-t * math.log(t) - (1.0 - t) * math.log(1.0 - t))
 
 
-def fannes_audenaert_bound(T: float, size_a: int, log_base: str = "e") -> float:
-    """Entropy-difference bound T*log(2^|A| - 1) + H2(T).
+def fannes_audenaert_bound(T: float, size_a: int) -> float:
+    """Entropy-difference bound T*ln(2^|A| - 1) + H2(T), in nats.
 
     T is the half trace distance of the two reduced density matrices.
     """
@@ -251,12 +242,7 @@ def fannes_audenaert_bound(T: float, size_a: int, log_base: str = "e") -> float:
         raise DomainError(f"trace distance {T} outside [0, 1]")
     if size_a < 1:
         raise DomainError("subregion must have at least one spin")
-    val = T * math.log((1 << size_a) - 1) + binary_entropy(T)
-    if log_base == "2":
-        return val / math.log(2.0)
-    if log_base == "e":
-        return val
-    raise DomainError(f"unsupported log base {log_base!r}")
+    return T * math.log((1 << size_a) - 1) + binary_entropy(T)
 
 
 def fa_slack_from_bound(trace_bound: float, size_a: int) -> float:

@@ -45,10 +45,6 @@ class DomainError(NqsError):
     """Scalar argument outside its mathematical domain."""
 
 
-class DegreeError(NqsError):
-    """Polynomial degree beyond a conditioning limit."""
-
-
 class ConsistencyError(NqsError):
     """Internal cross-check failed (normalization drift, eval mismatch)."""
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .activations import Activation, format_activation, parse_activation, _checked_exp
-from .core import AffineFeature, SpinConfig, spin_matrix
+from .core import AffineFeature, spin_matrix
 from .errors import AmplitudeOverflowError, ContractError, CycleError
 
 # node input references are int node ids or ("s", spin_index) raw-spin tuples
@@ -317,13 +317,6 @@ def _consumer_counts(nodes: dict[int, Node], live_order: list[int]) -> dict[int,
     return counts
 
 
-def eval_full(g: ComputationGraph, s: SpinConfig) -> complex:
-    """Amplitude of a single configuration via a full forward pass."""
-    if s.n != g.n:
-        raise ContractError(f"config has n={s.n}, graph has n={g.n}")
-    return complex(g.eval_bits(np.array([s.bits]))[0])
-
-
 # ---------------------------------------------------------------------------
 # feature reduction
 # ---------------------------------------------------------------------------
@@ -366,14 +359,9 @@ class ReducedForm:
         b = np.array([f.bias for f in self.features])
         return (spin_matrix(bits, self.n) @ W.T + b).T
 
-    def g_eval(self, tvals) -> np.ndarray:
-        """Evaluate G on feature values of shape (mu,) or (mu, B)."""
-        arr = np.asarray(tvals, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[:, None]
-        out = self.residual.eval_ports(arr)
-        return complex(out[0]) if single else out
+    def g_eval(self, tvals: np.ndarray) -> np.ndarray:
+        """Evaluate G on feature values of shape (mu, B)."""
+        return self.residual.eval_ports(np.asarray(tvals, dtype=np.float64))
 
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         bits = np.asarray(bits, dtype=np.int64)
@@ -385,14 +373,7 @@ class ReducedForm:
         return _run_chunks(run, len(bits), threads, chunk)
 
 
-def eval_reduced(r: ReducedForm, s: SpinConfig) -> complex:
-    if s.n != r.n:
-        raise ContractError(f"config has n={s.n}, reduced form has n={r.n}")
-    t = np.array([f.evaluate(s) for f in r.features])
-    return complex(r.g_eval(t))
-
-
-def feature_reduce(g: ComputationGraph, tol: float = DEPENDENCE_TOL) -> ReducedForm:
+def feature_reduce(g: ComputationGraph) -> ReducedForm:
     """Collect candidate features, drop constants and dependent rows, and
     rewrite the graph over the retained feature ports.
 
@@ -438,7 +419,7 @@ def feature_reduce(g: ComputationGraph, tol: float = DEPENDENCE_TOL) -> ReducedF
         for _ in range(2):  # re-orthogonalize for stability
             for q in basis:
                 v -= (q @ v) * q
-        if np.linalg.norm(v) > tol * np.linalg.norm(row):
+        if np.linalg.norm(v) > DEPENDENCE_TOL * np.linalg.norm(row):
             slot[j] = len(basis)
             basis.append(v / np.linalg.norm(v))
 

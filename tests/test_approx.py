@@ -14,13 +14,11 @@ from nqsent.approx import (
     degree_for_n,
     degree_for_n_multi,
     full_bound_report,
-    monomial_expand,
-    poly_mlp_bound,
     rank_bound,
     reduced_certificate,
 )
 from nqsent.core import RngStream, Subregion, feature_supnorm
-from nqsent.errors import CapacityError, ContractError, DegreeError, DomainError
+from nqsent.errors import CapacityError, ContractError, DomainError
 from nqsent.graph import ComputationGraph, Node, feature_reduce
 from nqsent.statevector import materialize, two_norm_distance
 from nqsent.entanglement import subregion_entropy
@@ -115,36 +113,6 @@ def test_multi_quadrature_point_cap():
         cheb_fit_multi(G, (1.0,) * 4, 22)
 
 
-def test_monomial_expand_t2_t3():
-    t2 = cheb_fit_1d(lambda t: 2 * t * t - 1, 1.0, 2)
-    assert np.allclose(monomial_expand(t2).real, [-1, 0, 2], atol=1e-13)
-    t3 = cheb_fit_1d(lambda t: 4 * t**3 - 3 * t, 1.0, 3)
-    assert np.allclose(monomial_expand(t3).real, [0, -3, 0, 4], atol=1e-13)
-
-
-def test_monomial_roundtrip_random_tensors(rng):
-    for _ in range(5):
-        d = int(rng.integers(2, 10))
-        coeffs = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
-        from nqsent.approx import ChebyshevApprox
-
-        cheb = ChebyshevApprox(coeffs, (1.0, 1.0), d, None, 0.0)
-        alpha = monomial_expand(cheb)
-        grid = np.stack([np.linspace(-1, 1, 33), np.linspace(-1, 1, 33)[::-1]])
-        direct = cheb.evaluate_unit(grid)
-        via_monomial = np.zeros(33, dtype=complex)
-        for i in range(d + 1):
-            for j in range(d + 1):
-                via_monomial += alpha[i, j] * grid[0] ** i * grid[1] ** j
-        assert np.abs(direct - via_monomial).max() < 1e-9
-
-
-def test_monomial_degree_cap():
-    fit = cheb_fit_1d(np.sin, 1.0, 31)
-    with pytest.raises(DegreeError):
-        monomial_expand(fit)
-
-
 def test_rank_bound_values():
     assert rank_bound(2, 1) == 6
     assert rank_bound(0, 5) == 1
@@ -185,9 +153,10 @@ def test_degree_for_n_multi():
 
 
 def test_poly_mlp_bound_values():
-    assert poly_mlp_bound(1, 1, 2) == pytest.approx(math.log(6.0))
-    assert poly_mlp_bound(3, 2, 1) == pytest.approx(3 * math.log(3.0))
-    assert poly_mlp_bound(2, 2, 2) == pytest.approx(2 * math.log(15.0))
+    # the polynomial-MLP cap w0 ln((h^d0 + 1)(h^d0 + 2)/2) is ln rank_bound(h^d0, w0)
+    assert math.log(rank_bound(2**1, 1)) == pytest.approx(math.log(6.0))
+    assert math.log(rank_bound(1**2, 3)) == pytest.approx(3 * math.log(3.0))
+    assert math.log(rank_bound(2**2, 2)) == pytest.approx(2 * math.log(15.0))
 
 
 def test_auxiliary_exact_for_polynomial_state():
@@ -291,6 +260,25 @@ def test_softplus_has_no_certificate():
     report = full_bound_report(g, Subregion(0b111, 6), degree=8)
     assert report.empirical_only and not report.certified
     assert report.entropy_bound_final is None
+
+
+def test_spin_independent_state_has_no_features():
+    # a constant-bias tanh feeding the output: no spin dependence, mu = 0
+    g = ComputationGraph(
+        [
+            Node(0, "nonlinear", (), bias=0.3, activation=Activation("tanh")),
+            Node(1, "output", ((0, 1.0),), output_mode="amplitude"),
+        ],
+        n=3,
+    )
+    r = feature_reduce(g)
+    assert r.mu == 0
+    bits = np.arange(8)
+    assert np.array_equal(r.eval_bits(bits), g.eval_bits(bits))
+    assert np.allclose(g.eval_bits(bits), np.tanh(0.3), rtol=1e-15, atol=0.0)
+    assert reduced_certificate(r) is None
+    with pytest.raises(ContractError):
+        full_bound_report(g, Subregion(0b001, 3), degree=4)
 
 
 def test_full_report_dominates_measured():

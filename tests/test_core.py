@@ -1,99 +1,51 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from nqsent.core import (
     AffineFeature,
     RngStream,
-    SpinConfig,
     Subregion,
-    enumerate_configs,
+    check_n,
     feature_supnorm,
     spin_matrix,
-    split_feature,
 )
 from nqsent.errors import CapacityError, ContractError
 
 
 def test_enumerate_order_n1():
-    configs = list(enumerate_configs(1))
-    assert [c.bits for c in configs] == [0, 1]
-    assert configs[0].spin(0) == -1
-    assert configs[1].spin(0) == 1
+    # bits 0 is spin -1, bits 1 is spin +1
+    assert np.array_equal(spin_matrix(np.arange(2), 1), [[-1.0], [1.0]])
 
 
 def test_enumerate_order_n2():
-    assert [c.bits for c in enumerate_configs(2)] == [0, 1, 2, 3]
+    # bit i is spin i: ascending bits order flips spin 0 fastest
+    expect = [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]
+    assert np.array_equal(spin_matrix(np.arange(4), 2), expect)
 
 
 def test_enumerate_count_n24_without_materializing():
-    it = enumerate_configs(24)
-    first = next(it)
-    assert first.bits == 0
-    # full count is 2^24; spot-check the contract instead of iterating it all
-    assert 1 << 24 == 16_777_216
+    check_n(24)  # the default cap admits n=24
+    # the first and last of the 2^24 configurations, without the rest
+    ends = spin_matrix(np.array([0, (1 << 24) - 1]), 24)
+    assert np.array_equal(ends, [[-1.0] * 24, [1.0] * 24])
 
 
 def test_enumerate_capacity():
     with pytest.raises(CapacityError):
-        list(enumerate_configs(25))
-    # override raises the cap
-    it = enumerate_configs(25, max_n=26)
-    assert next(it).bits == 0
+        check_n(25)
     with pytest.raises(CapacityError):
-        enumerate_configs(27, max_n=27)
+        check_n(0)
+    # override raises the cap
+    check_n(25, max_n=26)
+    with pytest.raises(CapacityError):
+        check_n(27, max_n=27)
 
 
 def test_spin_matrix_matches_values():
-    bits = np.array([0, 5, 7])
-    sm = spin_matrix(bits, 3)
-    for row, b in zip(sm, bits):
-        assert np.array_equal(row, SpinConfig(int(b), 3).values())
-
-
-def test_split_feature_symmetric_pair():
-    f = AffineFeature(np.array([1.0, 1.0]), 0.0)
-    sp = split_feature(f, Subregion.from_members([0], 2))
-    s = SpinConfig(0b01, 2)  # spin1=+1, spin2=-1
-    x, y = sp.evaluate_parts(s)
-    assert x == 1.0 and y == -1.0
-
-
-def test_split_feature_arithmetic_example():
-    # w=(1,2,3), b=4, A={first,third}, s=(+1,-1,+1)
-    f = AffineFeature(np.array([1.0, 2.0, 3.0]), 4.0)
-    region = Subregion.from_members([0, 2], 3)
-    s = SpinConfig(0b101, 3)
-    sp = split_feature(f, region)
-    x, y = sp.evaluate_parts(s)
-    assert x == 6.0
-    assert y == 0.0
-    assert x + y == f.evaluate(s)
-
-
-def test_split_feature_bias_half():
-    f = AffineFeature(np.zeros(4), 1.0)
-    sp = split_feature(f, Subregion.from_members([1, 2], 4))
-    x, y = sp.evaluate_parts(SpinConfig(0, 4))
-    assert x == 0.5 and y == 0.5
-
-
-def test_split_feature_dimension_mismatch():
-    f = AffineFeature(np.ones(3), 0.0)
-    with pytest.raises(ContractError):
-        split_feature(f, Subregion.from_members([0], 2))
-
-
-@given(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1), st.integers(0, 10**6))
-def test_split_reconstruction_bit_exact(bits, mask, seed):
-    # reconstruction is float-identical to the grouped summation order
-    n = 6
-    gen = np.random.default_rng(seed)
-    f = AffineFeature(gen.normal(size=n), float(gen.normal()))
-    region = Subregion(mask, n)
-    sp = split_feature(f, region)
-    s = SpinConfig(bits, n)
-    assert sp.reconstruct(s) == f.evaluate_split_order(s, region)
+    sm = spin_matrix(np.array([0, 5, 7]), 3)
+    expect = [[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]
+    assert sm.dtype == np.float64
+    assert np.array_equal(sm, expect)
 
 
 def test_supnorm_examples():
@@ -107,16 +59,16 @@ def test_supnorm_attained():
     w = gen.normal(size=8)
     f = AffineFeature(w, 0.25)
     bits = sum(1 << i for i in range(8) if w[i] > 0)
-    assert f.evaluate(SpinConfig(bits, 8)) == pytest.approx(feature_supnorm(f), rel=1e-15)
+    value = (spin_matrix(np.array([bits]), 8) @ w + 0.25)[0]
+    assert value == pytest.approx(feature_supnorm(f), rel=1e-15)
 
 
 def test_eval_all_matches_pointwise():
     gen = np.random.default_rng(5)
     f = AffineFeature(gen.normal(size=5), float(gen.normal()))
     table = f.eval_all()
-    for s in enumerate_configs(5):
-        assert table[s.bits] == pytest.approx(f.evaluate(s), rel=1e-13, abs=1e-13)
-    assert np.allclose(table, f.eval_bits(np.arange(32)), rtol=1e-13, atol=1e-14)
+    expect = spin_matrix(np.arange(32), 5) @ f.weights + f.bias
+    assert np.allclose(table, expect, rtol=1e-13, atol=1e-14)
 
 
 def test_subregion_members_and_complement():
@@ -144,9 +96,27 @@ def test_rng_stream_children_differ():
     assert np.array_equal(x, RngStream(9).child(0, 1).generator().standard_normal(4))
 
 
+def test_rng_stream_numpy_integer_keys():
+    # numpy integers key the same streams as the equal Python ints
+    def draw(stream):
+        return stream.generator().standard_normal(4)
+
+    assert np.array_equal(draw(RngStream(np.int64(3))), draw(RngStream(3)))
+    assert np.array_equal(draw(RngStream(1, np.uint64(2**63 + 5))), draw(RngStream(1, 2**63 + 5)))
+    assert np.array_equal(draw(RngStream(1).child(np.int64(5))), draw(RngStream(1).child(5)))
+    assert np.array_equal(draw(RngStream(1).child(np.int64(-1), 2)), draw(RngStream(1).child(-1, 2)))
+
+
+def test_subregion_from_numpy_members():
+    region = Subregion.from_members(np.arange(4), 8)
+    assert type(region.mask) is int and region.mask == 0b1111
+    assert region == Subregion.from_members([0, 1, 2, 3], 8)
+    # bit 63 and above stay exact, where a numpy shift would overflow
+    wide = Subregion.from_members(np.array([0, 63]), 64)
+    assert wide.mask == (1 << 63) | 1
+
+
 def test_config_validation():
-    with pytest.raises(ContractError):
-        SpinConfig(4, 2)
     with pytest.raises(ContractError):
         Subregion(16, 4)
     with pytest.raises(ContractError):
@@ -160,8 +130,7 @@ def test_spin_cap_env_override(monkeypatch):
     assert resolve_spin_cap() == 24
     monkeypatch.setenv("NQS_MAX_N", "26")
     assert resolve_spin_cap() == 26
-    it = enumerate_configs(25)  # env raises the cap
-    assert next(it).bits == 0
+    check_n(25)  # env raises the cap
     monkeypatch.setenv("NQS_MAX_N", "30")
     with pytest.raises(CapacityError):
         resolve_spin_cap()

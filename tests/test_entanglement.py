@@ -19,13 +19,12 @@ from nqsent.entanglement import (
     fa_slack_from_bound,
     fannes_audenaert_bound,
     flatten,
-    pure_trace_distance,
     reduced_density,
     reduced_trace_distance,
     subregion_entropy,
 )
 from nqsent.errors import CapacityError, ContractError, DomainError
-from nqsent.statevector import from_amplitudes, materialize
+from nqsent.statevector import from_amplitudes, materialize, overlap, two_norm_distance
 
 
 def bell_state():
@@ -230,25 +229,17 @@ def test_linear_snnqs_every_bipartition_product():
         assert res.entropy < 1e-10
 
 
-def test_pure_trace_distance_limits():
-    gen = np.random.default_rng(23)
-    psi = from_amplitudes(haar_state(5, gen))
-    assert pure_trace_distance(psi, psi) == 0.0
-    e0 = np.zeros(4, dtype=complex)
-    e0[0] = 1.0
-    e1 = np.zeros(4, dtype=complex)
-    e1[2] = 1.0
-    assert pure_trace_distance(from_amplitudes(e0), from_amplitudes(e1)) == pytest.approx(1.0)
+def _pure_trace_distance(a, b):
+    """Half trace distance of two pure states, sqrt(1 - |<a|b>|^2)."""
+    return math.sqrt(max(0.0, 1.0 - abs(overlap(a, b)) ** 2))
 
 
 def test_pure_trace_distance_below_two_norm():
-    from nqsent.statevector import two_norm_distance
-
     gen = np.random.default_rng(29)
     for _ in range(25):
         a = from_amplitudes(haar_state(5, gen))
         b = from_amplitudes(haar_state(5, gen))
-        assert pure_trace_distance(a, b) <= two_norm_distance(a, b) + 1e-12
+        assert _pure_trace_distance(a, b) <= two_norm_distance(a, b) + 1e-12
 
 
 def test_reduced_distance_identical_states_zero():
@@ -266,7 +257,10 @@ def test_reduced_vs_pure_monotonicity():
         region = Subregion(mask, 6)
         if region.size in (0, 6):
             continue
-        assert reduced_trace_distance(a, b, region) <= pure_trace_distance(a, b) + 1e-10
+        reduced = reduced_trace_distance(a, b, region)
+        assert reduced <= _pure_trace_distance(a, b) + 1e-10
+        # the step the bound chain takes: reduced distance below the 2-norm distance
+        assert reduced <= two_norm_distance(a, b) + 1e-10
 
 
 def test_bell_vs_plus_plus_reduced_distance():
@@ -291,7 +285,6 @@ def test_fannes_audenaert_values():
     assert expect == pytest.approx(0.8370, abs=5e-5)
     with pytest.raises(DomainError):
         fannes_audenaert_bound(1.5, 2)
-    assert fannes_audenaert_bound(0.5, 1, log_base="2") == pytest.approx(1.0)
 
 
 def test_fa_slack_cap():

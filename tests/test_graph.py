@@ -6,13 +6,11 @@ import pytest
 from conftest import random_dag, random_evaluable_dag
 
 from nqsent.activations import Activation
-from nqsent.core import RngStream, SpinConfig
+from nqsent.core import RngStream, spin_matrix
 from nqsent.errors import AmplitudeOverflowError, ContractError, CycleError
 from nqsent.graph import (
     ComputationGraph,
     Node,
-    eval_full,
-    eval_reduced,
     feature_reduce,
     from_json,
     to_json,
@@ -82,18 +80,15 @@ def test_eval_linear_direct():
     g = ComputationGraph(
         [Node(0, "output", ((("s", 0), 1.0), (("s", 1), 1.0)), output_mode="amplitude")], n=2
     )
-    assert eval_full(g, SpinConfig(0b11, 2)) == 2.0
-    assert eval_full(g, SpinConfig(0b00, 2)) == -2.0
+    assert np.array_equal(g.eval_bits(np.arange(4)), [-2.0, 0.0, 0.0, 2.0])
 
 
 def test_eval_dicke_graph_is_indicator():
     from nqsent.ansatz import DickeSpec, build_dicke
 
     g = build_dicke(DickeSpec(4))
-    for bits in range(16):
-        s = SpinConfig(bits, 4)
-        expect = 1.0 if bin(bits).count("1") == 2 else 0.0
-        assert eval_full(g, s) == expect
+    expect = [1.0 if bin(bits).count("1") == 2 else 0.0 for bits in range(16)]
+    assert np.array_equal(g.eval_bits(np.arange(16)), expect)
 
 
 def test_eval_identity_activation_equals_affine():
@@ -107,10 +102,8 @@ def test_eval_identity_activation_equals_affine():
         ],
         n=4,
     )
-    for bits in range(16):
-        s = SpinConfig(bits, 4)
-        expect = w @ s.values() + b
-        assert eval_full(g, s) == pytest.approx(expect, rel=1e-14)
+    expect = spin_matrix(np.arange(16), 4) @ w + b
+    assert np.allclose(g.eval_bits(np.arange(16)), expect, rtol=1e-14, atol=0.0)
 
 
 def test_feature_reduce_linear_net():
@@ -119,9 +112,8 @@ def test_feature_reduce_linear_net():
     )
     r = feature_reduce(g)
     assert r.mu == 1
-    for bits in range(4):
-        s = SpinConfig(bits, 2)
-        assert eval_reduced(r, s) == pytest.approx(eval_full(g, s), rel=1e-13)
+    bits = np.arange(4)
+    assert np.allclose(r.eval_bits(bits), g.eval_bits(bits), rtol=1e-13, atol=0.0)
 
 
 def test_feature_reduce_single_nonlinearity():
@@ -135,7 +127,7 @@ def test_feature_reduce_snnqs_wrap_exp_matches_composition():
     r = feature_reduce(g)
     assert r.mu == 1
     t = 0.37
-    assert r.g_eval(np.array([t])) == pytest.approx(np.exp(np.sin(t)), rel=1e-13)
+    assert r.g_eval(np.array([[t]]))[0] == pytest.approx(np.exp(np.sin(t)), rel=1e-13)
 
 
 def test_feature_reduce_mlp_width3_depth2():
@@ -228,7 +220,7 @@ def test_constant_source_nodes_still_count():
     ]
     g = ComputationGraph(nodes, n=1)
     assert g.dead == set()
-    assert eval_full(g, SpinConfig(1, 1)) == pytest.approx(3.5)
+    assert g.eval_bits(np.array([1]))[0] == pytest.approx(3.5)
 
 
 def test_json_roundtrip_preserves_eval():
@@ -273,7 +265,7 @@ def test_complex_weight_restrictions():
         ],
         n=1,
     )
-    assert eval_full(g, SpinConfig(1, 1)) == pytest.approx(1j * np.tanh(1.0))
+    assert g.eval_bits(np.array([1]))[0] == pytest.approx(1j * np.tanh(1.0))
 
 
 def test_output_uniqueness_enforced():
