@@ -47,7 +47,8 @@ def _checked_exp(x):
     re_part = np.real(x) if np.iscomplexobj(x) else x
     mx = np.max(re_part) if np.ndim(x) else re_part
     if mx > EXP_OVERFLOW_LIMIT:
-        idx = int(np.argmax(re_part)) if np.ndim(x) else None
+        # the column of the largest entry: one configuration per column
+        idx = int(np.argmax(re_part)) % np.shape(x)[-1] if np.ndim(x) else None
         raise AmplitudeOverflowError(
             f"exp argument real part {float(mx):.3g} exceeds {EXP_OVERFLOW_LIMIT}", bits=idx
         )
@@ -130,10 +131,18 @@ class Activation:
 
             return softplus
         if kind == "poly":
-            coeffs = np.asarray(self.coeffs)
+            coeffs = self.coeffs
 
             def poly(x):
-                return np.polynomial.polynomial.polyval(x, coeffs)
+                # Horner's rule in place, with the operations of
+                # np.polynomial.polynomial.polyval in the same order, so
+                # the result is bitwise the same at a fraction of its cost
+                c0 = x * 0
+                c0 += coeffs[-1]
+                for c in coeffs[-2::-1]:
+                    c0 *= x
+                    c0 += c
+                return c0
 
             return poly
         return _KINDS[kind].fn

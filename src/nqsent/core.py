@@ -44,8 +44,10 @@ def check_n(n: int, max_n: int | None = None) -> None:
 
 def spin_matrix(bits: np.ndarray, n: int) -> np.ndarray:
     """(len(bits), n) float64 matrix of spin values for an array of configs."""
-    bits = np.asarray(bits, dtype=np.int64)
-    return ((bits[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+    # bit i of each config as one byte, so the float matrix is the only
+    # temporary as large as the result
+    octets = np.asarray(bits, dtype=np.int64).astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little") * 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,9 @@ class Subregion:
     n: int
 
     def __post_init__(self):
+        # numpy integers would carry into masks derived from this one
+        object.__setattr__(self, "mask", int(self.mask))
+        object.__setattr__(self, "n", int(self.n))
         if not 0 <= self.mask < (1 << self.n):
             raise ContractError(f"mask={self.mask:#x} out of range for n={self.n}")
 

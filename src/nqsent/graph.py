@@ -19,6 +19,17 @@ feature, the output contributes one more, constants are folded, and
 linearly dependent rows are dropped by a greedy QR pass. G is the original
 DAG restricted to the nodes that read a nonlinear output, plus the
 nonlinear nodes and the output, which read the features through ports.
+
+Evaluation runs a tape compiled once per graph (and per port dtype): the
+live nodes are grouped by depth level, function and realness, and each
+group is one ``scipy.sparse`` CSR product over a value table followed by
+one vectorized activation call on the group's rows. Each node still sums
+its bias and weighted inputs in its own input order, so the tape gives the
+amplitudes of a per-edge loop bit for bit, except that a complex weight
+times a complex value is the plain (not fused) complex product. A batch is
+evaluated in column sub-blocks whose width keeps the value tables near
+8 MiB; callers over many configurations hand it ``DEFAULT_CHUNK`` = 2^14
+columns at a time, thread-parallel through ``_run_chunks``.
 """
 
 from __future__ import annotations
@@ -26,17 +37,23 @@ from __future__ import annotations
 import concurrent.futures
 import heapq
 import json
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .activations import Activation, format_activation, parse_activation, _checked_exp
 from .core import AffineFeature, spin_matrix
 from .errors import AmplitudeOverflowError, ContractError, CycleError
 
 # node input references are int node ids or ("s", spin_index) raw-spin tuples
-DEFAULT_CHUNK = 1 << 16
+# configurations per evaluation chunk: 4 chunks at n=16, so two threads share them
+DEFAULT_CHUNK = 1 << 14
+# eval_ports sub-blocks are as wide as keeps a tape's value tables near this
+# many bytes: about 200 columns for a 5000-node graph, 2^14 and more for small ones
+_TABLE_BYTES = 1 << 23
 DEPENDENCE_TOL = 1e-10
 # rows whose weight part is pure cancellation debris relative to the row
 # magnitude count as constants; anything larger stays a feature so folding
@@ -105,8 +122,8 @@ class ComputationGraph:
         self._flag_reachability()
         self.live_order = [i for i in self.order if i not in self.dead]
         self.k = sum(1 for i in self.live_order if self.nodes[i].kind == "nonlinear")
-        self._consumers = _consumer_counts(self.nodes, self.live_order)
         self._value_real, self._acc_real = self._node_real_flags()
+        self._tapes: dict[bool, _Tape] = {}
         for nid in self.live_order:
             node = self.nodes[nid]
             if node.kind != "nonlinear" or node.activation.holomorphic:
@@ -211,47 +228,35 @@ class ComputationGraph:
                 value_real[nid] = acc_real[nid]
         return value_real, acc_real
 
+    def _tape(self, complex_ports: bool) -> "_Tape":
+        """The compiled tape for real or complex port values, built on first use."""
+        tape = self._tapes.get(complex_ports)
+        if tape is None:
+            tape = self._tapes[complex_ports] = _Tape(self, complex_ports)
+        return tape
+
     def eval_ports(self, ports: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
         """Forward pass on a batch; ports has shape (n, B) of port values.
 
         Port values are +/-1 spins for ordinary graphs and feature values for
-        residual graphs produced by feature reduction.
+        residual graphs produced by feature reduction. ``bits``, when given,
+        holds each column's configuration, which an overflow error reports.
         """
         ports = np.atleast_2d(np.asarray(ports))
+        if ports.shape[0] != self.n:
+            raise ContractError(f"expected {self.n} rows of port values, got {ports.shape[0]}")
+        tape = self._tape(np.iscomplexobj(ports))
         B = ports.shape[1]
-        complex_ports = np.iscomplexobj(ports)
-        values: dict[int, np.ndarray] = {}
-        remaining = dict(self._consumers)
-        out = None
-        for nid in self.live_order:
-            node = self.nodes[nid]
-            dtype = np.float64 if self._acc_real[nid] and not complex_ports else np.complex128
-            acc = np.full(B, node.bias if dtype == np.complex128 else node.bias.real, dtype=dtype)
-            for ref, w in node.inputs:
-                src = ports[ref[1]] if _is_raw(ref) else values[ref]
-                coeff = w if dtype == np.complex128 else w.real
-                acc += coeff * src
-            if node.kind == "nonlinear":
-                try:
-                    val = node.activation.apply(acc)
-                except AmplitudeOverflowError as exc:
-                    raise _relabel_overflow(exc, bits) from None
-            elif node.kind == "output" and node.output_mode == "log_amplitude":
-                try:
-                    val = _checked_exp(acc)
-                except AmplitudeOverflowError as exc:
-                    raise _relabel_overflow(exc, bits) from None
-            else:
-                val = acc
-            values[nid] = val
-            for ref, _ in node.inputs:
-                if not _is_raw(ref):
-                    remaining[ref] -= 1
-                    if remaining[ref] == 0:
-                        del values[ref]
-            if node.kind == "output":
-                out = val
-        return np.asarray(out, dtype=np.complex128)
+        out = np.empty(B, dtype=np.complex128)
+        width = max(1, min(B, tape.width))
+        buffers = tape.buffers(width)
+        for start in range(0, B, width):
+            stop = min(start + width, B)
+            try:
+                out[start:stop] = tape.run(ports[:, start:stop], buffers)
+            except AmplitudeOverflowError as exc:
+                raise _relabel_overflow(exc, start, bits) from None
+        return out
 
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         """Amplitudes for an array of configuration bits, in thread-independent chunks."""
@@ -264,13 +269,134 @@ class ComputationGraph:
         return _run_chunks(run, len(bits), threads, chunk)
 
 
-def _relabel_overflow(exc: AmplitudeOverflowError, bits: np.ndarray | None) -> AmplitudeOverflowError:
-    if bits is None or exc.bits is None:
+def _relabel_overflow(exc: AmplitudeOverflowError, start: int, bits: np.ndarray | None) -> AmplitudeOverflowError:
+    """Point an overflow raised in the sub-block at column ``start`` to its
+    column of the whole batch, and to that column's configuration bits."""
+    if exc.bits is None:
         return exc
-    global_bits = int(bits[exc.bits])
+    column = start + exc.bits
+    if bits is None:
+        return AmplitudeOverflowError(str(exc), bits=column)
+    global_bits = int(bits[column])
     return AmplitudeOverflowError(
         f"amplitude overflow at configuration bits={global_bits:#x}: {exc}", bits=global_bits
     )
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One group of nodes: a sparse product over a source table, then the
+    group's function on the rows it yields."""
+
+    matrix: scipy.sparse.csr_array  # one row per node, one column per source-table row
+    src: int  # table read: 0 real, 1 complex
+    dst: int  # table written
+    lo: int  # first destination row
+    mirror: int | None  # first complex-table row of the copy a real group keeps there
+    fn: object  # Activation.apply, _checked_exp, or None for affine nodes
+
+
+class _Tape:
+    """A graph compiled to sparse products over per-sub-block value tables.
+
+    Every live node owns one row of the real (float64) or the complex
+    (complex128) table, by the realness of its value; row 0 of both tables
+    holds ones and rows 1..n the ports. Nodes are grouped by (depth level,
+    function, realness of the pre-activation). A group reads only lower
+    levels, so one CSR product gives all its pre-activations and one
+    vectorized call applies its function. Each CSR row holds the bias (as
+    the weight of the ones row) and then the node's inputs in their own
+    order, so every node sums bias + w0 x0 + w1 x1 ... in the order of a
+    per-edge loop. A complex pre-activation reads the complex table only,
+    which therefore also holds a copy of the ports and of each real group
+    that one reads.
+    """
+
+    def __init__(self, g: ComputationGraph, complex_ports: bool):
+        nodes, n = g.nodes, g.n
+        level: dict[int, int] = {}
+        acc_c = {nid: complex_ports or not g._acc_real[nid] for nid in g.live_order}
+        val_c = {nid: complex_ports or not g._value_real[nid] for nid in g.live_order}
+        groups: dict[tuple, list[int]] = {}
+        for nid in g.live_order:
+            node = nodes[nid]
+            level[nid] = 1 + max((level[r] for r, _ in node.inputs if not _is_raw(r)), default=0)
+            fn = node.activation
+            if node.kind == "output" and node.output_mode == "log_amplitude":
+                fn = _checked_exp
+            groups.setdefault((level[nid], fn, acc_c[nid]), []).append(nid)
+
+        # what a complex pre-activation reads from the real side
+        mirrored = {r for nid in g.live_order if acc_c[nid] for r, _ in nodes[nid].inputs}
+        port_tables = (1,) if complex_ports else (0, 1) if any(map(_is_raw, mirrored)) else (0,)
+
+        sizes = [1 + n, 1 + n]
+        row: list[dict[int, int]] = [{}, {}]
+        placed = []
+        for (_, fn, acc_complex), members in sorted(groups.items(), key=lambda item: item[0][0]):
+            dst = int(val_c[members[0]])
+            lo, sizes[dst] = sizes[dst], sizes[dst] + len(members)
+            row[dst].update((nid, lo + j) for j, nid in enumerate(members))
+            mirror = None
+            if not dst and mirrored.intersection(members):
+                mirror, sizes[1] = sizes[1], sizes[1] + len(members)
+                row[1].update((nid, mirror + j) for j, nid in enumerate(members))
+            placed.append((members, fn, int(acc_complex), dst, lo, mirror))
+
+        self.steps = []
+        for members, fn, src, dst, lo, mirror in placed:
+            indptr, indices, data = [0], [], []
+            for nid in members:
+                node = nodes[nid]
+                if node.bias != 0:
+                    indices.append(0)
+                    data.append(node.bias)
+                indices.extend(1 + r[1] if _is_raw(r) else row[src][r] for r, _ in node.inputs)
+                data.extend(w for _, w in node.inputs)
+                indptr.append(len(indices))
+            data = np.array(data, dtype=np.complex128)
+            matrix = scipy.sparse.csr_array(
+                (data if src else data.real.copy(), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+                shape=(len(members), sizes[src]),
+            )
+            apply = fn.apply if isinstance(fn, Activation) else fn
+            self.steps.append(_Step(matrix, src, dst, lo, mirror, apply))
+        out = int(val_c[g.output_id])
+        self.out = (out, row[out][g.output_id])
+        # a table that no step reads or writes takes no memory
+        used = {t for step in self.steps for t in (step.src, step.dst)}
+        self.sizes = [size if t in used else 0 for t, size in enumerate(sizes)]
+        self.port_tables = tuple(t for t in port_tables if t in used)
+        self.width = max(1, _TABLE_BYTES // (8 * self.sizes[0] + 16 * self.sizes[1]))
+        self._scratch = threading.local()
+
+    def buffers(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Storage for the real and the complex table of sub-blocks up to
+        ``width`` wide, kept per thread: allocating it anew for every chunk
+        lets the allocator hand the pages back and fault them in again."""
+        need = (self.sizes[0] * width, self.sizes[1] * width)
+        bufs = getattr(self._scratch, "buffers", None)
+        if bufs is None or bufs[0].size < need[0] or bufs[1].size < need[1]:
+            bufs = self._scratch.buffers = (np.empty(need[0]), np.empty(need[1], dtype=np.complex128))
+        return bufs
+
+    def run(self, ports: np.ndarray, buffers) -> np.ndarray:
+        """Amplitudes of one sub-block of port columns."""
+        n, w = ports.shape
+        tables = [buf[: size * w].reshape(size, w) for buf, size in zip(buffers, self.sizes)]
+        for table in tables:
+            table[:1] = 1.0
+        for t in self.port_tables:
+            tables[t][1 : 1 + n] = ports
+        for step in self.steps:
+            vals = step.matrix @ tables[step.src]
+            if step.fn is not None:
+                vals = step.fn(vals)
+            tables[step.dst][step.lo : step.lo + len(vals)] = vals
+            if step.mirror is not None:
+                tables[1][step.mirror : step.mirror + len(vals)] = vals
+        t, r = self.out
+        return tables[t][r]
 
 
 def _kahn_sort(nodes: dict[int, Node]) -> list[int]:
@@ -305,16 +431,6 @@ def _find_cycle(nodes: dict[int, Node], remaining: set[int]) -> list[int]:
         path.append(nid)
         nid = next(r for r, _ in nodes[nid].inputs if not _is_raw(r) and r in remaining)
     return path[seen[nid] :] + [nid]
-
-
-def _consumer_counts(nodes: dict[int, Node], live_order: list[int]) -> dict[int, int]:
-    counts = {nid: 0 for nid in live_order}
-    live = set(live_order)
-    for nid in live_order:
-        for ref, _ in nodes[nid].inputs:
-            if not _is_raw(ref) and ref in live:
-                counts[ref] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

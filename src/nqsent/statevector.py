@@ -1,11 +1,13 @@
 """Exact dense statevectors over all 2^n configurations.
 
 Amplitudes are stored as complex128 indexed by configuration bits. One
-chunk driver (``graph._run_chunks``) evaluates fixed-size index ranges on a
-thread pool straight into the amplitude array, and the norm is reduced over
-the same chunks in chunk order. The chunk structure, and therefore every
-floating-point result, does not depend on the thread count, so output is
-byte-identical across --threads settings.
+chunk driver (``graph._run_chunks``) evaluates index ranges of
+``graph.DEFAULT_CHUNK`` = 2^14 configurations on a thread pool straight into
+the amplitude array, so a state of 2^15 amplitudes already keeps two
+threads busy. The norm is then reduced over ``NORM_CHUNK`` = 2^16-amplitude
+blocks in block order. Neither size depends on the thread count, so every
+floating-point result, and therefore the output, is byte-identical across
+--threads settings.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import numpy as np
 
 from .core import check_n
 from .errors import ContractError, DegenerateStateError
-from .graph import DEFAULT_CHUNK, ComputationGraph, ReducedForm, _run_chunks
+from .graph import ComputationGraph, ReducedForm, _run_chunks
+
+# the norm is reduced over blocks of this many amplitudes, in order
+NORM_CHUNK = 1 << 16
 
 NQSV_MAGIC = b"NQSV"
 NQSV_VERSION = 1
@@ -41,7 +46,7 @@ class Statevector:
 
 def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
     """Divide a complex128 amplitude array by its 2-norm in place."""
-    chunks = [amplitudes[start : start + DEFAULT_CHUNK] for start in range(0, amplitudes.shape[0], DEFAULT_CHUNK)]
+    chunks = [amplitudes[start : start + NORM_CHUNK] for start in range(0, amplitudes.shape[0], NORM_CHUNK)]
     # individual amplitudes can sit near the float ceiling (or floor), so the
     # squared norm is accumulated in units of the largest magnitude
     scale = max(float(np.abs(piece).max()) for piece in chunks)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from nqsent.activations import Activation
-from nqsent.errors import AmplitudeOverflowError, DegenerateStateError
+from nqsent.errors import AmplitudeOverflowError
 from nqsent.graph import ComputationGraph, Node
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)

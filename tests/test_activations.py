@@ -66,6 +66,19 @@ def test_poly_eval():
     assert apply(act, 3.0).real == pytest.approx(19.0)
 
 
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.0), (0.3, -0.5, 0.2), (2.5,), (-1.0, 4.0), (1e-3, -2.0, 0.0, 3.5, -1.25)])
+def test_poly_bitwise_equal_to_polyval(coeffs):
+    gen = np.random.default_rng(len(coeffs))
+    act = Activation("poly", coeffs=coeffs)
+    for shape in [(37,), (5, 9)]:
+        real = gen.normal(size=shape)
+        for x in (real, real + 1j * gen.normal(size=shape)):
+            y = act.apply(x)
+            ref = np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
+            assert y.dtype == ref.dtype and y.shape == ref.shape
+            assert y.tobytes() == ref.tobytes()
+
+
 def test_non_finite_rejected():
     with pytest.raises(NumericError):
         apply(Activation("tanh"), float("nan"))

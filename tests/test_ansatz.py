@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from nqsent.activations import Activation
 from nqsent.ansatz import (
     CosnetSpec,
     DickeSpec,

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs

@@ -116,6 +116,13 @@ def test_subregion_from_numpy_members():
     assert wide.mask == (1 << 63) | 1
 
 
+def test_subregion_fields_are_python_ints():
+    region = Subregion(np.int64(5), np.int64(8))
+    assert type(region.mask) is int and type(region.n) is int
+    assert type(region.complement().mask) is int
+    assert region.complement().mask == 0b11111010
+
+
 def test_config_validation():
     with pytest.raises(ContractError):
         Subregion(16, 4)

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_dag, random_evaluable_dag
 
-from nqsent.activations import Activation
+from nqsent.activations import EXP_OVERFLOW_LIMIT, Activation
 from nqsent.core import RngStream, spin_matrix
-from nqsent.errors import AmplitudeOverflowError, ContractError, CycleError
+from nqsent.errors import AmplitudeOverflowError, ContractError, CycleError, NumericError
 from nqsent.graph import (
     ComputationGraph,
     Node,
@@ -326,3 +327,84 @@ def test_random_graphs_reduced_eval_matches():
         red = r.eval_bits(bits)
         scale = max(np.abs(full).max(), 1e-300)
         assert np.abs(full - red).max() <= 1e-12 * scale
+
+
+def reference_eval(g: ComputationGraph, ports: np.ndarray) -> np.ndarray:
+    """Per-node, per-edge forward pass: bias plus each weighted input in
+    input order. A complex weight times a complex value is the unfused
+    product (wr xr - wi xi) + i (wr xi + wi xr), as the sparse tape forms it."""
+    complex_ports = np.iscomplexobj(ports)
+    values = {}
+    for nid in g.live_order:
+        node = g.nodes[nid]
+        acc = np.full(ports.shape[1], node.bias if complex_ports or node.bias.imag else node.bias.real)
+        for ref, w in node.inputs:
+            x = ports[ref[1]] if _is_raw(ref) else values[ref]
+            if w.imag and np.iscomplexobj(x):
+                term = np.empty(x.shape, dtype=np.complex128)
+                term.real = w.real * x.real - w.imag * x.imag
+                term.imag = w.real * x.imag + w.imag * x.real
+            else:
+                term = (w if w.imag else w.real) * x
+            acc = acc + term
+        if node.kind == "nonlinear":
+            acc = node.activation.apply(acc)
+        elif node.kind == "output" and node.output_mode == "log_amplitude":
+            if np.max(acc.real) > EXP_OVERFLOW_LIMIT:
+                raise AmplitudeOverflowError("exp argument too large")
+            acc = np.exp(acc)
+        values[nid] = acc
+    return np.asarray(values[g.output_id], dtype=np.complex128)
+
+
+def with_dead_nodes(g: ComputationGraph, gen: np.random.Generator) -> ComputationGraph:
+    """The same graph plus two nodes the output does not read."""
+    nodes = list(g.nodes.values())
+    last = max(g.nodes)
+    refs = [("s", i) for i in range(g.n)] + [nid for nid in g.nodes if g.nodes[nid].kind != "output"]
+    picks = [refs[int(i)] for i in gen.choice(len(refs), size=min(3, len(refs)), replace=False)]
+    nodes.append(Node(last + 1, "nonlinear", tuple((r, 0.5) for r in picks), bias=-0.3, activation=Activation("relu")))
+    nodes.append(Node(last + 2, "linear", ((last + 1, 2.0),), bias=1.0))
+    return ComputationGraph(nodes, g.n)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_tape_matches_reference_evaluator(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 7))
+    g = with_dead_nodes(random_dag(gen, n, 8), gen)
+    assert len(g.dead) >= 2
+    # spins over more than one sub-block, and complex ports (ellipse points)
+    spins = gen.choice([-1.0, 1.0], size=(n, g._tape(False).width + 3))
+    shape = (n, g._tape(True).width + 5)
+    points = gen.normal(0.0, 0.5, size=shape) + 1j * gen.normal(0.0, 0.5, size=shape)
+    for ports in (spins, points):
+        try:
+            expected = reference_eval(g, ports)
+        except NumericError as exc:
+            with pytest.raises(type(exc)):
+                g.eval_ports(ports)
+            continue
+        np.testing.assert_array_equal(g.eval_ports(ports), expected)
+
+
+def test_overflow_in_later_sub_block_reports_global_bits():
+    # exp(700.5 t_0) overflows only in the one column where port 0 is 1
+    g = ComputationGraph([Node(0, "output", ((("s", 0), 700.5),), output_mode="log_amplitude")], n=1)
+    width = g._tape(False).width
+    ports = np.zeros((1, 3 * width))
+    column = 2 * width + 7
+    ports[0, column] = 1.0
+    bits = np.arange(3 * width, dtype=np.int64) * 5 + 11
+    with pytest.raises(AmplitudeOverflowError) as err:
+        g.eval_ports(ports, bits=bits)
+    assert err.value.bits == bits[column]
+    assert f"bits={bits[column]:#x}" in str(err.value)
+    with pytest.raises(AmplitudeOverflowError) as err:
+        g.eval_ports(ports)
+    assert err.value.bits == column
+
+
+def test_eval_ports_rejects_wrong_port_count():
+    with pytest.raises(ContractError):
+        chain_graph().eval_ports(np.ones((2, 3)))

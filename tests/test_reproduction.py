@@ -7,9 +7,6 @@ activation; complex modes boost the bounded ones; half-cut entropy grows
 sublinearly with n for the pure-phase single-nonlinearity family.
 """
 
-import numpy as np
-import pytest
-
 from nqsent.experiments import ExperimentConfig, run_sweep
 
 SEED = 3
