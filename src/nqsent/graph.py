@@ -29,7 +29,9 @@ amplitudes of a per-edge loop bit for bit, except that a complex weight
 times a complex value is the plain (not fused) complex product. A batch is
 evaluated in column sub-blocks whose width keeps the value tables near
 8 MiB; callers over many configurations hand it ``DEFAULT_CHUNK`` = 2^14
-columns at a time, thread-parallel through ``_run_chunks``.
+columns at a time through ``_run_chunks``, which starts pool threads only
+for batches of at least two ``_THREAD_SPAN`` = 2^16 configurations, so an
+n=16 state is evaluated on the calling thread.
 """
 
 from __future__ import annotations
@@ -49,8 +51,14 @@ from .core import AffineFeature, spin_matrix
 from .errors import AmplitudeOverflowError, ContractError, CycleError
 
 # node input references are int node ids or ("s", spin_index) raw-spin tuples
-# configurations per evaluation chunk: 4 chunks at n=16, so two threads share them
+# configurations per evaluation chunk; small chunks keep each chunk's
+# temporaries (spin matrix, Chebyshev tables) small
 DEFAULT_CHUNK = 1 << 14
+# configurations per pool thread: a batch smaller than two of these runs on
+# the calling thread alone. At n=16 a second thread made the transformer
+# sweep about 1.4x faster on two idle cores, but a busy process on the
+# other core then cost it about 30%, against about 5% on one thread.
+_THREAD_SPAN = 1 << 16
 # eval_ports sub-blocks are as wide as keeps a tape's value tables near this
 # many bytes: about 200 columns for a 5000-node graph, 2^14 and more for small ones
 _TABLE_BYTES = 1 << 23
@@ -66,17 +74,20 @@ def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) ->
     ``0..count`` into one complex128 array of length ``count``.
 
     Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
-    floating-point result is the same for any thread count.
+    floating-point result is the same for any thread count. Up to
+    ``threads`` pool threads share the chunks, one per ``_THREAD_SPAN``
+    configurations.
     """
     out = np.empty(count, dtype=np.complex128)
     starts = range(0, count, chunk)
+    workers = min(threads, count // _THREAD_SPAN)
 
     def run(start):
         stop = min(start + chunk, count)
         out[start:stop] = fn(start, stop)
 
-    if threads > 1 and len(starts) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1 and len(starts) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, starts))  # re-raises the first failing chunk's error
     else:
         for start in starts:

@@ -2,9 +2,9 @@
 
 Amplitudes are stored as complex128 indexed by configuration bits. One
 chunk driver (``graph._run_chunks``) evaluates index ranges of
-``graph.DEFAULT_CHUNK`` = 2^14 configurations on a thread pool straight into
-the amplitude array, so a state of 2^15 amplitudes already keeps two
-threads busy. The norm is then reduced over ``NORM_CHUNK`` = 2^16-amplitude
+``graph.DEFAULT_CHUNK`` = 2^14 configurations straight into the amplitude
+array, on a thread pool from 2^17 amplitudes on and on the calling thread
+below that. The norm is then reduced over ``NORM_CHUNK`` = 2^16-amplitude
 blocks in block order. Neither size depends on the thread count, so every
 floating-point result, and therefore the output, is byte-identical across
 --threads settings.

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from nqsent.graph import (
     feature_reduce,
     from_json,
     to_json,
+    _THREAD_SPAN,
     _is_raw,
+    _run_chunks,
 )
 from nqsent.ansatz import MlpSpec, SnnqsSpec, TransformerSpec, build_mlp, build_snnqs, build_transformer
 
@@ -291,6 +294,10 @@ def test_eval_bits_thread_determinism():
         assert np.array_equal(a, b)
         # chunking only splits the work: one chunk gives the same amplitudes
         assert np.array_equal(a, ev.eval_bits(bits, chunk=256))
+        # a batch large enough for pool threads
+        many = np.arange(2 * _THREAD_SPAN) % 256
+        pooled = ev.eval_bits(many, threads=2, chunk=1 << 12)
+        assert np.array_equal(pooled, ev.eval_bits(many, threads=1, chunk=1 << 12))
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["graph", "reduced"])
@@ -314,6 +321,27 @@ def test_overflow_names_configuration_past_first_chunk(reduced):
     assert f"bits={bits:#x}" in str(err.value)
     with pytest.raises(AmplitudeOverflowError):
         ev.eval_bits(np.array([bits]))
+    # the same from pool threads, over a batch large enough to start them
+    with pytest.raises(AmplitudeOverflowError) as err:
+        ev.eval_bits(np.arange(2 * _THREAD_SPAN), threads=2, chunk=64)
+    assert 128 <= err.value.bits < 192
+    assert f"bits={err.value.bits:#x}" in str(err.value)
+
+
+def test_pool_threads_start_from_two_thread_spans():
+    seen = set()
+
+    def fn(start, stop):
+        seen.add(threading.get_ident())
+        return np.arange(start, stop)
+
+    count = 2 * _THREAD_SPAN - 1
+    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=1 << 13), np.arange(count))
+    assert seen == {threading.get_ident()}
+    seen.clear()
+    count += 1
+    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=1 << 13), np.arange(count))
+    assert seen and threading.get_ident() not in seen
 
 
 def test_random_graphs_reduced_eval_matches():
