@@ -11,6 +11,20 @@ approximated function, with the formula chosen by ``Certificate.error_bound``:
     1 variable :  2 C rho^-d / (rho - 1),            rho = e^a
     k variables:  C k rho^-1 (2 rho / (rho-1))^k rho^-d   (shared a)
 
+One blocked evaluator, ``ChebyshevApprox.evaluate_unit``, serves
+``evaluate``, the fit's check grid and auxiliary states. It takes the points
+in column blocks whose float64 storage stays near ``graph._TABLE_BYTES``
+(8 MiB), carved from per-thread scratch. In a block each variable's table
+T_0..T_d comes from the recurrence T_i = 2x T_i-1 - T_i-2 with 2x computed
+once, two ufunc calls per row. The coefficient tensor, reshaped to
+(-1, d+1), meets the last variable's table in two real BLAS products, one
+for its real and one for its imaginary part, so no table is ever complex;
+each remaining variable is then folded in by a multiply-and-sum over its
+axis. A one-variable fit builds and contracts its table ``_ROW_GROUP`` rows
+at a time, so its blocks span a whole 2^14-configuration chunk while the
+rows stay in cache: fewer, longer ufunc calls are what let two threads
+share the work.
+
 The bound chain for a state with reduced form G(t_1..t_mu) is: fit error
 eps -> auxiliary-state 2-norm distance 2 sqrt(eps/norm) 2^(n/4) -> reduced
 trace distance (monotone under partial trace) -> entropy difference via the
@@ -26,7 +40,7 @@ import numpy as np
 
 from .core import Subregion, feature_supnorm
 from .errors import CapacityError, ContractError, DomainError, NumericError
-from .graph import ComputationGraph, ReducedForm, feature_reduce, _is_raw
+from .graph import ComputationGraph, ReducedForm, feature_reduce, _is_raw, _scratch, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance
 from .entanglement import fa_slack_from_bound, subregion_entropy
 
@@ -42,12 +56,9 @@ _SUP_INFLATION = 1.1
 _A_GRID = [0.25 * j for j in range(1, 15)]
 # the ellipse is chosen to minimize the error bound C rho^-d at this degree
 _A_SCORE_DEGREE = 16
-_EINSUM = {
-    1: "a,aB->B",
-    2: "ab,aB,bB->B",
-    3: "abc,aB,bB,cB->B",
-    4: "abcd,aB,bB,cB,dB->B",
-}
+# a one-variable fit builds and contracts its table this many rows at a time,
+# so a 2^14-column block's rows (about 2 MiB) stay in a core's L2 cache
+_ROW_GROUP = 16
 
 
 @dataclass
@@ -66,26 +77,99 @@ class ChebyshevApprox:
 
     def evaluate(self, tvals: np.ndarray) -> np.ndarray:
         """Evaluate at raw feature values of shape (mu, B)."""
-        tvals = np.atleast_2d(np.asarray(tvals, dtype=np.float64))
-        if tvals.shape[0] != self.mu:
-            raise ContractError(f"expected {self.mu} variables, got {tvals.shape[0]}")
-        x = tvals / np.asarray(self.t_bars)[:, None]
-        return self.evaluate_unit(x)
+        return self.evaluate_unit(self._points(tvals) / np.asarray(self.t_bars)[:, None])
 
     def evaluate_unit(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at rescaled points in [-1, 1]^mu, shape (mu, B)."""
-        x = np.atleast_2d(np.asarray(x))
-        d = self.degree
-        mats = []
-        for j in range(self.mu):
-            T = np.empty((d + 1,) + x.shape[1:], dtype=x.dtype)
-            T[0] = 1.0
-            if d >= 1:
-                T[1] = x[j]
-            for i in range(2, d + 1):
-                T[i] = 2.0 * x[j] * T[i - 1] - T[i - 2]
-            mats.append(T)
-        return np.einsum(_EINSUM[self.mu], self.coeffs, *mats)
+        """Evaluate at real rescaled points in [-1, 1]^mu, shape (mu, B).
+
+        Columns go in blocks whose storage stays near ``_TABLE_BYTES``, and
+        block boundaries depend on B only, so a chunk's values do not depend
+        on the thread that evaluates it.
+        """
+        x = self._points(x)
+        mu, d = self.mu, self.degree
+        if self.coeffs.shape != (d + 1,) * mu:
+            raise ContractError(f"coefficients of shape {self.coeffs.shape} do not fit degree {d} in {mu} variables")
+        count = x.shape[1]
+        out = np.empty(count, dtype=np.complex128)
+        c = self.coeffs.reshape(-1, d + 1)
+        c_re, c_im = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+        rest = c.shape[0]
+        # with several variables the partial sums have (d+1)^(mu-1) rows, and
+        # adding each row group's product into them would cost a pass per group
+        group = min(d + 1, _ROW_GROUP) if rest == 1 else d + 1
+        # rows of the real (and of the imaginary) partial sums, twice as many
+        # when later row groups need room for their product
+        sums = rest if group > d else 2 * rest
+        # float64 rows per column: the leading variables' tables (with two
+        # rows ahead of T_0, like the ring), the last variable's row group
+        # and 2x, and the sums
+        per_column = (mu - 1) * (d + 3) + group + 3 + 2 * sums
+        width = max(1, min(count, _TABLE_BYTES // (8 * per_column)))
+        buf = _scratch(per_column * width)
+        for lo in range(0, count, width):
+            w = min(width, count - lo)
+            tables, ring, two_x, re, im, re_g, im_g = _carve(
+                buf, (mu - 1, d + 3, w), (group + 2, w), (w,), (rest, w), (rest, w), (sums - rest, w), (sums - rest, w)
+            )
+            xs = x[:, lo : lo + w]
+            np.multiply(xs[-1], 2.0, out=two_x)
+            for i0 in range(0, d + 1, group):
+                if i0:
+                    ring[:2] = ring[group:]
+                rows = ring[: 2 + min(group, d + 1 - i0)]
+                _recurrence(rows, i0, xs[-1], two_x)
+                cols = slice(i0, i0 + len(rows) - 2)
+                np.matmul(c_re[:, cols], rows[2:], out=re_g if i0 else re)
+                np.matmul(c_im[:, cols], rows[2:], out=im_g if i0 else im)
+                if i0:
+                    re += re_g
+                    im += im_g
+            for x_j, table in zip(xs, tables):
+                np.multiply(x_j, 2.0, out=two_x)
+                _recurrence(table, 0, x_j, two_x)
+                re, im = _fold(re, table[2:]), _fold(im, table[2:])
+            out.real[lo : lo + w] = re[0]
+            out.imag[lo : lo + w] = im[0]
+        return out
+
+    def _points(self, x) -> np.ndarray:
+        """x as a real (mu, B) float64 array; anything else is a ContractError."""
+        if np.iscomplexobj(x):
+            raise ContractError("Chebyshev fits are evaluated at real points")
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.ndim != 2 or x.shape[0] != self.mu:
+            raise ContractError(f"expected {self.mu} variables, got points of shape {x.shape}")
+        return x
+
+
+def _carve(buf: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of the given shapes at the front of buf."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[at : at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _recurrence(rows: np.ndarray, i0: int, x: np.ndarray, two_x: np.ndarray) -> None:
+    """Fill rows[2:] with T_i0(x), T_i0+1(x), ... by T_i = 2x T_i-1 - T_i-2;
+    rows[0] and rows[1] hold T_i0-2 and T_i0-1 when i0 >= 2."""
+    for k in range(2, len(rows)):
+        i = i0 + k - 2
+        if i < 2:
+            rows[k] = x if i else 1.0
+        else:
+            np.multiply(two_x, rows[k - 1], out=rows[k])
+            np.subtract(rows[k], rows[k - 2], out=rows[k])
+
+
+def _fold(part: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Contract the leading variable of a ((d+1)*r, w) block with its table."""
+    part = part.reshape(table.shape[0], -1, table.shape[1])
+    np.multiply(part, table[:, None, :], out=part)
+    return part.sum(axis=0)
 
 
 def _quad_nodes(count: int) -> np.ndarray:

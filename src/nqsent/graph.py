@@ -28,10 +28,11 @@ its bias and weighted inputs in its own input order, so the tape gives the
 amplitudes of a per-edge loop bit for bit, except that a complex weight
 times a complex value is the plain (not fused) complex product. A batch is
 evaluated in column sub-blocks whose width keeps the value tables near
-8 MiB; callers over many configurations hand it ``DEFAULT_CHUNK`` = 2^14
-columns at a time through ``_run_chunks``, which starts pool threads only
-for batches of at least two ``_THREAD_SPAN`` = 2^16 configurations, so an
-n=16 state is evaluated on the calling thread.
+8 MiB, in storage each thread keeps for the length of a chunk run; callers
+over many configurations hand it ``DEFAULT_CHUNK`` = 2^14 columns at a time
+through ``_run_chunks``, which starts pool threads only for batches of at
+least two ``_THREAD_SPAN`` = 2^16 configurations, so an n=16 state is
+evaluated on the calling thread.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ from .core import AffineFeature, spin_matrix
 from .errors import AmplitudeOverflowError, ContractError, CycleError
 
 # node input references are int node ids or ("s", spin_index) raw-spin tuples
-# configurations per evaluation chunk; small chunks keep each chunk's
-# temporaries (spin matrix, Chebyshev tables) small
+# configurations per evaluation chunk; small chunks keep each chunk's spin
+# matrix, feature values and amplitudes small (value and Chebyshev tables
+# are blocked within a chunk by _TABLE_BYTES)
 DEFAULT_CHUNK = 1 << 14
 # configurations per pool thread: a batch smaller than two of these runs on
 # the calling thread alone. At n=16 a second thread made the transformer
@@ -60,13 +62,38 @@ DEFAULT_CHUNK = 1 << 14
 # other core then cost it about 30%, against about 5% on one thread.
 _THREAD_SPAN = 1 << 16
 # eval_ports sub-blocks are as wide as keeps a tape's value tables near this
-# many bytes: about 200 columns for a 5000-node graph, 2^14 and more for small ones
+# many bytes: about 200 columns for a 5000-node graph, 2^14 and more for small
+# ones. ChebyshevApprox.evaluate_unit blocks its tables by the same budget.
 _TABLE_BYTES = 1 << 23
 DEPENDENCE_TOL = 1e-10
 # rows whose weight part is pure cancellation debris relative to the row
 # magnitude count as constants; anything larger stays a feature so folding
 # never discards float-significant spin dependence
 _CONST_TOL = 1e-15
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """``size`` float64 elements of storage for value and Chebyshev tables.
+
+    Inside ``_run_chunks`` each thread keeps its storage from one chunk to
+    the next, shared by every tape and fit it evaluates: allocating it per
+    chunk lets the allocator hand the pages back and fault them in again.
+    The storage goes when the chunk run ends, so no graph, fit or idle
+    thread holds any; a call outside a chunk run gets its own.
+    """
+    if not getattr(_SCRATCH, "kept", False):
+        return np.empty(size)
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size)
+    return buf[:size]
+
+
+def _keep_scratch() -> None:
+    _SCRATCH.kept = True
 
 
 def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
@@ -87,11 +114,18 @@ def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) ->
         out[start:stop] = fn(start, stop)
 
     if workers > 1 and len(starts) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        # pool threads keep their scratch until the pool shuts them down
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers, initializer=_keep_scratch) as pool:
             list(pool.map(run, starts))  # re-raises the first failing chunk's error
     else:
-        for start in starts:
-            run(start)
+        outermost = not getattr(_SCRATCH, "kept", False)
+        _keep_scratch()
+        try:
+            for start in starts:
+                run(start)
+        finally:
+            if outermost:
+                _SCRATCH.__dict__.clear()
     return out
 
 
@@ -379,17 +413,13 @@ class _Tape:
         self.sizes = [size if t in used else 0 for t, size in enumerate(sizes)]
         self.port_tables = tuple(t for t in port_tables if t in used)
         self.width = max(1, _TABLE_BYTES // (8 * self.sizes[0] + 16 * self.sizes[1]))
-        self._scratch = threading.local()
 
     def buffers(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Storage for the real and the complex table of sub-blocks up to
-        ``width`` wide, kept per thread: allocating it anew for every chunk
-        lets the allocator hand the pages back and fault them in again."""
-        need = (self.sizes[0] * width, self.sizes[1] * width)
-        bufs = getattr(self._scratch, "buffers", None)
-        if bufs is None or bufs[0].size < need[0] or bufs[1].size < need[1]:
-            bufs = self._scratch.buffers = (np.empty(need[0]), np.empty(need[1], dtype=np.complex128))
-        return bufs
+        ``width`` wide, carved from the calling thread's scratch."""
+        real, cplx = self.sizes[0] * width, self.sizes[1] * width
+        buf = _scratch(real + 2 * cplx)
+        return buf[:real], buf[real:].view(np.complex128)
 
     def run(self, ports: np.ndarray, buffers) -> np.ndarray:
         """Amplitudes of one sub-block of port columns."""

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial import chebyshev
 
+from nqsent import approx
 from nqsent.activations import Activation
 from nqsent.ansatz import CosnetSpec, DickeSpec, SnnqsSpec, build_cosnet, build_dicke, build_snnqs
 from nqsent.approx import (
+    ChebyshevApprox,
     bernstein_bound_1d,
     auxiliary_state,
     cheb_fit_1d,
@@ -96,6 +99,56 @@ def test_multi_polynomial_exact():
 
     fit = cheb_fit_multi(G, (1.0, 1.0), 3)
     assert fit.error_empirical < 1e-13
+
+
+def _chebval_nd(x, c):
+    """numpy's Chebyshev series of c at the columns of x, any number of variables."""
+    if len(x) <= 3:
+        return (chebyshev.chebval, chebyshev.chebval2d, chebyshev.chebval3d)[len(x) - 1](*x, c)
+    basis = np.eye(c.shape[0])
+    return sum(chebyshev.chebval(x[0], basis[i]) * _chebval_nd(x[1:], c[i]) for i in range(c.shape[0]))
+
+
+def _assert_matches_chebval(mu, d, count, seed):
+    gen = np.random.default_rng(seed)
+    c = gen.standard_normal((d + 1,) * mu) + 1j * gen.standard_normal((d + 1,) * mu)
+    x = gen.uniform(-1.0, 1.0, (mu, count))
+    got = ChebyshevApprox(c, (1.0,) * mu, d, None, 0.0).evaluate_unit(x)
+    assert got.shape == (count,) and got.dtype == np.complex128
+    if count:
+        assert np.abs(got - _chebval_nd(x, c)).max() <= 1e-13 * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("mu,degrees", [(1, (0, 1, 15, 16, 40)), (2, (0, 1, 9)), (3, (0, 1, 5)), (4, (0, 1, 3))])
+def test_evaluate_unit_matches_numpy_chebyshev(monkeypatch, mu, degrees):
+    # a 4 KiB budget makes blocks of 3 to 85 columns, so 97 columns cross
+    # two or more and end in a ragged one; at mu=1 degree 16 contracts its
+    # table in row groups of 16 and 1, degree 40 in groups of 16, 16 and 9
+    monkeypatch.setattr(approx, "_TABLE_BYTES", 4096)
+    for d in degrees:
+        for count in (0, 1, 97):
+            _assert_matches_chebval(mu, d, count, seed=100 * mu + d)
+
+
+@pytest.mark.parametrize("mu,d,count", [(1, 207, 100_003), (2, 51, 12_000)])
+def test_evaluate_unit_blocks_at_full_budget(mu, d, count):
+    # the bound_chain degrees; either width makes three blocks, the last ragged
+    _assert_matches_chebval(mu, d, count, seed=mu)
+
+
+def test_evaluate_rejects_malformed_points():
+    fit = cheb_fit_multi(lambda t: t[0] * t[1], (1.0, 2.0), 3)
+    for bad in (np.zeros((1, 4)), np.zeros((3, 4)), np.zeros(4), np.zeros((2, 2, 2))):
+        for method in (fit.evaluate, fit.evaluate_unit):
+            with pytest.raises(ContractError):
+                method(bad)
+    with pytest.raises(ContractError):
+        fit.evaluate_unit(np.zeros((2, 4), dtype=np.complex128))
+    # the contraction reshapes the coefficients, so a tensor that does not
+    # match the degree and the variable count is refused, not mis-contracted
+    for shape in ((4, 4, 1), (16,), (3, 4)):
+        with pytest.raises(ContractError):
+            ChebyshevApprox(np.ones(shape, dtype=complex), (1.0, 2.0), 3, None, 0.0).evaluate_unit(np.zeros((2, 4)))
 
 
 def test_multi_capacity():

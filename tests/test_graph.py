@@ -19,6 +19,7 @@ from nqsent.graph import (
     _THREAD_SPAN,
     _is_raw,
     _run_chunks,
+    _scratch,
 )
 from nqsent.ansatz import MlpSpec, SnnqsSpec, TransformerSpec, build_mlp, build_snnqs, build_transformer
 
@@ -342,6 +343,37 @@ def test_pool_threads_start_from_two_thread_spans():
     count += 1
     assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=1 << 13), np.arange(count))
     assert seen and threading.get_ident() not in seen
+
+
+def test_scratch_lives_for_one_chunk_run():
+    # every chunk of a run, and every run nested in it, gets the thread's one
+    # buffer; it goes when the outermost run ends, so no graph or fit holds
+    # table storage between runs
+    serial = []
+
+    def fn(start, stop):
+        serial.append(_scratch(16))
+        _run_chunks(lambda a, b: np.zeros(b - a), 2)
+        serial.append(_scratch(16))
+        return np.zeros(stop - start)
+
+    _run_chunks(fn, 8, chunk=4)
+    assert len(serial) == 4 and all(np.shares_memory(serial[0], b) for b in serial)
+    assert not np.shares_memory(_scratch(16), _scratch(16))
+    with pytest.raises(ZeroDivisionError):
+        _run_chunks(lambda a, b: 1 / 0, 8, chunk=4)
+    assert not np.shares_memory(_scratch(16), _scratch(16))
+
+    pooled = {}
+
+    def pooled_fn(start, stop):
+        pooled.setdefault(threading.get_ident(), []).append(_scratch(16))
+        return np.zeros(stop - start)
+
+    _run_chunks(pooled_fn, 2 * _THREAD_SPAN, threads=2, chunk=1 << 13)
+    assert sum(map(len, pooled.values())) == 16
+    for bufs in pooled.values():
+        assert all(np.shares_memory(bufs[0], b) for b in bufs)
 
 
 def test_random_graphs_reduced_eval_matches():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import haar_state, random_evaluable_dag
 
-from nqsent.ansatz import DickeSpec, MlpSpec, SnnqsSpec, build_dicke, build_mlp, build_snnqs
+from nqsent.ansatz import CosnetSpec, DickeSpec, MlpSpec, SnnqsSpec, build_cosnet, build_dicke, build_mlp, build_snnqs
 from nqsent.approx import auxiliary_state, cheb_fit_multi
 from nqsent.core import RngStream, feature_supnorm
 from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError
@@ -133,7 +133,15 @@ def test_materialize_thread_and_chunk_invariance():
     # the auxiliary state at n=17 spans two chunks of the shared driver
     r = feature_reduce(build_snnqs(SnnqsSpec(n=17, activation="i*tanh", bias_std=0.5), RngStream(33).child(1)))
     fit = cheb_fit_multi(r.g_eval, [feature_supnorm(f) for f in r.features], 8)
-    for make in (lambda t: materialize(g, threads=t), lambda t: auxiliary_state(r, fit, threads=t)):
+    # a two-feature auxiliary state: a table per feature, folded after the BLAS product
+    r2 = feature_reduce(build_cosnet(CosnetSpec(n=17, k=1), RngStream(33).child(2)))
+    assert r2.mu == 2
+    fit2 = cheb_fit_multi(r2.g_eval, [feature_supnorm(f) for f in r2.features], 8)
+    for make in (
+        lambda t: materialize(g, threads=t),
+        lambda t: auxiliary_state(r, fit, threads=t),
+        lambda t: auxiliary_state(r2, fit2, threads=t),
+    ):
         base = make(1)
         for threads in (2, 4):
             other = make(threads)
