@@ -30,7 +30,8 @@ class NumericError(NqsError):
 
 
 class AmplitudeOverflowError(NumericError):
-    """exp() argument too large; names the offending configuration when known."""
+    """exp() argument too large or an amplitude not finite; names the
+    offending configuration when known."""
 
     def __init__(self, message, bits=None):
         self.bits = bits

@@ -7,10 +7,8 @@ A graph maps n spins to one complex amplitude. Node kinds:
 * ``nonlinear`` sigma(b + sum w_j x_j), the only nonlinear primitive
 * ``output``    affine sink; mode ``amplitude`` or ``log_amplitude`` (exp of value)
 
-Weights and biases are real except at the output node, where complex
-coefficients are permitted on edges from nodes that carry no direct affine
-spin dependence (so the direct output feature stays real). Raw spins are
-referenced as ``("s", i)`` internally and ``"s_1"``..``"s_n"`` in JSON.
+Raw spins are referenced as ``("s", i)`` internally and ``"s_1"``..``"s_n"``
+in JSON. ``ComputationGraph`` lists the construction rules.
 
 Feature reduction rewrites the amplitude as G(t_1..t_mu) over mu affine
 features with mu <= k+1, k the number of live nonlinear nodes: each
@@ -154,124 +152,73 @@ def _is_raw(ref) -> bool:
 
 
 class ComputationGraph:
-    """Validated DAG over n spins with exactly one output node."""
+    """Validated DAG over n spins with exactly one output node.
+
+    Construction rules (``ContractError`` unless noted; ``Node`` itself
+    rejects an unknown kind, a nonlinear node without an activation and an
+    output without a valid ``output_mode``):
+
+    * node ids are unique and exactly one node is the output;
+    * referenced nodes exist, raw spins lie in 0..n-1, no node reads the output;
+    * an ``input`` node reads exactly one raw spin and nothing else;
+    * there is no directed cycle (``CycleError`` names one);
+    * parameters are real, except output weights on edges without direct
+      spin dependence, which a nonlinear output does not pass on;
+    * a live non-holomorphic activation takes a real pre-activation.
+
+    Dead nodes, which the output reads through no path, are checked but
+    never evaluated, and ``k`` counts only live nonlinear nodes.
+    """
 
     def __init__(self, nodes: Sequence[Node], n: int):
         self.n = int(n)
         self.nodes = {node.id: node for node in nodes}
         if len(self.nodes) != len(nodes):
             raise ContractError("duplicate node ids")
-        self._validate_refs()
-        self.order = _kahn_sort(self.nodes)
-        self._validate_output_and_weights()
-        self._flag_reachability()
-        self.live_order = [i for i in self.order if i not in self.dead]
-        self.k = sum(1 for i in self.live_order if self.nodes[i].kind == "nonlinear")
-        self._value_real, self._acc_real = self._node_real_flags()
-        self._tapes: dict[bool, _Tape] = {}
-        for nid in self.live_order:
-            node = self.nodes[nid]
-            if node.kind != "nonlinear" or node.activation.holomorphic:
-                continue
-            if not self._acc_real[nid]:
-                raise ContractError(
-                    f"node {nid}: activation {node.activation.kind} cannot take a complex pre-activation"
-                )
-
-    # -- validation ---------------------------------------------------------
-
-    def _validate_refs(self):
-        for node in self.nodes.values():
-            raw = [r for r, _ in node.inputs if _is_raw(r)]
-            for r, _ in node.inputs:
-                if _is_raw(r):
-                    if not 0 <= r[1] < self.n:
-                        raise ContractError(f"node {node.id} reads spin {r[1]} outside 0..{self.n - 1}")
-                elif r not in self.nodes:
-                    raise ContractError(f"node {node.id} references missing node {r}")
-                elif self.nodes[r].kind == "output":
-                    raise ContractError(f"node {node.id} reads the output node")
-            if node.kind == "input":
-                if len(node.inputs) != 1 or not raw:
-                    raise ContractError(f"input node {node.id} must read exactly one raw spin")
-
-    def _validate_output_and_weights(self):
-        outputs = [v for v in self.nodes.values() if v.kind == "output"]
+        outputs = [v.id for v in self.nodes.values() if v.kind == "output"]
         if len(outputs) != 1:
             raise ContractError(f"graph needs exactly one output node, found {len(outputs)}")
-        self.output_id = outputs[0].id
-        carries = self._carries_spin_dependence()
-        for node in self.nodes.values():
-            if node.kind != "output":
-                if node.bias.imag != 0.0 or any(w.imag != 0.0 for _, w in node.inputs):
-                    raise ContractError(f"node {node.id}: complex parameters are only allowed at the output")
-            else:
-                for ref, w in node.inputs:
-                    if w.imag != 0.0 and (_is_raw(ref) or carries[ref]):
-                        raise ContractError(
-                            "complex output weights are only allowed on edges without direct spin dependence"
-                        )
+        self.output_id = outputs[0]
+        self.order = _kahn_sort(self.nodes, self.n)
 
-    def _carries_spin_dependence(self) -> dict[int, bool]:
+        live = {self.output_id}
+        for nid in reversed(self.order):  # every reader of nid comes later
+            if nid in live:
+                live.update(r for r, _ in self.nodes[nid].inputs if not _is_raw(r))
+        self.dead = frozenset(self.nodes) - live
+        self.live_order = [i for i in self.order if i in live]
+
+        # direct spin dependence, and for live nodes the realness of the value
+        # and of the pre-activation (i*relu of real inputs: complex, real)
         carries: dict[int, bool] = {}
+        self._value_real, self._acc_real, self.k = {}, {}, 0
         for nid in self.order:
             node = self.nodes[nid]
-            if node.kind == "nonlinear":
-                carries[nid] = False  # treated as an opaque atom downstream
-            else:
-                flag = False
-                for ref, _ in node.inputs:
-                    flag = flag or (_is_raw(ref) or carries[ref])
-                carries[nid] = flag
-        return carries
-
-    def _flag_reachability(self):
-        preds: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for node in self.nodes.values():
-            for ref, _ in node.inputs:
-                if not _is_raw(ref):
-                    preds[node.id].append(ref)
-        co = set()
-        stack = [self.output_id]
-        while stack:
-            nid = stack.pop()
-            if nid in co:
+            nonlinear = node.kind == "nonlinear"
+            coeffs_real = node.bias.imag == 0.0 and all(w.imag == 0.0 for _, w in node.inputs)
+            if node.kind != "output" and not coeffs_real:
+                raise ContractError(f"node {nid}: complex parameters are only allowed at the output")
+            if node.kind == "output" and any(w.imag != 0.0 and (_is_raw(r) or carries[r]) for r, w in node.inputs):
+                raise ContractError("complex output weights are only allowed on edges without direct spin dependence")
+            carries[nid] = not nonlinear and any(_is_raw(r) or carries[r] for r, _ in node.inputs)
+            if nid not in live:
                 continue
-            co.add(nid)
-            stack.extend(preds[nid])
-        self.dead = frozenset(self.nodes) - co
-
-    # -- structure helpers ---------------------------------------------------
-
-    def pruned(self) -> "ComputationGraph":
-        """Copy without dead nodes; evaluates identically on every config."""
-        return ComputationGraph([v for k, v in self.nodes.items() if k not in self.dead], self.n)
+            acc_real = coeffs_real and all(_is_raw(r) or self._value_real[r] for r, _ in node.inputs)
+            self._acc_real[nid] = acc_real
+            self._value_real[nid] = acc_real and (not nonlinear or node.activation.mode == "real")
+            if nonlinear:
+                self.k += 1
+                if not acc_real and not node.activation.holomorphic:
+                    raise ContractError(
+                        f"node {nid}: activation {node.activation.kind} cannot take a complex pre-activation"
+                    )
+        self._tapes: dict[bool, _Tape] = {}
 
     @property
     def output_node(self) -> Node:
         return self.nodes[self.output_id]
 
     # -- evaluation -----------------------------------------------------------
-
-    def _node_real_flags(self) -> tuple[dict[int, bool], dict[int, bool]]:
-        """Per-node realness of the value and of the affine accumulator.
-
-        A nonlinear node with a complex mode has a complex value but may
-        still take a real pre-activation (e.g. i*relu of real inputs), so
-        the two flags differ.
-        """
-        value_real: dict[int, bool] = {}
-        acc_real: dict[int, bool] = {}
-        for nid in self.live_order:
-            node = self.nodes[nid]
-            preds_real = all(_is_raw(r) or value_real[r] for r, _ in node.inputs)
-            coeffs_real = node.bias.imag == 0.0 and all(w.imag == 0.0 for _, w in node.inputs)
-            acc_real[nid] = preds_real and coeffs_real
-            if node.kind == "nonlinear":
-                value_real[nid] = acc_real[nid] and node.activation.mode == "real"
-            else:
-                value_real[nid] = acc_real[nid]
-        return value_real, acc_real
 
     def _tape(self, complex_ports: bool) -> "_Tape":
         """The compiled tape for real or complex port values, built on first use."""
@@ -286,6 +233,7 @@ class ComputationGraph:
         Port values are +/-1 spins for ordinary graphs and feature values for
         residual graphs produced by feature reduction. ``bits``, when given,
         holds each column's configuration, which an overflow error reports.
+        A non-finite amplitude raises ``AmplitudeOverflowError`` too.
         """
         ports = np.atleast_2d(np.asarray(ports))
         if ports.shape[0] != self.n:
@@ -298,7 +246,11 @@ class ComputationGraph:
         for start in range(0, B, width):
             stop = min(start + width, B)
             try:
-                out[start:stop] = tape.run(ports[:, start:stop], buffers)
+                amps = tape.run(ports[:, start:stop], buffers)
+                if not np.isfinite(amps).all():
+                    column = int(np.argmin(np.isfinite(amps)))
+                    raise AmplitudeOverflowError(f"non-finite amplitude {amps[column]}", bits=column)
+                out[start:stop] = amps
             except AmplitudeOverflowError as exc:
                 raise _relabel_overflow(exc, start, bits) from None
         return out
@@ -440,14 +392,25 @@ class _Tape:
         return tables[t][r]
 
 
-def _kahn_sort(nodes: dict[int, Node]) -> list[int]:
-    indeg = {nid: 0 for nid in nodes}
+def _kahn_sort(nodes: dict[int, Node], n: int) -> list[int]:
+    """Topological order, smallest ready id first; checks each reference
+    while it builds the successor lists."""
+    indeg = dict.fromkeys(nodes, 0)
     succ: dict[int, list[int]] = {nid: [] for nid in nodes}
     for node in nodes.values():
         for ref, _ in node.inputs:
-            if not _is_raw(ref):
-                succ[ref].append(node.id)
-                indeg[node.id] += 1
+            if _is_raw(ref):
+                if not 0 <= ref[1] < n:
+                    raise ContractError(f"node {node.id} reads spin {ref[1]} outside 0..{n - 1}")
+                continue
+            if ref not in nodes:
+                raise ContractError(f"node {node.id} references missing node {ref}")
+            if nodes[ref].kind == "output":
+                raise ContractError(f"node {node.id} reads the output node")
+            succ[ref].append(node.id)
+            indeg[node.id] += 1
+        if node.kind == "input" and (len(node.inputs) != 1 or indeg[node.id]):
+            raise ContractError(f"input node {node.id} must read exactly one raw spin")
     heap = [nid for nid, d in indeg.items() if d == 0]
     heapq.heapify(heap)
     order = []
@@ -459,7 +422,7 @@ def _kahn_sort(nodes: dict[int, Node]) -> list[int]:
             if indeg[nxt] == 0:
                 heapq.heappush(heap, nxt)
     if len(order) < len(nodes):
-        raise CycleError(_find_cycle(nodes, {nid for nid in nodes if nid not in set(order)}))
+        raise CycleError(_find_cycle(nodes, set(nodes).difference(order)))
     return order
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_n
-from .errors import ContractError, DegenerateStateError
+from .errors import ContractError, DegenerateStateError, NumericError
 from .graph import ComputationGraph, ReducedForm, _run_chunks
 
 # the norm is reduced over blocks of this many amplitudes, in order
@@ -45,11 +45,18 @@ class Statevector:
 
 
 def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
-    """Divide a complex128 amplitude array by its 2-norm in place."""
+    """Divide a complex128 amplitude array by its 2-norm in place; a NaN or
+    infinite amplitude raises ``NumericError`` naming its index."""
     chunks = [amplitudes[start : start + NORM_CHUNK] for start in range(0, amplitudes.shape[0], NORM_CHUNK)]
     # individual amplitudes can sit near the float ceiling (or floor), so the
     # squared norm is accumulated in units of the largest magnitude
-    scale = max(float(np.abs(piece).max()) for piece in chunks)
+    maxima = [float(np.abs(piece).max()) for piece in chunks]
+    for j, piece in enumerate(chunks):
+        # a NaN or inf maximum; |z| of finite z may also overflow to inf
+        if not np.isfinite(maxima[j]) and not np.isfinite(piece).all():
+            bad = j * NORM_CHUNK + int(np.argmin(np.isfinite(piece)))
+            raise NumericError(f"amplitude {bad} is {amplitudes[bad]}; a state needs finite amplitudes")
+    scale = max(maxima)
     if scale == 0.0:
         raise DegenerateStateError("all amplitudes vanish; state cannot be normalized")
     norm_sq_scaled = 0.0

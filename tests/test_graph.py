@@ -212,7 +212,7 @@ def test_dead_node_elimination_preserves_eval():
     g = ComputationGraph(nodes, n=2)
     assert g.dead == {1, 2}
     assert g.k == 1  # live nonlinear count
-    pruned = g.pruned()
+    pruned = ComputationGraph([v for nid, v in g.nodes.items() if nid not in g.dead], g.n)
     bits = np.arange(4)
     assert np.array_equal(g.eval_bits(bits), pruned.eval_bits(bits))
 
@@ -246,9 +246,74 @@ def test_json_raw_spin_reference_format():
     assert from_json(doc).n == 1
 
 
+TANH, RELU, I_TANH = Activation("tanh"), Activation("relu"), Activation("tanh", "imag")
+
+# rule -> (the nodes that break it, ids 5 and 6, the output reading node 5
+# when live, the error type, its message)
+_RULES = {
+    "missing reference": ([Node(5, "linear", ((7, 1.0),))], ContractError, "node 5 references missing node 7"),
+    "spin out of range": ([Node(5, "linear", ((("s", 2), 1.0),))], ContractError, "node 5 reads spin 2 outside 0..1"),
+    "reads the output": ([Node(5, "linear", ((9, 1.0),))], ContractError, "node 5 reads the output node"),
+    "input reads two spins": (
+        [Node(5, "input", ((("s", 0), 1.0), (("s", 1), 1.0)))],
+        ContractError,
+        "input node 5 must read exactly one raw spin",
+    ),
+    "input reads a node": (
+        [Node(5, "input", ((1, 1.0),))],
+        ContractError,
+        "input node 5 must read exactly one raw spin",
+    ),
+    "complex parameter": (
+        [Node(5, "linear", ((0, 1.0),), bias=0.5j)],
+        ContractError,
+        "node 5: complex parameters are only allowed at the output",
+    ),
+    "cycle": (
+        [Node(5, "linear", ((6, 1.0),)), Node(6, "linear", ((5, 1.0),))],
+        CycleError,
+        "graph contains a directed cycle: 5 -> 6 -> 5",
+    ),
+    "non-holomorphic on complex": (
+        [Node(6, "nonlinear", ((0, 1.0),), activation=I_TANH), Node(5, "nonlinear", ((6, 1.0),), activation=RELU)],
+        ContractError,
+        "node 5: activation relu cannot take a complex pre-activation",
+    ),
+}
+
+
+def graph_with(extra: list, live: bool, out_weight: complex = 1.0) -> ComputationGraph:
+    """tanh(s_0) into the output, plus ``extra`` nodes; the output reads
+    node 5 when ``live``."""
+    out = ((1, 1.0), (5, out_weight)) if live else ((1, 1.0),)
+    nodes = [
+        Node(0, "input", ((("s", 0), 1.0),)),
+        Node(1, "nonlinear", ((0, 1.0),), activation=TANH),
+        *extra,
+        Node(9, "output", out, output_mode="amplitude"),
+    ]
+    return ComputationGraph(nodes, n=2)
+
+
+@pytest.mark.parametrize("live", [True, False], ids=["live", "dead"])
+@pytest.mark.parametrize("rule", list(_RULES))
+def test_construction_rule_on_live_and_dead_nodes(rule, live):
+    extra, error, message = _RULES[rule]
+    if rule == "non-holomorphic on complex" and not live:
+        # the rule reads realness, which only live nodes get: a dead relu
+        # on i*tanh is accepted
+        g = graph_with(extra, live)
+        assert g.dead == {5, 6} and g.k == 1
+        return
+    with pytest.raises(error) as err:
+        graph_with(extra, live)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_complex_weight_restrictions():
     tanh = Activation("tanh")
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^node 0: complex parameters are only allowed at the output$"):
         # complex weight on a non-output node
         ComputationGraph(
             [
@@ -257,11 +322,19 @@ def test_complex_weight_restrictions():
             ],
             n=1,
         )
-    with pytest.raises(ContractError):
+    spin_edge = "^complex output weights are only allowed on edges without direct spin dependence$"
+    with pytest.raises(ContractError, match=spin_edge):
         # complex output weight on an edge with direct spin dependence
         ComputationGraph(
             [Node(0, "output", ((("s", 0), 1.0j),), output_mode="amplitude")], n=1
         )
+    with pytest.raises(ContractError, match=spin_edge):
+        # ... or on a linear node that reads a spin; an output edge makes its
+        # source live, so this rule has no dead case
+        graph_with([Node(5, "linear", ((0, 1.0), (("s", 1), 1.0)))], live=True, out_weight=1j)
+    # a nonlinear output passes no direct spin dependence on, also through a linear node
+    atom_fed = [Node(6, "nonlinear", ((0, 1.0),), activation=TANH), Node(5, "linear", ((6, 2.0),))]
+    assert graph_with(atom_fed, live=True, out_weight=1j).k == 2
     # complex output weight on a nonlinear-fed edge is fine
     g = ComputationGraph(
         [
@@ -274,9 +347,9 @@ def test_complex_weight_restrictions():
 
 
 def test_output_uniqueness_enforced():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^graph needs exactly one output node, found 0$"):
         ComputationGraph([Node(0, "linear", ((("s", 0), 1.0),))], n=1)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^graph needs exactly one output node, found 2$"):
         ComputationGraph(
             [
                 Node(0, "output", ((("s", 0), 1.0),), output_mode="amplitude"),
@@ -414,6 +487,8 @@ def reference_eval(g: ComputationGraph, ports: np.ndarray) -> np.ndarray:
                 raise AmplitudeOverflowError("exp argument too large")
             acc = np.exp(acc)
         values[nid] = acc
+    if not np.isfinite(values[g.output_id]).all():
+        raise AmplitudeOverflowError("non-finite amplitude")
     return np.asarray(values[g.output_id], dtype=np.complex128)
 
 

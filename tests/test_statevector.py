@@ -9,8 +9,9 @@ from conftest import haar_state, random_evaluable_dag
 from nqsent.ansatz import CosnetSpec, DickeSpec, MlpSpec, SnnqsSpec, build_cosnet, build_dicke, build_mlp, build_snnqs
 from nqsent.approx import auxiliary_state, cheb_fit_multi
 from nqsent.core import RngStream, feature_supnorm
-from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError
-from nqsent.graph import feature_reduce
+from nqsent.activations import Activation
+from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError, NumericError
+from nqsent.graph import ComputationGraph, Node, feature_reduce
 from nqsent.statevector import (
     Statevector,
     from_amplitudes,
@@ -43,9 +44,6 @@ def test_linear_activation_state_factorizes():
 
 def test_degenerate_state_error():
     # zero polynomial makes every amplitude vanish
-    from nqsent.activations import Activation
-    from nqsent.graph import ComputationGraph, Node
-
     zero = Activation("poly", coeffs=(0.0,))
     g = ComputationGraph(
         [
@@ -191,6 +189,54 @@ def test_load_nqsv_above_norm_overflow(tmp_path):
     body = np.array([1e200, 1e200, 0.0, 0.0], dtype="<c16").tobytes()
     path.write_bytes(b"NQSV" + struct.pack("<III", 1, 2, 0) + body)
     _assert_huge_pair_normalized(load_nqsv(path))
+
+
+def test_non_finite_amplitudes_are_not_a_degenerate_state(tmp_path):
+    for raw, bad in (([1.0, np.nan, 0.0, 0.0], 1), ([np.inf, 1.0, 0.0, 0.0], 0)):
+        with pytest.raises(NumericError, match=f"amplitude {bad} is") as err:
+            from_amplitudes(raw)
+        assert not isinstance(err.value, DegenerateStateError)
+        path = tmp_path / "bad.nqsv"
+        path.write_bytes(b"NQSV" + struct.pack("<III", 1, 2, 0) + np.array(raw, dtype="<c16").tobytes())
+        with pytest.raises(NumericError, match=f"amplitude {bad} is"):
+            load_nqsv(path)
+    # a NaN past the first norm block, behind larger finite amplitudes
+    raw = np.ones(1 << 17, dtype=np.complex128)
+    raw[0] = 5.0
+    raw[(1 << 16) + 3] = complex(1.0, np.nan)
+    with pytest.raises(NumericError, match=f"amplitude {(1 << 16) + 3} is"):
+        from_amplitudes(raw)
+
+
+def cosh_graph(spin_weights) -> ComputationGraph:
+    """cos(i * w.s): cosh(800) overflows to inf + nan j."""
+    return ComputationGraph(
+        [
+            Node(0, "nonlinear", spin_weights, activation=Activation("identity", "imag")),
+            Node(1, "nonlinear", ((0, 1.0),), activation=Activation("cos")),
+            Node(2, "output", ((1, 1.0),), output_mode="amplitude"),
+        ],
+        n=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "spin_weights, bits, first_bad",
+    [
+        ([(("s", 0), 800.0)], [2, 3, 1], 2),  # every configuration
+        ([(("s", 0), 400.0), (("s", 1), 400.0)], [1, 2, 3, 0], 3),  # equal spins only
+    ],
+)
+def test_non_finite_graph_amplitude_names_configuration(spin_weights, bits, first_bad):
+    g = cosh_graph(spin_weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AmplitudeOverflowError) as err:
+            g.eval_bits(np.array(bits))
+        assert err.value.bits == first_bad
+        assert f"bits={first_bad:#x}" in str(err.value)
+        with pytest.raises(AmplitudeOverflowError) as err:
+            materialize(g)
+        assert err.value.bits == 0
 
 
 def test_random_graph_states_normalized():
