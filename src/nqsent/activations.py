@@ -209,10 +209,6 @@ class Activation:
         return out
 
 
-def apply(a: Activation, x):
-    return a.apply(x)
-
-
 # ---------------------------------------------------------------------------
 # string encoding used by the graph JSON format
 #

@@ -6,10 +6,10 @@ one-variable fit is its mu=1 case. Coefficients come from Chebyshev-Gauss
 quadrature at 4(d+1) nodes per axis (2(d+1) for three or more variables),
 which reproduces the truncated Chebyshev series up to negligible aliasing.
 Certified error bounds use the ellipse parameter a and sup bound C of the
-approximated function, with the formula chosen by ``Certificate.error_bound``:
+approximated function, shared by all mu variables, in one formula
+(``bernstein_bound``; its mu=1 case is the one-variable Bernstein bound):
 
-    1 variable :  2 C rho^-d / (rho - 1),            rho = e^a
-    k variables:  C k rho^-1 (2 rho / (rho-1))^k rho^-d   (shared a)
+    2 C rho^-d / (rho - 1) * mu (2 rho / (rho - 1))^(mu - 1),    rho = e^a
 
 One blocked evaluator, ``ChebyshevApprox.evaluate_unit``, serves
 ``evaluate``, the fit's check grid and auxiliary states. It takes the points
@@ -188,15 +188,11 @@ def _tensor_grid(x: np.ndarray, mu: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh])
 
 
-def bernstein_bound_1d(a: float, C: float, d: int) -> float:
+def bernstein_bound(a: float, C: float, d: int, mu: int) -> float:
+    """Degree-d Chebyshev error of a function of mu variables bounded by C on
+    the Bernstein ellipse of parameter a in each variable."""
     rho = math.exp(a)
-    return 2.0 * C * rho ** (-d) / (rho - 1.0)
-
-
-def bernstein_bound_multi(a: float, C: float, d: int, mu: int) -> float:
-    rho = math.exp(a)
-    prefactor = C * mu / rho * (2.0 * rho / (rho - 1.0)) ** mu
-    return prefactor * rho ** (-d)
+    return 2.0 * C * rho ** (-d) / (rho - 1.0) * mu * (2.0 * rho / (rho - 1.0)) ** (mu - 1)
 
 
 @dataclass
@@ -208,9 +204,7 @@ class Certificate:
     def error_bound(self, d: int, mu: int) -> float:
         if self.exact_degree is not None:
             return 0.0 if d >= self.exact_degree else math.inf
-        if mu == 1:
-            return bernstein_bound_1d(self.a, self.C, d)
-        return bernstein_bound_multi(self.a, self.C, d, mu)
+        return bernstein_bound(self.a, self.C, d, mu)
 
 
 def cheb_fit_1d(f, t_bar: float, d: int, analytic: tuple[float, float] | None = None) -> ChebyshevApprox:
@@ -248,17 +242,12 @@ def cheb_fit_multi(
     if not np.all(np.isfinite(vals)):
         raise NumericError("function not finite on the quadrature grid")
     cos = _cos_matrix(d, K)
+    cos[0] = 0.5  # the half weight of c_0, exact as a power of two
     coeffs = vals
     for _ in range(mu):
         # contract the leading axis and rotate it to the back
         coeffs = np.tensordot(cos, coeffs, axes=([1], [0]))
         coeffs = np.moveaxis(coeffs, 0, -1) * (2.0 / K)
-    scale = np.ones(d + 1)
-    scale[0] = 0.5
-    for ax in range(mu):
-        shape = [1] * mu
-        shape[ax] = d + 1
-        coeffs = coeffs * scale.reshape(shape)
     approx = ChebyshevApprox(coeffs, t_bars, d, None, 0.0)
 
     per_axis = max(2, int(math.ceil(DENSE_GRID_POINTS ** (1.0 / mu))))
@@ -329,27 +318,6 @@ def degree_for_n_multi(n: int, rho_star: float, C: float, mu: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def polynomial_degree_vector(r: ReducedForm) -> np.ndarray | None:
-    """Per-variable degree of G when the reduced evaluator is a polynomial."""
-    res = r.residual
-    if res.output_node.output_mode != "amplitude":
-        return None
-    deg: dict[int, np.ndarray] = {}
-    for nid in res.live_order:
-        node = res.nodes[nid]
-        acc = np.zeros(r.mu, dtype=np.int64)
-        for ref, _ in node.inputs:
-            vec = np.eye(r.mu, dtype=np.int64)[ref[1]] if _is_raw(ref) else deg[ref]
-            acc = np.maximum(acc, vec)
-        if node.kind == "nonlinear":
-            h = node.activation.degree
-            if h is None:
-                return None
-            acc = acc * h
-        deg[nid] = acc
-    return deg[res.output_id]
-
-
 def _boundary_grid(a: float, mu: int, total: int = DENSE_GRID_POINTS) -> np.ndarray:
     per_axis = max(8, int(round(total ** (1.0 / mu))))
     theta = 2.0 * math.pi * (np.arange(per_axis) + 0.5) / per_axis
@@ -360,25 +328,34 @@ def _boundary_grid(a: float, mu: int, total: int = DENSE_GRID_POINTS) -> np.ndar
 def reduced_certificate(r: ReducedForm) -> Certificate | None:
     """Analyticity certificate for the reduced evaluator, when obtainable.
 
-    Every residual nonlinearity must be holomorphic, since the sup bound is
-    sampled on complex points. Exact polynomial evaluators certify with zero
-    error. Pole-limited kinds (tanh) are only certified when their
-    pre-activations read the feature ports directly, in which case the
-    shared ellipse keeps the affine image away from the nearest singularity
-    with a 10% margin. The sup bound C is a boundary-sampling estimate
-    inflated by 10%.
+    One walk over the residual's live nodes checks that every nonlinearity
+    is holomorphic (the sup bound is sampled on complex points), caps the
+    ellipse for pole-limited kinds (tanh), which must read the feature ports
+    directly, so that the affine image keeps a 10% margin from the nearest
+    singularity, and carries each node's highest degree in any one feature,
+    None once a part is not polynomial. An exact polynomial certifies with
+    zero error. Otherwise the candidates are the capped parameter for a
+    pole-limited G and ``_A_GRID`` for an entire one; the search stops at
+    the first whose boundary evaluation raises ``NumericError`` or has a
+    non-finite sup, and keeps the best score log C - a ``_A_SCORE_DEGREE``
+    before it. The sup bound C is a boundary-sampling estimate inflated by 10%.
     """
     if r.mu == 0:
         return None
     t_bars = np.array([feature_supnorm(f) for f in r.features])
+    res = r.residual
     sinh_cap = None
-    for nid in r.residual.live_order:
-        node = r.residual.nodes[nid]
+    degree: dict[int, int | None] = {}
+    for nid in res.live_order:
+        node = res.nodes[nid]
+        reads = [1 if _is_raw(ref) else degree[ref] for ref, _ in node.inputs]
+        degree[nid] = None if None in reads else max(reads, default=0)
         if node.kind != "nonlinear":
             continue
         act = node.activation
         if not act.holomorphic:
             return None
+        degree[nid] = None if degree[nid] is None or act.degree is None else degree[nid] * act.degree
         if act.pole_distance is None:
             continue
         if any(not _is_raw(ref) for ref, _ in node.inputs):
@@ -387,37 +364,23 @@ def reduced_certificate(r: ReducedForm) -> Certificate | None:
         if reach > 0.0:
             cap = 0.9 * act.pole_distance / reach
             sinh_cap = cap if sinh_cap is None else min(sinh_cap, cap)
-    degvec = polynomial_degree_vector(r)
-    if degvec is not None:
-        return Certificate(a=None, C=None, exact_degree=int(degvec.max()))
+    if res.output_node.output_mode == "amplitude" and degree[res.output_id] is not None:
+        return Certificate(a=None, C=None, exact_degree=degree[res.output_id])
     if r.mu > MULTIVAR_CAP:
         return None
 
-    def sup_on(a_try: float) -> float:
-        pts = _boundary_grid(a_try, r.mu) * t_bars[:, None]
-        vals = r.residual.eval_ports(pts)
-        return float(np.max(np.abs(vals)))
-
-    try:
-        if sinh_cap is not None:
-            a = math.asinh(sinh_cap)
-            return Certificate(a=a, C=sup_on(a) * _SUP_INFLATION, exact_degree=None)
-        best = None
-        for a_try in _A_GRID:
-            try:
-                sup = sup_on(a_try)
-            except (OverflowError, NumericError):
-                break
-            if not math.isfinite(sup):
-                break
-            score = math.log(max(sup, 1e-300)) - a_try * _A_SCORE_DEGREE
-            if best is None or score < best[0]:
-                best = (score, a_try, sup * _SUP_INFLATION)
-        if best is None:
-            return None
-        return Certificate(a=best[1], C=best[2], exact_degree=None)
-    except NumericError:
-        return None
+    best = None
+    for a in [math.asinh(sinh_cap)] if sinh_cap is not None else _A_GRID:
+        try:
+            sup = float(np.max(np.abs(res.eval_ports(_boundary_grid(a, r.mu) * t_bars[:, None]))))
+        except NumericError:
+            break
+        if not math.isfinite(sup):
+            break
+        score = math.log(max(sup, 1e-300)) - a * _A_SCORE_DEGREE
+        if best is None or score < best[0]:
+            best = (score, Certificate(a=a, C=sup * _SUP_INFLATION, exact_degree=None))
+    return best[1] if best else None
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +459,13 @@ def full_bound_report(
 
     eps_raw = cert.error_bound(d, r.mu) if cert is not None else None
     certified = eps_raw is not None and math.isfinite(eps_raw)
+    rank = rank_bound(d, r.mu)
     if certified:
         eps_poly = eps_raw / psi.norm_was
         delta_bound = 2.0 * math.sqrt(eps_poly) * 2.0 ** (g.n / 4.0)
         trace_bound = min(1.0, delta_bound)
         slack = fa_slack_from_bound(trace_bound, region.size)
-        final = math.log(rank_bound(d, r.mu)) + slack
+        final = math.log(rank) + slack
     else:
         eps_raw = eps_poly = delta_bound = trace_bound = slack = final = None
 
@@ -510,8 +474,8 @@ def full_bound_report(
         k=r.k,
         mu=r.mu,
         d=d,
-        rank_bound=rank_bound(d, r.mu),
-        entropy_bound_aux=math.log(rank_bound(d, r.mu)),
+        rank_bound=rank,
+        entropy_bound_aux=math.log(rank),
         eps_poly=eps_poly,
         delta_norm_bound=delta_bound,
         trace_bound=trace_bound,

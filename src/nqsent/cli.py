@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic
 from .approx import full_bound_report
-from .core import Subregion, feature_supnorm
+from .core import Subregion, feature_supnorm, resolve_spin_cap
 from .errors import NqsError
 from .experiments import (
     ExperimentConfig,
@@ -108,7 +108,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_statevector(args) -> int:
     g = load_graph(args.graph)
-    psi = materialize(g, threads=args.threads, max_n=args.max_n)
+    psi = materialize(g, threads=args.threads)
     save_nqsv(psi, args.out)
     _echo_config(args)
     _emit({"schema_version": 1, "n": psi.n, "norm_was": psi.norm_was, "out": args.out})
@@ -210,7 +210,7 @@ def build_parser() -> _Parser:
         help="worker threads for statevector evaluation (results do not depend on this)",
     )
     parser.add_argument("--log-base", choices=["e", "2"], default="e", dest="log_base")
-    parser.add_argument("--max-n", type=int, default=None, dest="max_n", help="raise the spin cap (hard max 26)")
+    parser.add_argument("--max-n", type=int, default=None, dest="max_n", help="spin cap for every subcommand (max 26)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a graph JSON file")
@@ -268,7 +268,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(json.dumps({"schema_version": 1, "error": {"type": "usage", "message": str(exc)}}) + "\n")
         return 1
+    env_cap = os.environ.get("NQS_MAX_N")
     try:
+        if args.max_n is not None:
+            # the cap holds for the whole command, like NQS_MAX_N
+            os.environ["NQS_MAX_N"] = str(resolve_spin_cap(args.max_n))
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(json.dumps({"schema_version": 1, "error": {"type": "usage", "message": str(exc)}}) + "\n")
@@ -282,6 +286,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"schema_version": 1, "error": {"type": "io", "message": str(exc)}}) + "\n")
         return 1
+    finally:
+        if env_cap is None:
+            os.environ.pop("NQS_MAX_N", None)
+        else:
+            os.environ["NQS_MAX_N"] = env_cap
 
 
 if __name__ == "__main__":

@@ -227,13 +227,14 @@ class ComputationGraph:
             tape = self._tapes[complex_ports] = _Tape(self, complex_ports)
         return tape
 
-    def eval_ports(self, ports: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
+    def eval_ports(self, ports: np.ndarray) -> np.ndarray:
         """Forward pass on a batch; ports has shape (n, B) of port values.
 
         Port values are +/-1 spins for ordinary graphs and feature values for
-        residual graphs produced by feature reduction. ``bits``, when given,
-        holds each column's configuration, which an overflow error reports.
-        A non-finite amplitude raises ``AmplitudeOverflowError`` too.
+        residual graphs produced by feature reduction. An overflow raises
+        ``AmplitudeOverflowError`` whose ``bits`` names the batch column
+        (``eval_bits`` turns it into that column's configuration); so does
+        a non-finite amplitude.
         """
         ports = np.atleast_2d(np.asarray(ports))
         if ports.shape[0] != self.n:
@@ -250,34 +251,37 @@ class ComputationGraph:
                 if not np.isfinite(amps).all():
                     column = int(np.argmin(np.isfinite(amps)))
                     raise AmplitudeOverflowError(f"non-finite amplitude {amps[column]}", bits=column)
-                out[start:stop] = amps
             except AmplitudeOverflowError as exc:
-                raise _relabel_overflow(exc, start, bits) from None
+                if exc.bits is not None:
+                    exc.bits += start
+                raise
+            out[start:stop] = amps
         return out
 
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-        """Amplitudes for an array of configuration bits, in thread-independent chunks."""
-        bits = np.asarray(bits, dtype=np.int64)
-
-        def run(start, stop):
-            piece = bits[start:stop]
-            return self.eval_ports(spin_matrix(piece, self.n).T, bits=piece)
-
-        return _run_chunks(run, len(bits), threads, chunk)
+        """Amplitudes for configuration bits, in thread-independent chunks;
+        an overflow's ``bits`` names the configuration."""
+        return _eval_bits_chunked(self, lambda piece: spin_matrix(piece, self.n).T, bits, threads, chunk)
 
 
-def _relabel_overflow(exc: AmplitudeOverflowError, start: int, bits: np.ndarray | None) -> AmplitudeOverflowError:
-    """Point an overflow raised in the sub-block at column ``start`` to its
-    column of the whole batch, and to that column's configuration bits."""
-    if exc.bits is None:
-        return exc
-    column = start + exc.bits
-    if bits is None:
-        return AmplitudeOverflowError(str(exc), bits=column)
-    global_bits = int(bits[column])
-    return AmplitudeOverflowError(
-        f"amplitude overflow at configuration bits={global_bits:#x}: {exc}", bits=global_bits
-    )
+def _eval_bits_chunked(g: ComputationGraph, ports, bits, threads: int, chunk: int) -> np.ndarray:
+    """``g.eval_ports(ports(piece))`` over ``_run_chunks`` pieces of the
+    configuration bits; an overflow's batch column becomes its configuration."""
+    bits = np.asarray(bits, dtype=np.int64)
+
+    def run(start, stop):
+        piece = bits[start:stop]
+        try:
+            return g.eval_ports(ports(piece))
+        except AmplitudeOverflowError as exc:
+            if exc.bits is None:
+                raise
+            config = int(piece[exc.bits])
+            raise AmplitudeOverflowError(
+                f"amplitude overflow at configuration bits={config:#x}: {exc}", bits=config
+            ) from None
+
+    return _run_chunks(run, len(bits), threads, chunk)
 
 
 @dataclass(frozen=True)
@@ -465,17 +469,9 @@ class ReducedForm:
     def mu(self) -> int:
         return len(self.features)
 
-    def feature_matrix(self) -> np.ndarray:
-        """(mu, n) stacked weights; used for vectorized feature evaluation."""
-        if not self.features:
-            return np.zeros((0, self.n))
-        return np.stack([f.weights for f in self.features])
-
     def feature_values(self, bits: np.ndarray) -> np.ndarray:
         """(mu, B) feature values for an array of configuration bits."""
-        if not self.features:
-            return np.zeros((0, len(np.atleast_1d(bits))))
-        W = self.feature_matrix()
+        W = np.reshape([f.weights for f in self.features], (self.mu, self.n))
         b = np.array([f.bias for f in self.features])
         return (spin_matrix(bits, self.n) @ W.T + b).T
 
@@ -484,13 +480,8 @@ class ReducedForm:
         return self.residual.eval_ports(np.asarray(tvals, dtype=np.float64))
 
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.int64)
-
-        def run(start, stop):
-            piece = bits[start:stop]
-            return self.residual.eval_ports(self.feature_values(piece), bits=piece)
-
-        return _run_chunks(run, len(bits), threads, chunk)
+        """Amplitudes G(t(s)) for configuration bits, as ``ComputationGraph.eval_bits``."""
+        return _eval_bits_chunked(self.residual, self.feature_values, bits, threads, chunk)
 
 
 def feature_reduce(g: ComputationGraph) -> ReducedForm:

@@ -70,28 +70,26 @@ def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
     return Statevector(amplitudes, n, norm)
 
 
-def from_amplitudes(raw: np.ndarray, max_n: int | None = None) -> Statevector:
+def from_amplitudes(raw: np.ndarray) -> Statevector:
     """Normalize a copy of a raw amplitude array of length 2^n into a Statevector."""
     raw = np.array(raw, dtype=np.complex128)
-    n = int(raw.shape[0]).bit_length() - 1
-    if raw.shape != (1 << n,):
-        raise ContractError(f"length {raw.shape[0]} is not a power of two")
-    check_n(n, max_n)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ContractError(f"amplitudes of shape {raw.shape}: need a nonempty 1-D array")
+    n = raw.size.bit_length() - 1
+    if raw.size != 1 << n:
+        raise ContractError(f"length {raw.size} is not a power of two")
+    check_n(n)
     return _normalized(raw, n)
 
 
-def materialize(
-    obj: ComputationGraph | ReducedForm,
-    threads: int = 1,
-    max_n: int | None = None,
-) -> Statevector:
+def materialize(obj: ComputationGraph | ReducedForm, threads: int = 1) -> Statevector:
     """Evaluate every amplitude of a graph or reduced form and normalize.
 
     Only ``obj.n`` and ``obj.eval_bits(bits)`` are used; ``eval_bits`` is
     called once per chunk of global configuration bits.
     """
     n = obj.n
-    check_n(n, max_n)
+    check_n(n)
     total = 1 << n
     amplitudes = _run_chunks(
         lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, threads

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nqsent.activations import Activation, apply, format_activation, parse_activation
+from nqsent.activations import Activation, format_activation, parse_activation
 from nqsent.ansatz import SnnqsSpec, build_snnqs
 from nqsent.approx import reduced_certificate
 from nqsent.core import RngStream, feature_supnorm
@@ -13,7 +13,7 @@ from nqsent.graph import feature_reduce
 
 
 def test_tanh_zero():
-    assert apply(Activation("tanh"), 0.0) == 0.0
+    assert Activation("tanh").apply(0.0) == 0.0
 
 
 def test_dicke_delta_on_integers():
@@ -27,16 +27,16 @@ def test_dicke_delta_on_integers():
 
 def test_dicke_delta_pointwise_examples():
     act = Activation("dicke_delta")
-    assert [apply(act, x).real for x in (-2, -1, 0, 1, 2)] == [0, 0, 1, 0, 0]
+    assert [act.apply(x).real for x in (-2, -1, 0, 1, 2)] == [0, 0, 1, 0, 0]
 
 
 def test_sin_mixed_mode():
-    val = apply(Activation("sin", mode="mixed"), math.pi / 2)
+    val = Activation("sin", mode="mixed").apply(math.pi / 2)
     assert val == pytest.approx((1 + 1j) * 1.0, abs=1e-15)
 
 
 def test_imag_mode():
-    assert apply(Activation("tanh", mode="imag"), 0.5) == pytest.approx(1j * math.tanh(0.5))
+    assert Activation("tanh", mode="imag").apply(0.5) == pytest.approx(1j * math.tanh(0.5))
 
 
 def test_pair_mode_exact_combination():
@@ -48,22 +48,22 @@ def test_pair_mode_exact_combination():
 
 def test_gelu_exact_gaussian_cdf():
     act = Activation("gelu")
-    assert apply(act, 0.0) == 0.0
+    assert act.apply(0.0) == 0.0
     # x * Phi(x) at x=1 with the exact normal CDF
-    assert apply(act, 1.0).real == pytest.approx(0.8413447460685429, abs=1e-15)
-    assert apply(act, -10.0).real == pytest.approx(0.0, abs=1e-12)
+    assert act.apply(1.0).real == pytest.approx(0.8413447460685429, abs=1e-15)
+    assert act.apply(-10.0).real == pytest.approx(0.0, abs=1e-12)
 
 
 @given(st.floats(-40, 40), st.floats(0.5, 50))
 def test_softplus_relu_envelope(x, beta):
-    sp = apply(Activation("softplus", beta=beta), x).real
+    sp = Activation("softplus", beta=beta).apply(x).real
     relu = max(x, 0.0)
     assert abs(sp - relu) <= math.log(2.0) / beta + 1e-12
 
 
 def test_poly_eval():
     act = Activation("poly", coeffs=(1.0, 0.0, 2.0))
-    assert apply(act, 3.0).real == pytest.approx(19.0)
+    assert act.apply(3.0).real == pytest.approx(19.0)
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.0), (0.3, -0.5, 0.2), (2.5,), (-1.0, 4.0), (1e-3, -2.0, 0.0, 3.5, -1.25)])
@@ -81,7 +81,7 @@ def test_poly_bitwise_equal_to_polyval(coeffs):
 
 def test_non_finite_rejected():
     with pytest.raises(NumericError):
-        apply(Activation("tanh"), float("nan"))
+        Activation("tanh").apply(float("nan"))
 
 
 def test_complex_input_policy():

@@ -10,8 +10,8 @@ from nqsent.activations import Activation
 from nqsent.ansatz import CosnetSpec, DickeSpec, SnnqsSpec, build_cosnet, build_dicke, build_snnqs
 from nqsent.approx import (
     ChebyshevApprox,
-    bernstein_bound_1d,
     auxiliary_state,
+    bernstein_bound,
     cheb_fit_1d,
     cheb_fit_multi,
     degree_for_n,
@@ -21,7 +21,7 @@ from nqsent.approx import (
     reduced_certificate,
 )
 from nqsent.core import RngStream, Subregion, feature_supnorm
-from nqsent.errors import CapacityError, ContractError, DomainError
+from nqsent.errors import CapacityError, ContractError, DomainError, NumericError
 from nqsent.graph import ComputationGraph, Node, feature_reduce
 from nqsent.statevector import materialize, two_norm_distance
 from nqsent.entanglement import subregion_entropy
@@ -343,7 +343,35 @@ def test_full_report_dominates_measured():
 
 
 def test_bernstein_bound_formula():
-    assert bernstein_bound_1d(math.log(2.0), 3.0, 4) == pytest.approx(2 * 3.0 * 2.0**-4 / (2.0 - 1.0))
+    gen = np.random.default_rng(11)
+    for _ in range(200):
+        a, C, d = gen.uniform(0.05, 3.0), gen.uniform(0.1, 1e6), int(gen.integers(0, 60))
+        rho = math.exp(a)
+        assert bernstein_bound(a, C, d, 1) == 2 * C * rho**-d / (rho - 1)
+        for mu in (2, 3, 4):
+            multi = C * mu / rho * (2.0 * rho / (rho - 1.0)) ** mu * rho ** (-d)
+            assert bernstein_bound(a, C, d, mu) == pytest.approx(multi, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("weight_std, first_failure, a", [(0.5, 1.25, 0.25), (1.0, 0.25, None)])
+def test_certificate_search_stops_at_first_failed_ellipse(weight_std, first_failure, a):
+    # exp of a log-amplitude: the boundary evaluation overflows from one
+    # ellipse parameter on, and the search keeps the best score before it
+    spec = SnnqsSpec(n=10, activation="exp", parameterization="wrap_exp", bias_std=0.5, weight_std=weight_std)
+    r = feature_reduce(build_snnqs(spec, RngStream(3).child(0)))
+    t_bars = np.array([feature_supnorm(f) for f in r.features])[:, None]
+
+    def sup_on(a_try):
+        return float(np.max(np.abs(r.residual.eval_ports(approx._boundary_grid(a_try, r.mu) * t_bars))))
+
+    with pytest.raises(NumericError):
+        sup_on(first_failure)
+    for a_try in approx._A_GRID[: approx._A_GRID.index(first_failure)]:
+        assert math.isfinite(sup_on(a_try))
+    cert = reduced_certificate(r)
+    assert (None if cert is None else cert.a) == a
+    if cert is not None:
+        assert cert.C == sup_on(a) * approx._SUP_INFLATION
 
 
 def _skip_connection_graph(n=8, seed=5):

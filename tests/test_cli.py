@@ -1,11 +1,13 @@
 import json
 import math
+import os
 
 import pytest
 
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
 from nqsent.cli import main
-from nqsent.core import RngStream
+from nqsent import cli
+from nqsent.core import RngStream, resolve_spin_cap
 from nqsent.graph import save_graph, to_json
 from nqsent.statevector import load_nqsv
 
@@ -203,3 +205,28 @@ def test_max_n_cap(tmp_path, capsys):
     assert main(["statevector", "--graph", str(path), "--out", out]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "CapacityError"
+
+
+def test_max_n_holds_for_every_subcommand(dicke4_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NQS_MAX_N", "20")
+    # below the graph's n=4, the flag stops the bound chain's materialize
+    assert main(["--max-n", "3", "bound", "--graph", dicke4_path, "--region", "3", "--degree", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "CapacityError"
+    seen = []
+
+    class Report:
+        def to_json(self):
+            return {}
+
+    def fake_report(*args, **kwargs):
+        seen.append(resolve_spin_cap())
+        return Report()
+
+    monkeypatch.setattr(cli, "full_bound_report", fake_report)
+    assert main(["--max-n", "25", "bound", "--graph", dicke4_path, "--region", "3"]) == 0
+    assert seen == [25]
+    assert os.environ["NQS_MAX_N"] == "20"
+    monkeypatch.delenv("NQS_MAX_N")
+    assert main(["--max-n", "26", "bound", "--graph", dicke4_path, "--region", "3"]) == 0
+    assert seen == [25, 26]
+    assert "NQS_MAX_N" not in os.environ

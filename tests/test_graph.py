@@ -530,14 +530,16 @@ def test_overflow_in_later_sub_block_reports_global_bits():
     ports = np.zeros((1, 3 * width))
     column = 2 * width + 7
     ports[0, column] = 1.0
-    bits = np.arange(3 * width, dtype=np.int64) * 5 + 11
-    with pytest.raises(AmplitudeOverflowError) as err:
-        g.eval_ports(ports, bits=bits)
-    assert err.value.bits == bits[column]
-    assert f"bits={bits[column]:#x}" in str(err.value)
     with pytest.raises(AmplitudeOverflowError) as err:
         g.eval_ports(ports)
     assert err.value.bits == column
+    # as configurations: spin 0 is up only at the odd bits of that column
+    bits = np.arange(3 * width, dtype=np.int64) * 10 + 4
+    bits[column] += 7
+    with pytest.raises(AmplitudeOverflowError) as err:
+        g.eval_bits(bits, chunk=len(bits))
+    assert err.value.bits == bits[column]
+    assert f"bits={bits[column]:#x}" in str(err.value)
 
 
 def test_eval_ports_rejects_wrong_port_count():

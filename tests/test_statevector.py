@@ -66,6 +66,12 @@ def test_overflow_names_configuration():
     assert "bits=" in str(err.value)
 
 
+@pytest.mark.parametrize("raw", [[], [[1, 0], [0, 1]]])
+def test_from_amplitudes_rejects_non_vectors(raw):
+    with pytest.raises(ContractError, match=r"shape \("):
+        from_amplitudes(raw)
+
+
 def test_overlap_and_identity():
     gen = np.random.default_rng(8)
     psi = from_amplitudes(haar_state(6, gen))
