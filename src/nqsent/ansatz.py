@@ -8,12 +8,14 @@ x*y becomes ((x+y)^2 - (x-y)^2)/4 via two square nodes, divisions go
 through ``recip``/``rsqrt`` nodes. The graph's k therefore reports the
 exact count of scalar nonlinear operations, which is larger than the
 nominal neuron count for LayerNorm and attention architectures.
+
+A config block may set exactly the fields of its family's spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .activations import Activation, parse_activation
 from .core import RngStream
@@ -24,6 +26,7 @@ _SQUARE = Activation("poly", coeffs=(0.0, 0.0, 1.0))
 _RSQRT = Activation("rsqrt")
 _RECIP = Activation("recip")
 _LN_EPS = 1e-5
+_FROZEN_CHILD = 0x46
 
 
 def _as_activation(a) -> Activation:
@@ -104,8 +107,6 @@ class MlpSpec:
     sigma_w: float = 1.0  # scaled by 1/sqrt(fan_in) at each layer
     sigma_b: float = 0.2
     layernorm: bool = True
-    heads: str = "ones"  # "ones" (deterministic) or "random"
-    output_mode: str = "amplitude"
 
 
 def _layernorm(bld: _Builder, zs: list[int]) -> list[int]:
@@ -142,20 +143,8 @@ def build_mlp(spec: MlpSpec, rng: RngStream) -> ComputationGraph:
                 for i in range(spec.width)
             ]
 
-    if spec.heads == "ones":
-        weights = [(h, 1.0 + 1.0j) for h in prev_refs]
-        bias = 0.0
-    elif spec.heads == "random":
-        std = spec.sigma_w / math.sqrt(len(prev_refs))
-        wr = gen.normal(0.0, std, size=len(prev_refs))
-        wi = gen.normal(0.0, std, size=len(prev_refs))
-        br = gen.normal(0.0, spec.sigma_b)
-        bi = gen.normal(0.0, spec.sigma_b)
-        weights = [(h, wr[j] + 1.0j * wi[j]) for j, h in enumerate(prev_refs)]
-        bias = br + 1.0j * bi
-    else:
-        raise ContractError(f"unknown heads mode {spec.heads!r}")
-    bld.add("output", weights, bias=bias, output_mode=spec.output_mode)
+    # fixed heads: weight 1+i on every last-layer unit
+    bld.add("output", [(h, 1.0 + 1.0j) for h in prev_refs], output_mode="amplitude")
     return bld.graph()
 
 
@@ -169,14 +158,13 @@ class TransformerSpec:
     n: int
     patch: int = 6
     stride: int = 5
-    embed_dim: int | None = 32  # None keeps the identity embedding x_j = p_j
+    embed_dim: int = 32
     heads: int = 4
     layers: int = 2
     ffn_width: int = 64
     activation: Activation | str = "tanh"
     sigma_w: float = 1.0
     sigma_b: float = 0.2
-    frozen: bool = True  # embedding and attention weights shared across trials
 
     @property
     def tokens(self) -> int:
@@ -190,26 +178,24 @@ def build_transformer(
         raise ContractError(f"patch {spec.patch} larger than n={spec.n}")
     if spec.stride < 1:
         raise ContractError("stride must be >= 1")
-    d = spec.embed_dim if spec.embed_dim is not None else spec.patch
+    d = spec.embed_dim
     if d % spec.heads != 0:
         raise ContractError(f"embed dim {d} not divisible by {spec.heads} heads")
     d_head = d // spec.heads
     M = spec.tokens
     act = _as_activation(spec.activation)
     gen = rng.generator()
-    fgen = (frozen_rng or rng).generator() if spec.frozen else gen
+    # embedding and attention; a second generator of rng would replay gen's draws
+    fgen = (frozen_rng or rng.child(_FROZEN_CHILD)).generator()
 
     bld = _Builder(spec.n)
 
-    # patch tokens, optionally passed through a fixed linear embedding
+    # patch tokens through a fixed linear embedding
     tokens: list[list] = []
     for j in range(M):
         span = [bld.raw(j * spec.stride + p) for p in range(spec.patch)]
-        if spec.embed_dim is None:
-            tokens.append(span)
-        else:
-            WE = fgen.normal(0.0, spec.sigma_w / math.sqrt(spec.patch), size=(spec.patch, d))
-            tokens.append([bld.linear([(span[p], WE[p, c]) for p in range(spec.patch)]) for c in range(d)])
+        WE = fgen.normal(0.0, spec.sigma_w / math.sqrt(spec.patch), size=(spec.patch, d))
+        tokens.append([bld.linear([(span[p], WE[p, c]) for p in range(spec.patch)]) for c in range(d)])
 
     for _ in range(spec.layers):
         head_outputs: list[list[list[int]]] = []
@@ -278,27 +264,19 @@ class CosnetSpec:
     n: int
     k: int = 16  # cosine units per component; the graph carries 2k in total
     sigma_a: float = 10.0
-    sigma_w: float = 1.0
-    # "unit": each weight component ~ N(0, sigma_w^2). This is what actually
-    # drives the ensemble toward the Haar average at k >> n; with the
-    # "inverse_n" convention (components ~ N(0, sigma_w^2/n)) amplitudes stay
-    # correlated across configurations and the entropy saturates far below it.
-    weight_scale: str = "unit"
+    sigma_w: float = 1.0  # unit scale nears Haar at k >> n; "inverse_n" (sigma_w/sqrt(n)) stays far below
 
 
 def build_cosnet(spec: CosnetSpec, rng: RngStream) -> ComputationGraph:
     if spec.k < 1:
         raise ContractError("need at least one cosine unit")
-    if spec.weight_scale not in ("unit", "inverse_n"):
-        raise ContractError(f"unknown weight scale {spec.weight_scale!r}")
     gen = rng.generator()
     bld = _Builder(spec.n)
     cos = Activation("cos")
     out_inputs = []
-    w_std = spec.sigma_w if spec.weight_scale == "unit" else spec.sigma_w / math.sqrt(spec.n)
     for component in range(2):  # real part, then imaginary part
         a = gen.normal(0.0, spec.sigma_a / math.sqrt(spec.k), size=spec.k)
-        W = gen.normal(0.0, w_std, size=(spec.k, spec.n))
+        W = gen.normal(0.0, spec.sigma_w, size=(spec.k, spec.n))
         b = gen.uniform(-math.pi, math.pi, size=spec.k)
         coeff = 1.0 if component == 0 else 1.0j
         for i in range(spec.k):
@@ -331,21 +309,23 @@ def build_dicke(spec: DickeSpec) -> ComputationGraph:
 # config-block dispatch used by the experiment runner and CLI
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {"snnqs", "mlp", "transformer", "cosnet", "dicke"}
+_FAMILIES = {
+    "snnqs": (SnnqsSpec, lambda spec, rng, frozen_rng: build_snnqs(spec, rng)),
+    "mlp": (MlpSpec, lambda spec, rng, frozen_rng: build_mlp(spec, rng)),
+    "transformer": (TransformerSpec, build_transformer),
+    "cosnet": (CosnetSpec, lambda spec, rng, frozen_rng: build_cosnet(spec, rng)),
+    "dicke": (DickeSpec, lambda spec, rng, frozen_rng: build_dicke(spec)),
+}
 
 
 def ansatz_from_config(block: dict, rng: RngStream, frozen_rng: RngStream | None = None) -> ComputationGraph:
-    """Build from a JSON-style block {"family": ..., <overrides>}."""
+    """Build from a block {"family": ..., <spec fields>}; other keys raise ``ContractError``."""
     block = dict(block)
     family = block.pop("family", None)
     if family not in _FAMILIES:
         raise ContractError(f"unknown ansatz family {family!r}")
-    if family == "snnqs":
-        return build_snnqs(SnnqsSpec(**block), rng)
-    if family == "mlp":
-        return build_mlp(MlpSpec(**block), rng)
-    if family == "transformer":
-        return build_transformer(TransformerSpec(**block), rng, frozen_rng=frozen_rng)
-    if family == "cosnet":
-        return build_cosnet(CosnetSpec(**block), rng)
-    return build_dicke(DickeSpec(**block))
+    spec_type, build = _FAMILIES[family]
+    unknown = sorted(set(block) - {f.name for f in fields(spec_type)})
+    if unknown:
+        raise ContractError(f"unknown {family} ansatz key {unknown[0]!r}")
+    return build(spec_type(**block), rng, frozen_rng)

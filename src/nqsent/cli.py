@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,8 +57,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _parse_mask(text: str) -> int:
-    return int(text, 16)
+def _hex_mask(text: str) -> str:
+    int(text, 16)  # checked, but kept as typed for the config echo
+    return text
+
+
+def _degree(text: str) -> int | str:
+    return text if text == "auto" else int(text)
 
 
 def _echo_config(args, extra: dict | None = None) -> None:
@@ -117,17 +123,17 @@ def _cmd_statevector(args) -> int:
 
 def _cmd_entropy(args) -> int:
     psi = load_nqsv(args.state)
-    region = Subregion(_parse_mask(args.region), psi.n)
-    result = subregion_entropy(psi, region).converted(args.log_base)
+    region = Subregion(int(args.region, 16), psi.n)
+    result = subregion_entropy(psi, region)
     _echo_config(args)
     _emit(
         {
             "schema_version": 1,
             "eigenvalues": result.eigenvalues.tolist(),
-            "entropy": result.entropy,
+            "entropy": result.entropy / math.log(2.0) if args.log_base == "2" else result.entropy,
             "schmidt_rank": result.schmidt_rank,
             "tail": result.tail,
-            "log_base": result.log_base,
+            "log_base": args.log_base,
             "region_mask_hex": f"{region.mask:x}",
             "subsystem_size": region.size,
         },
@@ -138,9 +144,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = load_graph(args.graph)
-    region = Subregion(_parse_mask(args.region), g.n)
-    degree = args.degree if args.degree == "auto" else int(args.degree)
-    report = full_bound_report(g, region, degree=degree, threads=args.threads)
+    region = Subregion(int(args.region, 16), g.n)
+    report = full_bound_report(g, region, degree=args.degree, threads=args.threads)
     _echo_config(args)
     _emit(report.to_json(), args.out)
     return 0
@@ -230,14 +235,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("entropy", help="subregion entropy of a statevector dump")
     p.add_argument("--state", required=True)
-    p.add_argument("--region", required=True, help="subregion bit mask in hex")
+    p.add_argument("--region", required=True, type=_hex_mask, help="subregion bit mask in hex")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("bound", help="full entropy-bound report for a graph and subregion")
     p.add_argument("--graph", required=True)
-    p.add_argument("--region", required=True, help="subregion bit mask in hex")
-    p.add_argument("--degree", default="auto", help="polynomial degree per variable, or 'auto'")
+    p.add_argument("--region", required=True, type=_hex_mask, help="subregion bit mask in hex")
+    p.add_argument("--degree", default="auto", type=_degree, help="polynomial degree per variable, or 'auto'")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bound)
 

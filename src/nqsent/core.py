@@ -36,8 +36,8 @@ def resolve_spin_cap(max_n: int | None = None) -> int:
     return cap
 
 
-def check_n(n: int, max_n: int | None = None) -> None:
-    cap = resolve_spin_cap(max_n)
+def check_n(n: int) -> None:
+    cap = resolve_spin_cap()
     if not 1 <= n <= cap:
         raise CapacityError(f"n={n} outside supported range 1..{cap}")
 

@@ -17,7 +17,7 @@ eigensolve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,17 +87,7 @@ class EntropyResult:
     eigenvalues: np.ndarray  # descending, nonnegative, summing to 1
     entropy: float
     schmidt_rank: int
-    log_base: str = "e"
     tail: float = 0.0  # ||M - Q Q^dag M||_F^2 of an accepted sketch, 0.0 for the dense Gram
-
-    def converted(self, base: str) -> "EntropyResult":
-        if base == self.log_base:
-            return self
-        if base == "2":
-            return replace(self, entropy=self.entropy / math.log(2.0), log_base="2")
-        if base == "e":
-            return replace(self, entropy=self.entropy * math.log(2.0), log_base="e")
-        raise DomainError(f"unsupported log base {base!r}")
 
 
 def entropy(bm: BipartitionMatrix) -> EntropyResult:

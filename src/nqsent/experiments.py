@@ -1,7 +1,9 @@
 """Ensemble experiment runner: trial/region averaged subregion entropies.
 
 A config names an ansatz block, one or more system sizes, a region mode and
-trial counts. Runs are deterministic given the seed: every trial draws its
+trial counts; a cosine-network config may add a k grid, and its result then
+carries the Haar (Page) reference. :func:`run_sweep` runs every config.
+Runs are deterministic given the seed: every trial draws its
 parameters from a counter-based substream keyed by (grid point, trial), so
 results are byte-identical across thread counts and across re-runs.
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,6 +61,8 @@ class ExperimentConfig:
             raise ContractError(f"unknown region mode {self.region_mode!r}")
         if self.trials < 1 or self.regions_per_trial < 1:
             raise ContractError("need trials >= 1 and regions_per_trial >= 1")
+        if self.k_grid and self.ansatz.get("family") != "cosnet":
+            raise ContractError("k_grid needs a cosnet ansatz block")
         self.n_grid = [int(v) for v in self.n_grid]
 
     def to_json(self) -> dict:
@@ -70,6 +74,9 @@ class ExperimentConfig:
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
         doc.pop("schema_version", None)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ContractError(f"unknown experiment config key {unknown[0]!r}")
         return cls(**doc)
 
 
@@ -175,7 +182,8 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
                     )
                     log.warning("excluded trial n=%d k=%s trial=%d: %s", n, k_val, trial, exc)
                     continue
-                k_col = int(block["k"]) if cfg.ansatz.get("family") == "cosnet" else graph.k
+                # a cosnet's k counts the units of one component, and both are live
+                k_col = graph.k // 2 if cfg.ansatz.get("family") == "cosnet" else graph.k
                 for size in _default_sizes(cfg, n):
                     for region in _sample_regions(cfg.region_mode, n, size, cfg.regions_per_trial, region_gen):
                         ent = subregion_entropy(psi, region).entropy
@@ -195,22 +203,17 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
                 raise ExperimentError(
                     f"{point_excluded}/{cfg.trials} degenerate trials at n={n}, k={k_val}"
                 )
-    return SweepResult(rows=rows, excluded=excluded)
+    refs = None
+    if cfg.k_grid:
+        refs = {f"n={n},m={s}": page_value(s, n) for n in cfg.n_grid for s in _default_sizes(cfg, n)}
+    return SweepResult(rows=rows, excluded=excluded, page_reference=refs)
 
 
 def run_cosnet_k_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Hidden-unit sweep at fixed subregion size, with the Haar reference attached."""
-    if cfg.ansatz.get("family") != "cosnet":
-        raise ContractError("k sweep requires a cosnet ansatz block")
+    """:func:`run_sweep` of a config that must carry a k grid."""
     if not cfg.k_grid:
         raise ContractError("k sweep requires k_grid")
-    result = run_sweep(cfg, threads=threads)
-    refs = {}
-    for n in cfg.n_grid:
-        for size in _default_sizes(cfg, n):
-            refs[f"n={n},m={size}"] = page_value(size, n)
-    result.page_reference = refs
-    return result
+    return run_sweep(cfg, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +261,7 @@ def _build_presets() -> dict[str, list[ExperimentConfig]]:
     ]
 
     snnqs_phase = {"family": "snnqs", "activation": "i*tanh", "parameterization": "wrap_exp", "bias_std": 0.5}
-    mlp_fig1 = {"family": "mlp", "width": 3, "depth": 2, "activation": "tanh", "layernorm": True, "heads": "ones"}
+    mlp_fig1 = {"family": "mlp", "width": 3, "depth": 2, "activation": "tanh", "layernorm": True}
     tnqs_fig1 = {"family": "transformer", "patch": 6, "stride": 5, "embed_dim": 32, "heads": 4, "layers": 2, "ffn_width": 64}
 
     presets["fig1c"] = [
@@ -270,10 +273,11 @@ def _build_presets() -> dict[str, list[ExperimentConfig]]:
     ]
     presets["fig1d"] = [
         ExperimentConfig(name="fig1d_snnqs", ansatz=snnqs_phase, n_grid=list(range(8, 23, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
-        # MLP and transformer n grids stop short of 22: the LayerNorm and
-        # attention decompositions make large-n sweeps slow
+        # the MLP n grid stops short of 22: the LayerNorm decomposition makes
+        # large-n sweeps slow
         ExperimentConfig(name="fig1d_mlp", ansatz=mlp_fig1, n_grid=list(range(8, 19, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
-        ExperimentConfig(name="fig1d_tnqs", ansatz=tnqs_fig1, n_grid=[8, 10, 12, 14], region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
+        # n = 1 (mod 5): patches of 6 at stride 5 then cover every spin
+        ExperimentConfig(name="fig1d_tnqs", ansatz=tnqs_fig1, n_grid=[6, 11, 16, 21], region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
     ]
 
     cosnet = {"family": "cosnet", "sigma_a": 10.0, "sigma_w": 1.0}
@@ -330,13 +334,12 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
 
 
 def run_configs(configs: list[ExperimentConfig], threads: int = 1) -> SweepResult:
-    """Run each config (k sweep for cosnet configs with a k grid) and merge the results."""
+    """Run each config and merge the results."""
     rows: list[SweepRow] = []
     excluded: list[dict] = []
     page_ref = None
     for cfg in configs:
-        runner = run_cosnet_k_sweep if cfg.k_grid and cfg.ansatz.get("family") == "cosnet" else run_sweep
-        res = runner(cfg, threads=threads)
+        res = run_sweep(cfg, threads=threads)
         rows.extend(res.rows)
         excluded.extend(res.excluded)
         if res.page_reference:

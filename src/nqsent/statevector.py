@@ -127,7 +127,8 @@ def load_nqsv(path) -> Statevector:
         version, n, _ = struct.unpack("<III", header[4:])
         if version != NQSV_VERSION:
             raise ContractError(f"{path}: unsupported dump version {version}")
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.shape != (1 << n,):
-        raise ContractError(f"{path}: truncated dump")
-    return _normalized(data.astype(np.complex128), n)
+        check_n(n)  # before reading a body the cap would refuse
+        body = fh.read(16 << n)
+        if len(body) != 16 << n or fh.read(1):
+            raise ContractError(f"{path}: the header's n={n} needs exactly {16 << n} bytes of amplitudes")
+    return _normalized(np.frombuffer(body, dtype="<c16").astype(np.complex128), n)

@@ -18,7 +18,7 @@ from nqsent.ansatz import (
 )
 from nqsent.core import RngStream, spin_matrix
 from nqsent.errors import ContractError
-from nqsent.graph import feature_reduce
+from nqsent.graph import feature_reduce, to_json
 from nqsent.statevector import materialize
 
 
@@ -47,7 +47,7 @@ def test_snnqs_identity_is_product_graph():
 
 
 def test_mlp_counts_and_reference():
-    spec = MlpSpec(n=6, width=3, depth=2, layernorm=True, heads="ones")
+    spec = MlpSpec(n=6, width=3, depth=2, layernorm=True)
     stream = RngStream(11).child(1)
     g = build_mlp(spec, stream)
     # per layer: width neurons + width squares + rsqrt + 2*width product squares
@@ -85,15 +85,6 @@ def test_mlp_mu_is_first_layer_row_rank():
 def test_mlp_rejects_zero_depth():
     with pytest.raises(ContractError):
         build_mlp(MlpSpec(n=4, width=3, depth=0), RngStream(0).child(0))
-
-
-def test_mlp_random_heads_differ_from_ones():
-    spec_a = MlpSpec(n=5, width=2, depth=1, heads="ones")
-    spec_b = MlpSpec(n=5, width=2, depth=1, heads="random")
-    a = build_mlp(spec_a, RngStream(9).child(0))
-    b = build_mlp(spec_b, RngStream(9).child(0))
-    bits = np.arange(32)
-    assert not np.array_equal(a.eval_bits(bits), b.eval_bits(bits))
 
 
 def test_transformer_token_counts():
@@ -159,6 +150,24 @@ def test_transformer_frozen_parts_shared_across_trials():
     assert not np.array_equal(g1.eval_bits(bits), g2.eval_bits(bits))  # FFN varies
 
 
+def test_transformer_frozen_weights_default_to_a_child_stream():
+    spec = TransformerSpec(n=8, patch=3, stride=2, embed_dim=4, heads=2, layers=1, ffn_width=4)
+    trial = RngStream(6).child(0)
+    g = build_transformer(spec, trial)
+    explicit = build_transformer(spec, trial, frozen_rng=trial.child(0x46))
+    assert to_json(g) == to_json(explicit)
+    # the embedding and the first feed-forward layer are separate draws: no
+    # W1 weight is an embedding weight times the ratio of their scales
+    ratio = (spec.sigma_w / math.sqrt(spec.embed_dim)) / (spec.sigma_w / math.sqrt(spec.patch))
+    nodes = g.nodes.values()
+    embed = [w.real for node in nodes for r, w in node.inputs if isinstance(r, tuple)]
+    tanh = [node for node in nodes if node.activation is not None and node.activation.kind == "tanh"]
+    ffn = [w.real for node in tanh for _, w in node.inputs]
+    assert len(embed) == spec.tokens * spec.patch * spec.embed_dim
+    assert len(ffn) == spec.tokens * spec.ffn_width * spec.embed_dim
+    assert not set(np.round(np.array(embed) * ratio, 12)) & set(np.round(ffn, 12))
+
+
 def test_transformer_single_token_softmax_degenerates():
     spec = TransformerSpec(n=6, patch=6, stride=1, embed_dim=6, heads=1, layers=1, ffn_width=4)
     g = build_transformer(spec, RngStream(3).child(0), frozen_rng=RngStream(3).child(9))
@@ -202,16 +211,6 @@ def test_cosnet_rejects_k0():
         build_cosnet(CosnetSpec(n=4, k=0), RngStream(0).child(0))
 
 
-def test_cosnet_weight_scale_conventions():
-    unit = build_cosnet(CosnetSpec(n=9, k=3, weight_scale="unit"), RngStream(4).child(0))
-    overn = build_cosnet(CosnetSpec(n=9, k=3, weight_scale="inverse_n"), RngStream(4).child(0))
-    w_unit = np.array([w.real for _, w in unit.nodes[0].inputs])
-    w_overn = np.array([w.real for _, w in overn.nodes[0].inputs])
-    assert np.allclose(w_overn * math.sqrt(9), w_unit)
-    with pytest.raises(ContractError):
-        build_cosnet(CosnetSpec(n=4, k=1, weight_scale="bogus"), RngStream(0).child(0))
-
-
 def test_dicke_small_states():
     psi2 = materialize(build_dicke(DickeSpec(2)))
     assert np.allclose(np.abs(psi2.amplitudes), [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
@@ -248,3 +247,18 @@ def test_ansatz_from_config_dispatch():
     assert g.k == 1
     with pytest.raises(ContractError):
         ansatz_from_config({"family": "rbm", "n": 4}, RngStream(0).child(0))
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ({"family": "mlp", "n": 4, "heads": "ones"}, "heads"),
+        ({"family": "mlp", "n": 4, "output_mode": "amplitude"}, "output_mode"),
+        ({"family": "cosnet", "n": 4, "k": 1, "weight_scale": "bogus"}, "weight_scale"),
+        ({"family": "transformer", "n": 6, "frozen": False}, "frozen"),
+        ({"family": "dicke", "n": 4, "k": 2}, "k"),
+    ],
+)
+def test_ansatz_from_config_refuses_unknown_keys(block, key):
+    with pytest.raises(ContractError, match=f"unknown {block['family']} ansatz key '{key}'"):
+        ansatz_from_config(block, RngStream(0).child(0))

@@ -9,7 +9,7 @@ from nqsent.cli import main
 from nqsent import cli
 from nqsent.core import RngStream, resolve_spin_cap
 from nqsent.graph import save_graph, to_json
-from nqsent.statevector import load_nqsv
+from nqsent.statevector import from_amplitudes, load_nqsv, save_nqsv
 
 
 @pytest.fixture
@@ -92,6 +92,31 @@ def test_statevector_entropy_pipeline(dicke4_path, tmp_path, capsys):
     assert doc2["log_base"] == "2"
 
 
+def test_entropy_log_base_2_reports_bits(tmp_path, capsys):
+    path = str(tmp_path / "bell.nqsv")
+    save_nqsv(from_amplitudes([1.0, 0.0, 0.0, 1.0]), path)
+    assert main(["entropy", "--state", path, "--region", "1"]) == 0
+    nats = _last_json(capsys)
+    assert nats["entropy"] == pytest.approx(math.log(2.0)) and nats["log_base"] == "e"
+    assert main(["--log-base", "2", "entropy", "--state", path, "--region", "1"]) == 0
+    bits = _last_json(capsys)
+    assert bits["entropy"] == pytest.approx(1.0) and bits["log_base"] == "2"
+    assert bits["eigenvalues"] == nats["eigenvalues"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["entropy", "--state", "x.nqsv", "--region", "zz"], "--region"),
+        (["bound", "--graph", "g.json", "--region", "3", "--degree", "abc"], "--degree"),
+    ],
+)
+def test_unparsable_arguments_are_usage_errors(argv, flag, capsys):
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "usage" and flag in err["error"]["message"]
+
+
 def test_reduce_command(sin_graph_path, tmp_path, capsys):
     out = str(tmp_path / "reduced.json")
     assert main(["reduce", "--graph", sin_graph_path, "--out", out]) == 0
@@ -162,6 +187,16 @@ def test_run_config_and_determinism(tmp_path, capsys):
     lines = out_a.read_text().splitlines()
     assert lines[0] == "experiment,n,subsystem_size,k,trial,region_mask_hex,seed,entropy_nats"
     assert len(lines) == 1 + 3 * 3 * 2
+
+
+def test_run_config_unknown_key_is_domain_error(tmp_path, capsys):
+    cfg = {"name": "typo", "ansatz": {"family": "dicke"}, "n_grid": [4], "trial": 1}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    message = "unknown experiment config key 'trial'"
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
 
 
 def test_run_seed_leaves_preset_unchanged(tmp_path, capsys, monkeypatch):

@@ -30,15 +30,18 @@ def test_enumerate_count_n24_without_materializing():
     assert np.array_equal(ends, [[-1.0] * 24, [1.0] * 24])
 
 
-def test_enumerate_capacity():
+def test_enumerate_capacity(monkeypatch):
+    monkeypatch.delenv("NQS_MAX_N", raising=False)
     with pytest.raises(CapacityError):
         check_n(25)
     with pytest.raises(CapacityError):
         check_n(0)
-    # override raises the cap
-    check_n(25, max_n=26)
+    # NQS_MAX_N raises the cap
+    monkeypatch.setenv("NQS_MAX_N", "26")
+    check_n(25)
+    monkeypatch.setenv("NQS_MAX_N", "27")
     with pytest.raises(CapacityError):
-        check_n(27, max_n=27)
+        check_n(27)
 
 
 def test_spin_matrix_matches_values():

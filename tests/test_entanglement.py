@@ -310,10 +310,3 @@ def test_fannes_audenaert_inequality_random_pairs(seed):
     T = reduced_trace_distance(a, b, region)
     lhs = abs(subregion_entropy(a, region).entropy - subregion_entropy(b, region).entropy)
     assert lhs <= fannes_audenaert_bound(min(1.0, T), region.size) + 1e-9
-
-
-def test_entropy_base_conversion():
-    res = subregion_entropy(bell_state(), Subregion(0b01, 2))
-    res2 = res.converted("2")
-    assert res2.entropy == pytest.approx(1.0)
-    assert res2.converted("e").entropy == pytest.approx(res.entropy)

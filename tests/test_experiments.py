@@ -4,12 +4,15 @@ import math
 import pytest
 
 from nqsent.analytic import dicke_entropy, page_value
+from nqsent.ansatz import ansatz_from_config
+from nqsent.core import RngStream
 from nqsent.errors import ContractError, ExperimentError
 from nqsent.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     PRESETS,
     preset_configs,
+    run_configs,
     run_cosnet_k_sweep,
     run_sweep,
     write_aggregates,
@@ -138,11 +141,54 @@ def test_cosnet_k_sweep_page_reference():
     ks = sorted({r.k for r in res.rows})
     assert ks == [2, 32]
     assert res.page_reference == {"n=8,m=3": pytest.approx(page_value(3, 8))}
+    # the one runner attaches the reference to any k grid
+    assert run_configs([cfg]).page_reference == res.page_reference
     # Haar average dominates the ensemble means
     for point in res.aggregates():
         assert point["mean"] <= page_value(3, 8) + 1e-9
     with pytest.raises(ContractError):
         run_cosnet_k_sweep(ExperimentConfig(name="x", ansatz={"family": "dicke"}, n_grid=[4], k_grid=[1]))
+
+
+def test_cosnet_without_k_runs_at_the_default_k(tmp_path):
+    cfg = ExperimentConfig(
+        name="cos16", ansatz={"family": "cosnet"}, n_grid=[6], sizes=[3], trials=2, regions_per_trial=2, seed=1
+    )
+    res = run_sweep(cfg)
+    assert {r.k for r in res.rows} == {16}
+    assert res.page_reference is None
+    path = tmp_path / "cos16.csv"
+    write_csv(res, path)
+    assert {line.split(",")[3] for line in path.read_text().splitlines()[1:]} == {"16"}
+
+
+def test_k_grid_needs_a_cosnet_block():
+    with pytest.raises(ContractError, match="k_grid"):
+        _phase_cfg(k_grid=[1, 2])
+    with pytest.raises(ContractError, match="k sweep requires k_grid"):
+        run_cosnet_k_sweep(_phase_cfg(ansatz={"family": "cosnet"}))
+
+
+def test_config_refuses_unknown_keys():
+    doc = _phase_cfg().to_json()
+    assert ExperimentConfig.from_json(doc) == _phase_cfg()
+    with pytest.raises(ContractError, match="unknown experiment config key 'trial'"):
+        ExperimentConfig.from_json(dict(doc, trial=3))
+    with pytest.raises(ContractError, match="unknown snnqs ansatz key 'heads'"):
+        run_sweep(ExperimentConfig.from_json(dict(doc, ansatz=dict(doc["ansatz"], heads="ones"))))
+
+
+def test_presets_read_every_spin():
+    # a spin no live node reads would make every cut through it measure padding
+    for configs in PRESETS.values():
+        for cfg in configs:
+            for n in cfg.n_grid:
+                for k in cfg.k_grid or [None]:
+                    block = dict(cfg.ansatz, n=n) if k is None else dict(cfg.ansatz, n=n, k=k)
+                    stream = RngStream(cfg.seed)
+                    g = ansatz_from_config(block, stream.child(0), frozen_rng=stream.child(1))
+                    read = {r[1] for nid in g.live_order for r, _ in g.nodes[nid].inputs if isinstance(r, tuple)}
+                    assert read == set(range(n)), (cfg.name, n, k)
 
 
 def test_csv_and_aggregate_artifacts(tmp_path):

@@ -177,6 +177,29 @@ def test_dump_roundtrip(tmp_path):
     assert path.read_bytes() == raw
 
 
+def _dump(path, n: int, body: bytes) -> str:
+    path.write_bytes(b"NQSV" + struct.pack("<III", 1, n, 0) + body)
+    return str(path)
+
+
+def test_load_nqsv_checks_the_header_before_the_body(tmp_path, monkeypatch):
+    monkeypatch.delenv("NQS_MAX_N", raising=False)
+    with pytest.raises(CapacityError):
+        load_nqsv(_dump(tmp_path / "n0.nqsv", 0, np.ones(1, dtype="<c16").tobytes()))
+    # 2^30 amplitudes would be 16 GiB: refused without looking for them
+    with pytest.raises(CapacityError):
+        load_nqsv(_dump(tmp_path / "n30.nqsv", 30, b""))
+    monkeypatch.setenv("NQS_MAX_N", "2")
+    with pytest.raises(CapacityError):
+        load_nqsv(_dump(tmp_path / "n3.nqsv", 3, np.ones(8, dtype="<c16").tobytes()))
+
+
+@pytest.mark.parametrize("size", [48, 65, 80])
+def test_load_nqsv_refuses_short_odd_and_trailing_bodies(tmp_path, size):
+    with pytest.raises(ContractError, match="needs exactly 64 bytes"):
+        load_nqsv(_dump(tmp_path / "bad.nqsv", 2, bytes(range(size))))
+
+
 def _assert_huge_pair_normalized(psi):
     assert psi.n == 2
     assert psi.amplitudes == pytest.approx([2**-0.5, 2**-0.5, 0.0, 0.0], rel=1e-15)
