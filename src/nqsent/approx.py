@@ -20,10 +20,11 @@ once, two ufunc calls per row. The coefficient tensor, reshaped to
 (-1, d+1), meets the last variable's table in two real BLAS products, one
 for its real and one for its imaginary part, so no table is ever complex;
 each remaining variable is then folded in by a multiply-and-sum over its
-axis. A one-variable fit builds and contracts its table ``_ROW_GROUP`` rows
-at a time, so its blocks span a whole 2^14-configuration chunk while the
-rows stay in cache: fewer, longer ufunc calls are what let two threads
-share the work.
+axis. Coefficients with no imaginary part (the fit of a real G) skip the
+imaginary product and give float64 values. A one-variable fit builds and
+contracts its table ``_ROW_GROUP`` rows at a time, so its blocks span a
+whole 2^14-configuration chunk while the rows stay in cache: fewer, longer
+ufunc calls are what let two threads share the work.
 
 The bound chain for a state with reduced form G(t_1..t_mu) is: fit error
 eps -> auxiliary-state 2-norm distance 2 sqrt(eps/norm) 2^(n/4) -> reduced
@@ -75,6 +76,12 @@ class ChebyshevApprox:
     def mu(self) -> int:
         return len(self.t_bars)
 
+    @property
+    def real(self) -> bool:
+        """Whether the coefficients have zero imaginary part; ``evaluate``
+        then returns float64."""
+        return not np.any(np.imag(self.coeffs))
+
     def evaluate(self, tvals: np.ndarray) -> np.ndarray:
         """Evaluate at raw feature values of shape (mu, B)."""
         return self.evaluate_unit(self._points(tvals) / np.asarray(self.t_bars)[:, None])
@@ -91,27 +98,31 @@ class ChebyshevApprox:
         if self.coeffs.shape != (d + 1,) * mu:
             raise ContractError(f"coefficients of shape {self.coeffs.shape} do not fit degree {d} in {mu} variables")
         count = x.shape[1]
-        out = np.empty(count, dtype=np.complex128)
         c = self.coeffs.reshape(-1, d + 1)
-        c_re, c_im = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+        # the real part, and the imaginary part unless it is zero
+        real = self.real
+        parts = [np.ascontiguousarray(p) for p in ((c.real,) if real else (c.real, c.imag))]
+        out = np.empty(count, np.float64 if real else np.complex128)
+        targets = [out] if real else [out.real, out.imag]
         rest = c.shape[0]
         # with several variables the partial sums have (d+1)^(mu-1) rows, and
         # adding each row group's product into them would cost a pass per group
         group = min(d + 1, _ROW_GROUP) if rest == 1 else d + 1
-        # rows of the real (and of the imaginary) partial sums, twice as many
-        # when later row groups need room for their product
+        # rows of each part's partial sums, twice as many when later row
+        # groups need room for their product
         sums = rest if group > d else 2 * rest
         # float64 rows per column: the leading variables' tables (with two
         # rows ahead of T_0, like the ring), the last variable's row group
         # and 2x, and the sums
-        per_column = (mu - 1) * (d + 3) + group + 3 + 2 * sums
+        per_column = (mu - 1) * (d + 3) + group + 3 + len(parts) * sums
         width = max(1, min(count, _TABLE_BYTES // (8 * per_column)))
         buf = _scratch(per_column * width)
         for lo in range(0, count, width):
             w = min(width, count - lo)
-            tables, ring, two_x, re, im, re_g, im_g = _carve(
-                buf, (mu - 1, d + 3, w), (group + 2, w), (w,), (rest, w), (rest, w), (sums - rest, w), (sums - rest, w)
+            tables, ring, two_x, *views = _carve(
+                buf, (mu - 1, d + 3, w), (group + 2, w), (w,), *[(rest, w)] * len(parts), *[(sums - rest, w)] * len(parts)
             )
+            sums_of, later = views[: len(parts)], views[len(parts) :]
             xs = x[:, lo : lo + w]
             np.multiply(xs[-1], 2.0, out=two_x)
             for i0 in range(0, d + 1, group):
@@ -120,17 +131,16 @@ class ChebyshevApprox:
                 rows = ring[: 2 + min(group, d + 1 - i0)]
                 _recurrence(rows, i0, xs[-1], two_x)
                 cols = slice(i0, i0 + len(rows) - 2)
-                np.matmul(c_re[:, cols], rows[2:], out=re_g if i0 else re)
-                np.matmul(c_im[:, cols], rows[2:], out=im_g if i0 else im)
-                if i0:
-                    re += re_g
-                    im += im_g
+                for part, total, product in zip(parts, sums_of, later):
+                    np.matmul(part[:, cols], rows[2:], out=product if i0 else total)
+                    if i0:
+                        total += product
             for x_j, table in zip(xs, tables):
                 np.multiply(x_j, 2.0, out=two_x)
                 _recurrence(table, 0, x_j, two_x)
-                re, im = _fold(re, table[2:]), _fold(im, table[2:])
-            out.real[lo : lo + w] = re[0]
-            out.imag[lo : lo + w] = im[0]
+                sums_of = [_fold(total, table[2:]) for total in sums_of]
+            for target, total in zip(targets, sums_of):
+                target[lo : lo + w] = total[0]
         return out
 
     def _points(self, x) -> np.ndarray:
@@ -266,6 +276,7 @@ class _PolyStateEvaluator:
         self.reduced = reduced
         self.poly = poly
         self.n = reduced.n
+        self.real = poly.real
 
     def eval_bits(self, bits):
         return self.poly.evaluate(self.reduced.feature_values(np.asarray(bits)))

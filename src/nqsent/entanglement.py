@@ -12,6 +12,12 @@ accepted only up to RANK_THRESHOLD_ABS, after which the spectrum is that of
 the small Gram of Q^dag M. When no sketch within the width cap captures the
 state, it falls back to the dense O(4^min(|A|, n-|A|)) Gram and its full
 eigensolve.
+
+Every step follows the dtype of the state: a real (float64) state gives a
+real M, a real sketch, a real symmetric Gram and a real eigensolve, which
+move half the bytes and do about a quarter of the products of the complex
+path that complex128 states take (``conj()`` of a real array is the array
+itself, not a copy).
 """
 
 from __future__ import annotations
@@ -150,11 +156,11 @@ def _sketched_gram(M: np.ndarray, region: Subregion) -> tuple[np.ndarray, float]
     if cap < 2 * _SKETCH_START:
         return None
     gen = RngStream(region.n, region.mask).generator()
-    z = np.zeros((0, cols), dtype=np.complex128)
-    y = np.zeros((rows, 0), dtype=np.complex128)
+    z = np.zeros((0, cols), dtype=M.dtype)
+    y = np.zeros((rows, 0), dtype=M.dtype)
     width = _SKETCH_START
     while width <= cap:
-        omega = gen.standard_normal((width - z.shape[0], rows)).astype(np.complex128)
+        omega = gen.standard_normal((width - z.shape[0], rows)).astype(M.dtype, copy=False)
         z = np.vstack([z, omega @ M])
         ev = np.linalg.eigvalsh(z @ z.conj().T)
         if ev[0] <= RANK_THRESHOLD_ABS * ev[-1]:
@@ -167,7 +173,7 @@ def _sketched_gram(M: np.ndarray, region: Subregion) -> tuple[np.ndarray, float]
             block = max(1, _TAIL_BLOCK // rows)
             for start in range(0, cols, block):
                 piece = M[:, start : start + block]
-                resid = np.matmul(q, b[:, start : start + block], out=np.empty_like(piece, np.complex128))
+                resid = np.matmul(q, b[:, start : start + block], out=np.empty_like(piece))
                 resid -= piece
                 resid = resid.ravel(order="K")
                 tail += float(np.vdot(resid, resid).real)
@@ -181,7 +187,7 @@ def _blocked_gram(M: np.ndarray) -> np.ndarray:
     rows, cols = M.shape
     if cols <= _GRAM_BLOCK:
         return M @ M.conj().T
-    gram = np.zeros((rows, rows), dtype=np.complex128)
+    gram = np.zeros((rows, rows), dtype=M.dtype)
     for start in range(0, cols, _GRAM_BLOCK):
         piece = M[:, start : start + _GRAM_BLOCK]
         gram += piece @ piece.conj().T

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -50,7 +51,7 @@ class ExperimentConfig:
     ansatz: dict
     n_grid: list[int]
     region_mode: str = "random-subset"
-    sizes: list[int] | None = None
+    sizes: list[int | str] | None = None  # "half" is n // 2
     trials: int = 20
     regions_per_trial: int = 10
     seed: int = 0
@@ -63,7 +64,11 @@ class ExperimentConfig:
             raise ContractError("need trials >= 1 and regions_per_trial >= 1")
         if self.k_grid and self.ansatz.get("family") != "cosnet":
             raise ContractError("k_grid needs a cosnet ansatz block")
-        self.n_grid = [int(v) for v in self.n_grid]
+        self.n_grid = _counts("n_grid", self.n_grid)
+        if self.k_grid is not None:
+            self.k_grid = _counts("k_grid", self.k_grid)
+        if self.sizes is not None:
+            self.sizes = _counts("sizes", self.sizes, half=True)
 
     def to_json(self) -> dict:
         doc = asdict(self)
@@ -78,6 +83,23 @@ class ExperimentConfig:
         if unknown:
             raise ContractError(f"unknown experiment config key {unknown[0]!r}")
         return cls(**doc)
+
+
+def _counts(key: str, values, half: bool = False) -> list:
+    """A config list as ints >= 1 (or "half", where allowed); a
+    ContractError names the first entry that is neither."""
+    if not isinstance(values, (list, tuple)):
+        raise ContractError(f"{key} must be a list, not {values!r}")
+    expected = '"half" or an integer >= 1' if half else "an integer >= 1"
+    out = []
+    for v in values:
+        if half and v == "half":
+            out.append(v)
+        elif isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1:
+            out.append(int(v))
+        else:
+            raise ContractError(f"{key} entry {v!r} is not {expected}")
+    return out
 
 
 @dataclass
@@ -148,7 +170,7 @@ def _sample_regions(mode: str, n: int, size: int, count: int, gen: np.random.Gen
 
 def _default_sizes(cfg: ExperimentConfig, n: int) -> list[int]:
     if cfg.sizes is not None:
-        resolved = [n // 2 if s == "half" else int(s) for s in cfg.sizes]
+        resolved = [n // 2 if s == "half" else s for s in cfg.sizes]
         return [s for s in resolved if 1 <= s <= n - 1]
     if cfg.region_mode == "fixed-half":
         return [n // 2]

@@ -94,16 +94,17 @@ def _keep_scratch() -> None:
     _SCRATCH.kept = True
 
 
-def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+def _run_chunks(fn, count: int, dtype, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
     """Write ``fn(start, stop)`` for consecutive ``chunk``-sized ranges of
-    ``0..count`` into one complex128 array of length ``count``.
+    ``0..count`` into one array of length ``count`` and the given dtype:
+    float64 for real values, complex128 otherwise.
 
     Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
     floating-point result is the same for any thread count. Up to
     ``threads`` pool threads share the chunks, one per ``_THREAD_SPAN``
     configurations.
     """
-    out = np.empty(count, dtype=np.complex128)
+    out = np.empty(count, dtype=dtype)
     starts = range(0, count, chunk)
     workers = min(threads, count // _THREAD_SPAN)
 
@@ -218,6 +219,12 @@ class ComputationGraph:
     def output_node(self) -> Node:
         return self.nodes[self.output_id]
 
+    @property
+    def real(self) -> bool:
+        """Whether every amplitude is real for real port values; ``eval_ports``
+        then returns float64."""
+        return self._value_real[self.output_id]
+
     # -- evaluation -----------------------------------------------------------
 
     def _tape(self, complex_ports: bool) -> "_Tape":
@@ -231,7 +238,9 @@ class ComputationGraph:
         """Forward pass on a batch; ports has shape (n, B) of port values.
 
         Port values are +/-1 spins for ordinary graphs and feature values for
-        residual graphs produced by feature reduction. An overflow raises
+        residual graphs produced by feature reduction. The result has the
+        dtype of the tape's output table: float64 when the ports and the
+        output are real (see ``real``), complex128 otherwise. An overflow raises
         ``AmplitudeOverflowError`` whose ``bits`` names the batch column
         (``eval_bits`` turns it into that column's configuration); so does
         a non-finite amplitude.
@@ -241,7 +250,7 @@ class ComputationGraph:
             raise ContractError(f"expected {self.n} rows of port values, got {ports.shape[0]}")
         tape = self._tape(np.iscomplexobj(ports))
         B = ports.shape[1]
-        out = np.empty(B, dtype=np.complex128)
+        out = np.empty(B, dtype=np.complex128 if tape.out[0] else np.float64)
         width = max(1, min(B, tape.width))
         buffers = tape.buffers(width)
         for start in range(0, B, width):
@@ -281,7 +290,7 @@ def _eval_bits_chunked(g: ComputationGraph, ports, bits, threads: int, chunk: in
                 f"amplitude overflow at configuration bits={config:#x}: {exc}", bits=config
             ) from None
 
-    return _run_chunks(run, len(bits), threads, chunk)
+    return _run_chunks(run, len(bits), np.float64 if g.real else np.complex128, threads, chunk)
 
 
 @dataclass(frozen=True)
@@ -468,6 +477,11 @@ class ReducedForm:
     @property
     def mu(self) -> int:
         return len(self.features)
+
+    @property
+    def real(self) -> bool:
+        """Whether every amplitude is real (``eval_bits`` returns float64)."""
+        return self.residual.real
 
     def feature_values(self, bits: np.ndarray) -> np.ndarray:
         """(mu, B) feature values for an array of configuration bits."""

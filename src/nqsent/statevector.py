@@ -1,13 +1,16 @@
 """Exact dense statevectors over all 2^n configurations.
 
-Amplitudes are stored as complex128 indexed by configuration bits. One
-chunk driver (``graph._run_chunks``) evaluates index ranges of
+Amplitudes are indexed by configuration bits and stored as float64 when
+the state is real by construction (a graph whose output value is real, its
+reduced form, a fit with real coefficients) and as complex128 otherwise; a
+real state holds the bytes of the real part of its complex form. One chunk
+driver (``graph._run_chunks``) evaluates index ranges of
 ``graph.DEFAULT_CHUNK`` = 2^14 configurations straight into the amplitude
 array, on a thread pool from 2^17 amplitudes on and on the calling thread
 below that. The norm is then reduced over ``NORM_CHUNK`` = 2^16-amplitude
 blocks in block order. Neither size depends on the thread count, so every
 floating-point result, and therefore the output, is byte-identical across
---threads settings.
+--threads settings. The ``.nqsv`` dump is complex on disk for either kind.
 """
 
 from __future__ import annotations
@@ -37,16 +40,28 @@ class Statevector:
     norm_was: float
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        self.amplitudes = np.asarray(self.amplitudes, dtype=_dtype(self.amplitudes))
         if self.amplitudes.shape != (1 << self.n,):
             raise ContractError(
                 f"amplitude array has shape {self.amplitudes.shape}, expected ({1 << self.n},)"
             )
 
 
+def _dtype(values) -> type:
+    """complex128 for complex values, float64 for real ones."""
+    return np.complex128 if np.iscomplexobj(values) else np.float64
+
+
 def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
-    """Divide a complex128 amplitude array by its 2-norm in place; a NaN or
-    infinite amplitude raises ``NumericError`` naming its index."""
+    """Divide a float64 or complex128 amplitude array by its 2-norm in
+    place; a NaN or infinite amplitude raises ``NumericError`` naming its
+    index.
+
+    numpy divides a complex value by a real s as (re + 0) * (1/s) for the
+    real part, so a real array is scaled that way too: its result and its
+    norm are the bytes of the real part of its complex form (-0 + 0 is +0).
+    """
+    real = not np.iscomplexobj(amplitudes)
     chunks = [amplitudes[start : start + NORM_CHUNK] for start in range(0, amplitudes.shape[0], NORM_CHUNK)]
     # individual amplitudes can sit near the float ceiling (or floor), so the
     # squared norm is accumulated in units of the largest magnitude
@@ -61,18 +76,27 @@ def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
         raise DegenerateStateError("all amplitudes vanish; state cannot be normalized")
     norm_sq_scaled = 0.0
     for piece in chunks:  # sequential, chunk-ordered reduction
-        scaled = piece / scale
-        norm_sq_scaled += float(np.sum(scaled.real**2 + scaled.imag**2))
+        if real:
+            scaled = piece * (1.0 / scale)
+            norm_sq_scaled += float(np.sum(scaled * scaled))
+        else:
+            scaled = piece / scale
+            norm_sq_scaled += float(np.sum(scaled.real**2 + scaled.imag**2))
     norm = scale * float(np.sqrt(norm_sq_scaled))
     if not np.isfinite(norm) or norm == 0.0:
         raise DegenerateStateError(f"state norm {norm} cannot normalize the amplitudes")
-    amplitudes /= norm
+    if real:
+        amplitudes += 0.0
+        amplitudes *= 1.0 / norm
+    else:
+        amplitudes /= norm
     return Statevector(amplitudes, n, norm)
 
 
 def from_amplitudes(raw: np.ndarray) -> Statevector:
-    """Normalize a copy of a raw amplitude array of length 2^n into a Statevector."""
-    raw = np.array(raw, dtype=np.complex128)
+    """Normalize a copy of a raw amplitude array of length 2^n into a
+    Statevector; real input stays real (float64)."""
+    raw = np.array(raw, dtype=_dtype(raw))
     if raw.ndim != 1 or raw.size == 0:
         raise ContractError(f"amplitudes of shape {raw.shape}: need a nonempty 1-D array")
     n = raw.size.bit_length() - 1
@@ -85,14 +109,21 @@ def from_amplitudes(raw: np.ndarray) -> Statevector:
 def materialize(obj: ComputationGraph | ReducedForm, threads: int = 1) -> Statevector:
     """Evaluate every amplitude of a graph or reduced form and normalize.
 
-    Only ``obj.n`` and ``obj.eval_bits(bits)`` are used; ``eval_bits`` is
-    called once per chunk of global configuration bits.
+    Only ``obj.n``, ``obj.eval_bits(bits)`` and, when present, ``obj.real``
+    are used; ``eval_bits`` is called once per chunk of global configuration
+    bits. A real evaluator gives a float64 state. One without ``real``
+    (a wrapper that forwards only ``n`` and ``eval_bits``) is asked for
+    the amplitude of configuration 0, and the state takes its dtype.
     """
     n = obj.n
     check_n(n)
     total = 1 << n
+    real = getattr(obj, "real", None)
+    if real is None:
+        real = not np.iscomplexobj(obj.eval_bits(np.zeros(1, dtype=np.int64)))
+    dtype = np.float64 if real else np.complex128
     amplitudes = _run_chunks(
-        lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, threads
+        lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, dtype, threads
     )
     return _normalized(amplitudes, n)
 
@@ -112,7 +143,8 @@ def two_norm_distance(psi: Statevector, phi: Statevector) -> float:
 
 def save_nqsv(psi: Statevector, path) -> None:
     """16-byte header (magic, u32 version, u32 n, u32 reserved) then little-endian
-    interleaved re/im float64 pairs in ascending bits order."""
+    interleaved re/im float64 pairs in ascending bits order; a real state is
+    written with +0.0 imaginary parts."""
     header = NQSV_MAGIC + struct.pack("<III", NQSV_VERSION, psi.n, 0)
     with open(path, "wb") as fh:
         fh.write(header)

@@ -113,10 +113,15 @@ def _assert_matches_chebval(mu, d, count, seed):
     gen = np.random.default_rng(seed)
     c = gen.standard_normal((d + 1,) * mu) + 1j * gen.standard_normal((d + 1,) * mu)
     x = gen.uniform(-1.0, 1.0, (mu, count))
-    got = ChebyshevApprox(c, (1.0,) * mu, d, None, 0.0).evaluate_unit(x)
-    assert got.shape == (count,) and got.dtype == np.complex128
-    if count:
-        assert np.abs(got - _chebval_nd(x, c)).max() <= 1e-13 * np.abs(c).sum()
+    # complex coefficients, then real ones stored as complex (a fit of a real
+    # G), which skip the imaginary product and give float64 values
+    for coeffs, dtype in ((c, np.complex128), (c.real + 0j, np.float64)):
+        fit = ChebyshevApprox(coeffs, (1.0,) * mu, d, None, 0.0)
+        assert fit.real == (dtype == np.float64)
+        got = fit.evaluate_unit(x)
+        assert got.shape == (count,) and got.dtype == dtype
+        if count:
+            assert np.abs(got - _chebval_nd(x, coeffs)).max() <= 1e-13 * np.abs(coeffs).sum()
 
 
 @pytest.mark.parametrize("mu,degrees", [(1, (0, 1, 15, 16, 40)), (2, (0, 1, 9)), (3, (0, 1, 5)), (4, (0, 1, 3))])

@@ -199,6 +199,31 @@ def test_run_config_unknown_key_is_domain_error(tmp_path, capsys):
     assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
 
 
+@pytest.mark.parametrize(
+    "key,value,bad",
+    [
+        ("sizes", ["half", "halff"], "'halff'"),
+        ("sizes", [2.5], "2.5"),
+        ("sizes", [0], "0"),
+        ("n_grid", ["six"], "'six'"),
+        ("n_grid", [0], "0"),
+        ("n_grid", [True], "True"),
+        ("k_grid", [2, 0], "0"),
+        ("k_grid", ["4"], "'4'"),
+    ],
+)
+def test_run_config_bad_grid_value_is_domain_error(tmp_path, capsys, key, value, bad):
+    cfg = {"name": "bad", "ansatz": {"family": "cosnet"}, "n_grid": [4], key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    expected = '"half" or an integer >= 1' if key == "sizes" else "an integer >= 1"
+    message = f"{key} entry {bad} is not {expected}"
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_seed_leaves_preset_unchanged(tmp_path, capsys, monkeypatch):
     from nqsent import experiments
 

@@ -221,6 +221,34 @@ def test_entropy_bytes_repeat_and_ignore_threads(monkeypatch):
         assert res.tail == results[0].tail
 
 
+def test_real_and_complex_paths_agree(monkeypatch):
+    # a real Gaussian state at n=16 has full Schmidt rank (dense Gram); the
+    # Dicke state and a real tanh snnqs state at n=18 have low rank (sketch)
+    gen = np.random.default_rng(29)
+    states = [
+        from_amplitudes(gen.normal(size=1 << 16)),
+        materialize(build_dicke(DickeSpec(18))),
+        materialize(build_snnqs(SnnqsSpec(n=18, activation="tanh"), RngStream(29).child(0))),
+    ]
+    accepted = _sketch_spy(monkeypatch)
+    for psi in states:
+        assert psi.amplitudes.dtype == np.float64
+        twin = from_amplitudes(psi.amplitudes.astype(complex))
+        n = psi.n
+        for m in (1, n // 2 - 1, n // 2, n // 2 + 1, n - 2):
+            region = Subregion.from_members(gen.choice(n, m, replace=False), n)
+            bm = bipartition(psi, region)
+            assert bm.M.dtype == np.float64
+            real, cplx = entropy(bm), entropy(bipartition(twin, region))
+            assert real.eigenvalues.size == cplx.eigenvalues.size
+            assert np.abs(real.eigenvalues - cplx.eigenvalues).max() <= 1e-12
+            assert abs(real.entropy - cplx.entropy) <= 1e-12
+            assert real.schmidt_rank == cplx.schmidt_rank
+    # each call was spied twice, real then complex, and both took one path
+    assert accepted[0::2] == accepted[1::2]
+    assert True in accepted and False in accepted, accepted
+
+
 def test_linear_snnqs_every_bipartition_product():
     g = build_snnqs(SnnqsSpec(n=10, activation="identity", parameterization="wrap_exp"), RngStream(1).child(5))
     psi = materialize(g)

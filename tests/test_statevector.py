@@ -6,7 +6,18 @@ import pytest
 
 from conftest import haar_state, random_evaluable_dag
 
-from nqsent.ansatz import CosnetSpec, DickeSpec, MlpSpec, SnnqsSpec, build_cosnet, build_dicke, build_mlp, build_snnqs
+from nqsent.ansatz import (
+    CosnetSpec,
+    DickeSpec,
+    MlpSpec,
+    SnnqsSpec,
+    TransformerSpec,
+    build_cosnet,
+    build_dicke,
+    build_mlp,
+    build_snnqs,
+    build_transformer,
+)
 from nqsent.approx import auxiliary_state, cheb_fit_multi
 from nqsent.core import RngStream, feature_supnorm
 from nqsent.activations import Activation
@@ -277,3 +288,104 @@ def test_random_graph_states_normalized():
         except DegenerateStateError:
             continue
         assert np.abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+
+
+def _real_tanh(n: int) -> ComputationGraph:
+    # the supp_sn_real_tanh ansatz
+    return build_snnqs(SnnqsSpec(n=n, activation="tanh", bias_std=1.0), RngStream(41).child(n))
+
+
+def _real_aux(n: int):
+    r = feature_reduce(_real_tanh(n))
+    return r, cheb_fit_multi(r.g_eval, [feature_supnorm(f) for f in r.features], 10)
+
+
+_EVALUATED = {
+    "dicke": lambda: materialize(build_dicke(DickeSpec(8))),
+    "supp_sn_real_tanh": lambda: materialize(_real_tanh(8)),
+    "dicke_reduced": lambda: materialize(feature_reduce(build_dicke(DickeSpec(8)))),
+    "supp_sn_real_tanh_reduced": lambda: materialize(feature_reduce(_real_tanh(8))),
+    "real_auxiliary_state": lambda: auxiliary_state(*_real_aux(8)),
+    "fig1c_snnqs": lambda: materialize(
+        build_snnqs(SnnqsSpec(n=8, activation="i*tanh", bias_std=0.5), RngStream(41).child(0))
+    ),
+    "transformer": lambda: materialize(
+        build_transformer(
+            TransformerSpec(n=8, patch=3, stride=2, embed_dim=8, heads=2, layers=1, ffn_width=4),
+            RngStream(41).child(1),
+            frozen_rng=RngStream(41).child(2),
+        )
+    ),
+    "cosnet": lambda: materialize(build_cosnet(CosnetSpec(n=8, k=2), RngStream(41).child(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATED))
+def test_state_dtype_follows_realness(name):
+    real = name not in ("fig1c_snnqs", "transformer", "cosnet")
+    psi = _EVALUATED[name]()
+    assert psi.amplitudes.dtype == (np.float64 if real else np.complex128)
+    assert not real or np.abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-13
+
+
+def test_real_state_is_the_real_part_of_its_complex_form():
+    for obj in (build_dicke(DickeSpec(12)), _real_tanh(12), feature_reduce(_real_tanh(12))):
+        assert obj.real
+        raw = obj.eval_bits(np.arange(1 << 12))
+        assert raw.dtype == np.float64
+        psi = materialize(obj)
+        ref = from_amplitudes(raw.astype(np.complex128))
+        assert psi.amplitudes.tobytes() == ref.amplitudes.real.tobytes()
+        assert not np.any(ref.amplitudes.imag)
+        assert psi.norm_was == ref.norm_was
+        same = from_amplitudes(raw)
+        assert same.amplitudes.tobytes() == psi.amplitudes.tobytes() and same.norm_was == psi.norm_was
+
+
+def test_real_state_bytes_ignore_threads():
+    # n=17 spans two pool threads; the Dicke state at n=18 spans four
+    for make in (
+        lambda t: materialize(_real_tanh(17), threads=t),
+        lambda t: materialize(build_dicke(DickeSpec(18)), threads=t),
+        lambda t: auxiliary_state(*_real_aux(17), threads=t),
+    ):
+        base = make(1)
+        assert base.amplitudes.dtype == np.float64
+        for threads in (2, 4):
+            other = make(threads)
+            assert other.amplitudes.tobytes() == base.amplitudes.tobytes()
+            assert other.norm_was == base.norm_was
+
+
+class _Forwarding:
+    """An evaluator that forwards only ``n`` and ``eval_bits``."""
+
+    def __init__(self, obj):
+        self.n = obj.n
+        self.eval_bits = obj.eval_bits
+
+
+def test_evaluator_without_realness_takes_the_dtype_of_its_amplitudes():
+    real = _real_tanh(9)
+    cplx = build_snnqs(SnnqsSpec(n=9, activation="i*tanh"), RngStream(41).child(4))
+    for g in (real, cplx):
+        psi = materialize(_Forwarding(g))
+        ref = materialize(g)
+        assert psi.amplitudes.dtype == ref.amplitudes.dtype == (np.float64 if g.real else np.complex128)
+        assert psi.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+
+def test_real_state_dump_is_complex_on_disk(tmp_path):
+    g = _real_tanh(7)
+    psi = materialize(g)
+    old = from_amplitudes(g.eval_bits(np.arange(1 << 7)).astype(np.complex128))
+    save_nqsv(psi, tmp_path / "real.nqsv")
+    save_nqsv(old, tmp_path / "complex.nqsv")
+    raw = (tmp_path / "real.nqsv").read_bytes()
+    assert raw == (tmp_path / "complex.nqsv").read_bytes()
+    body = np.frombuffer(raw[16:], dtype="<f8")
+    assert body[0::2].tobytes() == psi.amplitudes.tobytes()
+    assert not np.signbit(body[1::2]).any() and not body[1::2].any()
+    back = load_nqsv(tmp_path / "real.nqsv")
+    assert back.amplitudes.dtype == np.complex128
+    assert np.array_equal(back.amplitudes, psi.amplitudes)
