@@ -276,7 +276,6 @@ class _PolyStateEvaluator:
         self.reduced = reduced
         self.poly = poly
         self.n = reduced.n
-        self.real = poly.real
 
     def eval_bits(self, bits):
         return self.poly.evaluate(self.reduced.feature_values(np.asarray(bits)))

@@ -94,19 +94,25 @@ def _keep_scratch() -> None:
     _SCRATCH.kept = True
 
 
-def _run_chunks(fn, count: int, dtype, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
     """Write ``fn(start, stop)`` for consecutive ``chunk``-sized ranges of
-    ``0..count`` into one array of length ``count`` and the given dtype:
-    float64 for real values, complex128 otherwise.
+    ``0..count`` into one array of length ``count``, with the dtype of the
+    first chunk's values: float64 for a real evaluator, complex128 otherwise.
 
     Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
     floating-point result is the same for any thread count. Up to
     ``threads`` pool threads share the chunks, one per ``_THREAD_SPAN``
-    configurations.
+    configurations, once the first chunk has run alone.
     """
-    out = np.empty(count, dtype=dtype)
     starts = range(0, count, chunk)
     workers = min(threads, count // _THREAD_SPAN)
+    out = None
+
+    def start_with(first):
+        nonlocal out
+        first = np.asarray(first)
+        out = np.empty(count, dtype=first.dtype)
+        out[: len(first)] = first
 
     def run(start):
         stop = min(start + chunk, count)
@@ -115,12 +121,14 @@ def _run_chunks(fn, count: int, dtype, threads: int = 1, chunk: int = DEFAULT_CH
     if workers > 1 and len(starts) > 1:
         # pool threads keep their scratch until the pool shuts them down
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers, initializer=_keep_scratch) as pool:
-            list(pool.map(run, starts))  # re-raises the first failing chunk's error
+            start_with(pool.submit(fn, 0, chunk).result())
+            list(pool.map(run, starts[1:]))  # re-raises the first failing chunk's error
     else:
         outermost = not getattr(_SCRATCH, "kept", False)
         _keep_scratch()
         try:
-            for start in starts:
+            start_with(fn(0, min(chunk, count)))
+            for start in starts[1:]:
                 run(start)
         finally:
             if outermost:
@@ -219,12 +227,6 @@ class ComputationGraph:
     def output_node(self) -> Node:
         return self.nodes[self.output_id]
 
-    @property
-    def real(self) -> bool:
-        """Whether every amplitude is real for real port values; ``eval_ports``
-        then returns float64."""
-        return self._value_real[self.output_id]
-
     # -- evaluation -----------------------------------------------------------
 
     def _tape(self, complex_ports: bool) -> "_Tape":
@@ -240,7 +242,7 @@ class ComputationGraph:
         Port values are +/-1 spins for ordinary graphs and feature values for
         residual graphs produced by feature reduction. The result has the
         dtype of the tape's output table: float64 when the ports and the
-        output are real (see ``real``), complex128 otherwise. An overflow raises
+        output value are real, complex128 otherwise. An overflow raises
         ``AmplitudeOverflowError`` whose ``bits`` names the batch column
         (``eval_bits`` turns it into that column's configuration); so does
         a non-finite amplitude.
@@ -290,7 +292,7 @@ def _eval_bits_chunked(g: ComputationGraph, ports, bits, threads: int, chunk: in
                 f"amplitude overflow at configuration bits={config:#x}: {exc}", bits=config
             ) from None
 
-    return _run_chunks(run, len(bits), np.float64 if g.real else np.complex128, threads, chunk)
+    return _run_chunks(run, len(bits), threads, chunk)
 
 
 @dataclass(frozen=True)
@@ -477,11 +479,6 @@ class ReducedForm:
     @property
     def mu(self) -> int:
         return len(self.features)
-
-    @property
-    def real(self) -> bool:
-        """Whether every amplitude is real (``eval_bits`` returns float64)."""
-        return self.residual.real
 
     def feature_values(self, bits: np.ndarray) -> np.ndarray:
         """(mu, B) feature values for an array of configuration bits."""

@@ -109,21 +109,15 @@ def from_amplitudes(raw: np.ndarray) -> Statevector:
 def materialize(obj: ComputationGraph | ReducedForm, threads: int = 1) -> Statevector:
     """Evaluate every amplitude of a graph or reduced form and normalize.
 
-    Only ``obj.n``, ``obj.eval_bits(bits)`` and, when present, ``obj.real``
-    are used; ``eval_bits`` is called once per chunk of global configuration
-    bits. A real evaluator gives a float64 state. One without ``real``
-    (a wrapper that forwards only ``n`` and ``eval_bits``) is asked for
-    the amplitude of configuration 0, and the state takes its dtype.
+    Only ``obj.n`` and ``obj.eval_bits(bits)`` are used; ``eval_bits`` is
+    called once per chunk of global configuration bits, and the state takes
+    the dtype of its values: float64 for a real evaluator.
     """
     n = obj.n
     check_n(n)
     total = 1 << n
-    real = getattr(obj, "real", None)
-    if real is None:
-        real = not np.iscomplexobj(obj.eval_bits(np.zeros(1, dtype=np.int64)))
-    dtype = np.float64 if real else np.complex128
     amplitudes = _run_chunks(
-        lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, dtype, threads
+        lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, threads
     )
     return _normalized(amplitudes, n)
 

@@ -410,11 +410,11 @@ def test_pool_threads_start_from_two_thread_spans():
         return np.arange(start, stop)
 
     count = 2 * _THREAD_SPAN - 1
-    assert np.array_equal(_run_chunks(fn, count, np.float64, threads=2, chunk=1 << 13), np.arange(count))
+    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=1 << 13), np.arange(count))
     assert seen == {threading.get_ident()}
     seen.clear()
     count += 1
-    assert np.array_equal(_run_chunks(fn, count, np.float64, threads=2, chunk=1 << 13), np.arange(count))
+    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=1 << 13), np.arange(count))
     assert seen and threading.get_ident() not in seen
 
 
@@ -426,15 +426,15 @@ def test_scratch_lives_for_one_chunk_run():
 
     def fn(start, stop):
         serial.append(_scratch(16))
-        _run_chunks(lambda a, b: np.zeros(b - a), 2, np.float64)
+        _run_chunks(lambda a, b: np.zeros(b - a), 2)
         serial.append(_scratch(16))
         return np.zeros(stop - start)
 
-    _run_chunks(fn, 8, np.float64, chunk=4)
+    _run_chunks(fn, 8, chunk=4)
     assert len(serial) == 4 and all(np.shares_memory(serial[0], b) for b in serial)
     assert not np.shares_memory(_scratch(16), _scratch(16))
     with pytest.raises(ZeroDivisionError):
-        _run_chunks(lambda a, b: 1 / 0, 8, np.float64, chunk=4)
+        _run_chunks(lambda a, b: 1 / 0, 8, chunk=4)
     assert not np.shares_memory(_scratch(16), _scratch(16))
 
     pooled = {}
@@ -443,7 +443,7 @@ def test_scratch_lives_for_one_chunk_run():
         pooled.setdefault(threading.get_ident(), []).append(_scratch(16))
         return np.zeros(stop - start)
 
-    _run_chunks(pooled_fn, 2 * _THREAD_SPAN, np.float64, threads=2, chunk=1 << 13)
+    _run_chunks(pooled_fn, 2 * _THREAD_SPAN, threads=2, chunk=1 << 13)
     assert sum(map(len, pooled.values())) == 16
     for bufs in pooled.values():
         assert all(np.shares_memory(bufs[0], b) for b in bufs)

@@ -330,7 +330,6 @@ def test_state_dtype_follows_realness(name):
 
 def test_real_state_is_the_real_part_of_its_complex_form():
     for obj in (build_dicke(DickeSpec(12)), _real_tanh(12), feature_reduce(_real_tanh(12))):
-        assert obj.real
         raw = obj.eval_bits(np.arange(1 << 12))
         assert raw.dtype == np.float64
         psi = materialize(obj)
@@ -365,13 +364,13 @@ class _Forwarding:
         self.eval_bits = obj.eval_bits
 
 
-def test_evaluator_without_realness_takes_the_dtype_of_its_amplitudes():
+def test_forwarding_evaluator_gives_the_same_state():
     real = _real_tanh(9)
     cplx = build_snnqs(SnnqsSpec(n=9, activation="i*tanh"), RngStream(41).child(4))
-    for g in (real, cplx):
+    for g, dtype in ((real, np.float64), (cplx, np.complex128)):
         psi = materialize(_Forwarding(g))
         ref = materialize(g)
-        assert psi.amplitudes.dtype == ref.amplitudes.dtype == (np.float64 if g.real else np.complex128)
+        assert psi.amplitudes.dtype == ref.amplitudes.dtype == dtype
         assert psi.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
 
