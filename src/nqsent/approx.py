@@ -30,6 +30,17 @@ The bound chain for a state with reduced form G(t_1..t_mu) is: fit error
 eps -> auxiliary-state 2-norm distance 2 sqrt(eps/norm) 2^(n/4) -> reduced
 trace distance (monotone under partial trace) -> entropy difference via the
 Fannes-Audenaert inequality -> measured entropy <= ln(rank bound) + slack.
+
+``full_bound_report`` builds one 2^n statevector, the network's, when
+mu = 1. The paper's constructive argument gives the rest: split across the
+cut, the feature is x_A + x_B, and the fitted polynomial re-expands exactly
+as sum_ab C_ab T_a(x_A) T_b(x_B), a (d+1) x (d+1) Chebyshev interpolation.
+The auxiliary state's bipartition matrix is then U C V^T with Chebyshev
+tables U and V of the two sides, so its spectrum comes from QR factors and
+an SVD of size at most d+1, and its distance from the network's state from
+blocked products against that state's bipartition matrix
+(``_split_chain``). For mu >= 2 the rank bound (d+1)^mu exceeds the side
+dimensions and the auxiliary state is materialized instead.
 """
 
 from __future__ import annotations
@@ -39,11 +50,19 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import Subregion, feature_supnorm
-from .errors import CapacityError, ContractError, DomainError, NumericError
+from .core import AffineFeature, Subregion, feature_supnorm
+from .errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
 from .graph import ComputationGraph, ReducedForm, feature_reduce, _is_raw, _scratch, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance
-from .entanglement import fa_slack_from_bound, subregion_entropy
+from .entanglement import (
+    BipartitionMatrix,
+    EntropyResult,
+    _spectrum,
+    bipartition,
+    entropy,
+    fa_slack_from_bound,
+    subregion_entropy,
+)
 
 MULTIVAR_CAP = 4
 # cap on the K^mu quadrature points of a multivariable fit. The grid (mu
@@ -60,6 +79,10 @@ _A_SCORE_DEGREE = 16
 # a one-variable fit builds and contracts its table this many rows at a time,
 # so a 2^14-column block's rows (about 2 MiB) stay in a core's L2 cache
 _ROW_GROUP = 16
+# bytes of one block of the split chain's products; blocks of _TABLE_BYTES
+# left about 10 MiB more of the allocator's heap resident from one bound
+# report to the next
+_SPLIT_BYTES = 1 << 20
 
 
 @dataclass
@@ -398,6 +421,91 @@ def reduced_certificate(r: ReducedForm) -> Certificate | None:
 # ---------------------------------------------------------------------------
 
 
+def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) -> tuple[EntropyResult, float]:
+    """Spectrum of the one-feature auxiliary state P(f/t_bar) on the cut of
+    bm, and its 2-norm distance from the normalized state whose bipartition
+    matrix is bm.M, without the auxiliary state.
+
+    Each side carries its feature weights and half the bias, over t_bar; its
+    values x over the side's configurations (index doubling, with
+    ``bipartition``'s bit order) span [mid - half, mid + half]. In
+    y = (x - mid) / half the amplitude P(x_A + x_B) is a polynomial of
+    degree d in (y_A, y_B), so Chebyshev interpolation on the product of
+    d+1 nodes per side reproduces it as sum_ab C_ab T_a(y_A) T_b(y_B); a
+    side with half = 0 takes one node and degree 0. The auxiliary matrix is
+    then T_S C T_L^T, with S the side of fewer configurations and L the
+    other. With T_S = Q R, it has the singular values of W = R C T_L^T,
+    which are those of R_U C R_V^T. A QR of W^T over blocks of L's
+    configurations gives them. The spectrum is their squares over
+    ||W||_F^2, the squared norm of the unnormalized auxiliary state.
+
+    The distance ||M - T_S C T_L^T / ||W||_F||_F is summed over the same
+    blocks in a fixed order, with real products for the real and imaginary
+    parts. Apart from the side values and the tables of S (at most 2^(n/2)
+    rows), a block's tables stay near ``_TABLE_BYTES`` and its products near
+    ``_SPLIT_BYTES``.
+    """
+    d, t_bar = fit.degree, fit.t_bars[0]
+    y, weights, points = [], [], []
+    for side in (bm.region, bm.region.complement()):
+        members = side.members()
+        x = AffineFeature(f.weights[members], 0.5 * f.bias).eval_all() / t_bar
+        lo, hi = float(x.min()), float(x.max())
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        deg = d if half > 0.0 else 0
+        y.append((x - mid) / half if half > 0.0 else np.zeros_like(x))
+        cos = _cos_matrix(deg, deg + 1)
+        cos[0] = 0.5  # the half weight of c_0, as in cheb_fit_multi
+        weights.append(cos * (2.0 / (deg + 1)))
+        points.append(mid + half * _quad_nodes(deg + 1))
+    grid = fit.evaluate_unit((points[0][:, None] + points[1][None, :]).reshape(1, -1))
+    C = weights[0] @ grid.reshape(points[0].size, points[1].size) @ weights[1].T
+    M, (y_s, y_l) = bm.M, y
+    if M.shape[0] > M.shape[1]:
+        M, C, y_s, y_l = M.T, C.T, y_l, y_s
+    rows, k_l = M.shape[0], C.shape[1]
+
+    def table(v: np.ndarray, count: int) -> np.ndarray:
+        out = np.empty((count + 2, v.size))
+        _recurrence(out, 0, v, 2.0 * v)
+        return out[2:]
+
+    def block(products: int) -> int:
+        """Columns of L per block: tables near _TABLE_BYTES, products near _SPLIT_BYTES."""
+        return max(1, min(_TABLE_BYTES // (8 * (k_l + 2)), _SPLIT_BYTES // (8 * products)))
+
+    t_s = table(y_s, C.shape[0]).T
+    Z = np.linalg.qr(t_s, mode="r") @ C
+    width = max(Z.shape[0], block(4 * Z.shape[0]))
+    R = np.zeros((0, Z.shape[0]), Z.dtype)
+    for lo in range(0, y_l.size, width):
+        piece = table(y_l[lo : lo + width], k_l).T
+        # W^T = T_L Z^T, by real products since T_L is real
+        piece = piece @ Z.T.real + 1j * (piece @ Z.T.imag) if np.iscomplexobj(Z) else piece @ Z.T
+        R = np.linalg.qr(np.vstack([R, piece]), mode="r")
+    try:
+        sigma = np.linalg.svd(R, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular values failed: {exc}") from exc
+    norm_sq = float(np.vdot(R, R).real)
+    if norm_sq == 0.0:
+        raise DegenerateStateError("the auxiliary state vanishes; it cannot be normalized")
+    spectrum = _spectrum(sigma * sigma / norm_sq, rows)
+
+    split = np.iscomplexobj(C) or np.iscomplexobj(M)
+    parts = [C.real, C.imag] if split else [C]
+    state = [M.real, M.imag] if split else [M]
+    aux = np.concatenate([t_s @ p for p in parts]) / math.sqrt(norm_sq)
+    width = block(len(parts) * rows)
+    dist_sq = 0.0
+    for lo in range(0, y_l.size, width):
+        cols = slice(lo, lo + width)
+        for value, target in zip(np.split(aux @ table(y_l[cols], k_l), len(parts)), state):
+            value -= target[:, cols]
+            dist_sq += float(np.vdot(value, value))
+    return spectrum, math.sqrt(dist_sq)
+
+
 @dataclass
 class BoundReport:
     n: int
@@ -440,7 +548,25 @@ def full_bound_report(
 
     With a certificate the report is rigorous (up to the sampled C); without
     one it carries the empirical fit error only and no final bound.
+    ``degree`` is "auto" or an integer (not a bool); anything else, and a
+    region that is not a proper nonempty subset of the graph's n spins, is a
+    ContractError raised before any fit or state.
+
+    The network's state is the only 2^n statevector when mu = 1: the
+    auxiliary entropy and the distance come from the split factorization of
+    the fit (``_split_chain``), read against the state's bipartition matrix,
+    which also gives the measured entropy. For mu >= 2 the auxiliary state
+    is materialized and read like the network's.
     """
+    if isinstance(degree, str):
+        if degree != "auto":
+            raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
+    elif isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
+    if region.n != g.n:
+        raise ContractError(f"region has n={region.n}, graph has n={g.n}")
+    if not 0 < region.size < g.n:
+        raise ContractError("subregion must be a proper nonempty subset")
     r = feature_reduce(g)
     if r.mu == 0:
         raise ContractError("state has no feature dependence; nothing to bound")
@@ -462,16 +588,23 @@ def full_bound_report(
     fit = cheb_fit_multi(r.g_eval, t_bars, d)
 
     psi = materialize(g, threads=threads)
-    psi_aux = auxiliary_state(r, fit, threads=threads)
-    s_measured = subregion_entropy(psi, region).entropy
-    s_aux = subregion_entropy(psi_aux, region).entropy
-    dist = two_norm_distance(psi, psi_aux)
+    norm_was = psi.norm_was
+    if r.mu == 1:
+        bm = bipartition(psi, region)
+        del psi  # the bipartition matrix holds every amplitude from here on
+        s_measured = entropy(bm).entropy
+        aux, dist = _split_chain(r.features[0], fit, bm)
+    else:
+        psi_aux = auxiliary_state(r, fit, threads=threads)
+        s_measured = subregion_entropy(psi, region).entropy
+        aux = subregion_entropy(psi_aux, region)
+        dist = two_norm_distance(psi, psi_aux)
 
     eps_raw = cert.error_bound(d, r.mu) if cert is not None else None
     certified = eps_raw is not None and math.isfinite(eps_raw)
     rank = rank_bound(d, r.mu)
     if certified:
-        eps_poly = eps_raw / psi.norm_was
+        eps_poly = eps_raw / norm_was
         delta_bound = 2.0 * math.sqrt(eps_poly) * 2.0 ** (g.n / 4.0)
         trace_bound = min(1.0, delta_bound)
         slack = fa_slack_from_bound(trace_bound, region.size)
@@ -498,7 +631,7 @@ def full_bound_report(
         ellipse_a=cert.a if cert else None,
         ellipse_C=cert.C if cert else None,
         measured_entropy=s_measured,
-        measured_entropy_aux=s_aux,
+        measured_entropy_aux=aux.entropy,
         measured_two_norm_distance=dist,
         region_mask=region.mask,
     )

@@ -117,7 +117,20 @@ def entropy(bm: BipartitionMatrix) -> EntropyResult:
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    lam = np.sort(np.concatenate([lam, np.zeros(M.shape[0] - lam.size)]))[::-1]
+    return _spectrum(lam, M.shape[0], tail)
+
+
+def _spectrum(lam: np.ndarray, rows: int, tail: float = 0.0) -> EntropyResult:
+    """The EntropyResult of eigenvalues of a unit-trace reduced density
+    matrix with ``rows`` rows, of which ``lam`` are the computed ones.
+
+    The rest are zeros. Values below the clamp window raise NumericError, the
+    others are clipped at 0; a sum off 1 by more than _DRIFT_ERROR raises
+    ConsistencyError, and one off by any amount is renormalized. The rank
+    counts eigenvalues above RANK_THRESHOLD_REL of the largest and above
+    RANK_THRESHOLD_ABS.
+    """
+    lam = np.sort(np.concatenate([lam, np.zeros(rows - lam.size)]))[::-1]
     if lam.size and lam[-1] < _EIG_CLAMP:
         raise NumericError(f"Gram eigenvalue {lam[-1]:.3e} below clamp window")
     lam = np.clip(lam, 0.0, None)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import warnings
+
+from hypothesis import example, given, strategies as st
 from numpy.polynomial import chebyshev
 
 from nqsent import approx
@@ -21,10 +23,10 @@ from nqsent.approx import (
     reduced_certificate,
 )
 from nqsent.core import RngStream, Subregion, feature_supnorm
-from nqsent.errors import CapacityError, ContractError, DomainError, NumericError
+from nqsent.errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
 from nqsent.graph import ComputationGraph, Node, feature_reduce
 from nqsent.statevector import materialize, two_norm_distance
-from nqsent.entanglement import subregion_entropy
+from nqsent.entanglement import bipartition, subregion_entropy
 
 
 def test_fit_chebyshev_polynomial_exact():
@@ -464,3 +466,101 @@ def test_bound_chain_dominates_measured(family, seed, spins):
     assert report.entropy_bound_final >= report.measured_entropy
     assert report.measured_two_norm_distance <= report.delta_norm_bound
     assert report.error_empirical <= report.eps_raw
+
+
+@pytest.mark.parametrize("degree", ["abc", "AUTO", 2.7, 6.0, True, False, None, [6]])
+def test_full_report_refuses_bad_degree(degree):
+    g = build_snnqs(SnnqsSpec(n=6, activation="sin", parameterization="direct"), RngStream(9).child(0))
+    with pytest.raises(ContractError, match="degree"):
+        full_bound_report(g, Subregion(0b111, 6), degree=degree)
+
+
+def test_full_report_takes_numpy_integer_degree():
+    g = build_snnqs(SnnqsSpec(n=6, activation="sin", parameterization="direct"), RngStream(9).child(0))
+    region = Subregion(0b111, 6)
+    assert full_bound_report(g, region, degree=np.int64(6)) == full_bound_report(g, region, degree=6)
+
+
+@pytest.mark.parametrize("region", [Subregion(0b111, 7), Subregion(0, 6), Subregion(0b111111, 6)])
+def test_full_report_refuses_region_before_any_work(monkeypatch, region):
+    g = build_snnqs(SnnqsSpec(n=6, activation="sin", parameterization="direct"), RngStream(9).child(0))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the region check")
+
+    for name in ("feature_reduce", "cheb_fit_multi", "materialize"):
+        monkeypatch.setattr(approx, name, no_work)
+    with pytest.raises(ContractError):
+        full_bound_report(g, region, degree=4)
+
+
+_ONE_FEATURE_FAMILIES = {
+    "snnqs i*tanh": dict(activation="i*tanh"),
+    "snnqs sin direct": dict(activation="sin", parameterization="direct"),
+    "snnqs tanh": dict(activation="tanh"),
+    "snnqs tanh+i*sin": dict(activation="tanh+i*sin"),
+}
+
+
+def _assert_split_chain_matches_state(g, region, degree):
+    r = feature_reduce(g)
+    assert r.mu == 1
+    fit = cheb_fit_multi(r.g_eval, (feature_supnorm(r.features[0]),), degree)
+    psi = materialize(g)
+    aux = auxiliary_state(r, fit)
+    expected = subregion_entropy(aux, region)
+    distance = two_norm_distance(psi, aux)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, split_distance = approx._split_chain(r.features[0], fit, bipartition(psi, region))
+    assert abs(result.entropy - expected.entropy) <= 1e-12
+    assert result.schmidt_rank == expected.schmidt_rank
+    assert abs(split_distance - distance) <= max(1e-12, 1e-9 * distance)
+
+
+@given(
+    family=st.sampled_from(sorted(_ONE_FEATURE_FAMILIES)),
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 10),
+    degree=st.integers(1, 48),
+    mask=st.integers(1, 2**10 - 2),
+)
+@example(family="snnqs sin direct", seed=1, n=10, degree=40, mask=0b1)  # |A| = 1
+@example(family="snnqs i*tanh", seed=2, n=10, degree=40, mask=0b1111111110)  # |A| = n-1
+@example(family="snnqs tanh+i*sin", seed=3, n=9, degree=20, mask=0b1001)  # 2^|A| < d+1
+def test_split_chain_matches_auxiliary_state(family, seed, n, degree, mask):
+    """The one-feature factorization against the materialized auxiliary state:
+    entropy, Schmidt rank and distance from the network's state."""
+    region = Subregion(mask & ((1 << n) - 1), n)
+    if not 0 < region.size < n:
+        region = Subregion(1, n)
+    g = build_snnqs(SnnqsSpec(n=n, bias_std=0.5, **_ONE_FEATURE_FAMILIES[family]), RngStream(seed).child(0))
+    _assert_split_chain_matches_state(g, region, degree)
+
+
+@pytest.mark.parametrize("mask", [0b00000111, 0b11111000, 0b00011111])
+def test_split_chain_constant_side(mask):
+    # the feature has no weight on spins 0..2: a region inside them (or its
+    # complement) sees one side constant, which takes a single table column
+    n = 8
+    gen = RngStream(17).child(0).generator()
+    inputs = tuple((("s", i), float(gen.normal(0.0, 0.6))) for i in range(3, n))
+    g = ComputationGraph(
+        [
+            Node(0, "nonlinear", inputs, bias=0.4, activation=Activation("sin")),
+            Node(1, "output", ((0, 1.0),), bias=0.3, output_mode="amplitude"),
+        ],
+        n,
+    )
+    assert not feature_reduce(g).features[0].weights[:3].any()
+    _assert_split_chain_matches_state(g, Subregion(mask, n), 12)
+    if mask in (0b00000111, 0b11111000):
+        report = full_bound_report(g, Subregion(mask, n), degree=12)
+        assert report.measured_entropy_aux == 0.0
+
+
+def test_vanishing_auxiliary_state_is_degenerate():
+    # the degree-0 fit of the odd sin(t) is c_0 = 0 exactly
+    g = build_snnqs(SnnqsSpec(n=2, activation="sin", parameterization="direct", bias_std=0.5), RngStream(1).child(0))
+    with pytest.raises(DegenerateStateError):
+        full_bound_report(g, Subregion(0b1, 2), degree=0)
