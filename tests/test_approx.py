@@ -1,9 +1,8 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-import warnings
-
 from hypothesis import example, given, strategies as st
 from numpy.polynomial import chebyshev
 
@@ -443,13 +442,21 @@ def test_report_capacity_propagates_for_many_features():
         full_bound_report(g, Subregion(0b11, 6), degree=3)
 
 
+# one-feature (mu=1) snnqs families, as SnnqsSpec fields besides n and bias_std
+_ONE_FEATURE_FAMILIES = {
+    "snnqs i*tanh": dict(activation="i*tanh"),
+    "snnqs sin direct": dict(activation="sin", parameterization="direct"),
+    "snnqs tanh": dict(activation="tanh"),
+    "snnqs tanh+i*sin": dict(activation="tanh+i*sin"),
+}
+
+
+def _one_feature_graph(family, n, rng):
+    return build_snnqs(SnnqsSpec(n=n, bias_std=0.5, **_ONE_FEATURE_FAMILIES[family]), rng)
+
+
 _CERTIFIABLE_FAMILIES = {
-    "snnqs i*tanh": lambda rng: build_snnqs(SnnqsSpec(n=10, activation="i*tanh", bias_std=0.5), rng),
-    "snnqs sin direct": lambda rng: build_snnqs(
-        SnnqsSpec(n=10, activation="sin", parameterization="direct", bias_std=0.5), rng
-    ),
-    "snnqs tanh": lambda rng: build_snnqs(SnnqsSpec(n=10, activation="tanh", bias_std=0.5), rng),
-    "snnqs tanh+i*sin": lambda rng: build_snnqs(SnnqsSpec(n=10, activation="tanh+i*sin", bias_std=0.5), rng),
+    **{family: (lambda rng, family=family: _one_feature_graph(family, 10, rng)) for family in _ONE_FEATURE_FAMILIES},
     "cosnet k=1": lambda rng: build_cosnet(CosnetSpec(n=10, k=1), rng),
 }
 
@@ -494,14 +501,6 @@ def test_full_report_refuses_region_before_any_work(monkeypatch, region):
         full_bound_report(g, region, degree=4)
 
 
-_ONE_FEATURE_FAMILIES = {
-    "snnqs i*tanh": dict(activation="i*tanh"),
-    "snnqs sin direct": dict(activation="sin", parameterization="direct"),
-    "snnqs tanh": dict(activation="tanh"),
-    "snnqs tanh+i*sin": dict(activation="tanh+i*sin"),
-}
-
-
 def _assert_split_chain_matches_state(g, region, degree):
     r = feature_reduce(g)
     assert r.mu == 1
@@ -534,8 +533,7 @@ def test_split_chain_matches_auxiliary_state(family, seed, n, degree, mask):
     region = Subregion(mask & ((1 << n) - 1), n)
     if not 0 < region.size < n:
         region = Subregion(1, n)
-    g = build_snnqs(SnnqsSpec(n=n, bias_std=0.5, **_ONE_FEATURE_FAMILIES[family]), RngStream(seed).child(0))
-    _assert_split_chain_matches_state(g, region, degree)
+    _assert_split_chain_matches_state(_one_feature_graph(family, n, RngStream(seed).child(0)), region, degree)
 
 
 @pytest.mark.parametrize("mask", [0b00000111, 0b11111000, 0b00011111])
