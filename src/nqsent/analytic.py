@@ -9,6 +9,7 @@ beyond, which keeps oracle values free of cancellation noise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,14 +103,17 @@ def page_value(m: int, n: int) -> float:
     """Haar-average subsystem entropy in nats: H(2^n) - H(2^(n-m)) - (2^m - 1)/2^(n-m+1).
 
     Harmonic numbers are evaluated via the digamma function, which is the
-    closed form of the partial sums to machine precision. For m > n/2 the
+    closed form of the partial sums to machine precision; its arguments are
+    floats, so n is refused once 2^n is not a finite float. For m > n/2 the
     pure-state symmetry m <-> n-m applies.
     """
     if not 1 <= m <= n - 1:
         raise DomainError(f"m={m} outside 1..{n - 1}")
+    if n >= sys.float_info.max_exp:
+        raise DomainError(f"n={n}: 2^n is not a finite float")
     if m > n - m:
         m = n - m
-    da = 1 << m
-    db = 1 << (n - m)
-    harmonic_diff = float(digamma(da * db + 1) - digamma(db + 1))
-    return harmonic_diff - (da - 1) / (2.0 * db)
+    da = math.ldexp(1.0, m)
+    db = math.ldexp(1.0, n - m)
+    harmonic_diff = float(digamma(da * db + 1.0) - digamma(db + 1.0))
+    return harmonic_diff - (da - 1.0) / (2.0 * db)

@@ -21,10 +21,7 @@ once, two ufunc calls per row. The coefficient tensor, reshaped to
 for its real and one for its imaginary part, so no table is ever complex;
 each remaining variable is then folded in by a multiply-and-sum over its
 axis. Coefficients with no imaginary part (the fit of a real G) skip the
-imaginary product and give float64 values. A one-variable fit builds and
-contracts its table ``_ROW_GROUP`` rows at a time, so its blocks span a
-whole 2^14-configuration chunk while the rows stay in cache: fewer, longer
-ufunc calls are what let two threads share the work.
+imaginary product and give float64 values.
 
 The bound chain for a state with reduced form G(t_1..t_mu) is: fit error
 eps -> auxiliary-state 2-norm distance 2 sqrt(eps/norm) 2^(n/4) -> reduced
@@ -76,9 +73,6 @@ _SUP_INFLATION = 1.1
 _A_GRID = [0.25 * j for j in range(1, 15)]
 # the ellipse is chosen to minimize the error bound C rho^-d at this degree
 _A_SCORE_DEGREE = 16
-# a one-variable fit builds and contracts its table this many rows at a time,
-# so a 2^14-column block's rows (about 2 MiB) stay in a core's L2 cache
-_ROW_GROUP = 16
 # bytes of one block of the split chain's products; blocks of _TABLE_BYTES
 # left about 10 MiB more of the allocator's heap resident from one bound
 # report to the next
@@ -127,41 +121,21 @@ class ChebyshevApprox:
         parts = [np.ascontiguousarray(p) for p in ((c.real,) if real else (c.real, c.imag))]
         out = np.empty(count, np.float64 if real else np.complex128)
         targets = [out] if real else [out.real, out.imag]
-        rest = c.shape[0]
-        # with several variables the partial sums have (d+1)^(mu-1) rows, and
-        # adding each row group's product into them would cost a pass per group
-        group = min(d + 1, _ROW_GROUP) if rest == 1 else d + 1
-        # rows of each part's partial sums, twice as many when later row
-        # groups need room for their product
-        sums = rest if group > d else 2 * rest
-        # float64 rows per column: the leading variables' tables (with two
-        # rows ahead of T_0, like the ring), the last variable's row group
-        # and 2x, and the sums
-        per_column = (mu - 1) * (d + 3) + group + 3 + len(parts) * sums
+        # float64 rows per column: every variable's table, 2x, and each
+        # part's partial sums
+        per_column = mu * (d + 1) + 1 + len(parts) * c.shape[0]
         width = max(1, min(count, _TABLE_BYTES // (8 * per_column)))
         buf = _scratch(per_column * width)
         for lo in range(0, count, width):
             w = min(width, count - lo)
-            tables, ring, two_x, *views = _carve(
-                buf, (mu - 1, d + 3, w), (group + 2, w), (w,), *[(rest, w)] * len(parts), *[(sums - rest, w)] * len(parts)
-            )
-            sums_of, later = views[: len(parts)], views[len(parts) :]
-            xs = x[:, lo : lo + w]
-            np.multiply(xs[-1], 2.0, out=two_x)
-            for i0 in range(0, d + 1, group):
-                if i0:
-                    ring[:2] = ring[group:]
-                rows = ring[: 2 + min(group, d + 1 - i0)]
-                _recurrence(rows, i0, xs[-1], two_x)
-                cols = slice(i0, i0 + len(rows) - 2)
-                for part, total, product in zip(parts, sums_of, later):
-                    np.matmul(part[:, cols], rows[2:], out=product if i0 else total)
-                    if i0:
-                        total += product
-            for x_j, table in zip(xs, tables):
+            tables, two_x, *sums_of = _carve(buf, (mu, d + 1, w), (w,), *[(c.shape[0], w)] * len(parts))
+            for x_j, table in zip(x[:, lo : lo + w], tables):
                 np.multiply(x_j, 2.0, out=two_x)
-                _recurrence(table, 0, x_j, two_x)
-                sums_of = [_fold(total, table[2:]) for total in sums_of]
+                _recurrence(table, x_j, two_x)
+            for part, total in zip(parts, sums_of):
+                np.matmul(part, tables[-1], out=total)
+            for table in tables[:-1]:
+                sums_of = [_fold(total, table) for total in sums_of]
             for target, total in zip(targets, sums_of):
                 target[lo : lo + w] = total[0]
         return out
@@ -186,16 +160,14 @@ def _carve(buf: np.ndarray, *shapes) -> list[np.ndarray]:
     return views
 
 
-def _recurrence(rows: np.ndarray, i0: int, x: np.ndarray, two_x: np.ndarray) -> None:
-    """Fill rows[2:] with T_i0(x), T_i0+1(x), ... by T_i = 2x T_i-1 - T_i-2;
-    rows[0] and rows[1] hold T_i0-2 and T_i0-1 when i0 >= 2."""
-    for k in range(2, len(rows)):
-        i = i0 + k - 2
+def _recurrence(rows: np.ndarray, x: np.ndarray, two_x: np.ndarray) -> None:
+    """Fill rows with T_0(x), T_1(x), ... by T_i = 2x T_i-1 - T_i-2."""
+    for i in range(len(rows)):
         if i < 2:
-            rows[k] = x if i else 1.0
+            rows[i] = x if i else 1.0
         else:
-            np.multiply(two_x, rows[k - 1], out=rows[k])
-            np.subtract(rows[k], rows[k - 2], out=rows[k])
+            np.multiply(two_x, rows[i - 1], out=rows[i])
+            np.subtract(rows[i], rows[i - 2], out=rows[i])
 
 
 def _fold(part: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -466,9 +438,9 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) 
     rows, k_l = M.shape[0], C.shape[1]
 
     def table(v: np.ndarray, count: int) -> np.ndarray:
-        out = np.empty((count + 2, v.size))
-        _recurrence(out, 0, v, 2.0 * v)
-        return out[2:]
+        out = np.empty((count, v.size))
+        _recurrence(out, v, 2.0 * v)
+        return out
 
     def block(products: int) -> int:
         """Columns of L per block: tables near _TABLE_BYTES, products near _SPLIT_BYTES."""

@@ -25,14 +25,20 @@ _MASK64 = (1 << 64) - 1
 def resolve_spin_cap(max_n: int | None = None) -> int:
     """Effective spin cap: explicit override, then NQS_MAX_N env var, then 24.
 
-    The hard ceiling of 26 cannot be raised (1 GiB of amplitudes).
+    The hard ceiling of 26 cannot be raised (1 GiB of amplitudes). A cap
+    outside 1..26, or an NQS_MAX_N that is not an integer, is a CapacityError.
     """
-    cap = max_n
+    cap, source = max_n, "max_n"
     if cap is None:
         env = os.environ.get("NQS_MAX_N")
-        cap = int(env) if env else DEFAULT_SPIN_CAP
-    if cap > HARD_SPIN_CAP:
-        raise CapacityError(f"spin cap {cap} exceeds hard ceiling {HARD_SPIN_CAP}")
+        if not env:
+            return DEFAULT_SPIN_CAP
+        try:
+            cap, source = int(env), "NQS_MAX_N"
+        except ValueError:
+            raise CapacityError(f"NQS_MAX_N={env!r} is not an integer") from None
+    if not 1 <= cap <= HARD_SPIN_CAP:
+        raise CapacityError(f"{source}={cap} is outside 1..{HARD_SPIN_CAP}")
     return cap
 
 

@@ -60,8 +60,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.region_mode not in REGION_MODES:
             raise ContractError(f"unknown region mode {self.region_mode!r}")
-        if self.trials < 1 or self.regions_per_trial < 1:
-            raise ContractError("need trials >= 1 and regions_per_trial >= 1")
+        # the name is the CSV's first field, written unquoted
+        if not isinstance(self.name, str) or any(ch in self.name for ch in ',"\r\n'):
+            raise ContractError(f"name {self.name!r} must be a string without commas, quotes or line breaks")
+        self.trials = _count("trials", self.trials)
+        self.regions_per_trial = _count("regions_per_trial", self.regions_per_trial)
+        if not _is_integer(self.seed):
+            raise ContractError(f"seed {self.seed!r} is not an integer")
+        self.seed = int(self.seed)
         if self.k_grid and self.ansatz.get("family") != "cosnet":
             raise ContractError("k_grid needs a cosnet ansatz block")
         self.n_grid = _counts("n_grid", self.n_grid)
@@ -85,21 +91,26 @@ class ExperimentConfig:
         return cls(**doc)
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _count(what: str, v, half: bool = False):
+    """A config value as an int >= 1 (or "half", where allowed); anything
+    else is a ContractError naming it."""
+    if half and v == "half":
+        return v
+    if _is_integer(v) and v >= 1:
+        return int(v)
+    expected = '"half" or an integer >= 1' if half else "an integer >= 1"
+    raise ContractError(f"{what} {v!r} is not {expected}")
+
+
 def _counts(key: str, values, half: bool = False) -> list:
-    """A config list as ints >= 1 (or "half", where allowed); a
-    ContractError names the first entry that is neither."""
+    """A config list of counts; a ContractError names the first bad entry."""
     if not isinstance(values, (list, tuple)):
         raise ContractError(f"{key} must be a list, not {values!r}")
-    expected = '"half" or an integer >= 1' if half else "an integer >= 1"
-    out = []
-    for v in values:
-        if half and v == "half":
-            out.append(v)
-        elif isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1:
-            out.append(int(v))
-        else:
-            raise ContractError(f"{key} entry {v!r} is not {expected}")
-    return out
+    return [_count(f"{key} entry", v, half) for v in values]
 
 
 @dataclass

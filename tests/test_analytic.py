@@ -139,3 +139,12 @@ def test_page_monotone_up_to_half():
 
 def test_page_symmetry_beyond_half():
     assert page_value(9, 12) == page_value(3, 12)
+
+
+def test_page_value_beyond_int64():
+    # H(x) = ln x + gamma + 1/(2x) + O(x^-2) gives H(2^64) - H(2^32) - (2^32 - 1)/2^33
+    assert page_value(32, 64) == pytest.approx(32 * math.log(2.0) - 0.5 + 2.0**-65, abs=1e-12)
+    assert page_value(1, 1023) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert math.isfinite(page_value(511, 1023))
+    with pytest.raises(DomainError):
+        page_value(512, 1024)

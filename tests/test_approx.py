@@ -127,9 +127,10 @@ def _assert_matches_chebval(mu, d, count, seed):
 
 @pytest.mark.parametrize("mu,degrees", [(1, (0, 1, 15, 16, 40)), (2, (0, 1, 9)), (3, (0, 1, 5)), (4, (0, 1, 3))])
 def test_evaluate_unit_matches_numpy_chebyshev(monkeypatch, mu, degrees):
-    # a 4 KiB budget makes blocks of 3 to 85 columns, so 97 columns cross
-    # two or more and end in a ragged one; at mu=1 degree 16 contracts its
-    # table in row groups of 16 and 1, degree 40 in groups of 16, 16 and 9
+    # a 4 KiB budget makes blocks of 3 to 170 columns: 97 columns fit in one
+    # block at degree 0 with mu <= 3 and at mu=1 degree 1, and elsewhere
+    # cross two or more blocks and end in a ragged one; degrees 15, 16 and 40
+    # give mu=1 tables of 16, 17 and 41 rows, each contracted in one product
     monkeypatch.setattr(approx, "_TABLE_BYTES", 4096)
     for d in degrees:
         for count in (0, 1, 97):
@@ -138,7 +139,8 @@ def test_evaluate_unit_matches_numpy_chebyshev(monkeypatch, mu, degrees):
 
 @pytest.mark.parametrize("mu,d,count", [(1, 207, 100_003), (2, 51, 12_000)])
 def test_evaluate_unit_blocks_at_full_budget(mu, d, count):
-    # the bound_chain degrees; either width makes three blocks, the last ragged
+    # the bound_chain degrees: 21 blocks at mu=1 and 2 (real) or 3 (complex)
+    # at mu=2, the last ragged in each
     _assert_matches_chebval(mu, d, count, seed=mu)
 
 

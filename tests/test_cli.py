@@ -162,6 +162,11 @@ def test_page_command(capsys, tmp_path):
 
     first = float(lines[1].split(",")[1])
     assert first == pytest.approx(page_value(1, 6), abs=1e-12)
+    # at n=64 the Haar dimension 2^64 no longer fits an int64
+    assert main(["page", "--n", "64", "--out", out]) == 0
+    lines = open(out).read().splitlines()
+    assert len(lines) == 64
+    assert float(lines[32].split(",")[1]) == pytest.approx(32 * math.log(2.0) - 0.5, abs=1e-12)
 
 
 def test_run_config_and_determinism(tmp_path, capsys):
@@ -220,6 +225,25 @@ def test_run_config_bad_grid_value_is_domain_error(tmp_path, capsys, key, value,
     err = json.loads(capsys.readouterr().err)
     expected = '"half" or an integer >= 1' if key == "sizes" else "an integer >= 1"
     message = f"{key} entry {bad} is not {expected}"
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("trials", "2", "trials '2' is not an integer >= 1"),
+        ("regions_per_trial", 2.5, "regions_per_trial 2.5 is not an integer >= 1"),
+        ("seed", "abc", "seed 'abc' is not an integer"),
+        ("name", "a,b", "name 'a,b' must be a string without commas, quotes or line breaks"),
+    ],
+)
+def test_run_config_bad_scalar_is_domain_error(tmp_path, capsys, key, value, message):
+    cfg = {"name": "bad", "ansatz": {"family": "dicke"}, "n_grid": [4], key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
     assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
     assert not (tmp_path / "x.csv").exists()
 
@@ -290,3 +314,16 @@ def test_max_n_holds_for_every_subcommand(dicke4_path, tmp_path, monkeypatch, ca
     assert main(["--max-n", "26", "bound", "--graph", dicke4_path, "--region", "3"]) == 0
     assert seen == [25, 26]
     assert "NQS_MAX_N" not in os.environ
+
+
+@pytest.mark.parametrize("env", ["abc", "-3"])
+def test_bad_spin_cap_env_is_domain_error(dicke4_path, tmp_path, monkeypatch, capsys, env):
+    monkeypatch.setenv("NQS_MAX_N", env)
+    assert main(["statevector", "--graph", dicke4_path, "--out", str(tmp_path / "psi.nqsv")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "CapacityError" and "NQS_MAX_N" in err["message"]
+    assert os.environ["NQS_MAX_N"] == env
+    # --max-n goes through the same check
+    monkeypatch.delenv("NQS_MAX_N")
+    assert main(["--max-n", "0", "statevector", "--graph", dicke4_path, "--out", str(tmp_path / "psi.nqsv")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {"type": "CapacityError", "message": "max_n=0 is outside 1..26"}

@@ -146,3 +146,28 @@ def test_spin_cap_env_override(monkeypatch):
         resolve_spin_cap()
     # explicit argument beats the environment
     assert resolve_spin_cap(max_n=20) == 20
+
+
+@pytest.mark.parametrize(
+    "env,message",
+    [
+        ("abc", "NQS_MAX_N='abc' is not an integer"),
+        ("2.5", "NQS_MAX_N='2.5' is not an integer"),
+        ("-3", "NQS_MAX_N=-3 is outside 1..26"),
+        ("0", "NQS_MAX_N=0 is outside 1..26"),
+        ("27", "NQS_MAX_N=27 is outside 1..26"),
+    ],
+)
+def test_spin_cap_refuses_bad_env(monkeypatch, env, message):
+    from nqsent.core import resolve_spin_cap
+
+    monkeypatch.setenv("NQS_MAX_N", env)
+    with pytest.raises(CapacityError) as info:
+        resolve_spin_cap()
+    assert str(info.value) == message
+    with pytest.raises(CapacityError, match="NQS_MAX_N"):
+        check_n(4)
+    # an explicit cap does not read the environment
+    assert resolve_spin_cap(max_n=20) == 20
+    with pytest.raises(CapacityError, match="max_n=0 is outside 1..26"):
+        resolve_spin_cap(max_n=0)

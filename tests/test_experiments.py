@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nqsent.analytic import dicke_entropy, page_value
@@ -176,6 +177,37 @@ def test_config_refuses_unknown_keys():
         ExperimentConfig.from_json(dict(doc, trial=3))
     with pytest.raises(ContractError, match="unknown snnqs ansatz key 'heads'"):
         run_sweep(ExperimentConfig.from_json(dict(doc, ansatz=dict(doc["ansatz"], heads="ones"))))
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("trials", "2", "trials '2' is not an integer >= 1"),
+        ("trials", True, "trials True is not an integer >= 1"),
+        ("trials", 0, "trials 0 is not an integer >= 1"),
+        ("regions_per_trial", 2.5, "regions_per_trial 2.5 is not an integer >= 1"),
+        ("regions_per_trial", None, "regions_per_trial None is not an integer >= 1"),
+        ("seed", 1.5, "seed 1.5 is not an integer"),
+        ("seed", "abc", "seed 'abc' is not an integer"),
+        ("seed", False, "seed False is not an integer"),
+    ],
+)
+def test_config_refuses_bad_scalar_fields(key, value, message):
+    with pytest.raises(ContractError) as info:
+        ExperimentConfig.from_json(dict(_phase_cfg().to_json(), **{key: value}))
+    assert str(info.value) == message
+
+
+def test_config_scalar_fields_take_numpy_integers():
+    cfg = _phase_cfg(trials=np.int64(2), regions_per_trial=np.uint8(3), seed=np.int32(-4))
+    assert (type(cfg.trials), type(cfg.regions_per_trial), type(cfg.seed)) == (int, int, int)
+    assert (cfg.trials, cfg.regions_per_trial, cfg.seed) == (2, 3, -4)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\r", '"a"', 7, None])
+def test_config_refuses_names_that_break_the_csv(name):
+    with pytest.raises(ContractError, match="name"):
+        _phase_cfg(name=name)
 
 
 def test_presets_read_every_spin():
