@@ -3,11 +3,12 @@ initialization schemes.
 
 All randomness flows through RngStream so ensembles are reproducible and
 trial-parallel. Vector operations that are not affine (LayerNorm, softmax,
-attention products) are decomposed into scalar nonlinear nodes: a product
-x*y becomes ((x+y)^2 - (x-y)^2)/4 via two square nodes, divisions go
-through ``recip``/``rsqrt`` nodes. The graph's k therefore reports the
-exact count of scalar nonlinear operations, which is larger than the
-nominal neuron count for LayerNorm and attention architectures.
+attention products) are decomposed into scalar nodes: a product x*y is one
+``product`` node, computed as one multiply, variances square through
+``poly`` nodes, divisions go through ``recip``/``rsqrt`` nodes. A product
+counts two in the graph's k, the squares of ((x+y)^2 - (x-y)^2)/4, so k
+reports the exact count of scalar nonlinear operations, which is larger
+than the nominal neuron count for LayerNorm and attention architectures.
 
 A config block may set exactly the fields of its family's spec.
 """
@@ -57,10 +58,8 @@ class _Builder:
         return self.add("nonlinear", inputs, bias=bias, activation=activation)
 
     def product(self, a: int, b: int) -> int:
-        """x*y as ((x+y)^2 - (x-y)^2) / 4 with two square nodes."""
-        plus = self.neuron(_SQUARE, [(a, 1.0), (b, 1.0)])
-        minus = self.neuron(_SQUARE, [(a, 1.0), (b, -1.0)])
-        return self.linear([(plus, 0.25), (minus, -0.25)])
+        """x*y as one product node."""
+        return self.add("product", [(a, 1.0), (b, 1.0)])
 
     def graph(self) -> ComputationGraph:
         return ComputationGraph(self.nodes, self.n)

@@ -334,7 +334,8 @@ def reduced_certificate(r: ReducedForm) -> Certificate | None:
     """Analyticity certificate for the reduced evaluator, when obtainable.
 
     One walk over the residual's live nodes checks that every nonlinearity
-    is holomorphic (the sup bound is sampled on complex points), caps the
+    is holomorphic (the sup bound is sampled on complex points; a product is
+    entire, of the summed degree of its factors), caps the
     ellipse for pole-limited kinds (tanh), which must read the feature ports
     directly, so that the affine image keeps a 10% margin from the nearest
     singularity, and carries each node's highest degree in any one feature,
@@ -354,7 +355,7 @@ def reduced_certificate(r: ReducedForm) -> Certificate | None:
     for nid in res.live_order:
         node = res.nodes[nid]
         reads = [1 if _is_raw(ref) else degree[ref] for ref, _ in node.inputs]
-        degree[nid] = None if None in reads else max(reads, default=0)
+        degree[nid] = None if None in reads else sum(reads) if node.kind == "product" else max(reads, default=0)
         if node.kind != "nonlinear":
             continue
         act = node.activation

@@ -58,6 +58,8 @@ class ExperimentConfig:
     k_grid: list[int] | None = None  # hidden-unit sweep for cosine networks
 
     def __post_init__(self):
+        if not isinstance(self.ansatz, dict):
+            raise ContractError(f"ansatz {self.ansatz!r} is not an object")
         if self.region_mode not in REGION_MODES:
             raise ContractError(f"unknown region mode {self.region_mode!r}")
         # the name is the CSV's first field, written unquoted
@@ -83,6 +85,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ContractError(f"experiment config {doc!r} is not an object")
         doc = dict(doc)
         doc.pop("schema_version", None)
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})

@@ -4,27 +4,34 @@ A graph maps n spins to one complex amplitude. Node kinds:
 
 * ``input``     reads one raw spin, value = w * s_i + b
 * ``linear``    affine combination of predecessor scalars
-* ``nonlinear`` sigma(b + sum w_j x_j), the only nonlinear primitive
+* ``nonlinear`` sigma(b + sum w_j x_j), a scalar activation
+* ``product``   (w_a x_a) * (w_b x_b) of exactly two inputs, with no bias
 * ``output``    affine sink; mode ``amplitude`` or ``log_amplitude`` (exp of value)
 
 Raw spins are referenced as ``("s", i)`` internally and ``"s_1"``..``"s_n"``
 in JSON. ``ComputationGraph`` lists the construction rules.
 
-Feature reduction rewrites the amplitude as G(t_1..t_mu) over mu affine
-features with mu <= k+1, k the number of live nonlinear nodes: each
-nonlinear pre-activation contributes its direct affine part as a candidate
-feature, the output contributes one more, constants are folded, and
-linearly dependent rows are dropped by a greedy QR pass. G is the original
-DAG restricted to the nodes that read a nonlinear output, plus the
-nonlinear nodes and the output, which read the features through ports.
+k counts the scalar nonlinearities of the live nodes: one per nonlinear
+node and two per product, which by polarization, xy = ((x+y)^2 - (x-y)^2)/4,
+is two squares. Feature reduction rewrites the amplitude as G(t_1..t_mu)
+over mu affine features with mu <= k+1: each nonlinear pre-activation and
+each of a product's two factors contributes its direct affine part as a
+candidate feature (the span of the x+y and x-y candidates of the squares),
+the output contributes one more, constants are folded, and linearly
+dependent rows are dropped by a greedy QR pass. G is the original DAG
+restricted to the nodes that read a nonlinear or product output, plus the
+nonlinear nodes, the products and the output, which read the features
+through ports (a product through one linear node per factor).
 
 Evaluation runs a tape compiled once per graph (and per port dtype): the
 live nodes are grouped by depth level, function and realness, and each
 group is one ``scipy.sparse`` CSR product over a value table followed by
-one vectorized activation call on the group's rows. Each node still sums
-its bias and weighted inputs in its own input order, so the tape gives the
-amplitudes of a per-edge loop bit for bit, except that a complex weight
-times a complex value is the plain (not fused) complex product. A batch is
+one vectorized activation call on the group's rows; a product group's
+matrix stacks the first factors above the second ones, and its function
+multiplies the two halves. Each node still sums its bias and weighted
+inputs in its own input order, so the tape gives the amplitudes of a
+per-edge loop bit for bit, except that a complex weight times a complex
+value, and a complex product, are the plain (not fused) complex product. A batch is
 evaluated in column sub-blocks whose width keeps the value tables near
 8 MiB, in storage each thread keeps for the length of a chunk run; callers
 over many configurations hand it ``DEFAULT_CHUNK`` = 2^14 columns at a time
@@ -146,7 +153,7 @@ class Node:
     output_mode: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("input", "linear", "nonlinear", "output"):
+        if self.kind not in ("input", "linear", "nonlinear", "product", "output"):
             raise ContractError(f"unknown node kind {self.kind!r}")
         if self.kind == "nonlinear" and self.activation is None:
             raise ContractError(f"nonlinear node {self.id} needs an activation")
@@ -154,6 +161,16 @@ class Node:
             raise ContractError(f"output node {self.id} needs a valid output_mode")
         object.__setattr__(self, "inputs", tuple((ref, complex(w)) for ref, w in self.inputs))
         object.__setattr__(self, "bias", complex(self.bias))
+        if self.kind == "product" and (len(self.inputs) != 2 or self.bias != 0 or self.activation is not None):
+            raise ContractError(f"product node {self.id} needs exactly two inputs, no bias and no activation")
+
+    @property
+    def arguments(self) -> tuple:
+        """(bias, inputs) of each affine sum the node reads: a product's two
+        factors 0 + w_a x_a and 0 + w_b x_b, else its one pre-activation."""
+        if self.kind == "product":
+            return ((0j, self.inputs[:1]), (0j, self.inputs[1:]))
+        return ((self.bias, self.inputs),)
 
 
 def _is_raw(ref) -> bool:
@@ -164,7 +181,8 @@ class ComputationGraph:
     """Validated DAG over n spins with exactly one output node.
 
     Construction rules (``ContractError`` unless noted; ``Node`` itself
-    rejects an unknown kind, a nonlinear node without an activation and an
+    rejects an unknown kind, a nonlinear node without an activation, a
+    product without exactly two inputs or with a bias or activation, and an
     output without a valid ``output_mode``):
 
     * node ids are unique and exactly one node is the output;
@@ -172,11 +190,12 @@ class ComputationGraph:
     * an ``input`` node reads exactly one raw spin and nothing else;
     * there is no directed cycle (``CycleError`` names one);
     * parameters are real, except output weights on edges without direct
-      spin dependence, which a nonlinear output does not pass on;
+      spin dependence, which a nonlinear or product output does not pass on;
     * a live non-holomorphic activation takes a real pre-activation.
 
     Dead nodes, which the output reads through no path, are checked but
-    never evaluated, and ``k`` counts only live nonlinear nodes.
+    never evaluated, and ``k`` counts only live nodes: one per nonlinear
+    node and two per product, the squares of its polarization.
     """
 
     def __init__(self, nodes: Sequence[Node], n: int):
@@ -209,13 +228,16 @@ class ComputationGraph:
                 raise ContractError(f"node {nid}: complex parameters are only allowed at the output")
             if node.kind == "output" and any(w.imag != 0.0 and (_is_raw(r) or carries[r]) for r, w in node.inputs):
                 raise ContractError("complex output weights are only allowed on edges without direct spin dependence")
-            carries[nid] = not nonlinear and any(_is_raw(r) or carries[r] for r, _ in node.inputs)
+            atom = nonlinear or node.kind == "product"
+            carries[nid] = not atom and any(_is_raw(r) or carries[r] for r, _ in node.inputs)
             if nid not in live:
                 continue
             acc_real = coeffs_real and all(_is_raw(r) or self._value_real[r] for r, _ in node.inputs)
             self._acc_real[nid] = acc_real
             self._value_real[nid] = acc_real and (not nonlinear or node.activation.mode == "real")
-            if nonlinear:
+            if node.kind == "product":
+                self.k += 2  # ((x+y)^2 - (x-y)^2) / 4: two scalar nonlinearities
+            elif nonlinear:
                 self.k += 1
                 if not acc_real and not node.activation.holomorphic:
                     raise ContractError(
@@ -300,12 +322,12 @@ class _Step:
     """One group of nodes: a sparse product over a source table, then the
     group's function on the rows it yields."""
 
-    matrix: scipy.sparse.csr_array  # one row per node, one column per source-table row
+    matrix: scipy.sparse.csr_array  # a row per node (per factor of a product), a column per source-table row
     src: int  # table read: 0 real, 1 complex
     dst: int  # table written
     lo: int  # first destination row
     mirror: int | None  # first complex-table row of the copy a real group keeps there
-    fn: object  # Activation.apply, _checked_exp, or None for affine nodes
+    fn: object  # Activation.apply, _checked_exp, _multiply_halves, or None for affine nodes
 
 
 class _Tape:
@@ -319,9 +341,10 @@ class _Tape:
     vectorized call applies its function. Each CSR row holds the bias (as
     the weight of the ones row) and then the node's inputs in their own
     order, so every node sums bias + w0 x0 + w1 x1 ... in the order of a
-    per-edge loop. A complex pre-activation reads the complex table only,
-    which therefore also holds a copy of the ports and of each real group
-    that one reads.
+    per-edge loop; a product group has a row per factor, w_a x_a, and
+    multiplies its two halves. A complex pre-activation reads the complex
+    table only, which therefore also holds a copy of the ports and of each
+    real group that one reads.
     """
 
     def __init__(self, g: ComputationGraph, complex_ports: bool):
@@ -336,6 +359,8 @@ class _Tape:
             fn = node.activation
             if node.kind == "output" and node.output_mode == "log_amplitude":
                 fn = _checked_exp
+            elif node.kind == "product":
+                fn = _multiply_halves
             groups.setdefault((level[nid], fn, acc_c[nid]), []).append(nid)
 
         # what a complex pre-activation reads from the real side
@@ -357,19 +382,21 @@ class _Tape:
 
         self.steps = []
         for members, fn, src, dst, lo, mirror in placed:
+            # one row per node; a product group's first factors, then its second ones
+            arity = len(nodes[members[0]].arguments)
+            terms = [nodes[nid].arguments[f] for f in range(arity) for nid in members]
             indptr, indices, data = [0], [], []
-            for nid in members:
-                node = nodes[nid]
-                if node.bias != 0:
+            for bias, inputs in terms:
+                if bias != 0:
                     indices.append(0)
-                    data.append(node.bias)
-                indices.extend(1 + r[1] if _is_raw(r) else row[src][r] for r, _ in node.inputs)
-                data.extend(w for _, w in node.inputs)
+                    data.append(bias)
+                indices.extend(1 + r[1] if _is_raw(r) else row[src][r] for r, _ in inputs)
+                data.extend(w for _, w in inputs)
                 indptr.append(len(indices))
             data = np.array(data, dtype=np.complex128)
             matrix = scipy.sparse.csr_array(
                 (data if src else data.real.copy(), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-                shape=(len(members), sizes[src]),
+                shape=(len(terms), sizes[src]),
             )
             apply = fn.apply if isinstance(fn, Activation) else fn
             self.steps.append(_Step(matrix, src, dst, lo, mirror, apply))
@@ -405,6 +432,20 @@ class _Tape:
                 tables[1][step.mirror : step.mirror + len(vals)] = vals
         t, r = self.out
         return tables[t][r]
+
+
+def _multiply_halves(vals: np.ndarray) -> np.ndarray:
+    """Top half of the rows times the bottom half. A complex product is
+    formed unfused, (ar br - ai bi) + i (ar bi + ai br), like the complex
+    weights of the sparse products, so no CPU's fused multiply-add moves it."""
+    half = len(vals) // 2
+    a, b = vals[:half], vals[half:]
+    if not np.iscomplexobj(vals):
+        return np.multiply(a, b, out=a)
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _kahn_sort(nodes: dict[int, Node], n: int) -> list[int]:
@@ -464,11 +505,13 @@ class ReducedForm:
     ``residual`` is a computation graph whose ports are the feature values,
     so G carries no symbolic algebra: it is the original DAG with all input
     dependence rerouted through the retained features. It keeps, under their
-    original ids, the nonlinear nodes, the output and every linear node that
-    reads a nonlinear output, with their edges among those nodes. Each
-    nonlinear node and the output also reads its direct affine part as
-    port edges beta . t plus bias gamma. Input nodes and linear nodes that
-    read only spins drop out.
+    original ids, the nonlinear and product nodes, the output and every
+    linear node that reads one of their outputs, with their edges among
+    those nodes. Each nonlinear node and the output also reads its direct
+    affine part as port edges beta . t plus bias gamma; each product factor
+    with a direct part becomes a linear node of those port edges, the bias
+    and the factor's edge among kept nodes, numbered after the graph's ids.
+    Input nodes and linear nodes that read only spins drop out.
     """
 
     features: list[AffineFeature]
@@ -500,30 +543,36 @@ def feature_reduce(g: ComputationGraph) -> ReducedForm:
     rewrite the graph over the retained feature ports.
 
     Each live value splits into a direct affine part w.s + c and a part that
-    reads nonlinear outputs phi, which are atoms with no direct part. The direct
-    parts of the nonlinear pre-activations and of the output are the
-    candidate features.
+    reads nonlinear or product outputs phi, which are atoms with no direct
+    part. The direct parts of the nonlinear pre-activations, of both factors
+    of each product and of the output are the candidate features.
     """
     zero = np.zeros(g.n)
     direct: dict[int, tuple[np.ndarray, complex]] = {}
     reads_phi: dict[int, bool] = {}
-    candidates = []  # (w, c.real), nonlinear nodes in live order, then the output
-    for nid in g.live_order:
-        node = g.nodes[nid]
-        w, c = np.zeros(g.n), node.bias
-        for ref, wt in node.inputs:
+
+    def direct_part(inputs, bias: complex) -> tuple[np.ndarray, complex]:
+        w, c = np.zeros(g.n), bias
+        for ref, wt in inputs:
             if _is_raw(ref):
                 w[ref[1]] += wt.real
             else:
                 w_src, c_src = direct[ref]
                 w += wt.real * w_src
                 c += wt * c_src
-        if node.kind == "nonlinear":
-            candidates.append((w, c.real))
+        return w, c
+
+    candidates = []  # (w, c.real) of atom arguments in live order, then the output
+    for nid in g.live_order:
+        node = g.nodes[nid]
+        if node.kind in ("nonlinear", "product"):
+            for bias, inputs in node.arguments:
+                w, c = direct_part(inputs, bias)
+                candidates.append((w, c.real))
             direct[nid] = (zero, 0j)
             reads_phi[nid] = True
         else:
-            direct[nid] = (w, c)
+            direct[nid] = direct_part(node.inputs, node.bias)
             reads_phi[nid] = any(not _is_raw(ref) and reads_phi[ref] for ref, _ in node.inputs)
     out_c = direct[g.output_id][1]
     candidates.append((direct[g.output_id][0], out_c.real))
@@ -566,24 +615,45 @@ def feature_reduce(g: ComputationGraph) -> ReducedForm:
     # imaginary constant part of the output reappears in its residual bias
     gammas[-1] += out_c - out_c.real
 
-    # the residual keeps every node that reads a nonlinear output, under its
-    # own id and with its edges among kept nodes; nonlinear nodes and the
-    # output take their direct parts through port edges and bias instead
+    # the residual keeps every node that reads an atom, under its own id and
+    # with its edges among kept nodes; nonlinear nodes and the output take
+    # their direct parts through port edges and bias instead. Each product
+    # factor becomes a new linear node over ports and the factor's inner
+    # edge, numbered after the graph's ids; a factor without ports or
+    # constant reads its inner edge directly
     residual_nodes = []
+    next_id = max(g.nodes) + 1
     j = 0
+
+    def inner(inputs) -> tuple:
+        return tuple((ref, wt) for ref, wt in inputs if not _is_raw(ref) and reads_phi[ref])
+
+    def rewritten(nid: int, kind: str, inputs, activation=None, output_mode=None) -> Node:
+        """Node ``nid`` over candidate j's ports and bias plus the inner edges."""
+        nonlocal j
+        ports = tuple((("s", m), beta) for m, beta in enumerate(betas[j]) if beta != 0.0)
+        bias = gammas[j] if kind == "output" else gammas[j].real
+        j += 1
+        return Node(nid, kind, ports + inner(inputs), bias, activation, output_mode)
+
     for nid in g.live_order:
         node = g.nodes[nid]
-        inner = tuple((ref, wt) for ref, wt in node.inputs if not _is_raw(ref) and reads_phi[ref])
         if node.kind in ("input", "linear"):
             if reads_phi[nid]:
-                residual_nodes.append(Node(nid, "linear", inner))
-            continue
-        ports = tuple((("s", m), beta) for m, beta in enumerate(betas[j]) if beta != 0.0)
-        bias = gammas[j] if node.kind == "output" else gammas[j].real
-        residual_nodes.append(
-            Node(nid, node.kind, ports + inner, bias=bias, activation=node.activation, output_mode=node.output_mode)
-        )
-        j += 1
+                residual_nodes.append(Node(nid, "linear", inner(node.inputs)))
+        elif node.kind == "product":
+            factors = []
+            for _, inputs in node.arguments:
+                factor = rewritten(next_id, "linear", inputs)
+                if factor.bias == 0 and len(factor.inputs) == 1 and not _is_raw(factor.inputs[0][0]):
+                    factors.append(factor.inputs[0])
+                else:
+                    residual_nodes.append(factor)
+                    factors.append((next_id, 1.0))
+                    next_id += 1
+            residual_nodes.append(Node(nid, "product", tuple(factors)))
+        else:
+            residual_nodes.append(rewritten(nid, node.kind, node.inputs, node.activation, node.output_mode))
     residual = ComputationGraph(residual_nodes, n=mu)
     return ReducedForm(features=features, residual=residual, n=g.n, k=g.k)
 

@@ -31,12 +31,17 @@ _ACT_POOL = [
 _HOLO_POOL = [a for a in _ACT_POOL if a.holomorphic]
 
 
-def random_dag(gen: np.random.Generator, n: int, max_k: int) -> ComputationGraph:
+def random_dag(gen: np.random.Generator, n: int, max_k: int, products: bool = False) -> ComputationGraph:
     """One random feed-forward graph: raw spins feed a shuffled mix of linear
-    and nonlinear nodes, each reading a random subset of what exists so far."""
+    and nonlinear nodes, each reading a random subset of what exists so far.
+    With ``products``, one to three product nodes join the mix, each reading
+    two picks (possibly the same one twice); without it, the draws are those
+    of a graph without products."""
     k = int(gen.integers(0, max_k + 1))
     n_linear = int(gen.integers(0, 4))
     kinds = ["nonlinear"] * k + ["linear"] * n_linear
+    if products:
+        kinds += ["product"] * int(gen.integers(1, 4))
     gen.shuffle(kinds)
     nodes: list[Node] = []
     refs: list = [("s", i) for i in range(n)]
@@ -46,6 +51,14 @@ def random_dag(gen: np.random.Generator, n: int, max_k: int) -> ComputationGraph
         return isinstance(ref, int) and complex_valued[ref]
 
     for kind in kinds:
+        if kind == "product":
+            chosen = gen.choice(len(refs), size=2)
+            inputs = [(refs[int(c)], float(gen.normal(0.0, 1.0))) for c in chosen]
+            nid = len(nodes)
+            nodes.append(Node(id=nid, kind="product", inputs=tuple(inputs)))
+            complex_valued[nid] = any(_is_complex(r) for r, _ in inputs)
+            refs.append(nid)
+            continue
         count = int(gen.integers(1, min(len(refs), 6) + 1))
         chosen = gen.choice(len(refs), size=count, replace=False)
         scale = 0.8 / np.sqrt(count)
@@ -61,14 +74,14 @@ def random_dag(gen: np.random.Generator, n: int, max_k: int) -> ComputationGraph
             nodes.append(Node(id=nid, kind="linear", inputs=tuple(inputs), bias=bias))
             complex_valued[nid] = any(_is_complex(r) for r, _ in inputs)
         refs.append(nid)
-    # output: affine over a subset; complex weights only on nonlinear-fed edges
+    # output: affine over a subset; complex weights only on edges from atoms
     out_inputs = []
     pool = list(range(len(nodes))) or []
     if pool:
         count = int(gen.integers(1, len(pool) + 1))
         for c in gen.choice(pool, size=count, replace=False):
             w = float(gen.normal(0.0, 0.5))
-            if nodes[int(c)].kind == "nonlinear" and gen.random() < 0.3:
+            if nodes[int(c)].kind in ("nonlinear", "product") and gen.random() < 0.3:
                 out_inputs.append((int(c), complex(w, float(gen.normal(0.0, 0.5)))))
             else:
                 out_inputs.append((int(c), w))

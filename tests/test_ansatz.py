@@ -16,6 +16,7 @@ from nqsent.ansatz import (
     build_snnqs,
     build_transformer,
 )
+from nqsent import experiments
 from nqsent.core import RngStream, spin_matrix
 from nqsent.errors import ContractError
 from nqsent.graph import feature_reduce, to_json
@@ -135,6 +136,27 @@ def test_transformer_reference_forward():
     ref = np.exp(F.sum(axis=1) + 1j * (F @ sign))
     got = g.eval_bits(bits)
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_transformer_reduced_form_keeps_small_products():
+    # the fig1c_tnqs graph of preset seed 8, trial 0, multiplies values near
+    # 4244 by recip outputs near 1/4248 at configuration 65073; written as
+    # ((x+y)^2 - (x-y)^2) / 4 that lost about 7 digits, and the reduced form
+    # then moved by 2.5e-9 relative with the BLAS path of its features
+    cfg = next(c for c in experiments.preset_configs("fig1c") if c.name == "fig1c_tnqs")
+    n, base = cfg.n_grid[0], RngStream(8)
+    g = ansatz_from_config(
+        dict(cfg.ansatz, n=n),
+        base.child(experiments._BUILD_LABEL, n, 0, 0),
+        frozen_rng=base.child(experiments._FROZEN_LABEL, n, 0),
+    )
+    r = feature_reduce(g)
+    config = 65073
+    full = g.eval_bits(np.array([config]))[0]
+    block = np.random.default_rng(8).integers(0, 1 << n, size=4096)
+    block[1000] = config
+    for got in (r.eval_bits(np.array([config]))[0], r.eval_bits(block)[1000]):
+        assert abs(got - full) <= 1e-12 * abs(full)
 
 
 def test_transformer_frozen_parts_shared_across_trials():

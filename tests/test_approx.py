@@ -288,6 +288,34 @@ def test_certificate_exact_polynomial_route():
     assert cert.error_bound(1, 1) == math.inf
 
 
+def _product_graph(outer: Activation | None) -> ComputationGraph:
+    """x = affine(s); output = x^3 + 0.5 x^2 through products, or x * outer(x)."""
+    gen = np.random.default_rng(5)
+    x = Node(0, "linear", tuple((("s", i), float(w)) for i, w in enumerate(gen.normal(0.0, 0.4, 8))), bias=0.3)
+    if outer is None:
+        nodes = [x, Node(1, "product", ((0, 1.0), (0, 1.0))), Node(2, "product", ((1, 1.0), (0, 1.0)))]
+        out = ((2, 1.0), (1, 0.5))
+    else:
+        nodes = [x, Node(1, "nonlinear", ((0, 1.0),), activation=outer), Node(2, "product", ((0, 1.0), (1, 1.0)))]
+        out = ((2, 1.0),)
+    return ComputationGraph(nodes + [Node(3, "output", out, output_mode="amplitude")], n=8)
+
+
+def test_certificate_of_products():
+    # a product is entire, and its degree is the sum of its factors' degrees
+    g = _product_graph(None)
+    r = feature_reduce(g)
+    assert (g.k, r.mu) == (4, 1)
+    assert reduced_certificate(r).exact_degree == 3
+    report = full_bound_report(g, Subregion(0b1111, 8), degree="auto")
+    assert report.certified and report.fa_slack == 0.0
+    assert report.rank_bound == rank_bound(3, 1)
+    assert report.entropy_bound_final == pytest.approx(math.log(report.rank_bound))
+    assert report.measured_entropy <= report.entropy_bound_final
+    cert = reduced_certificate(feature_reduce(_product_graph(Activation("sin"))))
+    assert cert.exact_degree is None and math.isfinite(cert.C) and cert.a > 0
+
+
 def test_full_report_polynomial_slack_zero():
     act = Activation("poly", coeffs=(0.2, 1.0, 0.0, -0.4))
     g = build_snnqs(SnnqsSpec(n=8, activation=act, parameterization="direct"), RngStream(13).child(0))

@@ -248,6 +248,22 @@ def test_run_config_bad_scalar_is_domain_error(tmp_path, capsys, key, value, mes
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1], "experiment config [1] is not an object"),
+        ({"name": "bad", "ansatz": "snnqs", "n_grid": [4]}, "ansatz 'snnqs' is not an object"),
+    ],
+)
+def test_run_config_not_an_object_is_domain_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_seed_leaves_preset_unchanged(tmp_path, capsys, monkeypatch):
     from nqsent import experiments
 

@@ -179,6 +179,13 @@ def test_config_refuses_unknown_keys():
         run_sweep(ExperimentConfig.from_json(dict(doc, ansatz=dict(doc["ansatz"], heads="ones"))))
 
 
+def test_config_refuses_documents_that_are_not_objects():
+    with pytest.raises(ContractError, match=r"^experiment config \[1\] is not an object$"):
+        ExperimentConfig.from_json([1])
+    with pytest.raises(ContractError, match=r"^ansatz 'snnqs' is not an object$"):
+        ExperimentConfig.from_json(dict(_phase_cfg().to_json(), ansatz="snnqs"))
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [

@@ -182,7 +182,11 @@ def test_residual_keeps_the_original_dag():
     live_edges = sum(1 for nid in g.live_order for ref, _ in g.nodes[nid].inputs if not _is_raw(ref))
     residual_edges = sum(len(node.inputs) for node in r.residual.nodes.values())
     assert residual_edges <= live_edges + r.mu * (r.k + 1)
-    assert set(r.residual.nodes) <= set(g.live_order)
+    # beyond the original ids: product factors over ports, numbered after them
+    factors = set(r.residual.nodes) - set(g.live_order)
+    product_reads = {ref for node in r.residual.nodes.values() if node.kind == "product" for ref, _ in node.inputs}
+    assert factors and min(factors) > max(g.nodes) and factors <= product_reads
+    assert all(r.residual.nodes[f].kind == "linear" for f in factors)
 
 
 def test_feature_reduce_idempotent():
@@ -462,24 +466,37 @@ def test_random_graphs_reduced_eval_matches():
         assert np.abs(full - red).max() <= 1e-12 * scale
 
 
+def unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(ar br - ai bi) + i (ar bi + ai br), with no fused multiply-add."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = np.real(a) * np.real(b) - np.imag(a) * np.imag(b)
+    out.imag = np.real(a) * np.imag(b) + np.imag(a) * np.real(b)
+    return out
+
+
 def reference_eval(g: ComputationGraph, ports: np.ndarray) -> np.ndarray:
     """Per-node, per-edge forward pass: bias plus each weighted input in
-    input order. A complex weight times a complex value is the unfused
-    product (wr xr - wi xi) + i (wr xi + wi xr), as the sparse tape forms it."""
+    input order; a product multiplies its two factors (0 + w_a x_a) and
+    (0 + w_b x_b). A complex weight times a complex value, and a complex
+    product, are unfused as ``unfused_product``, as the sparse tape forms them."""
     complex_ports = np.iscomplexobj(ports)
     values = {}
+
+    def affine(bias: complex, inputs) -> np.ndarray:
+        acc = np.full(ports.shape[1], bias if complex_ports or bias.imag else bias.real)
+        for ref, w in inputs:
+            x = ports[ref[1]] if _is_raw(ref) else values[ref]
+            term = unfused_product(w, x) if w.imag and np.iscomplexobj(x) else (w if w.imag else w.real) * x
+            acc = acc + term
+        return acc
+
     for nid in g.live_order:
         node = g.nodes[nid]
-        acc = np.full(ports.shape[1], node.bias if complex_ports or node.bias.imag else node.bias.real)
-        for ref, w in node.inputs:
-            x = ports[ref[1]] if _is_raw(ref) else values[ref]
-            if w.imag and np.iscomplexobj(x):
-                term = np.empty(x.shape, dtype=np.complex128)
-                term.real = w.real * x.real - w.imag * x.imag
-                term.imag = w.real * x.imag + w.imag * x.real
-            else:
-                term = (w if w.imag else w.real) * x
-            acc = acc + term
+        if node.kind == "product":
+            a, b = (affine(0j, [edge]) for edge in node.inputs)
+            values[nid] = unfused_product(a, b) if np.iscomplexobj(a) or np.iscomplexobj(b) else a * b
+            continue
+        acc = affine(node.bias, node.inputs)
         if node.kind == "nonlinear":
             acc = node.activation.apply(acc)
         elif node.kind == "output" and node.output_mode == "log_amplitude":
@@ -503,13 +520,9 @@ def with_dead_nodes(g: ComputationGraph, gen: np.random.Generator) -> Computatio
     return ComputationGraph(nodes, g.n)
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_tape_matches_reference_evaluator(seed):
-    gen = np.random.default_rng(seed)
-    n = int(gen.integers(2, 7))
-    g = with_dead_nodes(random_dag(gen, n, 8), gen)
-    assert len(g.dead) >= 2
-    # spins over more than one sub-block, and complex ports (ellipse points)
+def check_tape_against_reference(g: ComputationGraph, gen: np.random.Generator) -> None:
+    """Spins over more than one sub-block, and complex ports (ellipse points)."""
+    n = g.n
     spins = gen.choice([-1.0, 1.0], size=(n, g._tape(False).width + 3))
     shape = (n, g._tape(True).width + 5)
     points = gen.normal(0.0, 0.5, size=shape) + 1j * gen.normal(0.0, 0.5, size=shape)
@@ -521,6 +534,15 @@ def test_tape_matches_reference_evaluator(seed):
                 g.eval_ports(ports)
             continue
         np.testing.assert_array_equal(g.eval_ports(ports), expected)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_tape_matches_reference_evaluator(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 7))
+    g = with_dead_nodes(random_dag(gen, n, 8), gen)
+    assert len(g.dead) >= 2
+    check_tape_against_reference(g, gen)
 
 
 def test_overflow_in_later_sub_block_reports_global_bits():
@@ -545,3 +567,77 @@ def test_overflow_in_later_sub_block_reports_global_bits():
 def test_eval_ports_rejects_wrong_port_count():
     with pytest.raises(ContractError):
         chain_graph().eval_ports(np.ones((2, 3)))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_product_graphs_match_reference_and_reduce(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 7))
+    g = random_dag(gen, n, 6, products=True)
+    assert any(node.kind == "product" for node in g.nodes.values())
+    check_tape_against_reference(g, gen)
+    r = feature_reduce(g)
+    assert r.mu <= g.k + 1
+    bits = np.arange(1 << n)
+    try:
+        full = g.eval_bits(bits)
+    except AmplitudeOverflowError:
+        return
+    scale = max(float(np.abs(full).max()), 1e-300)
+    assert np.abs(full - r.eval_bits(bits)).max() <= 1e-12 * scale
+
+
+def product_graph() -> ComputationGraph:
+    """(2 s_0 + 0.5) * i tanh(s_1) * s_0, through a linear node and a product of a product."""
+    return ComputationGraph(
+        [
+            Node(0, "linear", ((("s", 0), 2.0),), bias=0.5),
+            Node(1, "nonlinear", ((("s", 1), 1.0),), activation=I_TANH),
+            Node(2, "product", ((0, 1.0), (1, -0.5))),
+            Node(3, "product", ((2, 1.0), (("s", 0), 1.0))),
+            Node(4, "output", ((3, 1.0 + 2.0j), (("s", 1), 0.25)), output_mode="amplitude"),
+        ],
+        n=2,
+    )
+
+
+def test_product_node_counts_two_and_round_trips():
+    g = product_graph()
+    assert g.k == 1 + 2 * 2  # one activation and two products
+    s0, s1 = spin_matrix(np.arange(4), 2).T
+    expected = (2 * s0 + 0.5) * (-0.5j * np.tanh(s1)) * s0 * (1 + 2j) + 0.25 * s1
+    np.testing.assert_allclose(g.eval_bits(np.arange(4)), expected, rtol=1e-15)
+    doc = json.loads(json.dumps(to_json(g)))
+    assert [node["kind"] for node in doc["nodes"]].count("product") == 2
+    g2 = from_json(doc)
+    assert g2.k == g.k and g2.nodes == g.nodes
+    assert np.array_equal(g2.eval_bits(np.arange(4)), g.eval_bits(np.arange(4)))
+    r = feature_reduce(g)
+    assert r.mu <= g.k + 1
+    assert np.abs(r.eval_bits(np.arange(4)) - g.eval_bits(np.arange(4))).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "inputs,params",
+    [(((("s", 0), 1.0),), {}), (((("s", 0), 1.0),) * 3, {}), (((("s", 0), 1.0),) * 2, {"bias": 0.5})],
+    ids=["one input", "three inputs", "bias"],
+)
+def test_product_node_shape_rules(inputs, params):
+    with pytest.raises(ContractError, match="^product node 3 needs exactly two inputs, no bias and no activation$"):
+        Node(3, "product", inputs, **params)
+
+
+def test_product_is_the_float_product():
+    # polarization, ((x+y)^2 - (x-y)^2) / 4, loses about 7 digits here
+    x, y = 4244.0, 1.0 / 4248
+    g = ComputationGraph(
+        [
+            Node(0, "linear", ((("s", 0), x),)),
+            Node(1, "linear", (), bias=y),
+            Node(2, "product", ((0, 1.0), (1, 1.0))),
+            Node(3, "output", ((2, 1.0),), output_mode="amplitude"),
+        ],
+        n=1,
+    )
+    assert g.eval_bits(np.array([0, 1])).tolist() == [-x * y, x * y]
+    assert ((x + y) ** 2 - (x - y) ** 2) / 4 != x * y
