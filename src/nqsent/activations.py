@@ -134,13 +134,17 @@ class Activation:
             coeffs = self.coeffs
 
             def poly(x):
-                # Horner's rule in place, with the operations of
+                # Horner's rule with the operations of
                 # np.polynomial.polynomial.polyval in the same order, so
-                # the result is bitwise the same at a fraction of its cost
+                # the result is bitwise the same at a fraction of its cost.
+                # The product is not formed in place: numpy multiplies a
+                # one-element complex array into itself without the fused
+                # multiply-add of its vector loop, so a lone configuration
+                # would get other bytes than the same one in a batch
                 c0 = x * 0
                 c0 += coeffs[-1]
                 for c in coeffs[-2::-1]:
-                    c0 *= x
+                    c0 = c0 * x
                     c0 += c
                 return c0
 
@@ -195,15 +199,18 @@ class Activation:
                 raise NumericError(f"activation {self.kind} does not accept complex input")
         else:
             arr = arr.astype(np.float64, copy=False)
-        y = self._base_fn(self.kind)(arr)
-        if self.mode == "real":
-            out = y
-        elif self.mode == "imag":
-            out = 1j * y
-        elif self.mode == "mixed":
-            out = (1.0 + 1j) * y
-        else:  # pair
-            out = y + 1j * self._base_fn(self.second)(arr)
+        # a complex input with a large imaginary part overflows sin, cos and
+        # exp; the callers refuse the non-finite result with a typed error
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self._base_fn(self.kind)(arr)
+            if self.mode == "real":
+                out = y
+            elif self.mode == "imag":
+                out = 1j * y
+            elif self.mode == "mixed":
+                out = (1.0 + 1j) * y
+            else:  # pair
+                out = y + 1j * self._base_fn(self.second)(arr)
         if np.ndim(x) == 0:
             return complex(out)
         return out

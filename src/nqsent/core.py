@@ -49,7 +49,12 @@ def check_n(n: int) -> None:
 
 
 def spin_matrix(bits: np.ndarray, n: int) -> np.ndarray:
-    """(len(bits), n) float64 matrix of spin values for an array of configs."""
+    """(len(bits), n) float64 matrix of spin values for an array of configs.
+
+    No evaluator builds it: graphs and reduced forms read spins through
+    per-tape tables (``graph._SpinTables``). It stays as the tests'
+    independent reference, and perfbench's tracer still wraps it by name.
+    """
     # bit i of each config as one byte, so the float matrix is the only
     # temporary as large as the result
     octets = np.asarray(bits, dtype=np.int64).astype("<u8").view(np.uint8).reshape(-1, 8)
@@ -106,18 +111,26 @@ class AffineFeature:
         return self.weights.shape[0]
 
     def eval_all(self) -> np.ndarray:
-        """Values over all 2^n configurations in ascending bits order.
+        """Values over all 2^n configurations in ascending bits order."""
+        return affine_tables(self.weights[None, :], np.array([self.bias]))[0]
 
-        Uses index doubling: flipping spin i from -1 to +1 adds 2 w_i, so the
-        full table is built in O(2^n) additions independent of n per entry.
-        """
-        out = np.empty(1 << self.n, dtype=np.float64)
-        out[0] = self.bias - self.weights.sum()
-        size = 1
-        for i in range(self.n):
-            np.add(out[:size], 2.0 * self.weights[i], out=out[size : 2 * size])
-            size *= 2
-        return out
+
+def affine_tables(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(rows, 2^m) values of the rows b_r + sum_i w_ri s_i over all 2^m
+    configurations of m spins, in ascending bits order.
+
+    Uses index doubling: flipping spin i from -1 to +1 adds 2 w_i, so each
+    table is built in O(2^m) additions independent of m per entry.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    rows, m = weights.shape
+    out = np.empty((rows, 1 << m))
+    out[:, 0] = bias - weights.sum(axis=1)
+    size = 1
+    for i in range(m):
+        np.add(out[:, :size], 2.0 * weights[:, i : i + 1], out=out[:, size : 2 * size])
+        size *= 2
+    return out
 
 
 def feature_supnorm(f: AffineFeature) -> float:

@@ -23,15 +23,21 @@ restricted to the nodes that read a nonlinear or product output, plus the
 nonlinear nodes, the products and the output, which read the features
 through ports (a product through one linear node per factor).
 
-Evaluation runs a tape compiled once per graph (and per port dtype): the
-live nodes are grouped by depth level, function and realness, and each
-group is one ``scipy.sparse`` CSR product over a value table followed by
-one vectorized activation call on the group's rows; a product group's
-matrix stacks the first factors above the second ones, and its function
-multiplies the two halves. Each node still sums its bias and weighted
-inputs in its own input order, so the tape gives the amplitudes of a
-per-edge loop bit for bit, except that a complex weight times a complex
-value, and a complex product, are the plain (not fused) complex product. A batch is
+Evaluation runs a tape compiled once per graph and per kind of input (real
+ports, complex ports, configuration bits): the live nodes are grouped by
+depth level, function and realness, and each group is one ``scipy.sparse``
+CSR product over a value table followed by one vectorized activation call
+on the group's rows; a product group's matrix stacks the first factors
+above the second ones, and its function multiplies the two halves. On
+ports each node still sums its bias and weighted inputs in its own input
+order, so ``eval_ports`` gives the amplitudes of a per-edge loop bit for
+bit, except that a complex weight times a complex value, and a complex
+product, are the plain (not fused) complex product. On bits, a group that
+reads only raw spins (level 1) takes no CSR product: each of its rows is
+T_lo[s mod 2^l] + T_hi[s >> l] of two tables over the low l = ceil(n/2)
+and the high configuration bits, built with the tape (``_SpinTables``), so
+its sum order is (bias + low part) + high part; the raw-spin port rows
+that deeper groups read are filled from the bits. A batch is
 evaluated in column sub-blocks whose width keeps the value tables near
 8 MiB, in storage each thread keeps for the length of a chunk run; callers
 over many configurations hand it ``DEFAULT_CHUNK`` = 2^14 columns at a time
@@ -43,6 +49,7 @@ evaluated on the calling thread.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import heapq
 import json
 import threading
@@ -53,20 +60,20 @@ import numpy as np
 import scipy.sparse
 
 from .activations import Activation, format_activation, parse_activation, _checked_exp
-from .core import AffineFeature, spin_matrix
-from .errors import AmplitudeOverflowError, ContractError, CycleError
+from .core import HARD_SPIN_CAP, AffineFeature, affine_tables
+from .errors import AmplitudeOverflowError, CapacityError, ContractError, CycleError
 
 # node input references are int node ids or ("s", spin_index) raw-spin tuples
-# configurations per evaluation chunk; small chunks keep each chunk's spin
-# matrix, feature values and amplitudes small (value and Chebyshev tables
-# are blocked within a chunk by _TABLE_BYTES)
+# configurations per evaluation chunk; small chunks keep each chunk's feature
+# values and amplitudes small (value and Chebyshev tables are blocked within
+# a chunk by _TABLE_BYTES)
 DEFAULT_CHUNK = 1 << 14
 # configurations per pool thread: a batch smaller than two of these runs on
 # the calling thread alone. At n=16 a second thread made the transformer
 # sweep about 1.4x faster on two idle cores, but a busy process on the
 # other core then cost it about 30%, against about 5% on one thread.
 _THREAD_SPAN = 1 << 16
-# eval_ports sub-blocks are as wide as keeps a tape's value tables near this
+# tape sub-blocks are as wide as keeps a tape's value tables near this
 # many bytes: about 200 columns for a 5000-node graph, 2^14 and more for small
 # ones. ChebyshevApprox.evaluate_unit blocks its tables by the same budget.
 _TABLE_BYTES = 1 << 23
@@ -243,7 +250,7 @@ class ComputationGraph:
                     raise ContractError(
                         f"node {nid}: activation {node.activation.kind} cannot take a complex pre-activation"
                     )
-        self._tapes: dict[bool, _Tape] = {}
+        self._tapes: dict[object, _Tape] = {}
 
     @property
     def output_node(self) -> Node:
@@ -251,36 +258,26 @@ class ComputationGraph:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _tape(self, complex_ports: bool) -> "_Tape":
-        """The compiled tape for real or complex port values, built on first use."""
-        tape = self._tapes.get(complex_ports)
+    def _tape(self, complex_ports: bool, bits: bool = False) -> "_Tape":
+        """The compiled tape for real or complex port values, or for
+        configuration bits, built on first use."""
+        key = "bits" if bits else complex_ports
+        tape = self._tapes.get(key)
         if tape is None:
-            tape = self._tapes[complex_ports] = _Tape(self, complex_ports)
+            tape = self._tapes[key] = _Tape(self, complex_ports, bits)
         return tape
 
-    def eval_ports(self, ports: np.ndarray) -> np.ndarray:
-        """Forward pass on a batch; ports has shape (n, B) of port values.
-
-        Port values are +/-1 spins for ordinary graphs and feature values for
-        residual graphs produced by feature reduction. The result has the
-        dtype of the tape's output table: float64 when the ports and the
-        output value are real, complex128 otherwise. An overflow raises
-        ``AmplitudeOverflowError`` whose ``bits`` names the batch column
-        (``eval_bits`` turns it into that column's configuration); so does
-        a non-finite amplitude.
-        """
-        ports = np.atleast_2d(np.asarray(ports))
-        if ports.shape[0] != self.n:
-            raise ContractError(f"expected {self.n} rows of port values, got {ports.shape[0]}")
-        tape = self._tape(np.iscomplexobj(ports))
-        B = ports.shape[1]
+    def _evaluate(self, tape: "_Tape", inputs: np.ndarray) -> np.ndarray:
+        """Amplitudes of the batch columns of ``inputs``, (n, B) port values
+        or B configuration bits, in sub-blocks of ``tape.width`` columns."""
+        B = inputs.shape[-1]
         out = np.empty(B, dtype=np.complex128 if tape.out[0] else np.float64)
         width = max(1, min(B, tape.width))
         buffers = tape.buffers(width)
         for start in range(0, B, width):
             stop = min(start + width, B)
             try:
-                amps = tape.run(ports[:, start:stop], buffers)
+                amps = tape.run(inputs[..., start:stop], buffers)
                 if not np.isfinite(amps).all():
                     column = int(np.argmin(np.isfinite(amps)))
                     raise AmplitudeOverflowError(f"non-finite amplitude {amps[column]}", bits=column)
@@ -291,21 +288,38 @@ class ComputationGraph:
             out[start:stop] = amps
         return out
 
+    def eval_ports(self, ports: np.ndarray) -> np.ndarray:
+        """Forward pass on a batch; ports has shape (n, B) of port values.
+
+        Port values are feature values for residual graphs produced by
+        feature reduction, complex ellipse points, or +/-1 spins. The result
+        has the dtype of the tape's output table: float64 when the ports and
+        the output value are real, complex128 otherwise. An overflow raises
+        ``AmplitudeOverflowError`` whose ``bits`` names the batch column; so
+        does a non-finite amplitude.
+        """
+        ports = np.atleast_2d(np.asarray(ports))
+        if ports.shape[0] != self.n:
+            raise ContractError(f"expected {self.n} rows of port values, got {ports.shape[0]}")
+        return self._evaluate(self._tape(np.iscomplexobj(ports)), ports)
+
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         """Amplitudes for configuration bits, in thread-independent chunks;
-        an overflow's ``bits`` names the configuration."""
-        return _eval_bits_chunked(self, lambda piece: spin_matrix(piece, self.n).T, bits, threads, chunk)
+        bits above n are ignored, and an overflow's ``bits`` names the
+        configuration."""
+        tape = self._tape(False, bits=True)  # and its spin tables, before any pool thread starts
+        return _eval_bits_chunked(lambda piece: self._evaluate(tape, piece), bits, threads, chunk)
 
 
-def _eval_bits_chunked(g: ComputationGraph, ports, bits, threads: int, chunk: int) -> np.ndarray:
-    """``g.eval_ports(ports(piece))`` over ``_run_chunks`` pieces of the
-    configuration bits; an overflow's batch column becomes its configuration."""
+def _eval_bits_chunked(evaluate, bits, threads: int, chunk: int) -> np.ndarray:
+    """``evaluate(piece)`` over ``_run_chunks`` pieces of the configuration
+    bits; an overflow's batch column becomes its configuration."""
     bits = np.asarray(bits, dtype=np.int64)
 
     def run(start, stop):
         piece = bits[start:stop]
         try:
-            return g.eval_ports(ports(piece))
+            return evaluate(piece)
         except AmplitudeOverflowError as exc:
             if exc.bits is None:
                 raise
@@ -317,10 +331,72 @@ def _eval_bits_chunked(g: ComputationGraph, ports, bits, threads: int, chunk: in
     return _run_chunks(run, len(bits), threads, chunk)
 
 
+def _low_bits(n: int) -> int:
+    """Bits of a configuration that index the low table of ``_SpinTables``."""
+    return (n + 1) // 2
+
+
+def _bit_pieces(bits: np.ndarray, n: int) -> list[tuple]:
+    """(columns, low index, high index) pieces of a batch of configuration
+    bits, for ``_SpinTables.values``; bits above n are ignored.
+
+    An ascending run of consecutive configurations, which is what
+    ``materialize`` evaluates, gives one piece per aligned window of 2^l
+    configurations it crosses, indexed by slices; any other batch gives one
+    piece indexed by arrays. Either way a column gets the same two table
+    entries, so its value does not depend on the batch.
+    """
+    bits = np.asarray(bits, dtype=np.int64) & ((1 << n) - 1)
+    l = _low_bits(n)
+    low = (1 << l) - 1
+    B = len(bits)
+    if B and bits[-1] - bits[0] == B - 1 and (np.diff(bits) == 1).all():
+        pieces, start = [], 0
+        while start < B:
+            config = int(bits[0]) + start
+            offset, high = config & low, config >> l
+            stop = min(B, start + low + 1 - offset)
+            pieces.append((slice(start, stop), slice(offset, offset + stop - start), slice(high, high + 1)))
+            start = stop
+        return pieces
+    return [(slice(0, B), bits & low, bits >> l)]
+
+
+class _SpinTables:
+    """Affine rows b + sum_i w_i s_i of n raw spins, from two tables.
+
+    With l = ceil(n/2) low bits, the value at configuration s is
+    lo[s & (2^l - 1)] + hi[s >> l]: ``lo`` holds the bias plus the low
+    spins' part over all 2^l low configurations, ``hi`` the high spins' part,
+    both by index doubling (``core.affine_tables``). l depends on n only, so
+    every configuration's value is the same float sum in any batch. The
+    tables take rows * (2^l + 2^(n-l)) * 8 bytes (16 for the low table of a
+    complex bias).
+    """
+
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        n = weights.shape[1]
+        if n > HARD_SPIN_CAP:
+            raise CapacityError(f"spin tables for n={n} spins: the cap is {HARD_SPIN_CAP}")
+        l = _low_bits(n)
+        self.lo = affine_tables(weights[:, :l], bias.real)
+        if np.iscomplexobj(bias) and bias.imag.any():
+            self.lo = self.lo + 1j * bias.imag[:, None]
+        self.hi = affine_tables(weights[:, l:], np.zeros(len(bias)))
+
+    def values(self, pieces: list[tuple], B: int) -> np.ndarray:
+        """(rows, B) values of a batch split by ``_bit_pieces``."""
+        out = np.empty((len(self.lo), B), dtype=self.lo.dtype)
+        for columns, low, high in pieces:
+            np.add(self.lo[:, low], self.hi[:, high], out=out[:, columns])
+        return out
+
+
 @dataclass(frozen=True)
 class _Step:
-    """One group of nodes: a sparse product over a source table, then the
-    group's function on the rows it yields."""
+    """One group of nodes: a sparse product over a source table, or on
+    configuration bits the spin tables of a group that reads only raw spins,
+    then the group's function on the rows it yields."""
 
     matrix: scipy.sparse.csr_array  # a row per node (per factor of a product), a column per source-table row
     src: int  # table read: 0 real, 1 complex
@@ -328,10 +404,12 @@ class _Step:
     lo: int  # first destination row
     mirror: int | None  # first complex-table row of the copy a real group keeps there
     fn: object  # Activation.apply, _checked_exp, _multiply_halves, or None for affine nodes
+    spins: _SpinTables | None  # the rows of ``matrix`` over configuration bits, on a bits tape
 
 
 class _Tape:
-    """A graph compiled to sparse products over per-sub-block value tables.
+    """A graph compiled to sparse products over per-sub-block value tables,
+    for port values or, with ``bits``, for configuration bits.
 
     Every live node owns one row of the real (float64) or the complex
     (complex128) table, by the realness of its value; row 0 of both tables
@@ -345,9 +423,14 @@ class _Tape:
     multiplies its two halves. A complex pre-activation reads the complex
     table only, which therefore also holds a copy of the ports and of each
     real group that one reads.
+
+    That per-edge order holds on ports. A bits tape gives each level-1
+    group, which reads only raw spins, the ``_SpinTables`` of its matrix
+    rows instead, and fills only the port rows that later groups read,
+    from the bits: no spin matrix is formed.
     """
 
-    def __init__(self, g: ComputationGraph, complex_ports: bool):
+    def __init__(self, g: ComputationGraph, complex_ports: bool, bits: bool = False):
         nodes, n = g.nodes, g.n
         level: dict[int, int] = {}
         acc_c = {nid: complex_ports or not g._acc_real[nid] for nid in g.live_order}
@@ -370,7 +453,7 @@ class _Tape:
         sizes = [1 + n, 1 + n]
         row: list[dict[int, int]] = [{}, {}]
         placed = []
-        for (_, fn, acc_complex), members in sorted(groups.items(), key=lambda item: item[0][0]):
+        for (depth, fn, acc_complex), members in sorted(groups.items(), key=lambda item: item[0][0]):
             dst = int(val_c[members[0]])
             lo, sizes[dst] = sizes[dst], sizes[dst] + len(members)
             row[dst].update((nid, lo + j) for j, nid in enumerate(members))
@@ -378,10 +461,10 @@ class _Tape:
             if not dst and mirrored.intersection(members):
                 mirror, sizes[1] = sizes[1], sizes[1] + len(members)
                 row[1].update((nid, mirror + j) for j, nid in enumerate(members))
-            placed.append((members, fn, int(acc_complex), dst, lo, mirror))
+            placed.append((members, fn, int(acc_complex), dst, lo, mirror, depth == 1))
 
-        self.steps = []
-        for members, fn, src, dst, lo, mirror in placed:
+        self.steps, port_rows = [], set()
+        for members, fn, src, dst, lo, mirror, spin_only in placed:
             # one row per node; a product group's first factors, then its second ones
             arity = len(nodes[members[0]].arguments)
             terms = [nodes[nid].arguments[f] for f in range(arity) for nid in members]
@@ -399,7 +482,14 @@ class _Tape:
                 shape=(len(terms), sizes[src]),
             )
             apply = fn.apply if isinstance(fn, Activation) else fn
-            self.steps.append(_Step(matrix, src, dst, lo, mirror, apply))
+            spins = None
+            if bits and spin_only:
+                # the matrix rows read only column 0, the bias, and 1 + i, spin i
+                dense = matrix[:, : 1 + n].toarray()
+                spins = _SpinTables(dense[:, 1:].real, dense[:, 0])
+            else:
+                port_rows.update((src, r[1]) for _, inputs in terms for r, _ in inputs if _is_raw(r))
+            self.steps.append(_Step(matrix, src, dst, lo, mirror, apply, spins))
         out = int(val_c[g.output_id])
         self.out = (out, row[out][g.output_id])
         # a table that no step reads or writes takes no memory
@@ -407,6 +497,9 @@ class _Tape:
         self.sizes = [size if t in used else 0 for t, size in enumerate(sizes)]
         self.port_tables = tuple(t for t in port_tables if t in used)
         self.width = max(1, _TABLE_BYTES // (8 * self.sizes[0] + 16 * self.sizes[1]))
+        self.n, self.bits = n, bits
+        # on bits, the (table, spin) port rows that the steps without spin tables read
+        self.port_rows = sorted(port_rows)
 
     def buffers(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Storage for the real and the complex table of sub-blocks up to
@@ -415,16 +508,22 @@ class _Tape:
         buf = _scratch(real + 2 * cplx)
         return buf[:real], buf[real:].view(np.complex128)
 
-    def run(self, ports: np.ndarray, buffers) -> np.ndarray:
-        """Amplitudes of one sub-block of port columns."""
-        n, w = ports.shape
+    def run(self, inputs: np.ndarray, buffers) -> np.ndarray:
+        """Amplitudes of one sub-block: (n, w) port columns, or on a bits
+        tape w configuration bits."""
+        n, w = self.n, inputs.shape[-1]
         tables = [buf[: size * w].reshape(size, w) for buf, size in zip(buffers, self.sizes)]
         for table in tables:
             table[:1] = 1.0
-        for t in self.port_tables:
-            tables[t][1 : 1 + n] = ports
+        if self.bits:
+            pieces = _bit_pieces(inputs, n)
+            for t, i in self.port_rows:
+                tables[t][1 + i] = ((inputs >> i) & 1) * 2.0 - 1.0
+        else:
+            for t in self.port_tables:
+                tables[t][1 : 1 + n] = inputs
         for step in self.steps:
-            vals = step.matrix @ tables[step.src]
+            vals = step.matrix @ tables[step.src] if step.spins is None else step.spins.values(pieces, w)
             if step.fn is not None:
                 vals = step.fn(vals)
             tables[step.dst][step.lo : step.lo + len(vals)] = vals
@@ -523,11 +622,15 @@ class ReducedForm:
     def mu(self) -> int:
         return len(self.features)
 
-    def feature_values(self, bits: np.ndarray) -> np.ndarray:
-        """(mu, B) feature values for an array of configuration bits."""
+    @functools.cached_property
+    def _spin_tables(self) -> _SpinTables:
         W = np.reshape([f.weights for f in self.features], (self.mu, self.n))
-        b = np.array([f.bias for f in self.features])
-        return (spin_matrix(bits, self.n) @ W.T + b).T
+        return _SpinTables(W, np.array([f.bias for f in self.features], dtype=np.float64))
+
+    def feature_values(self, bits: np.ndarray) -> np.ndarray:
+        """(mu, B) feature values for an array of configuration bits, from
+        spin tables built on the first call; bits above n are ignored."""
+        return self._spin_tables.values(_bit_pieces(bits, self.n), len(bits))
 
     def g_eval(self, tvals: np.ndarray) -> np.ndarray:
         """Evaluate G on feature values of shape (mu, B)."""
@@ -535,7 +638,9 @@ class ReducedForm:
 
     def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         """Amplitudes G(t(s)) for configuration bits, as ``ComputationGraph.eval_bits``."""
-        return _eval_bits_chunked(self.residual, self.feature_values, bits, threads, chunk)
+        return _eval_bits_chunked(
+            lambda piece: self.residual.eval_ports(self.feature_values(piece)), bits, threads, chunk
+        )
 
 
 def feature_reduce(g: ComputationGraph) -> ReducedForm:

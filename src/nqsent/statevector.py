@@ -7,10 +7,15 @@ real state holds the bytes of the real part of its complex form. One chunk
 driver (``graph._run_chunks``) evaluates index ranges of
 ``graph.DEFAULT_CHUNK`` = 2^14 configurations straight into the amplitude
 array, on a thread pool from 2^17 amplitudes on and on the calling thread
-below that. The norm is then reduced over ``NORM_CHUNK`` = 2^16-amplitude
+below that. Each range goes to the evaluator's ``eval_bits`` as its
+configuration bits; a graph's first layer and a reduced form's features
+come from per-tape spin tables over the low and the high bits, which give
+every configuration the same value in any range, so no spin matrix is
+built. The norm is then reduced over ``NORM_CHUNK`` = 2^16-amplitude
 blocks in block order. Neither size depends on the thread count, so every
 floating-point result, and therefore the output, is byte-identical across
---threads settings. The ``.nqsv`` dump is complex on disk for either kind.
+--threads settings. The ``.nqsv`` dump is complex on disk for either kind,
+and a dump of a normalized state loads back with its amplitudes as written.
 """
 
 from __future__ import annotations
@@ -61,6 +66,19 @@ def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
     real part, so a real array is scaled that way too: its result and its
     norm are the bytes of the real part of its complex form (-0 + 0 is +0).
     """
+    norm = _norm(amplitudes)
+    if np.iscomplexobj(amplitudes):
+        amplitudes /= norm
+    else:
+        amplitudes += 0.0
+        amplitudes *= 1.0 / norm
+    return Statevector(amplitudes, n, norm)
+
+
+def _norm(amplitudes: np.ndarray) -> float:
+    """The 2-norm, reduced over ``NORM_CHUNK`` blocks in block order; a NaN
+    or infinite amplitude raises ``NumericError``, a zero or non-finite
+    norm ``DegenerateStateError``."""
     real = not np.iscomplexobj(amplitudes)
     chunks = [amplitudes[start : start + NORM_CHUNK] for start in range(0, amplitudes.shape[0], NORM_CHUNK)]
     # individual amplitudes can sit near the float ceiling (or floor), so the
@@ -85,12 +103,7 @@ def _normalized(amplitudes: np.ndarray, n: int) -> Statevector:
     norm = scale * float(np.sqrt(norm_sq_scaled))
     if not np.isfinite(norm) or norm == 0.0:
         raise DegenerateStateError(f"state norm {norm} cannot normalize the amplitudes")
-    if real:
-        amplitudes += 0.0
-        amplitudes *= 1.0 / norm
-    else:
-        amplitudes /= norm
-    return Statevector(amplitudes, n, norm)
+    return norm
 
 
 def from_amplitudes(raw: np.ndarray) -> Statevector:
@@ -157,4 +170,11 @@ def load_nqsv(path) -> Statevector:
         body = fh.read(16 << n)
         if len(body) != 16 << n or fh.read(1):
             raise ContractError(f"{path}: the header's n={n} needs exactly {16 << n} bytes of amplitudes")
-    return _normalized(np.frombuffer(body, dtype="<c16").astype(np.complex128), n)
+    amplitudes = np.frombuffer(body, dtype="<c16").astype(np.complex128)
+    norm = _norm(amplitudes)
+    # a dump of a normalized state loads as written: dividing it by a norm
+    # that is 1 to within the rounding of the norm's own sum would only move
+    # its last bits
+    if abs(norm - 1.0) > n * np.finfo(np.float64).eps:
+        amplitudes /= norm
+    return Statevector(amplitudes, n, norm)

@@ -3,13 +3,13 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_dag, random_evaluable_dag
 
 from nqsent.activations import EXP_OVERFLOW_LIMIT, Activation
-from nqsent.core import RngStream, spin_matrix
-from nqsent.errors import AmplitudeOverflowError, ContractError, CycleError, NumericError
+from nqsent.core import HARD_SPIN_CAP, RngStream, spin_matrix
+from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, CycleError, NumericError
 from nqsent.graph import (
     ComputationGraph,
     Node,
@@ -17,6 +17,7 @@ from nqsent.graph import (
     from_json,
     to_json,
     _THREAD_SPAN,
+    _bit_pieces,
     _is_raw,
     _run_chunks,
     _scratch,
@@ -378,6 +379,115 @@ def test_eval_bits_thread_determinism():
         assert np.array_equal(pooled, ev.eval_bits(many, threads=1, chunk=1 << 12))
 
 
+def bit_batch(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Configuration bits in every shape ``eval_bits`` takes, and for each
+    the index of its configuration in the aligned ascending range that
+    leads the batch: that range shuffled, an unaligned run, duplicates, and
+    the duplicates with bits set above n."""
+    span = min(1 << n, 128)
+    start = span * int(gen.integers(0, (1 << n) // span))
+    perm = gen.permutation(span)
+    run = np.arange(1 + int(gen.integers(0, span - 1)) if span > 1 else 0, span)
+    dups = gen.integers(0, span, size=32)
+    index = np.concatenate([np.arange(span), perm, run, dups, dups])
+    bits = start + index
+    bits[-len(dups):] |= gen.integers(1, 1 << 20, size=len(dups)) << n
+    return bits, index
+
+
+def check_bits_path(g: ComputationGraph, gen: np.random.Generator) -> None:
+    """Bytes independent of chunk, thread count, order and bits above n;
+    level-1 rows within rounding of the tape's sequential sums."""
+    n = g.n
+    bits, index = bit_batch(gen, n)
+    for ev in (g, feature_reduce(g)):
+        head = bits[: int(index.max()) + 1]
+        try:
+            ref = ev.eval_bits(head, chunk=len(head))
+        except NumericError:
+            for chunk in (1, 64):
+                with pytest.raises(NumericError):
+                    ev.eval_bits(bits, chunk=chunk)
+            continue
+        expected = ref[index].tobytes()
+        for chunk in (1, 7, 64, 1 << 12):
+            for threads in (1, 2):
+                assert ev.eval_bits(bits, threads=threads, chunk=chunk).tobytes() == expected
+        # a batch large enough for pool threads
+        many = np.resize(bits, 2 * _THREAD_SPAN)
+        pooled = ev.eval_bits(many, threads=2, chunk=1 << 12)
+        assert pooled.tobytes() == ref[np.resize(index, len(many))].tobytes()
+        assert pooled.tobytes() == ev.eval_bits(many, threads=1, chunk=1 << 12).tobytes()
+
+    tape = g._tape(False, bits=True)
+    table = np.zeros((max(tape.sizes), len(bits)))
+    table[0] = 1.0
+    table[1 : 1 + n] = spin_matrix(bits, n).T
+    eps = np.finfo(np.float64).eps
+    for step in tape.steps:
+        if step.spins is None:
+            continue
+        sequential = step.matrix @ table[: step.matrix.shape[1]]
+        tol = (n + 1) * eps * abs(step.matrix[:, : 1 + n]).sum(axis=1)
+        got = step.spins.values(_bit_pieces(bits, n), len(bits))
+        assert np.all(np.abs(got - sequential) <= tol[:, None])
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_bits_path_is_batch_independent(seed, products):
+    gen = np.random.default_rng(seed)
+    g = random_dag(gen, int(gen.integers(2, 9)), 6, products=products)
+    check_bits_path(g, gen)
+
+
+def _spin_graphs():
+    return {
+        # the output reads the one spin: a level-1 log-amplitude
+        "n1_output": ComputationGraph(
+            [Node(0, "output", ((("s", 0), 0.7),), bias=0.1, output_mode="log_amplitude")], 1
+        ),
+        # a level-1 product step and a level-1 affine node; the nonlinear
+        # node and the output read raw spins past level 1, so their port rows
+        # come from the bits
+        "n2_product": ComputationGraph(
+            [
+                Node(0, "product", ((("s", 0), 0.3), (("s", 1), -1.7))),
+                Node(1, "linear", ((("s", 1), 2.5),), bias=-0.5),
+                Node(2, "nonlinear", ((0, 1.1), (1, 0.3), (("s", 1), 0.4)), bias=0.2,
+                     activation=Activation("tanh", mode="imag")),
+                Node(3, "output", ((2, 0.5 - 0.25j), (("s", 0), 0.3)), bias=0.2 + 0.1j, output_mode="amplitude"),
+            ],
+            2,
+        ),
+        # a level-1 output with a complex bias: a complex low table
+        "n2_complex_bias": ComputationGraph(
+            [Node(0, "output", ((("s", 0), 0.5), (("s", 1), -0.25)), bias=1.0 + 2.0j, output_mode="amplitude")], 2
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_spin_graphs()))
+def test_bits_path_on_small_graphs(name):
+    g = _spin_graphs()[name]
+    bits = np.arange(1 << g.n)
+    expected = reference_eval(g, spin_matrix(bits, g.n).T)
+    np.testing.assert_allclose(g.eval_bits(bits), expected, rtol=1e-15, atol=1e-15)
+    check_bits_path(g, np.random.default_rng(len(name)))
+
+
+def test_spin_tables_refuse_more_spins_than_the_cap():
+    # two tables of 2^(n/2) entries per row: beyond the statevector cap they
+    # could outgrow memory, so eval_bits refuses them with a typed error
+    n = HARD_SPIN_CAP + 1
+    g = ComputationGraph([Node(0, "output", ((("s", n - 1), 1.0),), output_mode="amplitude")], n)
+    for ev in (g, feature_reduce(g)):
+        with pytest.raises(CapacityError):
+            ev.eval_bits(np.array([0, 1 << (n - 1)]))
+    # ports still evaluate
+    assert g.eval_ports(np.ones((n, 1))).tolist() == [1.0]
+
+
 @pytest.mark.parametrize("reduced", [False, True], ids=["graph", "reduced"])
 def test_overflow_names_configuration_past_first_chunk(reduced):
     # log-amplitude 700 s_7 + s_0 + ... + s_6 exceeds the exp limit 700 only
@@ -490,20 +600,23 @@ def reference_eval(g: ComputationGraph, ports: np.ndarray) -> np.ndarray:
             acc = acc + term
         return acc
 
-    for nid in g.live_order:
-        node = g.nodes[nid]
-        if node.kind == "product":
-            a, b = (affine(0j, [edge]) for edge in node.inputs)
-            values[nid] = unfused_product(a, b) if np.iscomplexobj(a) or np.iscomplexobj(b) else a * b
-            continue
-        acc = affine(node.bias, node.inputs)
-        if node.kind == "nonlinear":
-            acc = node.activation.apply(acc)
-        elif node.kind == "output" and node.output_mode == "log_amplitude":
-            if np.max(acc.real) > EXP_OVERFLOW_LIMIT:
-                raise AmplitudeOverflowError("exp argument too large")
-            acc = np.exp(acc)
-        values[nid] = acc
+    # as in Activation.apply, overflow and invalid values pass silently and
+    # the non-finite result is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nid in g.live_order:
+            node = g.nodes[nid]
+            if node.kind == "product":
+                a, b = (affine(0j, [edge]) for edge in node.inputs)
+                values[nid] = unfused_product(a, b) if np.iscomplexobj(a) or np.iscomplexobj(b) else a * b
+                continue
+            acc = affine(node.bias, node.inputs)
+            if node.kind == "nonlinear":
+                acc = node.activation.apply(acc)
+            elif node.kind == "output" and node.output_mode == "log_amplitude":
+                if np.max(acc.real) > EXP_OVERFLOW_LIMIT:
+                    raise AmplitudeOverflowError("exp argument too large")
+                acc = np.exp(acc)
+            values[nid] = acc
     if not np.isfinite(values[g.output_id]).all():
         raise AmplitudeOverflowError("non-finite amplitude")
     return np.asarray(values[g.output_id], dtype=np.complex128)
