@@ -17,21 +17,19 @@ from .graph import (
     save_graph,
     to_json,
 )
-from .statevector import Statevector, from_amplitudes, load_nqsv, materialize, overlap, save_nqsv, two_norm_distance
+from .statevector import Statevector, from_amplitudes, load_nqsv, materialize, save_nqsv, two_norm_distance
 from .entanglement import (
     BipartitionMatrix,
     EntropyResult,
     bipartition,
     entropy,
     fannes_audenaert_bound,
-    reduced_trace_distance,
     subregion_entropy,
 )
 from .approx import (
     BoundReport,
     ChebyshevApprox,
     auxiliary_state,
-    cheb_fit_1d,
     cheb_fit_multi,
     degree_for_n,
     degree_for_n_multi,

@@ -47,8 +47,13 @@ def _checked_exp(x):
     re_part = np.real(x) if np.iscomplexobj(x) else x
     mx = np.max(re_part) if np.ndim(x) else re_part
     if mx > EXP_OVERFLOW_LIMIT:
-        # the column of the largest entry: one configuration per column
-        idx = int(np.argmax(re_part)) % np.shape(x)[-1] if np.ndim(x) else None
+        # the first column with an entry over the limit, one configuration per
+        # column, so that splitting a batch into blocks cannot move it
+        idx = None
+        if np.ndim(x):
+            over = (re_part > EXP_OVERFLOW_LIMIT).reshape(-1, np.shape(x)[-1]).any(axis=0)
+            idx = int(np.argmax(over))
+            mx = np.max(re_part[..., idx])
         raise AmplitudeOverflowError(
             f"exp argument real part {float(mx):.3g} exceeds {EXP_OVERFLOW_LIMIT}", bits=idx
         )

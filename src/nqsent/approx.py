@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import AffineFeature, Subregion, feature_supnorm
 from .errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
-from .graph import ComputationGraph, ReducedForm, feature_reduce, _is_raw, _scratch, _TABLE_BYTES
+from .graph import ComputationGraph, ReducedForm, feature_reduce, _scratch, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance
 from .entanglement import (
     BipartitionMatrix,
@@ -212,14 +212,6 @@ class Certificate:
         return bernstein_bound(self.a, self.C, d, mu)
 
 
-def cheb_fit_1d(f, t_bar: float, d: int, analytic: tuple[float, float] | None = None) -> ChebyshevApprox:
-    """Fit x -> f(t_bar * x) on [-1, 1] by a degree-d Chebyshev expansion.
-
-    ``analytic`` optionally supplies (a, C) for a certified error bound.
-    """
-    return cheb_fit_multi(lambda t: f(t[0]), (t_bar,), d, analytic)
-
-
 def cheb_fit_multi(
     G, t_bars, d: int, analytic: tuple[float, float] | None = None
 ) -> ChebyshevApprox:
@@ -354,7 +346,7 @@ def reduced_certificate(r: ReducedForm) -> Certificate | None:
     degree: dict[int, int | None] = {}
     for nid in res.live_order:
         node = res.nodes[nid]
-        reads = [1 if _is_raw(ref) else degree[ref] for ref, _ in node.inputs]
+        reads = [1 if raw else degree[ref] for (ref, _), raw in zip(node.inputs, node.raw)]
         degree[nid] = None if None in reads else sum(reads) if node.kind == "product" else max(reads, default=0)
         if node.kind != "nonlinear":
             continue
@@ -364,7 +356,7 @@ def reduced_certificate(r: ReducedForm) -> Certificate | None:
         degree[nid] = None if degree[nid] is None or act.degree is None else degree[nid] * act.degree
         if act.pole_distance is None:
             continue
-        if any(not _is_raw(ref) for ref, _ in node.inputs):
+        if node.preds:
             return None  # pole-limited nonlinearity composed with another one
         reach = sum(abs(w.real) * t_bars[ref[1]] for ref, w in node.inputs)
         if reach > 0.0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, Subregion
-from .errors import CapacityError, ContractError, ConsistencyError, DomainError, NumericError
+from .errors import ContractError, ConsistencyError, DomainError, NumericError
 from .statevector import Statevector
 
 RANK_THRESHOLD_REL = 1e-10
@@ -36,7 +36,6 @@ RANK_THRESHOLD_ABS = 1e-14
 _EIG_CLAMP = -1e-12
 _DRIFT_RENORM = 1e-10
 _DRIFT_ERROR = 1e-8
-REDUCED_DM_MAX_ROWS = 1 << 13
 _SKETCH_START = 16
 _TAIL_BLOCK = 1 << 18  # elements of the sketch's residual temporary
 _GRAM_BLOCK = 1 << 14  # columns per product of the dense Gram
@@ -80,12 +79,6 @@ def bipartition(psi: Statevector, region: Subregion) -> BipartitionMatrix:
     tensor = psi.amplitudes.reshape((2,) * psi.n).transpose(_axes(region))
     # a C-ordered copy, never a view of the state, even for the identity order
     return BipartitionMatrix(np.array(tensor, order="C").reshape(1 << m, -1), region)
-
-
-def flatten(bm: BipartitionMatrix) -> np.ndarray:
-    """Inverse of :func:`bipartition`: amplitudes back in bits order."""
-    tensor = bm.M.reshape((2,) * bm.n).transpose(np.argsort(_axes(bm.region)))
-    return np.array(tensor, order="C").reshape(-1)
 
 
 @dataclass
@@ -209,28 +202,6 @@ def _blocked_gram(M: np.ndarray) -> np.ndarray:
 
 def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
     return entropy(bipartition(psi, region))
-
-
-def reduced_density(psi: Statevector, region: Subregion) -> np.ndarray:
-    """Dense reduced density matrix on the subregion (rows capped at 2^13)."""
-    if (1 << region.size) > REDUCED_DM_MAX_ROWS:
-        raise CapacityError(
-            f"|A|={region.size} needs {1 << region.size} rows, above the dense cap {REDUCED_DM_MAX_ROWS}"
-        )
-    M = bipartition(psi, region).M
-    return M @ M.conj().T
-
-
-def reduced_trace_distance(psi: Statevector, phi: Statevector, region: Subregion) -> float:
-    """Half trace distance of the reduced density matrices on the subregion."""
-    if psi.n != phi.n:
-        raise ContractError(f"dimension mismatch: n={psi.n} vs n={phi.n}")
-    diff = reduced_density(psi, region) - reduced_density(phi, region)
-    try:
-        eig = np.linalg.eigvalsh(diff)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed: {exc}") from exc
-    return 0.5 * float(np.abs(eig).sum())
 
 
 def binary_entropy(t: float) -> float:

@@ -37,23 +37,29 @@ reads only raw spins (level 1) takes no CSR product: each of its rows is
 T_lo[s mod 2^l] + T_hi[s >> l] of two tables over the low l = ceil(n/2)
 and the high configuration bits, built with the tape (``_SpinTables``), so
 its sum order is (bias + low part) + high part; the raw-spin port rows
-that deeper groups read are filled from the bits. A batch is
-evaluated in column sub-blocks whose width keeps the value tables near
-8 MiB, in storage each thread keeps for the length of a chunk run; callers
-over many configurations hand it ``DEFAULT_CHUNK`` = 2^14 columns at a time
-through ``_run_chunks``, which starts pool threads only for batches of at
-least two ``_THREAD_SPAN`` = 2^16 configurations, so an n=16 state is
-evaluated on the calling thread.
+that deeper groups read are filled from the bits.
+
+A batch is evaluated in column sub-blocks whose width keeps the value
+tables near 8 MiB (372 columns for the 2569-node transformer at n=16), in
+storage each thread keeps for the length of a chunk run. Callers over many
+configurations hand it ``DEFAULT_CHUNK`` = 2^14 columns at a time through
+``_run_chunks``. A heavy bits tape, one whose sparse products take at least
+``_HEAVY_NONZEROS`` nonzeros per configuration, is spread over the threads
+as soon as it has two chunks, so the n=16 transformer's four chunks use
+every core; any other evaluator gets one thread per ``_THREAD_SPAN`` = 2^16
+configurations. The threads of one run split the 8 MiB, so each evaluates
+narrower sub-blocks (186 columns for the transformer on two threads).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import heapq
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -68,15 +74,25 @@ from .errors import AmplitudeOverflowError, CapacityError, ContractError, CycleE
 # values and amplitudes small (value and Chebyshev tables are blocked within
 # a chunk by _TABLE_BYTES)
 DEFAULT_CHUNK = 1 << 14
-# configurations per pool thread: a batch smaller than two of these runs on
-# the calling thread alone. At n=16 a second thread made the transformer
-# sweep about 1.4x faster on two idle cores, but a busy process on the
-# other core then cost it about 30%, against about 5% on one thread.
+# configurations per thread for an evaluator without a heavy tape: a batch
+# smaller than two of these runs on the calling thread alone. A heavy tape
+# pools from two chunks on even when the other core is busy: with one
+# CPU-bound process there, perfbench's transformer sweep at n=16 took
+# 2.10-2.35 s per pass, against 2.75-3.00 s with the transformer on one
+# thread.
 _THREAD_SPAN = 1 << 16
-# tape sub-blocks are as wide as keeps a tape's value tables near this
-# many bytes: about 200 columns for a 5000-node graph, 2^14 and more for small
-# ones. ChebyshevApprox.evaluate_unit blocks its tables by the same budget.
+# tape sub-blocks are as wide as keeps a tape's value tables near this many
+# bytes, split between the threads of a run: 372 columns for the 2569-node
+# transformer, 2^14 and more for small graphs. ChebyshevApprox.evaluate_unit
+# blocks its tables by the same budget, unsplit, so its blocks and bytes
+# depend on the batch alone.
 _TABLE_BYTES = 1 << 23
+# sparse-product nonzeros per configuration from which a bits tape is heavy
+# and spreads two chunks over threads. At n=16 the transformer's tape has
+# 34,872 and two threads took its materialize from 1.55 to 0.81 s; every
+# other preset family has at most 1,024 (cosnet k=512), and an MLP tape
+# (67 to 335) lost 1 to 20 ms to a pool.
+_HEAVY_NONZEROS = 1 << 12
 DEPENDENCE_TOL = 1e-10
 # rows whose weight part is pure cancellation debris relative to the row
 # magnitude count as constants; anything larger stays a feature so folding
@@ -104,49 +120,109 @@ def _scratch(size: int) -> np.ndarray:
     return buf[:size]
 
 
-def _keep_scratch() -> None:
-    _SCRATCH.kept = True
+def _keep_scratch(share: int) -> None:
+    """Keep the calling thread's scratch from chunk to chunk, and give its
+    value tables 1/``share`` of ``_TABLE_BYTES``."""
+    _SCRATCH.kept, _SCRATCH.share = True, share
 
 
-def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+@contextlib.contextmanager
+def _chunk_run(share: int | None = None):
+    """The calling thread inside a chunk run, with its tables' ``share``
+    (by default that of a run it is nested in); the scratch goes when the
+    outermost run ends."""
+    outermost = not getattr(_SCRATCH, "kept", False)
+    outer = getattr(_SCRATCH, "share", 1)
+    _keep_scratch(outer if share is None else share)
+    try:
+        yield
+    finally:
+        if outermost:
+            _SCRATCH.__dict__.clear()
+        else:
+            _SCRATCH.share = outer
+
+
+def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK, heavy: bool = False) -> np.ndarray:
     """Write ``fn(start, stop)`` for consecutive ``chunk``-sized ranges of
     ``0..count`` into one array of length ``count``, with the dtype of the
-    first chunk's values: float64 for a real evaluator, complex128 otherwise.
+    first chunk to finish: float64 for a real evaluator, complex128
+    otherwise. Every chunk must give that dtype (``ContractError``).
 
     Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
     floating-point result is the same for any thread count. Up to
-    ``threads`` pool threads share the chunks, one per ``_THREAD_SPAN``
-    configurations, once the first chunk has run alone.
+    ``threads`` workers, the calling thread and pool threads, take the
+    chunks in order from one queue: for a ``heavy`` evaluator as soon as
+    there are two chunks, else one worker per ``_THREAD_SPAN``
+    configurations. The workers share the ``_TABLE_BYTES`` budget, in this
+    run and in any run nested in its chunks. If chunks fail, no chunk after
+    the first failure is started, and the error of the first failing chunk
+    is raised once every worker has stopped.
     """
-    starts = range(0, count, chunk)
-    workers = min(threads, count // _THREAD_SPAN)
-    out = None
+    starts = range(0, count or 1, chunk)  # an empty batch still gets its dtype
+    workers = min(threads, len(starts) if heavy else count // _THREAD_SPAN)
+    out, dtype, waiting = None, None, []
+    caller, lock = threading.get_ident(), threading.Lock()
 
-    def start_with(first):
+    def allocate():
         nonlocal out
-        first = np.asarray(first)
-        out = np.empty(count, dtype=first.dtype)
-        out[: len(first)] = first
+        out = np.empty(count, dtype=dtype)
+        for start, values in waiting:
+            out[start : start + len(values)] = values
+        waiting.clear()
 
     def run(start):
-        stop = min(start + chunk, count)
-        out[start:stop] = fn(start, stop)
+        nonlocal dtype
+        values = np.asarray(fn(start, min(start + chunk, count)))
+        with lock:
+            dtype = values.dtype if dtype is None else dtype
+            if values.dtype != dtype:
+                raise ContractError(f"a chunk of {values.dtype} values after chunks of {dtype}")
+            if out is None:
+                # the calling thread allocates the result: a pool thread's
+                # malloc arena would keep the pages of a freed state resident
+                if threading.get_ident() != caller:
+                    waiting.append((start, values))
+                    return
+                allocate()
+        out[start : start + len(values)] = values
 
-    if workers > 1 and len(starts) > 1:
-        # pool threads keep their scratch until the pool shuts them down
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers, initializer=_keep_scratch) as pool:
-            start_with(pool.submit(fn, 0, chunk).result())
-            list(pool.map(run, starts[1:]))  # re-raises the first failing chunk's error
-    else:
-        outermost = not getattr(_SCRATCH, "kept", False)
-        _keep_scratch()
-        try:
-            start_with(fn(0, min(chunk, count)))
-            for start in starts[1:]:
+    if workers <= 1:
+        with _chunk_run():
+            for start in starts:
                 run(start)
-        finally:
-            if outermost:
-                _SCRATCH.__dict__.clear()
+        return out
+
+    taken, end, failed = 0, len(starts), {}
+
+    def work():
+        nonlocal taken, end
+        while True:
+            with lock:
+                if taken >= end:
+                    return
+                i, taken = taken, taken + 1
+            try:
+                run(starts[i])
+            except Exception as exc:
+                with lock:
+                    failed[i] = exc
+                    end = min(end, i)  # every chunk before i is taken, and one may fail first
+
+    # pool threads keep their scratch until the pool shuts them down
+    with concurrent.futures.ThreadPoolExecutor(workers - 1, initializer=_keep_scratch, initargs=(workers,)) as pool:
+        futures = [pool.submit(work) for _ in range(workers - 1)]
+        with _chunk_run(workers):
+            try:
+                work()
+            finally:
+                end = 0  # an interrupt of the calling thread stops the pool threads too
+    for future in futures:
+        future.result()
+    if failed:
+        raise failed[min(failed)]
+    if out is None:  # every chunk finished on a pool thread
+        allocate()
     return out
 
 
@@ -158,6 +234,10 @@ class Node:
     bias: complex = 0.0
     activation: Activation | None = None
     output_mode: str | None = None
+    # classified once, for every graph code path: whether each input is a
+    # raw spin, and the node ids among the inputs, in input order
+    raw: tuple = field(init=False, repr=False, compare=False)
+    preds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("input", "linear", "nonlinear", "product", "output"):
@@ -166,18 +246,20 @@ class Node:
             raise ContractError(f"nonlinear node {self.id} needs an activation")
         if self.kind == "output" and self.output_mode not in ("amplitude", "log_amplitude"):
             raise ContractError(f"output node {self.id} needs a valid output_mode")
-        object.__setattr__(self, "inputs", tuple((ref, complex(w)) for ref, w in self.inputs))
+        object.__setattr__(self, "inputs", tuple([(ref, complex(w)) for ref, w in self.inputs]))
         object.__setattr__(self, "bias", complex(self.bias))
+        object.__setattr__(self, "raw", tuple([_is_raw(ref) for ref, _ in self.inputs]))
+        object.__setattr__(self, "preds", tuple([ref for (ref, _), raw in zip(self.inputs, self.raw) if not raw]))
         if self.kind == "product" and (len(self.inputs) != 2 or self.bias != 0 or self.activation is not None):
             raise ContractError(f"product node {self.id} needs exactly two inputs, no bias and no activation")
 
     @property
     def arguments(self) -> tuple:
-        """(bias, inputs) of each affine sum the node reads: a product's two
-        factors 0 + w_a x_a and 0 + w_b x_b, else its one pre-activation."""
+        """(bias, inputs, raw) of each affine sum the node reads: a product's
+        two factors 0 + w_a x_a and 0 + w_b x_b, else its one pre-activation."""
         if self.kind == "product":
-            return ((0j, self.inputs[:1]), (0j, self.inputs[1:]))
-        return ((self.bias, self.inputs),)
+            return ((0j, self.inputs[:1], self.raw[:1]), (0j, self.inputs[1:], self.raw[1:]))
+        return ((self.bias, self.inputs, self.raw),)
 
 
 def _is_raw(ref) -> bool:
@@ -219,7 +301,7 @@ class ComputationGraph:
         live = {self.output_id}
         for nid in reversed(self.order):  # every reader of nid comes later
             if nid in live:
-                live.update(r for r, _ in self.nodes[nid].inputs if not _is_raw(r))
+                live.update(self.nodes[nid].preds)
         self.dead = frozenset(self.nodes) - live
         self.live_order = [i for i in self.order if i in live]
 
@@ -233,13 +315,15 @@ class ComputationGraph:
             coeffs_real = node.bias.imag == 0.0 and all(w.imag == 0.0 for _, w in node.inputs)
             if node.kind != "output" and not coeffs_real:
                 raise ContractError(f"node {nid}: complex parameters are only allowed at the output")
-            if node.kind == "output" and any(w.imag != 0.0 and (_is_raw(r) or carries[r]) for r, w in node.inputs):
+            if node.kind == "output" and any(
+                w.imag != 0.0 and (raw or carries[r]) for (r, w), raw in zip(node.inputs, node.raw)
+            ):
                 raise ContractError("complex output weights are only allowed on edges without direct spin dependence")
             atom = nonlinear or node.kind == "product"
-            carries[nid] = not atom and any(_is_raw(r) or carries[r] for r, _ in node.inputs)
+            carries[nid] = not atom and (any(node.raw) or any(carries[r] for r in node.preds))
             if nid not in live:
                 continue
-            acc_real = coeffs_real and all(_is_raw(r) or self._value_real[r] for r, _ in node.inputs)
+            acc_real = coeffs_real and all(self._value_real[r] for r in node.preds)
             self._acc_real[nid] = acc_real
             self._value_real[nid] = acc_real and (not nonlinear or node.activation.mode == "real")
             if node.kind == "product":
@@ -269,23 +353,29 @@ class ComputationGraph:
 
     def _evaluate(self, tape: "_Tape", inputs: np.ndarray) -> np.ndarray:
         """Amplitudes of the batch columns of ``inputs``, (n, B) port values
-        or B configuration bits, in sub-blocks of ``tape.width`` columns."""
+        or B configuration bits, in sub-blocks of ``tape.width`` columns
+        divided by the thread's share of the table budget."""
         B = inputs.shape[-1]
         out = np.empty(B, dtype=np.complex128 if tape.out[0] else np.float64)
-        width = max(1, min(B, tape.width))
+        width = max(1, min(B, tape.width // getattr(_SCRATCH, "share", 1)))
         buffers = tape.buffers(width)
         for start in range(0, B, width):
-            stop = min(start + width, B)
+            block = inputs[..., start : start + width]
             try:
-                amps = tape.run(inputs[..., start:stop], buffers)
-                if not np.isfinite(amps).all():
-                    column = int(np.argmin(np.isfinite(amps)))
-                    raise AmplitudeOverflowError(f"non-finite amplitude {amps[column]}", bits=column)
+                out[start : start + block.shape[-1]] = _run_checked(tape, block, buffers)
             except AmplitudeOverflowError as exc:
+                # the block stopped at the first step that overflowed, but an
+                # earlier column may overflow in a later step: name the first
+                # column that fails alone, whatever the sub-block width
+                while exc.bits:
+                    try:
+                        _run_checked(tape, block[..., : exc.bits], buffers)
+                        break
+                    except AmplitudeOverflowError as earlier:
+                        exc = earlier
                 if exc.bits is not None:
                     exc.bits += start
-                raise
-            out[start:stop] = amps
+                raise exc from None
         return out
 
     def eval_ports(self, ports: np.ndarray) -> np.ndarray:
@@ -308,10 +398,20 @@ class ComputationGraph:
         bits above n are ignored, and an overflow's ``bits`` names the
         configuration."""
         tape = self._tape(False, bits=True)  # and its spin tables, before any pool thread starts
-        return _eval_bits_chunked(lambda piece: self._evaluate(tape, piece), bits, threads, chunk)
+        return _eval_bits_chunked(lambda piece: self._evaluate(tape, piece), bits, threads, chunk, tape.heavy)
 
 
-def _eval_bits_chunked(evaluate, bits, threads: int, chunk: int) -> np.ndarray:
+def _run_checked(tape: "_Tape", block: np.ndarray, buffers) -> np.ndarray:
+    """``tape.run`` on one sub-block; a non-finite amplitude raises
+    ``AmplitudeOverflowError`` naming its column."""
+    amps = tape.run(block, buffers)
+    if not np.isfinite(amps).all():
+        column = int(np.argmin(np.isfinite(amps)))
+        raise AmplitudeOverflowError(f"non-finite amplitude {amps[column]}", bits=column)
+    return amps
+
+
+def _eval_bits_chunked(evaluate, bits, threads: int, chunk: int, heavy: bool = False) -> np.ndarray:
     """``evaluate(piece)`` over ``_run_chunks`` pieces of the configuration
     bits; an overflow's batch column becomes its configuration."""
     bits = np.asarray(bits, dtype=np.int64)
@@ -328,7 +428,7 @@ def _eval_bits_chunked(evaluate, bits, threads: int, chunk: int) -> np.ndarray:
                 f"amplitude overflow at configuration bits={config:#x}: {exc}", bits=config
             ) from None
 
-    return _run_chunks(run, len(bits), threads, chunk)
+    return _run_chunks(run, len(bits), threads, chunk, heavy)
 
 
 def _low_bits(n: int) -> int:
@@ -438,7 +538,7 @@ class _Tape:
         groups: dict[tuple, list[int]] = {}
         for nid in g.live_order:
             node = nodes[nid]
-            level[nid] = 1 + max((level[r] for r, _ in node.inputs if not _is_raw(r)), default=0)
+            level[nid] = 1 + max((level[r] for r in node.preds), default=0)
             fn = node.activation
             if node.kind == "output" and node.output_mode == "log_amplitude":
                 fn = _checked_exp
@@ -447,8 +547,10 @@ class _Tape:
             groups.setdefault((level[nid], fn, acc_c[nid]), []).append(nid)
 
         # what a complex pre-activation reads from the real side
-        mirrored = {r for nid in g.live_order if acc_c[nid] for r, _ in nodes[nid].inputs}
-        port_tables = (1,) if complex_ports else (0, 1) if any(map(_is_raw, mirrored)) else (0,)
+        complex_readers = [nodes[nid] for nid in g.live_order if acc_c[nid]]
+        mirrored = {r for node in complex_readers for r in node.preds}
+        mirror_ports = any(any(node.raw) for node in complex_readers)
+        port_tables = (1,) if complex_ports else (0, 1) if mirror_ports else (0,)
 
         sizes = [1 + n, 1 + n]
         row: list[dict[int, int]] = [{}, {}]
@@ -469,11 +571,11 @@ class _Tape:
             arity = len(nodes[members[0]].arguments)
             terms = [nodes[nid].arguments[f] for f in range(arity) for nid in members]
             indptr, indices, data = [0], [], []
-            for bias, inputs in terms:
+            for bias, inputs, raw in terms:
                 if bias != 0:
                     indices.append(0)
                     data.append(bias)
-                indices.extend(1 + r[1] if _is_raw(r) else row[src][r] for r, _ in inputs)
+                indices.extend(1 + r[1] if spin else row[src][r] for (r, _), spin in zip(inputs, raw))
                 data.extend(w for _, w in inputs)
                 indptr.append(len(indices))
             data = np.array(data, dtype=np.complex128)
@@ -488,7 +590,7 @@ class _Tape:
                 dense = matrix[:, : 1 + n].toarray()
                 spins = _SpinTables(dense[:, 1:].real, dense[:, 0])
             else:
-                port_rows.update((src, r[1]) for _, inputs in terms for r, _ in inputs if _is_raw(r))
+                port_rows.update((src, r[1]) for _, inputs, raw in terms for (r, _), spin in zip(inputs, raw) if spin)
             self.steps.append(_Step(matrix, src, dst, lo, mirror, apply, spins))
         out = int(val_c[g.output_id])
         self.out = (out, row[out][g.output_id])
@@ -497,6 +599,8 @@ class _Tape:
         self.sizes = [size if t in used else 0 for t, size in enumerate(sizes)]
         self.port_tables = tuple(t for t in port_tables if t in used)
         self.width = max(1, _TABLE_BYTES // (8 * self.sizes[0] + 16 * self.sizes[1]))
+        # work per column: the nonzeros of the sparse products
+        self.heavy = sum(step.matrix.nnz for step in self.steps if step.spins is None) >= _HEAVY_NONZEROS
         self.n, self.bits = n, bits
         # on bits, the (table, spin) port rows that the steps without spin tables read
         self.port_rows = sorted(port_rows)
@@ -553,8 +657,8 @@ def _kahn_sort(nodes: dict[int, Node], n: int) -> list[int]:
     indeg = dict.fromkeys(nodes, 0)
     succ: dict[int, list[int]] = {nid: [] for nid in nodes}
     for node in nodes.values():
-        for ref, _ in node.inputs:
-            if _is_raw(ref):
+        for (ref, _), raw in zip(node.inputs, node.raw):
+            if raw:
                 if not 0 <= ref[1] < n:
                     raise ContractError(f"node {node.id} reads spin {ref[1]} outside 0..{n - 1}")
                 continue
@@ -588,7 +692,7 @@ def _find_cycle(nodes: dict[int, Node], remaining: set[int]) -> list[int]:
     while nid not in seen:
         seen[nid] = len(path)
         path.append(nid)
-        nid = next(r for r, _ in nodes[nid].inputs if not _is_raw(r) and r in remaining)
+        nid = next(r for r in nodes[nid].preds if r in remaining)
     return path[seen[nid] :] + [nid]
 
 
@@ -656,29 +760,32 @@ def feature_reduce(g: ComputationGraph) -> ReducedForm:
     direct: dict[int, tuple[np.ndarray, complex]] = {}
     reads_phi: dict[int, bool] = {}
 
-    def direct_part(inputs, bias: complex) -> tuple[np.ndarray, complex]:
+    def direct_part(bias: complex, inputs, raw) -> tuple[np.ndarray, complex]:
+        """w and c, with the shared ``zero`` for a w without spins: sums that
+        start at +0 never give -0, so adding a zero part leaves w as it is."""
         w, c = np.zeros(g.n), bias
-        for ref, wt in inputs:
-            if _is_raw(ref):
+        for (ref, wt), spin in zip(inputs, raw):
+            if spin:
                 w[ref[1]] += wt.real
             else:
                 w_src, c_src = direct[ref]
-                w += wt.real * w_src
+                if w_src is not zero:
+                    w += wt.real * w_src
                 c += wt * c_src
-        return w, c
+        return (w if w.any() else zero), c
 
     candidates = []  # (w, c.real) of atom arguments in live order, then the output
     for nid in g.live_order:
         node = g.nodes[nid]
         if node.kind in ("nonlinear", "product"):
-            for bias, inputs in node.arguments:
-                w, c = direct_part(inputs, bias)
+            for argument in node.arguments:
+                w, c = direct_part(*argument)
                 candidates.append((w, c.real))
             direct[nid] = (zero, 0j)
             reads_phi[nid] = True
         else:
-            direct[nid] = direct_part(node.inputs, node.bias)
-            reads_phi[nid] = any(not _is_raw(ref) and reads_phi[ref] for ref, _ in node.inputs)
+            direct[nid] = direct_part(node.bias, node.inputs, node.raw)
+            reads_phi[nid] = any(reads_phi[ref] for ref in node.preds)
     out_c = direct[g.output_id][1]
     candidates.append((direct[g.output_id][0], out_c.real))
 
@@ -686,10 +793,14 @@ def feature_reduce(g: ComputationGraph) -> ReducedForm:
     is_const = [np.abs(w).sum() <= _CONST_TOL * max(1.0, abs(b) + np.abs(w).sum()) for w, b in candidates]
 
     rows = [np.concatenate([w, [b]]) for w, b in candidates]
+    # a row equal to an earlier one lies in the span that one met or joined,
+    # so only its first copy is tested and solved (a transformer repeats
+    # about two in three of its rows)
+    first: dict[bytes, int] = {}
     slot: dict[int, int] = {}  # candidate index -> feature index
     basis: list[np.ndarray] = []
     for j, row in enumerate(rows):
-        if is_const[j]:
+        if is_const[j] or first.setdefault(row.tobytes(), j) != j:
             continue
         v = row.copy()
         for _ in range(2):  # re-orthogonalize for stability
@@ -712,6 +823,8 @@ def feature_reduce(g: ComputationGraph) -> ReducedForm:
             betas[j, slot[j]] = 1.0
         elif is_const[j] or mu == 0:
             gammas[j] = candidates[j][1]
+        elif (i := first[row.tobytes()]) != j and i not in slot:
+            betas[j], gammas[j] = betas[i], gammas[i]
         else:
             x, *_ = np.linalg.lstsq(A, row, rcond=None)
             betas[j] = x[:mu]
@@ -730,27 +843,27 @@ def feature_reduce(g: ComputationGraph) -> ReducedForm:
     next_id = max(g.nodes) + 1
     j = 0
 
-    def inner(inputs) -> tuple:
-        return tuple((ref, wt) for ref, wt in inputs if not _is_raw(ref) and reads_phi[ref])
+    def inner(inputs, raw) -> tuple:
+        return tuple((ref, wt) for (ref, wt), spin in zip(inputs, raw) if not spin and reads_phi[ref])
 
-    def rewritten(nid: int, kind: str, inputs, activation=None, output_mode=None) -> Node:
+    def rewritten(nid: int, kind: str, inputs, raw, activation=None, output_mode=None) -> Node:
         """Node ``nid`` over candidate j's ports and bias plus the inner edges."""
         nonlocal j
         ports = tuple((("s", m), beta) for m, beta in enumerate(betas[j]) if beta != 0.0)
         bias = gammas[j] if kind == "output" else gammas[j].real
         j += 1
-        return Node(nid, kind, ports + inner(inputs), bias, activation, output_mode)
+        return Node(nid, kind, ports + inner(inputs, raw), bias, activation, output_mode)
 
     for nid in g.live_order:
         node = g.nodes[nid]
         if node.kind in ("input", "linear"):
             if reads_phi[nid]:
-                residual_nodes.append(Node(nid, "linear", inner(node.inputs)))
+                residual_nodes.append(Node(nid, "linear", inner(node.inputs, node.raw)))
         elif node.kind == "product":
             factors = []
-            for _, inputs in node.arguments:
-                factor = rewritten(next_id, "linear", inputs)
-                if factor.bias == 0 and len(factor.inputs) == 1 and not _is_raw(factor.inputs[0][0]):
+            for _, inputs, raw in node.arguments:
+                factor = rewritten(next_id, "linear", inputs, raw)
+                if factor.bias == 0 and len(factor.inputs) == 1 and factor.preds:
                     factors.append(factor.inputs[0])
                 else:
                     residual_nodes.append(factor)
@@ -758,7 +871,7 @@ def feature_reduce(g: ComputationGraph) -> ReducedForm:
                     next_id += 1
             residual_nodes.append(Node(nid, "product", tuple(factors)))
         else:
-            residual_nodes.append(rewritten(nid, node.kind, node.inputs, node.activation, node.output_mode))
+            residual_nodes.append(rewritten(nid, node.kind, node.inputs, node.raw, node.activation, node.output_mode))
     residual = ComputationGraph(residual_nodes, n=mu)
     return ReducedForm(features=features, residual=residual, n=g.n, k=g.k)
 

@@ -1,0 +1,58 @@
+"""Reference helpers that only the tests use: a one-variable Chebyshev fit,
+the overlap of two states, the inverse of ``bipartition``, dense reduced
+density matrices and their trace distance."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nqsent.approx import ChebyshevApprox, cheb_fit_multi
+from nqsent.core import Subregion
+from nqsent.entanglement import BipartitionMatrix, bipartition, _axes
+from nqsent.errors import CapacityError, ContractError, NumericError
+from nqsent.statevector import Statevector
+
+REDUCED_DM_MAX_ROWS = 1 << 13
+
+
+def cheb_fit_1d(f, t_bar: float, d: int, analytic: tuple[float, float] | None = None) -> ChebyshevApprox:
+    """Fit x -> f(t_bar * x) on [-1, 1] by a degree-d Chebyshev expansion.
+
+    ``analytic`` optionally supplies (a, C) for a certified error bound.
+    """
+    return cheb_fit_multi(lambda t: f(t[0]), (t_bar,), d, analytic)
+
+
+def overlap(psi: Statevector, phi: Statevector) -> complex:
+    """<psi|phi> with conjugation on the first argument."""
+    if psi.n != phi.n:
+        raise ContractError(f"dimension mismatch: n={psi.n} vs n={phi.n}")
+    return complex(np.vdot(psi.amplitudes, phi.amplitudes))
+
+
+def flatten(bm: BipartitionMatrix) -> np.ndarray:
+    """Inverse of ``bipartition``: amplitudes back in bits order."""
+    tensor = bm.M.reshape((2,) * bm.n).transpose(np.argsort(_axes(bm.region)))
+    return np.array(tensor, order="C").reshape(-1)
+
+
+def reduced_density(psi: Statevector, region: Subregion) -> np.ndarray:
+    """Dense reduced density matrix on the subregion (rows capped at 2^13)."""
+    if (1 << region.size) > REDUCED_DM_MAX_ROWS:
+        raise CapacityError(
+            f"|A|={region.size} needs {1 << region.size} rows, above the dense cap {REDUCED_DM_MAX_ROWS}"
+        )
+    M = bipartition(psi, region).M
+    return M @ M.conj().T
+
+
+def reduced_trace_distance(psi: Statevector, phi: Statevector, region: Subregion) -> float:
+    """Half trace distance of the reduced density matrices on the subregion."""
+    if psi.n != phi.n:
+        raise ContractError(f"dimension mismatch: n={psi.n} vs n={phi.n}")
+    diff = reduced_density(psi, region) - reduced_density(phi, region)
+    try:
+        eig = np.linalg.eigvalsh(diff)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    return 0.5 * float(np.abs(eig).sum())

@@ -22,12 +22,13 @@ import numpy as np
 import pytest
 
 from conftest import haar_state, random_evaluable_dag
+from oracles import cheb_fit_1d, reduced_trace_distance
 
 from nqsent.analytic import dicke_entropy, dicke_entropy_asymptotic, page_value
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
-from nqsent.approx import auxiliary_state, cheb_fit_1d, cheb_fit_multi, full_bound_report, rank_bound, reduced_certificate
+from nqsent.approx import auxiliary_state, cheb_fit_multi, full_bound_report, rank_bound, reduced_certificate
 from nqsent.core import RngStream, Subregion, feature_supnorm
-from nqsent.entanglement import fannes_audenaert_bound, reduced_trace_distance, subregion_entropy
+from nqsent.entanglement import fannes_audenaert_bound, subregion_entropy
 from nqsent.experiments import ExperimentConfig, run_cosnet_k_sweep, run_sweep, write_csv
 from nqsent.graph import feature_reduce
 from nqsent.statevector import from_amplitudes, materialize, two_norm_distance

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from numpy.polynomial import chebyshev
 
+from oracles import cheb_fit_1d
+
 from nqsent import approx
 from nqsent.activations import Activation
 from nqsent.ansatz import CosnetSpec, DickeSpec, SnnqsSpec, build_cosnet, build_dicke, build_snnqs
@@ -13,7 +15,6 @@ from nqsent.approx import (
     ChebyshevApprox,
     auxiliary_state,
     bernstein_bound,
-    cheb_fit_1d,
     cheb_fit_multi,
     degree_for_n,
     degree_for_n_multi,

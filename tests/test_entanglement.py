@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import haar_state
+from oracles import flatten, overlap, reduced_density, reduced_trace_distance
 
 from nqsent.analytic import dicke_entropy, dicke_spectrum
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
@@ -18,13 +19,10 @@ from nqsent.entanglement import (
     entropy,
     fa_slack_from_bound,
     fannes_audenaert_bound,
-    flatten,
-    reduced_density,
-    reduced_trace_distance,
     subregion_entropy,
 )
 from nqsent.errors import CapacityError, ContractError, DomainError
-from nqsent.statevector import from_amplitudes, materialize, overlap, two_norm_distance
+from nqsent.statevector import from_amplitudes, materialize, two_norm_distance
 
 
 def bell_state():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 
@@ -19,10 +20,23 @@ from nqsent.graph import (
     _THREAD_SPAN,
     _bit_pieces,
     _is_raw,
+    _SCRATCH,
     _run_chunks,
     _scratch,
 )
-from nqsent.ansatz import MlpSpec, SnnqsSpec, TransformerSpec, build_mlp, build_snnqs, build_transformer
+from nqsent.ansatz import (
+    CosnetSpec,
+    DickeSpec,
+    MlpSpec,
+    SnnqsSpec,
+    TransformerSpec,
+    build_cosnet,
+    build_dicke,
+    build_mlp,
+    build_snnqs,
+    build_transformer,
+)
+from nqsent.statevector import materialize
 
 
 def chain_graph():
@@ -516,20 +530,183 @@ def test_overflow_names_configuration_past_first_chunk(reduced):
     assert f"bits={err.value.bits:#x}" in str(err.value)
 
 
-def test_pool_threads_start_from_two_thread_spans():
-    seen = set()
+def _threads_of(g: ComputationGraph, workers: int) -> set:
+    """Record the threads that evaluate ``g``'s chunks from now on. The
+    first ``workers`` chunks wait for each other, so that many threads, the
+    calling one among them, must each take one."""
+    seen, calls = set(), itertools.count()
+    barrier = threading.Barrier(workers, timeout=60)
+
+    def traced(tape, inputs):
+        seen.add(threading.get_ident())
+        if next(calls) < workers:
+            barrier.wait()
+        return ComputationGraph._evaluate(g, tape, inputs)
+
+    g._evaluate = traced
+    return seen
+
+
+def test_heavy_tape_pools_from_two_chunks():
+    # the n=16 transformer's bits tape does thousands of sparse products per
+    # configuration: its four chunks go to pool threads and the calling thread
+    g = build_transformer(TransformerSpec(n=16), RngStream(1))
+    assert g._tape(False, bits=True).heavy
+    seen = _threads_of(g, 1)
+    one = materialize(g, threads=1)
+    assert seen == {threading.get_ident()}
+    for threads in (2, 3):
+        seen = _threads_of(g, threads)
+        pooled = materialize(g, threads=threads)
+        assert threading.get_ident() in seen and len(seen) == threads
+        assert pooled.amplitudes.tobytes() == one.amplitudes.tobytes()
+        assert pooled.norm_was == one.norm_was
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_dicke(DickeSpec(16)),
+        lambda: build_snnqs(SnnqsSpec(n=16, activation="i*tanh"), RngStream(2)),
+        lambda: build_cosnet(CosnetSpec(n=16, k=1), RngStream(3)),
+    ],
+    ids=["dicke", "snnqs", "cosnet_k1"],
+)
+def test_light_tape_keeps_the_count_rule(build):
+    # a tape of a few sparse products per configuration stays on the calling
+    # thread below two _THREAD_SPAN, and uses the pool from there on
+    g = build()
+    assert not g._tape(False, bits=True).heavy
+    seen = _threads_of(g, 1)
+    materialize(g, threads=2)
+    assert seen == {threading.get_ident()}
+    seen = _threads_of(g, 2)
+    g.eval_bits(np.arange(2 * _THREAD_SPAN), threads=2)
+    assert threading.get_ident() in seen and len(seen) == 2
+
+
+@pytest.mark.parametrize(
+    "count, chunk, heavy, workers",
+    [
+        (2 * _THREAD_SPAN - 1, 1 << 13, False, 1),
+        (2 * _THREAD_SPAN, 1 << 13, False, 2),
+        (2, 2, True, 1),
+        (3, 2, True, 2),  # two chunks, one of them short
+    ],
+    ids=["light_below_two_spans", "light_two_spans", "heavy_one_chunk", "heavy_two_chunks"],
+)
+def test_pool_threads_follow_the_work_rule(count, chunk, heavy, workers):
+    seen, barrier = set(), threading.Barrier(workers, timeout=60)
 
     def fn(start, stop):
         seen.add(threading.get_ident())
+        if start < workers * chunk:  # the first chunks wait for each other
+            barrier.wait()
         return np.arange(start, stop)
 
-    count = 2 * _THREAD_SPAN - 1
-    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=1 << 13), np.arange(count))
-    assert seen == {threading.get_ident()}
-    seen.clear()
-    count += 1
-    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=1 << 13), np.arange(count))
-    assert seen and threading.get_ident() not in seen
+    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=chunk, heavy=heavy), np.arange(count))
+    assert threading.get_ident() in seen and len(seen) == workers
+
+
+def test_result_is_allocated_on_the_calling_thread(monkeypatch):
+    # the calling thread's first chunk ends after a pool thread's: the pool
+    # thread's values wait, and the calling thread allocates the result
+    me, pool_finished, allocated = threading.get_ident(), threading.Event(), []
+    empty = np.empty
+
+    def traced_empty(*args, **kwargs):
+        allocated.append(threading.get_ident())
+        return empty(*args, **kwargs)
+
+    def fn(start, stop):
+        if threading.get_ident() == me:
+            assert pool_finished.wait(60)
+        else:
+            pool_finished.set()
+        return np.full(stop - start, float(start))
+
+    monkeypatch.setattr(np, "empty", traced_empty)
+    assert _run_chunks(fn, 4, threads=2, chunk=1, heavy=True).tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert allocated == [me]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunks_must_share_a_dtype(threads):
+    # the first chunk to finish sets the dtype; any other dtype is refused
+    # rather than cast
+    def fn(start, stop):
+        values = np.arange(start, stop, dtype=np.float64)
+        return values if start == 0 else values + 1j
+
+    with pytest.raises(ContractError, match="complex128"):
+        _run_chunks(fn, 8, threads=threads, chunk=4, heavy=True)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_first_failing_chunk_is_raised_whichever_fails_first(threads):
+    # chunk 1 fails only after chunk 3 has failed; chunk 1's error is raised,
+    # and only once every worker has stopped
+    chunk3_failed = threading.Event()
+
+    def fn(start, stop):
+        if start == 1:
+            assert chunk3_failed.wait(60)
+            raise ValueError("chunk 1")
+        if start == 3:
+            chunk3_failed.set()
+            raise ValueError("chunk 3")
+        return np.zeros(stop - start)
+
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="chunk 1"):
+        _run_chunks(fn, 5, threads=threads, chunk=1, heavy=True)
+    assert set(threading.enumerate()) == before
+
+
+def _overflowing_heavy_graph() -> ComputationGraph:
+    """n=16, with a level-2 layer of 80 x 64 sparse weights (heavy), whose
+    log-amplitude 50 (s_0 + ... + s_14) + O(0.1) exceeds the exp limit 700
+    only at 0x7fff and 0xffff: chunks 1 and 3 of 2^14 configurations."""
+    n, gen = 16, np.random.default_rng(5)
+    nodes = [
+        Node(j, "nonlinear", tuple((("s", i), float(w)) for i, w in enumerate(gen.normal(size=n))),
+             activation=Activation("tanh"))
+        for j in range(64)
+    ]
+    nodes += [Node(64 + k, "linear", tuple((j, 1e-3) for j in range(64))) for k in range(80)]
+    spins = tuple((("s", i), 50.0) for i in range(15))
+    nodes.append(Node(144, "output", spins + tuple((64 + k, 0.01) for k in range(80)), output_mode="log_amplitude"))
+    return ComputationGraph(nodes, n)
+
+
+def test_overflow_in_two_chunks_names_the_earlier_one():
+    g = _overflowing_heavy_graph()
+    assert g._tape(False, bits=True).heavy
+    before = set(threading.enumerate())
+    for threads in (1, 2, 3):
+        with pytest.raises(AmplitudeOverflowError) as err:
+            materialize(g, threads=threads)
+        assert err.value.bits == 0x7FFF
+        assert "bits=0x7fff" in str(err.value)
+        assert set(threading.enumerate()) == before  # no pool thread outlives the call
+
+
+def test_overflow_names_the_first_failing_column_in_any_block():
+    # columns 5 and 7 overflow an exp node (701 > 700), columns 2 and 6 only
+    # the output's exp, a later step: every sub-block width names column 2
+    n = 3
+    g = ComputationGraph(
+        [
+            Node(0, "nonlinear", ((("s", 0), 400.0), (("s", 2), 400.0)), bias=-99.0, activation=Activation("exp")),
+            Node(1, "output", ((("s", 1), 400.0), (("s", 0), -400.0), (0, 1e-300)), output_mode="log_amplitude"),
+        ],
+        n,
+    )
+    bits = np.arange(1 << n)
+    for chunk in (1, 3, 8):
+        with pytest.raises(AmplitudeOverflowError) as err:
+            g.eval_bits(bits, chunk=chunk)
+        assert err.value.bits == 2
 
 
 def test_scratch_lives_for_one_chunk_run():
@@ -561,6 +738,24 @@ def test_scratch_lives_for_one_chunk_run():
     assert sum(map(len, pooled.values())) == 16
     for bufs in pooled.values():
         assert all(np.shares_memory(bufs[0], b) for b in bufs)
+
+
+def test_pooled_workers_split_the_table_budget():
+    # every worker of a pooled run, and every run nested in its chunks (as
+    # eval_bits nests one in each materialize chunk), evaluates with a third
+    # of the table budget on three threads; a serial run keeps a whole one
+    shares = []
+
+    def fn(start, stop):
+        shares.append(_SCRATCH.share)
+        return _run_chunks(lambda a, b: shares.append(_SCRATCH.share) or np.zeros(b - a), stop - start)
+
+    _run_chunks(fn, 6, threads=3, chunk=1, heavy=True)
+    assert shares == [3] * 12
+    assert not hasattr(_SCRATCH, "share")
+    shares.clear()
+    _run_chunks(fn, 6, threads=1, chunk=1, heavy=True)
+    assert shares == [1] * 12
 
 
 def test_random_graphs_reduced_eval_matches():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_state, random_evaluable_dag
+from oracles import overlap
 
 from nqsent.ansatz import (
     CosnetSpec,
@@ -28,7 +29,6 @@ from nqsent.statevector import (
     from_amplitudes,
     load_nqsv,
     materialize,
-    overlap,
     save_nqsv,
     two_norm_distance,
 )
