@@ -50,6 +50,6 @@ from .ansatz import (
     build_snnqs,
     build_transformer,
 )
-from .experiments import ExperimentConfig, SweepResult, run_cosnet_k_sweep, run_sweep
+from .experiments import ExperimentConfig, SweepResult, run_sweep
 
 __version__ = "0.1.0"

@@ -47,10 +47,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import AffineFeature, Subregion, feature_supnorm
+from .core import AffineFeature, Subregion, check_n, feature_supnorm
 from .errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
-from .graph import ComputationGraph, ReducedForm, feature_reduce, _scratch, _TABLE_BYTES
-from .statevector import Statevector, materialize, two_norm_distance
+from .graph import DEFAULT_CHUNK, ComputationGraph, ReducedForm, feature_reduce
+from .graph import _eval_bits_chunked, _scratch, _TABLE_BYTES
+from .statevector import Statevector, materialize, two_norm_distance, _normalized
 from .entanglement import (
     BipartitionMatrix,
     EntropyResult,
@@ -256,20 +257,9 @@ def cheb_fit_multi(
     return approx
 
 
-class _PolyStateEvaluator:
-    """Amplitude evaluator P(t_1(s)..t_mu(s)) for materialize()."""
-
-    def __init__(self, reduced: ReducedForm, poly: ChebyshevApprox):
-        self.reduced = reduced
-        self.poly = poly
-        self.n = reduced.n
-
-    def eval_bits(self, bits):
-        return self.poly.evaluate(self.reduced.feature_values(np.asarray(bits)))
-
-
 def auxiliary_state(r: ReducedForm, P: ChebyshevApprox, threads: int = 1) -> Statevector:
-    """Normalized state whose amplitudes are the fitted polynomial of the features."""
+    """Normalized state whose amplitudes are the fitted polynomial of the
+    features, P(t_1(s)..t_mu(s)), in one chunk run as ``materialize``."""
     if P.mu != r.mu:
         raise ContractError(f"fit has {P.mu} variables, reduced form has {r.mu}")
     for f, t_bar in zip(r.features, P.t_bars):
@@ -277,7 +267,11 @@ def auxiliary_state(r: ReducedForm, P: ChebyshevApprox, threads: int = 1) -> Sta
             raise ContractError(
                 f"feature sup-norm {feature_supnorm(f):.6g} exceeds fit domain {t_bar:.6g}"
             )
-    return materialize(_PolyStateEvaluator(r, P), threads=threads)
+    check_n(r.n)
+    amplitudes = _eval_bits_chunked(
+        lambda piece: P.evaluate(r.feature_values(piece)), range(1 << r.n), threads, DEFAULT_CHUNK
+    )
+    return _normalized(amplitudes, r.n)
 
 
 def rank_bound(d: int, mu: int) -> int:

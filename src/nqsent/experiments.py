@@ -246,13 +246,6 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     return SweepResult(rows=rows, excluded=excluded, page_reference=refs)
 
 
-def run_cosnet_k_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """:func:`run_sweep` of a config that must carry a k grid."""
-    if not cfg.k_grid:
-        raise ContractError("k sweep requires k_grid")
-    return run_sweep(cfg, threads=threads)
-
-
 # ---------------------------------------------------------------------------
 # CSV / JSON artifacts
 # ---------------------------------------------------------------------------

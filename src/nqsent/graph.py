@@ -41,14 +41,15 @@ that deeper groups read are filled from the bits.
 
 A batch is evaluated in column sub-blocks whose width keeps the value
 tables near 8 MiB (372 columns for the 2569-node transformer at n=16), in
-storage each thread keeps for the length of a chunk run. Callers over many
-configurations hand it ``DEFAULT_CHUNK`` = 2^14 columns at a time through
-``_run_chunks``. A heavy bits tape, one whose sparse products take at least
-``_HEAVY_NONZEROS`` nonzeros per configuration, is spread over the threads
-as soon as it has two chunks, so the n=16 transformer's four chunks use
-every core; any other evaluator gets one thread per ``_THREAD_SPAN`` = 2^16
-configurations. The threads of one run split the 8 MiB, so each evaluates
-narrower sub-blocks (186 columns for the transformer on two threads).
+storage each thread keeps for the length of a chunk run. ``eval_bits``
+hands it ``DEFAULT_CHUNK`` = 2^14 columns at a time through one
+``_run_chunks`` run over the whole batch. A heavy bits tape, one whose
+sparse products take at least ``_HEAVY_NONZEROS`` nonzeros per
+configuration, is spread over the threads as soon as it has two chunks, so
+the n=16 transformer's four chunks use every core; any other evaluator gets
+one thread per ``_THREAD_SPAN`` = 2^16 configurations. The threads of one
+run split the 8 MiB, so each evaluates narrower sub-blocks (186 columns for
+the transformer on two threads).
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def _scratch(size: int) -> np.ndarray:
     the next, shared by every tape and fit it evaluates: allocating it per
     chunk lets the allocator hand the pages back and fault them in again.
     The storage goes when the chunk run ends, so no graph, fit or idle
-    thread holds any; a call outside a chunk run gets its own.
+    thread holds any; a call outside a chunk run gets its own. Chunk runs
+    do not nest: each state is one run over its whole configuration range.
     """
     if not getattr(_SCRATCH, "kept", False):
         return np.empty(size)
@@ -127,20 +129,14 @@ def _keep_scratch(share: int) -> None:
 
 
 @contextlib.contextmanager
-def _chunk_run(share: int | None = None):
-    """The calling thread inside a chunk run, with its tables' ``share``
-    (by default that of a run it is nested in); the scratch goes when the
-    outermost run ends."""
-    outermost = not getattr(_SCRATCH, "kept", False)
-    outer = getattr(_SCRATCH, "share", 1)
-    _keep_scratch(outer if share is None else share)
+def _chunk_run(share: int = 1):
+    """The calling thread inside a chunk run, with its tables' ``share``;
+    the scratch goes when the run ends."""
+    _keep_scratch(share)
     try:
         yield
     finally:
-        if outermost:
-            _SCRATCH.__dict__.clear()
-        else:
-            _SCRATCH.share = outer
+        _SCRATCH.__dict__.clear()
 
 
 def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK, heavy: bool = False) -> np.ndarray:
@@ -154,10 +150,9 @@ def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK, he
     ``threads`` workers, the calling thread and pool threads, take the
     chunks in order from one queue: for a ``heavy`` evaluator as soon as
     there are two chunks, else one worker per ``_THREAD_SPAN``
-    configurations. The workers share the ``_TABLE_BYTES`` budget, in this
-    run and in any run nested in its chunks. If chunks fail, no chunk after
-    the first failure is started, and the error of the first failing chunk
-    is raised once every worker has stopped.
+    configurations. The workers share the ``_TABLE_BYTES`` budget. If
+    chunks fail, no chunk after the first failure is started, and the error
+    of the first failing chunk is raised once every worker has stopped.
     """
     starts = range(0, count or 1, chunk)  # an empty batch still gets its dtype
     workers = min(threads, len(starts) if heavy else count // _THREAD_SPAN)
@@ -393,10 +388,10 @@ class ComputationGraph:
             raise ContractError(f"expected {self.n} rows of port values, got {ports.shape[0]}")
         return self._evaluate(self._tape(np.iscomplexobj(ports)), ports)
 
-    def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-        """Amplitudes for configuration bits, in thread-independent chunks;
-        bits above n are ignored, and an overflow's ``bits`` names the
-        configuration."""
+    def eval_bits(self, bits: np.ndarray | range, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+        """Amplitudes for configuration bits, an int array or a ``range``,
+        in thread-independent chunks; bits above n are ignored, and an
+        overflow's ``bits`` names the configuration."""
         tape = self._tape(False, bits=True)  # and its spin tables, before any pool thread starts
         return _eval_bits_chunked(lambda piece: self._evaluate(tape, piece), bits, threads, chunk, tape.heavy)
 
@@ -413,11 +408,16 @@ def _run_checked(tape: "_Tape", block: np.ndarray, buffers) -> np.ndarray:
 
 def _eval_bits_chunked(evaluate, bits, threads: int, chunk: int, heavy: bool = False) -> np.ndarray:
     """``evaluate(piece)`` over ``_run_chunks`` pieces of the configuration
-    bits; an overflow's batch column becomes its configuration."""
-    bits = np.asarray(bits, dtype=np.int64)
+    bits; an overflow's batch column becomes its configuration. Of a
+    ``range`` only each chunk's piece becomes an array, so a whole state
+    never holds an index array of its 2^n configurations."""
+    if not isinstance(bits, range):
+        bits = np.asarray(bits, dtype=np.int64)
 
     def run(start, stop):
         piece = bits[start:stop]
+        if isinstance(piece, range):
+            piece = np.arange(piece.start, piece.stop, piece.step, dtype=np.int64)
         try:
             return evaluate(piece)
         except AmplitudeOverflowError as exc:
@@ -740,7 +740,7 @@ class ReducedForm:
         """Evaluate G on feature values of shape (mu, B)."""
         return self.residual.eval_ports(np.asarray(tvals, dtype=np.float64))
 
-    def eval_bits(self, bits: np.ndarray, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    def eval_bits(self, bits: np.ndarray | range, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         """Amplitudes G(t(s)) for configuration bits, as ``ComputationGraph.eval_bits``."""
         return _eval_bits_chunked(
             lambda piece: self.residual.eval_ports(self.feature_values(piece)), bits, threads, chunk

@@ -3,16 +3,18 @@
 Amplitudes are indexed by configuration bits and stored as float64 when
 the state is real by construction (a graph whose output value is real, its
 reduced form, a fit with real coefficients) and as complex128 otherwise; a
-real state holds the bytes of the real part of its complex form. One chunk
-driver (``graph._run_chunks``) evaluates index ranges of
-``graph.DEFAULT_CHUNK`` = 2^14 configurations straight into the amplitude
-array, on up to ``--threads`` threads: for a graph with a heavy tape (the
-transformer at n=16) from two chunks on, for any other evaluator from 2^17
-amplitudes on, and below that on the calling thread. Each range goes to
-the evaluator's ``eval_bits`` as its configuration bits; a graph's first
-layer and a reduced form's features come from per-tape spin tables over
-the low and the high bits, which give every configuration the same value
-in any range, so no spin matrix is built. The norm is then reduced over
+real state holds the bytes of the real part of its complex form. An
+evaluator is anything with ``n`` and ``eval_bits(bits, threads=)``;
+``materialize`` hands it ``range(2^n)`` once, so each state is one run of
+the chunk driver (``graph._run_chunks``). That run evaluates index ranges
+of ``graph.DEFAULT_CHUNK`` = 2^14 configurations straight into the
+amplitude array, on up to ``--threads`` threads: for a graph with a heavy
+tape (the transformer at n=16) from two chunks on, for any other evaluator
+from 2^17 amplitudes on, and below that on the calling thread. Only each
+chunk's bits become an array; a graph's first layer and a reduced form's
+features come from per-tape spin tables over the low and the high bits,
+which give every configuration the same value in any range, so no spin
+matrix is built. The norm is then reduced over
 ``NORM_CHUNK`` = 2^16-amplitude blocks in block order. Neither size
 depends on the thread count, so every floating-point result, and
 therefore the output, is byte-identical across --threads settings. The
@@ -29,7 +31,7 @@ import numpy as np
 
 from .core import check_n
 from .errors import ContractError, DegenerateStateError, NumericError
-from .graph import ComputationGraph, ReducedForm, _run_chunks
+from .graph import ComputationGraph, ReducedForm
 
 # the norm is reduced over blocks of this many amplitudes, in order
 NORM_CHUNK = 1 << 16
@@ -124,19 +126,13 @@ def from_amplitudes(raw: np.ndarray) -> Statevector:
 def materialize(obj: ComputationGraph | ReducedForm, threads: int = 1) -> Statevector:
     """Evaluate every amplitude of a graph or reduced form and normalize.
 
-    Only ``obj.n`` and ``obj.eval_bits(bits)`` are used, and of a graph
-    whether its bits tape is heavy; ``eval_bits`` is called once per chunk
-    of global configuration bits, and the state takes the dtype of its
-    values: float64 for a real evaluator.
+    Only ``obj.n`` and ``obj.eval_bits(bits, threads=)`` are used:
+    ``eval_bits`` gets ``range(2^n)`` in one call, which is one chunk run,
+    and the state takes the dtype of its values: float64 for a real
+    evaluator.
     """
-    n = obj.n
-    check_n(n)
-    total = 1 << n
-    heavy = isinstance(obj, ComputationGraph) and obj._tape(False, bits=True).heavy
-    amplitudes = _run_chunks(
-        lambda start, stop: obj.eval_bits(np.arange(start, stop, dtype=np.int64)), total, threads, heavy=heavy
-    )
-    return _normalized(amplitudes, n)
+    check_n(obj.n)
+    return _normalized(obj.eval_bits(range(1 << obj.n), threads=threads), obj.n)
 
 
 def two_norm_distance(psi: Statevector, phi: Statevector) -> float:

@@ -29,7 +29,7 @@ from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
 from nqsent.approx import auxiliary_state, cheb_fit_multi, full_bound_report, rank_bound, reduced_certificate
 from nqsent.core import RngStream, Subregion, feature_supnorm
 from nqsent.entanglement import fannes_audenaert_bound, subregion_entropy
-from nqsent.experiments import ExperimentConfig, run_cosnet_k_sweep, run_sweep, write_csv
+from nqsent.experiments import ExperimentConfig, run_sweep, write_csv
 from nqsent.graph import feature_reduce
 from nqsent.statevector import from_amplitudes, materialize, two_norm_distance
 
@@ -124,7 +124,7 @@ def _cosnet_sweep(threads: int):
         seed=SEED,
         k_grid=[2, 512],
     )
-    return run_cosnet_k_sweep(cfg, threads=threads)
+    return run_sweep(cfg, threads=threads)
 
 
 @pytest.fixture(scope="module")

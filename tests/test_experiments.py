@@ -14,7 +14,6 @@ from nqsent.experiments import (
     PRESETS,
     preset_configs,
     run_configs,
-    run_cosnet_k_sweep,
     run_sweep,
     write_aggregates,
     write_csv,
@@ -138,7 +137,7 @@ def test_cosnet_k_sweep_page_reference():
         seed=3,
         k_grid=[2, 32],
     )
-    res = run_cosnet_k_sweep(cfg)
+    res = run_sweep(cfg)
     ks = sorted({r.k for r in res.rows})
     assert ks == [2, 32]
     assert res.page_reference == {"n=8,m=3": pytest.approx(page_value(3, 8))}
@@ -148,7 +147,7 @@ def test_cosnet_k_sweep_page_reference():
     for point in res.aggregates():
         assert point["mean"] <= page_value(3, 8) + 1e-9
     with pytest.raises(ContractError):
-        run_cosnet_k_sweep(ExperimentConfig(name="x", ansatz={"family": "dicke"}, n_grid=[4], k_grid=[1]))
+        run_sweep(ExperimentConfig(name="x", ansatz={"family": "dicke"}, n_grid=[4], k_grid=[1]))
 
 
 def test_cosnet_without_k_runs_at_the_default_k(tmp_path):
@@ -166,8 +165,6 @@ def test_cosnet_without_k_runs_at_the_default_k(tmp_path):
 def test_k_grid_needs_a_cosnet_block():
     with pytest.raises(ContractError, match="k_grid"):
         _phase_cfg(k_grid=[1, 2])
-    with pytest.raises(ContractError, match="k sweep requires k_grid"):
-        run_cosnet_k_sweep(_phase_cfg(ansatz={"family": "cosnet"}))
 
 
 def test_config_refuses_unknown_keys():

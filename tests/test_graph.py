@@ -391,6 +391,11 @@ def test_eval_bits_thread_determinism():
         many = np.arange(2 * _THREAD_SPAN) % 256
         pooled = ev.eval_bits(many, threads=2, chunk=1 << 12)
         assert np.array_equal(pooled, ev.eval_bits(many, threads=1, chunk=1 << 12))
+        # a range gives the bytes of its index array, from any start
+        span = np.arange(37, 37 + 2 * _THREAD_SPAN)
+        expected = ev.eval_bits(span, chunk=1 << 12).tobytes()
+        for threads in (1, 2):
+            assert ev.eval_bits(range(37, 37 + 2 * _THREAD_SPAN), threads=threads, chunk=1 << 12).tobytes() == expected
 
 
 def bit_batch(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -684,11 +689,12 @@ def test_overflow_in_two_chunks_names_the_earlier_one():
     assert g._tape(False, bits=True).heavy
     before = set(threading.enumerate())
     for threads in (1, 2, 3):
-        with pytest.raises(AmplitudeOverflowError) as err:
-            materialize(g, threads=threads)
-        assert err.value.bits == 0x7FFF
-        assert "bits=0x7fff" in str(err.value)
-        assert set(threading.enumerate()) == before  # no pool thread outlives the call
+        for run in (materialize, lambda g, threads: g.eval_bits(range(1 << g.n), threads=threads)):
+            with pytest.raises(AmplitudeOverflowError) as err:
+                run(g, threads=threads)
+            assert err.value.bits == 0x7FFF
+            assert "bits=0x7fff" in str(err.value)
+            assert set(threading.enumerate()) == before  # no pool thread outlives the call
 
 
 def test_overflow_names_the_first_failing_column_in_any_block():
@@ -710,19 +716,16 @@ def test_overflow_names_the_first_failing_column_in_any_block():
 
 
 def test_scratch_lives_for_one_chunk_run():
-    # every chunk of a run, and every run nested in it, gets the thread's one
-    # buffer; it goes when the outermost run ends, so no graph or fit holds
-    # table storage between runs
+    # every chunk of a run gets the thread's one buffer; it goes when the
+    # run ends, so no graph or fit holds table storage between runs
     serial = []
 
     def fn(start, stop):
         serial.append(_scratch(16))
-        _run_chunks(lambda a, b: np.zeros(b - a), 2)
-        serial.append(_scratch(16))
         return np.zeros(stop - start)
 
     _run_chunks(fn, 8, chunk=4)
-    assert len(serial) == 4 and all(np.shares_memory(serial[0], b) for b in serial)
+    assert len(serial) == 2 and all(np.shares_memory(serial[0], b) for b in serial)
     assert not np.shares_memory(_scratch(16), _scratch(16))
     with pytest.raises(ZeroDivisionError):
         _run_chunks(lambda a, b: 1 / 0, 8, chunk=4)
@@ -741,21 +744,20 @@ def test_scratch_lives_for_one_chunk_run():
 
 
 def test_pooled_workers_split_the_table_budget():
-    # every worker of a pooled run, and every run nested in its chunks (as
-    # eval_bits nests one in each materialize chunk), evaluates with a third
-    # of the table budget on three threads; a serial run keeps a whole one
+    # every worker of a pooled run evaluates with a third of the table budget
+    # on three threads; a serial run keeps a whole one
     shares = []
 
     def fn(start, stop):
         shares.append(_SCRATCH.share)
-        return _run_chunks(lambda a, b: shares.append(_SCRATCH.share) or np.zeros(b - a), stop - start)
+        return np.zeros(stop - start)
 
     _run_chunks(fn, 6, threads=3, chunk=1, heavy=True)
-    assert shares == [3] * 12
+    assert shares == [3] * 6
     assert not hasattr(_SCRATCH, "share")
     shares.clear()
     _run_chunks(fn, 6, threads=1, chunk=1, heavy=True)
-    assert shares == [1] * 12
+    assert shares == [1] * 6
 
 
 def test_random_graphs_reduced_eval_matches():

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from nqsent.approx import auxiliary_state, cheb_fit_multi
 from nqsent.core import RngStream, feature_supnorm
 from nqsent.activations import Activation
 from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError, NumericError
-from nqsent.graph import ComputationGraph, Node, feature_reduce
+from nqsent.graph import _TABLE_BYTES, ComputationGraph, Node, feature_reduce
 from nqsent.statevector import (
     Statevector,
     from_amplitudes,
@@ -354,6 +355,19 @@ def test_real_state_bytes_ignore_threads():
             other = make(threads)
             assert other.amplitudes.tobytes() == base.amplitudes.tobytes()
             assert other.norm_was == base.norm_was
+
+
+def test_materialize_forms_no_index_array_of_the_state():
+    # only each chunk's bits become an array: an index array of all 2^n
+    # configurations would add the 8 MiB of the state once more
+    g = build_dicke(DickeSpec(20))
+    tracemalloc.start()
+    try:
+        psi = materialize(g, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= psi.amplitudes.nbytes + _TABLE_BYTES + (1 << 20)
 
 
 class _Forwarding:
