@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import AffineFeature, Subregion, check_n, feature_supnorm
 from .errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
-from .graph import DEFAULT_CHUNK, ComputationGraph, ReducedForm, feature_reduce
+from .graph import ComputationGraph, ReducedForm, feature_reduce
 from .graph import _eval_bits_chunked, _scratch, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance, _normalized
 from .entanglement import (
@@ -268,9 +268,8 @@ def auxiliary_state(r: ReducedForm, P: ChebyshevApprox, threads: int = 1) -> Sta
                 f"feature sup-norm {feature_supnorm(f):.6g} exceeds fit domain {t_bar:.6g}"
             )
     check_n(r.n)
-    amplitudes = _eval_bits_chunked(
-        lambda piece: P.evaluate(r.feature_values(piece)), range(1 << r.n), threads, DEFAULT_CHUNK
-    )
+    dtype = np.float64 if P.real else np.complex128
+    amplitudes = _eval_bits_chunked(lambda piece: P.evaluate(r.feature_values(piece)), range(1 << r.n), dtype, threads)
     return _normalized(amplitudes, r.n)
 
 

@@ -43,19 +43,19 @@ A batch is evaluated in column sub-blocks whose width keeps the value
 tables near 8 MiB (372 columns for the 2569-node transformer at n=16), in
 storage each thread keeps for the length of a chunk run. ``eval_bits``
 hands it ``DEFAULT_CHUNK`` = 2^14 columns at a time through one
-``_run_chunks`` run over the whole batch. A heavy bits tape, one whose
-sparse products take at least ``_HEAVY_NONZEROS`` nonzeros per
-configuration, is spread over the threads as soon as it has two chunks, so
-the n=16 transformer's four chunks use every core; any other evaluator gets
-one thread per ``_THREAD_SPAN`` = 2^16 configurations. The threads of one
-run split the 8 MiB, so each evaluates narrower sub-blocks (186 columns for
-the transformer on two threads).
+``_eval_bits_chunked`` run over the whole batch, into an array of the
+dtype of the tape's output table. A heavy bits tape, one whose steps hold
+at least ``_HEAVY_NONZEROS`` matrix nonzeros per configuration, is spread
+over the threads as soon as it has two chunks, so the four chunks of the
+n=16 transformer or of a cosnet with k >= 128 use every core; any other
+evaluator gets one thread per ``_THREAD_SPAN`` = 2^16 configurations. The
+threads of one run split the 8 MiB, so each evaluates narrower sub-blocks
+(186 columns for the transformer on two threads).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import functools
 import heapq
 import json
@@ -88,11 +88,13 @@ _THREAD_SPAN = 1 << 16
 # blocks its tables by the same budget, unsplit, so its blocks and bytes
 # depend on the batch alone.
 _TABLE_BYTES = 1 << 23
-# sparse-product nonzeros per configuration from which a bits tape is heavy
-# and spreads two chunks over threads. At n=16 the transformer's tape has
-# 34,872 and two threads took its materialize from 1.55 to 0.81 s; every
-# other preset family has at most 1,024 (cosnet k=512), and an MLP tape
-# (67 to 335) lost 1 to 20 ms to a pool.
+# matrix nonzeros per configuration, over every step of a bits tape (a
+# spin-table step counts the spin weights its tables sum), from which the
+# tape is heavy and spreads two chunks over threads. At n=16 the
+# transformer's tape has 35,448 and two threads took its materialize from
+# 1.55 to 0.81 s; cosnet k=128 has 4,608 (0.48 to 0.26 s) and k=512 18,432
+# (2.14 to 1.01 s). Cosnet k=1 (36), Dicke (23) and SN-NQS (22) stay
+# light, and so do MLP tapes (121 to 430), which lost 1 to 20 ms to a pool.
 _HEAVY_NONZEROS = 1 << 12
 DEPENDENCE_TOL = 1e-10
 # rows whose weight part is pure cancellation debris relative to the row
@@ -107,12 +109,13 @@ _SCRATCH = threading.local()
 def _scratch(size: int) -> np.ndarray:
     """``size`` float64 elements of storage for value and Chebyshev tables.
 
-    Inside ``_run_chunks`` each thread keeps its storage from one chunk to
-    the next, shared by every tape and fit it evaluates: allocating it per
-    chunk lets the allocator hand the pages back and fault them in again.
-    The storage goes when the chunk run ends, so no graph, fit or idle
-    thread holds any; a call outside a chunk run gets its own. Chunk runs
-    do not nest: each state is one run over its whole configuration range.
+    Inside a chunk run (``_eval_bits_chunked``) each thread keeps its
+    storage from one chunk to the next, shared by every tape and fit it
+    evaluates: allocating it per chunk lets the allocator hand the pages
+    back and fault them in again. The storage goes when the chunk run ends,
+    so no graph, fit or idle thread holds any; a call outside a chunk run
+    gets its own. Chunk runs do not nest: each state is one run over its
+    whole configuration range.
     """
     if not getattr(_SCRATCH, "kept", False):
         return np.empty(size)
@@ -122,102 +125,89 @@ def _scratch(size: int) -> np.ndarray:
     return buf[:size]
 
 
-def _keep_scratch(share: int) -> None:
-    """Keep the calling thread's scratch from chunk to chunk, and give its
-    value tables 1/``share`` of ``_TABLE_BYTES``."""
-    _SCRATCH.kept, _SCRATCH.share = True, share
-
-
-@contextlib.contextmanager
-def _chunk_run(share: int = 1):
-    """The calling thread inside a chunk run, with its tables' ``share``;
-    the scratch goes when the run ends."""
-    _keep_scratch(share)
-    try:
-        yield
-    finally:
-        _SCRATCH.__dict__.clear()
-
-
-def _run_chunks(fn, count: int, threads: int = 1, chunk: int = DEFAULT_CHUNK, heavy: bool = False) -> np.ndarray:
-    """Write ``fn(start, stop)`` for consecutive ``chunk``-sized ranges of
-    ``0..count`` into one array of length ``count``, with the dtype of the
-    first chunk to finish: float64 for a real evaluator, complex128
-    otherwise. Every chunk must give that dtype (``ContractError``).
+def _eval_bits_chunked(
+    evaluate, bits, dtype, threads: int = 1, chunk: int = DEFAULT_CHUNK, heavy: bool = False
+) -> np.ndarray:
+    """``evaluate(piece)`` of consecutive ``chunk``-sized pieces of the
+    configuration bits, a 1-D integer array or a ``range`` (else
+    ``ContractError``), written into one ``dtype`` array. The evaluator
+    declares ``dtype``, and a chunk of any other dtype is a
+    ``ContractError``. The calling thread allocates the array before any
+    chunk starts: a pool thread's malloc arena would keep the pages of a
+    freed state resident. Of a ``range`` only each chunk's piece becomes an
+    array, so a whole state never holds an index array of its 2^n
+    configurations; an overflow's batch column becomes its configuration.
 
     Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
     floating-point result is the same for any thread count. Up to
     ``threads`` workers, the calling thread and pool threads, take the
     chunks in order from one queue: for a ``heavy`` evaluator as soon as
     there are two chunks, else one worker per ``_THREAD_SPAN``
-    configurations. The workers share the ``_TABLE_BYTES`` budget. If
-    chunks fail, no chunk after the first failure is started, and the error
-    of the first failing chunk is raised once every worker has stopped.
+    configurations. Each worker keeps its scratch for the run and gets an
+    equal share of the ``_TABLE_BYTES`` budget. If chunks fail, no chunk
+    after the first failure is started, and the error of the first failing
+    chunk is raised once every worker has stopped.
     """
-    starts = range(0, count or 1, chunk)  # an empty batch still gets its dtype
-    workers = min(threads, len(starts) if heavy else count // _THREAD_SPAN)
-    out, dtype, waiting = None, None, []
-    caller, lock = threading.get_ident(), threading.Lock()
+    if not isinstance(bits, range):
+        bits = np.asarray(bits)
+        if bits.ndim != 1 or not np.issubdtype(bits.dtype, np.integer):
+            raise ContractError(
+                f"configuration bits must be a 1-D integer array or a range, not {bits.dtype} of shape {bits.shape}"
+            )
+        bits = bits.astype(np.int64, copy=False)
+    count = len(bits)
+    out = np.empty(count, dtype)
+    starts = range(0, count, chunk)
+    workers = max(1, min(threads, len(starts) if heavy else count // _THREAD_SPAN))
+    lock, taken, end, failed = threading.Lock(), 0, len(starts), {}
 
-    def allocate():
-        nonlocal out
-        out = np.empty(count, dtype=dtype)
-        for start, values in waiting:
-            out[start : start + len(values)] = values
-        waiting.clear()
-
-    def run(start):
-        nonlocal dtype
-        values = np.asarray(fn(start, min(start + chunk, count)))
-        with lock:
-            dtype = values.dtype if dtype is None else dtype
-            if values.dtype != dtype:
-                raise ContractError(f"a chunk of {values.dtype} values after chunks of {dtype}")
-            if out is None:
-                # the calling thread allocates the result: a pool thread's
-                # malloc arena would keep the pages of a freed state resident
-                if threading.get_ident() != caller:
-                    waiting.append((start, values))
-                    return
-                allocate()
+    def write(start):
+        piece = bits[start : start + chunk]
+        if isinstance(piece, range):
+            piece = np.arange(piece.start, piece.stop, piece.step, dtype=np.int64)
+        try:
+            values = np.asarray(evaluate(piece))
+        except AmplitudeOverflowError as exc:
+            if exc.bits is None:
+                raise
+            config = int(piece[exc.bits])
+            raise AmplitudeOverflowError(
+                f"amplitude overflow at configuration bits={config:#x}: {exc}", bits=config
+            ) from None
+        if values.dtype != dtype:
+            raise ContractError(f"a chunk of {values.dtype} values for a {np.dtype(dtype)} result")
         out[start : start + len(values)] = values
-
-    if workers <= 1:
-        with _chunk_run():
-            for start in starts:
-                run(start)
-        return out
-
-    taken, end, failed = 0, len(starts), {}
 
     def work():
         nonlocal taken, end
-        while True:
-            with lock:
-                if taken >= end:
-                    return
-                i, taken = taken, taken + 1
-            try:
-                run(starts[i])
-            except Exception as exc:
+        _SCRATCH.kept, _SCRATCH.share = True, workers
+        try:
+            while True:
                 with lock:
-                    failed[i] = exc
-                    end = min(end, i)  # every chunk before i is taken, and one may fail first
+                    if taken >= end:
+                        return
+                    i, taken = taken, taken + 1
+                try:
+                    write(starts[i])
+                except Exception as exc:
+                    with lock:
+                        failed[i] = exc
+                        end = min(end, i)  # every chunk before i is taken, and one may fail first
+        finally:
+            _SCRATCH.__dict__.clear()
 
-    # pool threads keep their scratch until the pool shuts them down
-    with concurrent.futures.ThreadPoolExecutor(workers - 1, initializer=_keep_scratch, initargs=(workers,)) as pool:
+    # an executor starts a thread per submitted loop only, and keeps what
+    # escapes one for ``result()``; it needs one slot even when it gets none
+    with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
         futures = [pool.submit(work) for _ in range(workers - 1)]
-        with _chunk_run(workers):
-            try:
-                work()
-            finally:
-                end = 0  # an interrupt of the calling thread stops the pool threads too
+        try:
+            work()
+        finally:
+            end = 0  # an interrupt of the calling thread stops the pool threads too
     for future in futures:
         future.result()
     if failed:
         raise failed[min(failed)]
-    if out is None:  # every chunk finished on a pool thread
-        allocate()
     return out
 
 
@@ -351,7 +341,7 @@ class ComputationGraph:
         or B configuration bits, in sub-blocks of ``tape.width`` columns
         divided by the thread's share of the table budget."""
         B = inputs.shape[-1]
-        out = np.empty(B, dtype=np.complex128 if tape.out[0] else np.float64)
+        out = np.empty(B, dtype=tape.dtype)
         width = max(1, min(B, tape.width // getattr(_SCRATCH, "share", 1)))
         buffers = tape.buffers(width)
         for start in range(0, B, width):
@@ -389,11 +379,14 @@ class ComputationGraph:
         return self._evaluate(self._tape(np.iscomplexobj(ports)), ports)
 
     def eval_bits(self, bits: np.ndarray | range, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-        """Amplitudes for configuration bits, an int array or a ``range``,
-        in thread-independent chunks; bits above n are ignored, and an
-        overflow's ``bits`` names the configuration."""
+        """Amplitudes for configuration bits, a 1-D integer array or a
+        ``range`` (else ``ContractError``), in thread-independent chunks, with
+        the dtype of the bits tape's output table; bits above n are ignored,
+        and an overflow's ``bits`` names the configuration."""
         tape = self._tape(False, bits=True)  # and its spin tables, before any pool thread starts
-        return _eval_bits_chunked(lambda piece: self._evaluate(tape, piece), bits, threads, chunk, tape.heavy)
+        return _eval_bits_chunked(
+            lambda piece: self._evaluate(tape, piece), bits, tape.dtype, threads, chunk, tape.heavy
+        )
 
 
 def _run_checked(tape: "_Tape", block: np.ndarray, buffers) -> np.ndarray:
@@ -404,31 +397,6 @@ def _run_checked(tape: "_Tape", block: np.ndarray, buffers) -> np.ndarray:
         column = int(np.argmin(np.isfinite(amps)))
         raise AmplitudeOverflowError(f"non-finite amplitude {amps[column]}", bits=column)
     return amps
-
-
-def _eval_bits_chunked(evaluate, bits, threads: int, chunk: int, heavy: bool = False) -> np.ndarray:
-    """``evaluate(piece)`` over ``_run_chunks`` pieces of the configuration
-    bits; an overflow's batch column becomes its configuration. Of a
-    ``range`` only each chunk's piece becomes an array, so a whole state
-    never holds an index array of its 2^n configurations."""
-    if not isinstance(bits, range):
-        bits = np.asarray(bits, dtype=np.int64)
-
-    def run(start, stop):
-        piece = bits[start:stop]
-        if isinstance(piece, range):
-            piece = np.arange(piece.start, piece.stop, piece.step, dtype=np.int64)
-        try:
-            return evaluate(piece)
-        except AmplitudeOverflowError as exc:
-            if exc.bits is None:
-                raise
-            config = int(piece[exc.bits])
-            raise AmplitudeOverflowError(
-                f"amplitude overflow at configuration bits={config:#x}: {exc}", bits=config
-            ) from None
-
-    return _run_chunks(run, len(bits), threads, chunk, heavy)
 
 
 def _low_bits(n: int) -> int:
@@ -513,9 +481,10 @@ class _Tape:
 
     Every live node owns one row of the real (float64) or the complex
     (complex128) table, by the realness of its value; row 0 of both tables
-    holds ones and rows 1..n the ports. Nodes are grouped by (depth level,
-    function, realness of the pre-activation). A group reads only lower
-    levels, so one CSR product gives all its pre-activations and one
+    holds ones and rows 1..n the ports, of which each sub-block fills the
+    rows that the steps read (``port_rows``). Nodes are grouped by (depth
+    level, function, realness of the pre-activation). A group reads only
+    lower levels, so one CSR product gives all its pre-activations and one
     vectorized call applies its function. Each CSR row holds the bias (as
     the weight of the ones row) and then the node's inputs in their own
     order, so every node sums bias + w0 x0 + w1 x1 ... in the order of a
@@ -526,7 +495,7 @@ class _Tape:
 
     That per-edge order holds on ports. A bits tape gives each level-1
     group, which reads only raw spins, the ``_SpinTables`` of its matrix
-    rows instead, and fills only the port rows that later groups read,
+    rows instead, so its port rows are those that later groups read, filled
     from the bits: no spin matrix is formed.
     """
 
@@ -547,10 +516,7 @@ class _Tape:
             groups.setdefault((level[nid], fn, acc_c[nid]), []).append(nid)
 
         # what a complex pre-activation reads from the real side
-        complex_readers = [nodes[nid] for nid in g.live_order if acc_c[nid]]
-        mirrored = {r for node in complex_readers for r in node.preds}
-        mirror_ports = any(any(node.raw) for node in complex_readers)
-        port_tables = (1,) if complex_ports else (0, 1) if mirror_ports else (0,)
+        mirrored = {r for nid in g.live_order if acc_c[nid] for r in nodes[nid].preds}
 
         sizes = [1 + n, 1 + n]
         row: list[dict[int, int]] = [{}, {}]
@@ -594,15 +560,15 @@ class _Tape:
             self.steps.append(_Step(matrix, src, dst, lo, mirror, apply, spins))
         out = int(val_c[g.output_id])
         self.out = (out, row[out][g.output_id])
+        self.dtype = np.complex128 if out else np.float64
         # a table that no step reads or writes takes no memory
         used = {t for step in self.steps for t in (step.src, step.dst)}
         self.sizes = [size if t in used else 0 for t, size in enumerate(sizes)]
-        self.port_tables = tuple(t for t in port_tables if t in used)
         self.width = max(1, _TABLE_BYTES // (8 * self.sizes[0] + 16 * self.sizes[1]))
-        # work per column: the nonzeros of the sparse products
-        self.heavy = sum(step.matrix.nnz for step in self.steps if step.spins is None) >= _HEAVY_NONZEROS
+        # work per column: the nonzeros of every step's matrix
+        self.heavy = sum(step.matrix.nnz for step in self.steps) >= _HEAVY_NONZEROS
         self.n, self.bits = n, bits
-        # on bits, the (table, spin) port rows that the steps without spin tables read
+        # the (table, port) rows that the steps without spin tables read
         self.port_rows = sorted(port_rows)
 
     def buffers(self, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -621,11 +587,8 @@ class _Tape:
             table[:1] = 1.0
         if self.bits:
             pieces = _bit_pieces(inputs, n)
-            for t, i in self.port_rows:
-                tables[t][1 + i] = ((inputs >> i) & 1) * 2.0 - 1.0
-        else:
-            for t in self.port_tables:
-                tables[t][1 : 1 + n] = inputs
+        for t, i in self.port_rows:
+            tables[t][1 + i] = ((inputs >> i) & 1) * 2.0 - 1.0 if self.bits else inputs[i]
         for step in self.steps:
             vals = step.matrix @ tables[step.src] if step.spins is None else step.spins.values(pieces, w)
             if step.fn is not None:
@@ -742,8 +705,9 @@ class ReducedForm:
 
     def eval_bits(self, bits: np.ndarray | range, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         """Amplitudes G(t(s)) for configuration bits, as ``ComputationGraph.eval_bits``."""
+        dtype = self.residual._tape(False).dtype  # of the real-port tape that evaluates each piece
         return _eval_bits_chunked(
-            lambda piece: self.residual.eval_ports(self.feature_values(piece)), bits, threads, chunk
+            lambda piece: self.residual.eval_ports(self.feature_values(piece)), bits, dtype, threads, chunk
         )
 
 

@@ -6,10 +6,13 @@ reduced form, a fit with real coefficients) and as complex128 otherwise; a
 real state holds the bytes of the real part of its complex form. An
 evaluator is anything with ``n`` and ``eval_bits(bits, threads=)``;
 ``materialize`` hands it ``range(2^n)`` once, so each state is one run of
-the chunk driver (``graph._run_chunks``). That run evaluates index ranges
-of ``graph.DEFAULT_CHUNK`` = 2^14 configurations straight into the
-amplitude array, on up to ``--threads`` threads: for a graph with a heavy
-tape (the transformer at n=16) from two chunks on, for any other evaluator
+the chunk driver (``graph._eval_bits_chunked``). The evaluator declares
+the dtype before the run, from the object that computes the values: a
+graph's bits tape, a reduced form's real-port residual tape, a fit's
+coefficients. The run evaluates index ranges of ``graph.DEFAULT_CHUNK`` =
+2^14 configurations straight into the amplitude array, on up to
+``--threads`` threads: for a graph with a heavy tape (the transformer at
+n=16, a cosnet with k >= 128) from two chunks on, for any other evaluator
 from 2^17 amplitudes on, and below that on the calling thread. Only each
 chunk's bits become an array; a graph's first layer and a reduced form's
 features come from per-tape spin tables over the low and the high bits,
@@ -128,8 +131,8 @@ def materialize(obj: ComputationGraph | ReducedForm, threads: int = 1) -> Statev
 
     Only ``obj.n`` and ``obj.eval_bits(bits, threads=)`` are used:
     ``eval_bits`` gets ``range(2^n)`` in one call, which is one chunk run,
-    and the state takes the dtype of its values: float64 for a real
-    evaluator.
+    and the state takes the dtype the evaluator declares: float64 for a
+    real one.
     """
     check_n(obj.n)
     return _normalized(obj.eval_bits(range(1 << obj.n), threads=threads), obj.n)

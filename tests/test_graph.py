@@ -21,7 +21,7 @@ from nqsent.graph import (
     _bit_pieces,
     _is_raw,
     _SCRATCH,
-    _run_chunks,
+    _eval_bits_chunked,
     _scratch,
 )
 from nqsent.ansatz import (
@@ -495,6 +495,20 @@ def test_bits_path_on_small_graphs(name):
     check_bits_path(g, np.random.default_rng(len(name)))
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["graph", "reduced"])
+def test_malformed_bits_are_refused(reduced):
+    # bits are a 1-D integer array or a range: a 2-D array, float bits (1.5
+    # would read as configuration 1), bools and a scalar are refused
+    g = build_mlp(MlpSpec(n=4), RngStream(1))
+    ev = feature_reduce(g) if reduced else g
+    for bits in (np.arange(4).reshape(2, 2), np.array([0.0, 1.5]), np.array([True, False]), [[0, 1]], 3):
+        with pytest.raises(ContractError, match="1-D integer array or a range"):
+            ev.eval_bits(bits)
+    # integer bits above n are still ignored, whatever the integer dtype
+    expected = ev.eval_bits([1, 1]).tobytes()
+    assert ev.eval_bits(np.array([1, 1 + (1 << 4)], dtype=np.uint32)).tobytes() == expected
+
+
 def test_spin_tables_refuse_more_spins_than_the_cap():
     # two tables of 2^(n/2) entries per row: beyond the statevector cap they
     # could outgrow memory, so eval_bits refuses them with a typed error
@@ -554,18 +568,22 @@ def _threads_of(g: ComputationGraph, workers: int) -> set:
 
 def test_heavy_tape_pools_from_two_chunks():
     # the n=16 transformer's bits tape does thousands of sparse products per
-    # configuration: its four chunks go to pool threads and the calling thread
-    g = build_transformer(TransformerSpec(n=16), RngStream(1))
-    assert g._tape(False, bits=True).heavy
-    seen = _threads_of(g, 1)
-    one = materialize(g, threads=1)
-    assert seen == {threading.get_ident()}
-    for threads in (2, 3):
-        seen = _threads_of(g, threads)
-        pooled = materialize(g, threads=threads)
-        assert threading.get_ident() in seen and len(seen) == threads
-        assert pooled.amplitudes.tobytes() == one.amplitudes.tobytes()
-        assert pooled.norm_was == one.norm_was
+    # configuration, and cosnet k=128's spin tables sum thousands of spin
+    # weights: their four chunks go to pool threads and the calling thread
+    for g in (
+        build_transformer(TransformerSpec(n=16), RngStream(1)),
+        build_cosnet(CosnetSpec(n=16, k=128), RngStream(1)),
+    ):
+        assert g._tape(False, bits=True).heavy
+        seen = _threads_of(g, 1)
+        one = materialize(g, threads=1)
+        assert seen == {threading.get_ident()}
+        for threads in (2, 3):
+            seen = _threads_of(g, threads)
+            pooled = materialize(g, threads=threads)
+            assert threading.get_ident() in seen and len(seen) == threads
+            assert pooled.amplitudes.tobytes() == one.amplitudes.tobytes()
+            assert pooled.norm_was == one.norm_was
 
 
 @pytest.mark.parametrize(
@@ -574,8 +592,9 @@ def test_heavy_tape_pools_from_two_chunks():
         lambda: build_dicke(DickeSpec(16)),
         lambda: build_snnqs(SnnqsSpec(n=16, activation="i*tanh"), RngStream(2)),
         lambda: build_cosnet(CosnetSpec(n=16, k=1), RngStream(3)),
+        lambda: build_mlp(MlpSpec(n=16, width=5, depth=5), RngStream(4)),
     ],
-    ids=["dicke", "snnqs", "cosnet_k1"],
+    ids=["dicke", "snnqs", "cosnet_k1", "mlp"],
 )
 def test_light_tape_keeps_the_count_rule(build):
     # a tape of a few sparse products per configuration stays on the calling
@@ -603,19 +622,21 @@ def test_light_tape_keeps_the_count_rule(build):
 def test_pool_threads_follow_the_work_rule(count, chunk, heavy, workers):
     seen, barrier = set(), threading.Barrier(workers, timeout=60)
 
-    def fn(start, stop):
+    def evaluate(piece):
         seen.add(threading.get_ident())
-        if start < workers * chunk:  # the first chunks wait for each other
+        if piece[0] < workers * chunk:  # the first chunks wait for each other
             barrier.wait()
-        return np.arange(start, stop)
+        return piece
 
-    assert np.array_equal(_run_chunks(fn, count, threads=2, chunk=chunk, heavy=heavy), np.arange(count))
+    result = _eval_bits_chunked(evaluate, range(count), np.int64, threads=2, chunk=chunk, heavy=heavy)
+    assert np.array_equal(result, np.arange(count))
     assert threading.get_ident() in seen and len(seen) == workers
 
 
 def test_result_is_allocated_on_the_calling_thread(monkeypatch):
-    # the calling thread's first chunk ends after a pool thread's: the pool
-    # thread's values wait, and the calling thread allocates the result
+    # the calling thread allocates the result before any chunk starts, also
+    # when a pool thread's chunk ends before the calling thread's first one,
+    # and for an empty batch
     me, pool_finished, allocated = threading.get_ident(), threading.Event(), []
     empty = np.empty
 
@@ -623,28 +644,36 @@ def test_result_is_allocated_on_the_calling_thread(monkeypatch):
         allocated.append(threading.get_ident())
         return empty(*args, **kwargs)
 
-    def fn(start, stop):
+    def evaluate(piece):
         if threading.get_ident() == me:
             assert pool_finished.wait(60)
         else:
             pool_finished.set()
-        return np.full(stop - start, float(start))
+        return np.full(len(piece), float(piece[0]))
 
     monkeypatch.setattr(np, "empty", traced_empty)
-    assert _run_chunks(fn, 4, threads=2, chunk=1, heavy=True).tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert allocated == [me]
+    for count in (4, 0):
+        allocated.clear()
+        result = _eval_bits_chunked(evaluate, range(count), np.float64, threads=2, chunk=1, heavy=True)
+        assert result.tolist() == [0.0, 1.0, 2.0, 3.0][:count]
+        assert allocated == [me]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_chunks_must_share_a_dtype(threads):
-    # the first chunk to finish sets the dtype; any other dtype is refused
-    # rather than cast
-    def fn(start, stop):
-        values = np.arange(start, stop, dtype=np.float64)
-        return values if start == 0 else values + 1j
+    # every chunk must give the dtype the evaluator declares; any other is
+    # refused rather than cast, the first chunk's as well as a later one's
+    def evaluate(piece):
+        values = piece.astype(np.float64)
+        return values if piece[0] == 0 else values + 1j
 
-    with pytest.raises(ContractError, match="complex128"):
-        _run_chunks(fn, 8, threads=threads, chunk=4, heavy=True)
+    with pytest.raises(ContractError, match="a chunk of complex128 values for a float64 result"):
+        _eval_bits_chunked(evaluate, range(8), np.float64, threads=threads, chunk=4, heavy=True)
+    with pytest.raises(ContractError, match="a chunk of float64 values for a complex128 result"):
+        _eval_bits_chunked(evaluate, range(8), np.complex128, threads=threads, chunk=4, heavy=True)
+    # an empty batch runs no chunk and has the declared dtype
+    for dtype in (np.float64, np.complex128):
+        assert _eval_bits_chunked(evaluate, range(0), dtype, threads=threads, heavy=True).dtype == dtype
 
 
 @pytest.mark.parametrize("threads", [2, 3])
@@ -653,18 +682,18 @@ def test_first_failing_chunk_is_raised_whichever_fails_first(threads):
     # and only once every worker has stopped
     chunk3_failed = threading.Event()
 
-    def fn(start, stop):
-        if start == 1:
+    def evaluate(piece):
+        if piece[0] == 1:
             assert chunk3_failed.wait(60)
             raise ValueError("chunk 1")
-        if start == 3:
+        if piece[0] == 3:
             chunk3_failed.set()
             raise ValueError("chunk 3")
-        return np.zeros(stop - start)
+        return np.zeros(len(piece))
 
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="chunk 1"):
-        _run_chunks(fn, 5, threads=threads, chunk=1, heavy=True)
+        _eval_bits_chunked(evaluate, range(5), np.float64, threads=threads, chunk=1, heavy=True)
     assert set(threading.enumerate()) == before
 
 
@@ -720,24 +749,24 @@ def test_scratch_lives_for_one_chunk_run():
     # run ends, so no graph or fit holds table storage between runs
     serial = []
 
-    def fn(start, stop):
+    def evaluate(piece):
         serial.append(_scratch(16))
-        return np.zeros(stop - start)
+        return np.zeros(len(piece))
 
-    _run_chunks(fn, 8, chunk=4)
+    _eval_bits_chunked(evaluate, range(8), np.float64, chunk=4)
     assert len(serial) == 2 and all(np.shares_memory(serial[0], b) for b in serial)
     assert not np.shares_memory(_scratch(16), _scratch(16))
     with pytest.raises(ZeroDivisionError):
-        _run_chunks(lambda a, b: 1 / 0, 8, chunk=4)
+        _eval_bits_chunked(lambda piece: 1 / 0, range(8), np.float64, chunk=4)
     assert not np.shares_memory(_scratch(16), _scratch(16))
 
     pooled = {}
 
-    def pooled_fn(start, stop):
+    def pooled_evaluate(piece):
         pooled.setdefault(threading.get_ident(), []).append(_scratch(16))
-        return np.zeros(stop - start)
+        return np.zeros(len(piece))
 
-    _run_chunks(pooled_fn, 2 * _THREAD_SPAN, threads=2, chunk=1 << 13)
+    _eval_bits_chunked(pooled_evaluate, range(2 * _THREAD_SPAN), np.float64, threads=2, chunk=1 << 13)
     assert sum(map(len, pooled.values())) == 16
     for bufs in pooled.values():
         assert all(np.shares_memory(bufs[0], b) for b in bufs)
@@ -748,16 +777,17 @@ def test_pooled_workers_split_the_table_budget():
     # on three threads; a serial run keeps a whole one
     shares = []
 
-    def fn(start, stop):
+    def evaluate(piece):
         shares.append(_SCRATCH.share)
-        return np.zeros(stop - start)
+        return np.zeros(len(piece))
 
-    _run_chunks(fn, 6, threads=3, chunk=1, heavy=True)
+    _eval_bits_chunked(evaluate, range(6), np.float64, threads=3, chunk=1, heavy=True)
     assert shares == [3] * 6
     assert not hasattr(_SCRATCH, "share")
     shares.clear()
-    _run_chunks(fn, 6, threads=1, chunk=1, heavy=True)
+    _eval_bits_chunked(evaluate, range(6), np.float64, threads=1, chunk=1, heavy=True)
     assert shares == [1] * 6
+    assert not hasattr(_SCRATCH, "share")
 
 
 def test_random_graphs_reduced_eval_matches():
