@@ -87,7 +87,6 @@ class ChebyshevApprox:
     coeffs: np.ndarray
     t_bars: tuple[float, ...]
     degree: int
-    error_bound: float | None
     error_empirical: float
 
     @property
@@ -213,13 +212,11 @@ class Certificate:
         return bernstein_bound(self.a, self.C, d, mu)
 
 
-def cheb_fit_multi(
-    G, t_bars, d: int, analytic: tuple[float, float] | None = None
-) -> ChebyshevApprox:
+def cheb_fit_multi(G, t_bars, d: int) -> ChebyshevApprox:
     """Tensor-product fit of G(t_1..t_mu); G maps a (mu, B) array to (B,) values.
 
-    ``analytic`` supplies a shared ellipse parameter and sup bound; the
-    certified error follows the Bernstein bound for mu variables.
+    The fit carries its empirical error on a dense check grid; the certified
+    error is ``Certificate.error_bound(d, mu)``.
     """
     t_bars = tuple(float(t) for t in t_bars)
     mu = len(t_bars)
@@ -246,20 +243,19 @@ def cheb_fit_multi(
         # contract the leading axis and rotate it to the back
         coeffs = np.tensordot(cos, coeffs, axes=([1], [0]))
         coeffs = np.moveaxis(coeffs, 0, -1) * (2.0 / K)
-    approx = ChebyshevApprox(coeffs, t_bars, d, None, 0.0)
+    approx = ChebyshevApprox(coeffs, t_bars, d, 0.0)
 
     per_axis = max(2, int(math.ceil(DENSE_GRID_POINTS ** (1.0 / mu))))
     gx = _tensor_grid(np.linspace(-1.0, 1.0, per_axis), mu)
     resid = np.abs(np.asarray(G(gx * scale_t), dtype=np.complex128) - approx.evaluate_unit(gx))
     approx.error_empirical = float(resid.max())
-    if analytic is not None:
-        approx.error_bound = Certificate(analytic[0], analytic[1], None).error_bound(d, mu)
     return approx
 
 
-def auxiliary_state(r: ReducedForm, P: ChebyshevApprox, threads: int = 1) -> Statevector:
+def auxiliary_state(r: ReducedForm, P: ChebyshevApprox) -> Statevector:
     """Normalized state whose amplitudes are the fitted polynomial of the
-    features, P(t_1(s)..t_mu(s)), in one chunk run as ``materialize``."""
+    features, P(t_1(s)..t_mu(s)), in one chunk run as ``materialize`` on
+    the calling thread: its chunks are BLAS products, which a pool slowed."""
     if P.mu != r.mu:
         raise ContractError(f"fit has {P.mu} variables, reduced form has {r.mu}")
     for f, t_bar in zip(r.features, P.t_bars):
@@ -269,7 +265,7 @@ def auxiliary_state(r: ReducedForm, P: ChebyshevApprox, threads: int = 1) -> Sta
             )
     check_n(r.n)
     dtype = np.float64 if P.real else np.complex128
-    amplitudes = _eval_bits_chunked(lambda piece: P.evaluate(r.feature_values(piece)), range(1 << r.n), dtype, threads)
+    amplitudes = _eval_bits_chunked(lambda piece: P.evaluate(r.feature_values(piece)), range(1 << r.n), dtype)
     return _normalized(amplitudes, r.n)
 
 
@@ -553,7 +549,7 @@ def full_bound_report(
         s_measured = entropy(bm).entropy
         aux, dist = _split_chain(r.features[0], fit, bm)
     else:
-        psi_aux = auxiliary_state(r, fit, threads=threads)
+        psi_aux = auxiliary_state(r, fit)
         s_measured = subregion_entropy(psi, region).entropy
         aux = subregion_entropy(psi_aux, region)
         dist = two_norm_distance(psi, psi_aux)

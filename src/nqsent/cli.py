@@ -270,6 +270,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     except _UsageError as exc:
         sys.stderr.write(json.dumps({"schema_version": 1, "error": {"type": "usage", "message": str(exc)}}) + "\n")
         return 1

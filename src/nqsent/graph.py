@@ -44,13 +44,13 @@ tables near 8 MiB (372 columns for the 2569-node transformer at n=16), in
 storage each thread keeps for the length of a chunk run. ``eval_bits``
 hands it ``DEFAULT_CHUNK`` = 2^14 columns at a time through one
 ``_eval_bits_chunked`` run over the whole batch, into an array of the
-dtype of the tape's output table. A heavy bits tape, one whose steps hold
-at least ``_HEAVY_NONZEROS`` matrix nonzeros per configuration, is spread
-over the threads as soon as it has two chunks, so the four chunks of the
-n=16 transformer or of a cosnet with k >= 128 use every core; any other
-evaluator gets one thread per ``_THREAD_SPAN`` = 2^16 configurations. The
-threads of one run split the 8 MiB, so each evaluates narrower sub-blocks
-(186 columns for the transformer on two threads).
+dtype of the tape's output table. Only a heavy tape, one whose steps hold
+at least ``_HEAVY_NONZEROS`` matrix nonzeros per configuration, spreads a
+run over the threads, from two chunks on: the bits tape of the n=16
+transformer or of a cosnet with k >= 128, or the residual tape of the
+transformer's reduced form. The threads of such a run split the 8 MiB
+(186 columns each for the transformer on two threads); every other run
+stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -75,26 +75,19 @@ from .errors import AmplitudeOverflowError, CapacityError, ContractError, CycleE
 # values and amplitudes small (value and Chebyshev tables are blocked within
 # a chunk by _TABLE_BYTES)
 DEFAULT_CHUNK = 1 << 14
-# configurations per thread for an evaluator without a heavy tape: a batch
-# smaller than two of these runs on the calling thread alone. A heavy tape
-# pools from two chunks on even when the other core is busy: with one
-# CPU-bound process there, perfbench's transformer sweep at n=16 took
-# 2.10-2.35 s per pass, against 2.75-3.00 s with the transformer on one
-# thread.
-_THREAD_SPAN = 1 << 16
 # tape sub-blocks are as wide as keeps a tape's value tables near this many
 # bytes, split between the threads of a run: 372 columns for the 2569-node
 # transformer, 2^14 and more for small graphs. ChebyshevApprox.evaluate_unit
 # blocks its tables by the same budget, unsplit, so its blocks and bytes
 # depend on the batch alone.
 _TABLE_BYTES = 1 << 23
-# matrix nonzeros per configuration, over every step of a bits tape (a
-# spin-table step counts the spin weights its tables sum), from which the
-# tape is heavy and spreads two chunks over threads. At n=16 the
-# transformer's tape has 35,448 and two threads took its materialize from
-# 1.55 to 0.81 s; cosnet k=128 has 4,608 (0.48 to 0.26 s) and k=512 18,432
-# (2.14 to 1.01 s). Cosnet k=1 (36), Dicke (23) and SN-NQS (22) stay
-# light, and so do MLP tapes (121 to 430), which lost 1 to 20 ms to a pool.
+# matrix nonzeros per configuration, over every step of a tape (a spin-table
+# step counts the spin weights its tables sum), from which the tape is heavy:
+# only a heavy tape's runs spread their chunks over threads. At n=16 the
+# transformer's bits tape has 35,448 (two threads took its materialize from
+# 1.55 to 0.81 s) and its reduced form's residual 39,145; cosnet k=128 has
+# 4,608 (0.48 to 0.26 s). Cosnet k=1 (36), Dicke (23), SN-NQS (22) and MLP
+# tapes (121 to 430) stay light: a second thread gained nothing on them.
 _HEAVY_NONZEROS = 1 << 12
 DEPENDENCE_TOL = 1e-10
 # rows whose weight part is pure cancellation debris relative to the row
@@ -125,9 +118,7 @@ def _scratch(size: int) -> np.ndarray:
     return buf[:size]
 
 
-def _eval_bits_chunked(
-    evaluate, bits, dtype, threads: int = 1, chunk: int = DEFAULT_CHUNK, heavy: bool = False
-) -> np.ndarray:
+def _eval_bits_chunked(evaluate, bits, dtype, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
     """``evaluate(piece)`` of consecutive ``chunk``-sized pieces of the
     configuration bits, a 1-D integer array or a ``range`` (else
     ``ContractError``), written into one ``dtype`` array. The evaluator
@@ -140,13 +131,13 @@ def _eval_bits_chunked(
 
     Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
     floating-point result is the same for any thread count. Up to
-    ``threads`` workers, the calling thread and pool threads, take the
-    chunks in order from one queue: for a ``heavy`` evaluator as soon as
-    there are two chunks, else one worker per ``_THREAD_SPAN``
-    configurations. Each worker keeps its scratch for the run and gets an
-    equal share of the ``_TABLE_BYTES`` budget. If chunks fail, no chunk
-    after the first failure is started, and the error of the first failing
-    chunk is raised once every worker has stopped.
+    ``threads`` workers, never more than there are chunks, take the chunks
+    in order from one queue: the calling thread and pool threads (callers
+    pass 1 unless the evaluating tape is heavy). Each worker keeps its
+    scratch for the run and gets an equal share of the ``_TABLE_BYTES``
+    budget. If chunks fail, no chunk after the first failure is started,
+    and the error of the first failing chunk is raised once every worker
+    has stopped.
     """
     if not isinstance(bits, range):
         bits = np.asarray(bits)
@@ -158,7 +149,7 @@ def _eval_bits_chunked(
     count = len(bits)
     out = np.empty(count, dtype)
     starts = range(0, count, chunk)
-    workers = max(1, min(threads, len(starts) if heavy else count // _THREAD_SPAN))
+    workers = max(1, min(threads, len(starts)))
     lock, taken, end, failed = threading.Lock(), 0, len(starts), {}
 
     def write(start):
@@ -385,7 +376,7 @@ class ComputationGraph:
         and an overflow's ``bits`` names the configuration."""
         tape = self._tape(False, bits=True)  # and its spin tables, before any pool thread starts
         return _eval_bits_chunked(
-            lambda piece: self._evaluate(tape, piece), bits, tape.dtype, threads, chunk, tape.heavy
+            lambda piece: self._evaluate(tape, piece), bits, tape.dtype, threads if tape.heavy else 1, chunk
         )
 
 
@@ -705,9 +696,10 @@ class ReducedForm:
 
     def eval_bits(self, bits: np.ndarray | range, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         """Amplitudes G(t(s)) for configuration bits, as ``ComputationGraph.eval_bits``."""
-        dtype = self.residual._tape(False).dtype  # of the real-port tape that evaluates each piece
+        tape, _ = self.residual._tape(False), self._spin_tables  # both before any pool thread starts
         return _eval_bits_chunked(
-            lambda piece: self.residual.eval_ports(self.feature_values(piece)), bits, dtype, threads, chunk
+            lambda piece: self.residual.eval_ports(self.feature_values(piece)),
+            bits, tape.dtype, threads if tape.heavy else 1, chunk,
         )
 
 
@@ -887,23 +879,31 @@ def to_json(g: ComputationGraph) -> dict:
 
 
 def from_json(doc: dict) -> ComputationGraph:
-    nodes = []
-    for entry in doc["nodes"]:
-        kind = entry["kind"]
-        nodes.append(
-            Node(
-                id=int(entry["id"]),
-                kind=kind,
-                inputs=tuple(
-                    (_ref_from_json(e["from"]), _num_from_json(e["weight"]))
-                    for e in entry.get("inputs", [])
-                ),
-                bias=_num_from_json(entry.get("bias", 0.0)),
-                activation=parse_activation(entry["activation"]) if entry.get("activation") else None,
-                output_mode=entry.get("output_mode", "amplitude") if kind == "output" else None,
-            )
-        )
-    return ComputationGraph(nodes, n=int(doc["n"]))
+    """The graph of a ``to_json`` document; a document of any other shape
+    raises ``ContractError`` naming the node and the field."""
+    node, key, nodes = "document", "n", []
+    try:
+        n = int(doc["n"])
+        key = "nodes"
+        for position, entry in enumerate(doc["nodes"]):
+            node, key = f"node at position {position}", "id"
+            nid = int(entry["id"])
+            node, key = f"node {nid}", "kind"
+            kind, inputs = entry["kind"], []
+            for j, e in enumerate(entry.get("inputs", [])):
+                key = f"inputs[{j}].from"
+                ref = _ref_from_json(e["from"])
+                key = f"inputs[{j}].weight"
+                inputs.append((ref, _num_from_json(e["weight"])))
+            key = "bias"
+            bias = _num_from_json(entry.get("bias", 0.0))
+            key = "activation"
+            activation = parse_activation(entry["activation"]) if entry.get("activation") else None
+            output_mode = entry.get("output_mode", "amplitude") if kind == "output" else None
+            nodes.append(Node(nid, kind, tuple(inputs), bias, activation, output_mode))
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ContractError(f"malformed graph JSON: {node}, field {key!r}: {type(exc).__name__}: {exc}") from None
+    return ComputationGraph(nodes, n)
 
 
 def save_graph(g: ComputationGraph, path) -> None:

@@ -10,10 +10,10 @@ the chunk driver (``graph._eval_bits_chunked``). The evaluator declares
 the dtype before the run, from the object that computes the values: a
 graph's bits tape, a reduced form's real-port residual tape, a fit's
 coefficients. The run evaluates index ranges of ``graph.DEFAULT_CHUNK`` =
-2^14 configurations straight into the amplitude array, on up to
-``--threads`` threads: for a graph with a heavy tape (the transformer at
-n=16, a cosnet with k >= 128) from two chunks on, for any other evaluator
-from 2^17 amplitudes on, and below that on the calling thread. Only each
+2^14 configurations straight into the amplitude array: on up to
+``--threads`` threads from two chunks on when the evaluating tape is heavy
+(the transformer at n=16 and its reduced form, a cosnet with k >= 128),
+else on the calling thread. Only each
 chunk's bits become an array; a graph's first layer and a reduced form's
 features come from per-tape spin tables over the low and the high bits,
 which give every configuration the same value in any range, so no spin

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: a one-variable Chebyshev fit,
-the overlap of two states, the inverse of ``bipartition``, dense reduced
-density matrices and their trace distance."""
+a chunk run of a light evaluator on pool threads, the overlap of two
+states, the inverse of ``bipartition``, dense reduced density matrices and
+their trace distance."""
 
 from __future__ import annotations
 
@@ -10,17 +11,29 @@ from nqsent.approx import ChebyshevApprox, cheb_fit_multi
 from nqsent.core import Subregion
 from nqsent.entanglement import BipartitionMatrix, bipartition, _axes
 from nqsent.errors import CapacityError, ContractError, NumericError
+from nqsent.graph import DEFAULT_CHUNK, ComputationGraph, _eval_bits_chunked
 from nqsent.statevector import Statevector
 
 REDUCED_DM_MAX_ROWS = 1 << 13
 
 
-def cheb_fit_1d(f, t_bar: float, d: int, analytic: tuple[float, float] | None = None) -> ChebyshevApprox:
-    """Fit x -> f(t_bar * x) on [-1, 1] by a degree-d Chebyshev expansion.
+def cheb_fit_1d(f, t_bar: float, d: int) -> ChebyshevApprox:
+    """Fit x -> f(t_bar * x) on [-1, 1] by a degree-d Chebyshev expansion."""
+    return cheb_fit_multi(lambda t: f(t[0]), (t_bar,), d)
 
-    ``analytic`` optionally supplies (a, C) for a certified error bound.
-    """
-    return cheb_fit_multi(lambda t: f(t[0]), (t_bar,), d, analytic)
+
+def pooled_eval_bits(ev, bits, threads: int = 2, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """``ev.eval_bits(bits, chunk=chunk)`` of a graph or a reduced form, run
+    on up to ``threads`` workers whether or not its tape is heavy: the
+    evaluate and dtype that ``eval_bits`` hands the chunk driver, which
+    pools every run it is asked to."""
+    if isinstance(ev, ComputationGraph):
+        tape = ev._tape(False, bits=True)
+        return _eval_bits_chunked(lambda piece: ev._evaluate(tape, piece), bits, tape.dtype, threads, chunk)
+    tape = ev.residual._tape(False)
+    return _eval_bits_chunked(
+        lambda piece: ev.residual.eval_ports(ev.feature_values(piece)), bits, tape.dtype, threads, chunk
+    )
 
 
 def overlap(psi: Statevector, phi: Statevector) -> complex:

@@ -59,7 +59,7 @@ def sin_family():
     t_bar = feature_supnorm(r.features[0])
     fits, auxes = {}, {}
     for d in (2, 3, 4, 5, 6, 8, 12, 16):
-        fits[d] = cheb_fit_multi(r.g_eval, (t_bar,), d, analytic=(cert.a, cert.C))
+        fits[d] = cheb_fit_multi(r.g_eval, (t_bar,), d)
         auxes[d] = auxiliary_state(r, fits[d])
     return {"graph": g, "reduced": r, "cert": cert, "psi": psi, "fits": fits, "aux": auxes}
 
@@ -217,9 +217,8 @@ def test_criterion_05_approximation_chain(sin_family):
     worst_margin = math.inf
     fa_checked = 0
     for d in (8, 12, 16):
-        fit = sin_family["fits"][d]
         aux = sin_family["aux"][d]
-        eps_poly = fit.error_bound / psi.norm_was
+        eps_poly = sin_family["cert"].error_bound(d, 1) / psi.norm_was
         delta_bound = 2.0 * math.sqrt(eps_poly) * 2 ** (n / 4)
         dist = two_norm_distance(psi, aux)
         assert dist <= delta_bound, f"d={d}: ||psi-aux||={dist:.3e} > {delta_bound:.3e}"

@@ -60,9 +60,8 @@ def test_certified_bound_dominates_empirical():
     cert = reduced_certificate(r)
     t_bar = feature_supnorm(r.features[0])
     for d in (4, 8, 12):
-        fit = cheb_fit_1d(lambda t: r.g_eval(t[None, :]), t_bar, d, analytic=(cert.a, cert.C))
-        assert fit.error_bound is not None
-        assert fit.error_empirical <= fit.error_bound
+        fit = cheb_fit_1d(lambda t: r.g_eval(t[None, :]), t_bar, d)
+        assert fit.error_empirical <= cert.error_bound(d, 1)
 
 
 def test_multi_reduces_to_1d():
@@ -118,7 +117,7 @@ def _assert_matches_chebval(mu, d, count, seed):
     # complex coefficients, then real ones stored as complex (a fit of a real
     # G), which skip the imaginary product and give float64 values
     for coeffs, dtype in ((c, np.complex128), (c.real + 0j, np.float64)):
-        fit = ChebyshevApprox(coeffs, (1.0,) * mu, d, None, 0.0)
+        fit = ChebyshevApprox(coeffs, (1.0,) * mu, d, 0.0)
         assert fit.real == (dtype == np.float64)
         got = fit.evaluate_unit(x)
         assert got.shape == (count,) and got.dtype == dtype
@@ -157,7 +156,7 @@ def test_evaluate_rejects_malformed_points():
     # match the degree and the variable count is refused, not mis-contracted
     for shape in ((4, 4, 1), (16,), (3, 4)):
         with pytest.raises(ContractError):
-            ChebyshevApprox(np.ones(shape, dtype=complex), (1.0, 2.0), 3, None, 0.0).evaluate_unit(np.zeros((2, 4)))
+            ChebyshevApprox(np.ones(shape, dtype=complex), (1.0, 2.0), 3, 0.0).evaluate_unit(np.zeros((2, 4)))
 
 
 def test_multi_capacity():
@@ -272,11 +271,11 @@ def test_snnqs_distance_bound_chain():
     psi = materialize(g)
     t_bar = feature_supnorm(r.features[0])
     for d in (8, 12, 16):
-        fit = cheb_fit_multi(r.g_eval, (t_bar,), d, analytic=(cert.a, cert.C))
+        fit = cheb_fit_multi(r.g_eval, (t_bar,), d)
         aux = auxiliary_state(r, fit)
-        eps_poly = fit.error_bound / psi.norm_was
+        eps_poly = cert.error_bound(d, 1) / psi.norm_was
         assert two_norm_distance(psi, aux) <= 2.0 * math.sqrt(eps_poly) * 2 ** (10 / 4)
-        assert fit.error_empirical <= fit.error_bound
+        assert fit.error_empirical <= cert.error_bound(d, 1)
 
 
 def test_certificate_exact_polynomial_route():
@@ -435,10 +434,10 @@ def test_two_feature_rank_bound_and_chain():
     psi = materialize(g)
     t_bars = tuple(feature_supnorm(f) for f in r.features)
     for d in (3, 6):
-        fit = cheb_fit_multi(r.g_eval, t_bars, d, analytic=(cert.a, cert.C))
-        assert fit.error_empirical <= fit.error_bound
+        fit = cheb_fit_multi(r.g_eval, t_bars, d)
+        assert fit.error_empirical <= cert.error_bound(d, 2)
         aux = auxiliary_state(r, fit)
-        eps_poly = fit.error_bound / psi.norm_was
+        eps_poly = cert.error_bound(d, 2) / psi.norm_was
         assert two_norm_distance(psi, aux) <= 2.0 * math.sqrt(eps_poly) * 2 ** (n / 4)
         for m in range(1, n):
             res = subregion_entropy(aux, Subregion((1 << m) - 1, n))

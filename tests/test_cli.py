@@ -74,6 +74,39 @@ def test_unknown_flag_rejected(capsys):
     assert main(["dicke", "--n", "4", "--frobnicate"]) == 1
 
 
+_GRAPH_NODE = {"id": 0, "kind": "output", "inputs": [{"from": "s_1", "weight": 1.0}], "output_mode": "amplitude"}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"n": 2, "nodes": [{"id": 0}]}, "node 0, field 'kind': KeyError"),
+        ({"nodes": []}, "document, field 'n': KeyError"),
+        ({"n": 2, "nodes": [dict(_GRAPH_NODE, id="a")]}, "node at position 0, field 'id': ValueError"),
+        (
+            {"n": 2, "nodes": [dict(_GRAPH_NODE, inputs=[{"from": "s_1", "weight": {"re": 1}}])]},
+            "node 0, field 'inputs[0].weight': TypeError",
+        ),
+        ([1, 2], "document, field 'n': TypeError"),
+        (
+            {"n": 2, "nodes": [dict(_GRAPH_NODE, inputs=[{"from": "s_x", "weight": 1.0}])]},
+            "node 0, field 'inputs[0].from': ValueError",
+        ),
+    ],
+    ids=["no_kind", "no_n", "id_not_int", "weight_object", "not_an_object", "bad_spin"],
+)
+def test_validate_malformed_graph_json_is_a_contract_error(doc, where, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--graph", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ContractError" and f"malformed graph JSON: {where}" in err["message"]
+    # the well-formed document the cases break validates
+    good = {"n": 2, "nodes": [_GRAPH_NODE]}
+    path.write_text(json.dumps(good))
+    assert main(["validate", "--graph", str(path)]) == 0
+
+
 def test_statevector_entropy_pipeline(dicke4_path, tmp_path, capsys):
     out = str(tmp_path / "psi.nqsv")
     assert main(["statevector", "--graph", dicke4_path, "--out", out]) == 0
@@ -109,11 +142,15 @@ def test_entropy_log_base_2_reports_bits(tmp_path, capsys):
     [
         (["entropy", "--state", "x.nqsv", "--region", "zz"], "--region"),
         (["bound", "--graph", "g.json", "--region", "3", "--degree", "abc"], "--degree"),
+        (["--threads", "-3", "dicke", "--n", "4", "--m", "2"], "--threads: must be at least 1, got -3"),
+        (["--threads", "0", "dicke", "--n", "4", "--m", "2"], "--threads: must be at least 1, got 0"),
     ],
 )
 def test_unparsable_arguments_are_usage_errors(argv, flag, capsys):
     assert main(argv) == 1
-    err = json.loads(capsys.readouterr().err)
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing runs, so no configuration is echoed
+    err = json.loads(err)
     assert err["error"]["type"] == "usage" and flag in err["error"]["message"]
 
 

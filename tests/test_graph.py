@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_dag, random_evaluable_dag
+from oracles import pooled_eval_bits
 
 from nqsent.activations import EXP_OVERFLOW_LIMIT, Activation
 from nqsent.core import HARD_SPIN_CAP, RngStream, spin_matrix
@@ -17,7 +18,6 @@ from nqsent.graph import (
     feature_reduce,
     from_json,
     to_json,
-    _THREAD_SPAN,
     _bit_pieces,
     _is_raw,
     _SCRATCH,
@@ -37,6 +37,9 @@ from nqsent.ansatz import (
     build_transformer,
 )
 from nqsent.statevector import materialize
+
+# configurations of a batch run on two workers: 32 chunks of 2^12
+_POOLED_BATCH = 1 << 17
 
 
 def chain_graph():
@@ -387,15 +390,16 @@ def test_eval_bits_thread_determinism():
         assert np.array_equal(a, b)
         # chunking only splits the work: one chunk gives the same amplitudes
         assert np.array_equal(a, ev.eval_bits(bits, chunk=256))
-        # a batch large enough for pool threads
-        many = np.arange(2 * _THREAD_SPAN) % 256
-        pooled = ev.eval_bits(many, threads=2, chunk=1 << 12)
+        # the same chunks on pool threads: a light tape's run takes them
+        # only when the driver is asked for two workers itself
+        many = np.arange(_POOLED_BATCH) % 256
+        pooled = pooled_eval_bits(ev, many, chunk=1 << 12)
         assert np.array_equal(pooled, ev.eval_bits(many, threads=1, chunk=1 << 12))
         # a range gives the bytes of its index array, from any start
-        span = np.arange(37, 37 + 2 * _THREAD_SPAN)
-        expected = ev.eval_bits(span, chunk=1 << 12).tobytes()
-        for threads in (1, 2):
-            assert ev.eval_bits(range(37, 37 + 2 * _THREAD_SPAN), threads=threads, chunk=1 << 12).tobytes() == expected
+        span = range(37, 37 + _POOLED_BATCH)
+        expected = ev.eval_bits(np.arange(span.start, span.stop), chunk=1 << 12).tobytes()
+        assert ev.eval_bits(span, threads=2, chunk=1 << 12).tobytes() == expected
+        assert pooled_eval_bits(ev, span, chunk=1 << 12).tobytes() == expected
 
 
 def bit_batch(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -432,9 +436,9 @@ def check_bits_path(g: ComputationGraph, gen: np.random.Generator) -> None:
         for chunk in (1, 7, 64, 1 << 12):
             for threads in (1, 2):
                 assert ev.eval_bits(bits, threads=threads, chunk=chunk).tobytes() == expected
-        # a batch large enough for pool threads
-        many = np.resize(bits, 2 * _THREAD_SPAN)
-        pooled = ev.eval_bits(many, threads=2, chunk=1 << 12)
+        # the same chunks on pool threads
+        many = np.resize(bits, _POOLED_BATCH)
+        pooled = pooled_eval_bits(ev, many, chunk=1 << 12)
         assert pooled.tobytes() == ref[np.resize(index, len(many))].tobytes()
         assert pooled.tobytes() == ev.eval_bits(many, threads=1, chunk=1 << 12).tobytes()
 
@@ -542,9 +546,9 @@ def test_overflow_names_configuration_past_first_chunk(reduced):
     assert f"bits={bits:#x}" in str(err.value)
     with pytest.raises(AmplitudeOverflowError):
         ev.eval_bits(np.array([bits]))
-    # the same from pool threads, over a batch large enough to start them
+    # the same from pool threads, over a batch that keeps both busy
     with pytest.raises(AmplitudeOverflowError) as err:
-        ev.eval_bits(np.arange(2 * _THREAD_SPAN), threads=2, chunk=64)
+        pooled_eval_bits(ev, np.arange(_POOLED_BATCH), chunk=64)
     assert 128 <= err.value.bits < 192
     assert f"bits={err.value.bits:#x}" in str(err.value)
 
@@ -552,7 +556,8 @@ def test_overflow_names_configuration_past_first_chunk(reduced):
 def _threads_of(g: ComputationGraph, workers: int) -> set:
     """Record the threads that evaluate ``g``'s chunks from now on. The
     first ``workers`` chunks wait for each other, so that many threads, the
-    calling one among them, must each take one."""
+    calling one among them, must each take one; with ``workers`` 1 no chunk
+    waits."""
     seen, calls = set(), itertools.count()
     barrier = threading.Barrier(workers, timeout=60)
 
@@ -568,19 +573,24 @@ def _threads_of(g: ComputationGraph, workers: int) -> set:
 
 def test_heavy_tape_pools_from_two_chunks():
     # the n=16 transformer's bits tape does thousands of sparse products per
-    # configuration, and cosnet k=128's spin tables sum thousands of spin
-    # weights: their four chunks go to pool threads and the calling thread
-    for g in (
-        build_transformer(TransformerSpec(n=16), RngStream(1)),
-        build_cosnet(CosnetSpec(n=16, k=128), RngStream(1)),
+    # configuration, and so does its reduced form's real-port residual tape;
+    # cosnet k=128's spin tables sum thousands of spin weights: their four
+    # chunks go to pool threads and the calling thread
+    transformer = build_transformer(TransformerSpec(n=16), RngStream(1))
+    reduced = feature_reduce(transformer)
+    cosnet = build_cosnet(CosnetSpec(n=16, k=128), RngStream(1))
+    for ev, g, tape in (
+        (transformer, transformer, transformer._tape(False, bits=True)),
+        (reduced, reduced.residual, reduced.residual._tape(False)),
+        (cosnet, cosnet, cosnet._tape(False, bits=True)),
     ):
-        assert g._tape(False, bits=True).heavy
+        assert tape.heavy
         seen = _threads_of(g, 1)
-        one = materialize(g, threads=1)
+        one = materialize(ev, threads=1)
         assert seen == {threading.get_ident()}
         for threads in (2, 3):
             seen = _threads_of(g, threads)
-            pooled = materialize(g, threads=threads)
+            pooled = materialize(ev, threads=threads)
             assert threading.get_ident() in seen and len(seen) == threads
             assert pooled.amplitudes.tobytes() == one.amplitudes.tobytes()
             assert pooled.norm_was == one.norm_was
@@ -596,30 +606,32 @@ def test_heavy_tape_pools_from_two_chunks():
     ],
     ids=["dicke", "snnqs", "cosnet_k1", "mlp"],
 )
-def test_light_tape_keeps_the_count_rule(build):
-    # a tape of a few sparse products per configuration stays on the calling
-    # thread below two _THREAD_SPAN, and uses the pool from there on
+def test_light_tape_stays_on_the_calling_thread(build):
+    # a tape of a few sparse products per configuration runs every chunk on
+    # the calling thread, whatever the batch and the thread count; so does
+    # the reduced form, whose residual tape is light too
     g = build()
-    assert not g._tape(False, bits=True).heavy
-    seen = _threads_of(g, 1)
-    materialize(g, threads=2)
-    assert seen == {threading.get_ident()}
-    seen = _threads_of(g, 2)
-    g.eval_bits(np.arange(2 * _THREAD_SPAN), threads=2)
-    assert threading.get_ident() in seen and len(seen) == 2
+    r = feature_reduce(g)
+    assert not g._tape(False, bits=True).heavy and not r.residual._tape(False).heavy
+    for ev, traced in ((g, g), (r, r.residual)):
+        seen = _threads_of(traced, 1)
+        materialize(ev, threads=2)
+        ev.eval_bits(np.arange(_POOLED_BATCH), threads=2)
+        assert seen == {threading.get_ident()}
 
 
 @pytest.mark.parametrize(
-    "count, chunk, heavy, workers",
+    "count, chunk, threads, workers",
     [
-        (2 * _THREAD_SPAN - 1, 1 << 13, False, 1),
-        (2 * _THREAD_SPAN, 1 << 13, False, 2),
-        (2, 2, True, 1),
-        (3, 2, True, 2),  # two chunks, one of them short
+        (2, 2, 2, 1),
+        (3, 2, 2, 2),  # two chunks, one of them short
+        (4, 1, 1, 1),
+        (2, 1, 3, 2),
     ],
-    ids=["light_below_two_spans", "light_two_spans", "heavy_one_chunk", "heavy_two_chunks"],
+    ids=["one_chunk", "two_chunks", "one_thread", "fewer_chunks_than_threads"],
 )
-def test_pool_threads_follow_the_work_rule(count, chunk, heavy, workers):
+def test_pool_threads_follow_the_work_rule(count, chunk, threads, workers):
+    # a run takes up to ``threads`` workers and never more than its chunks
     seen, barrier = set(), threading.Barrier(workers, timeout=60)
 
     def evaluate(piece):
@@ -628,7 +640,7 @@ def test_pool_threads_follow_the_work_rule(count, chunk, heavy, workers):
             barrier.wait()
         return piece
 
-    result = _eval_bits_chunked(evaluate, range(count), np.int64, threads=2, chunk=chunk, heavy=heavy)
+    result = _eval_bits_chunked(evaluate, range(count), np.int64, threads=threads, chunk=chunk)
     assert np.array_equal(result, np.arange(count))
     assert threading.get_ident() in seen and len(seen) == workers
 
@@ -654,7 +666,7 @@ def test_result_is_allocated_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(np, "empty", traced_empty)
     for count in (4, 0):
         allocated.clear()
-        result = _eval_bits_chunked(evaluate, range(count), np.float64, threads=2, chunk=1, heavy=True)
+        result = _eval_bits_chunked(evaluate, range(count), np.float64, threads=2, chunk=1)
         assert result.tolist() == [0.0, 1.0, 2.0, 3.0][:count]
         assert allocated == [me]
 
@@ -668,12 +680,12 @@ def test_chunks_must_share_a_dtype(threads):
         return values if piece[0] == 0 else values + 1j
 
     with pytest.raises(ContractError, match="a chunk of complex128 values for a float64 result"):
-        _eval_bits_chunked(evaluate, range(8), np.float64, threads=threads, chunk=4, heavy=True)
+        _eval_bits_chunked(evaluate, range(8), np.float64, threads=threads, chunk=4)
     with pytest.raises(ContractError, match="a chunk of float64 values for a complex128 result"):
-        _eval_bits_chunked(evaluate, range(8), np.complex128, threads=threads, chunk=4, heavy=True)
+        _eval_bits_chunked(evaluate, range(8), np.complex128, threads=threads, chunk=4)
     # an empty batch runs no chunk and has the declared dtype
     for dtype in (np.float64, np.complex128):
-        assert _eval_bits_chunked(evaluate, range(0), dtype, threads=threads, heavy=True).dtype == dtype
+        assert _eval_bits_chunked(evaluate, range(0), dtype, threads=threads).dtype == dtype
 
 
 @pytest.mark.parametrize("threads", [2, 3])
@@ -693,7 +705,7 @@ def test_first_failing_chunk_is_raised_whichever_fails_first(threads):
 
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="chunk 1"):
-        _eval_bits_chunked(evaluate, range(5), np.float64, threads=threads, chunk=1, heavy=True)
+        _eval_bits_chunked(evaluate, range(5), np.float64, threads=threads, chunk=1)
     assert set(threading.enumerate()) == before
 
 
@@ -766,7 +778,7 @@ def test_scratch_lives_for_one_chunk_run():
         pooled.setdefault(threading.get_ident(), []).append(_scratch(16))
         return np.zeros(len(piece))
 
-    _eval_bits_chunked(pooled_evaluate, range(2 * _THREAD_SPAN), np.float64, threads=2, chunk=1 << 13)
+    _eval_bits_chunked(pooled_evaluate, range(_POOLED_BATCH), np.float64, threads=2, chunk=1 << 13)
     assert sum(map(len, pooled.values())) == 16
     for bufs in pooled.values():
         assert all(np.shares_memory(bufs[0], b) for b in bufs)
@@ -781,11 +793,11 @@ def test_pooled_workers_split_the_table_budget():
         shares.append(_SCRATCH.share)
         return np.zeros(len(piece))
 
-    _eval_bits_chunked(evaluate, range(6), np.float64, threads=3, chunk=1, heavy=True)
+    _eval_bits_chunked(evaluate, range(6), np.float64, threads=3, chunk=1)
     assert shares == [3] * 6
     assert not hasattr(_SCRATCH, "share")
     shares.clear()
-    _eval_bits_chunked(evaluate, range(6), np.float64, threads=1, chunk=1, heavy=True)
+    _eval_bits_chunked(evaluate, range(6), np.float64, threads=1, chunk=1)
     assert shares == [1] * 6
     assert not hasattr(_SCRATCH, "share")
 

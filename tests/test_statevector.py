@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_state, random_evaluable_dag
-from oracles import overlap
+from oracles import overlap, pooled_eval_bits
 
 from nqsent.ansatz import (
     CosnetSpec,
@@ -24,7 +24,7 @@ from nqsent.approx import auxiliary_state, cheb_fit_multi
 from nqsent.core import RngStream, feature_supnorm
 from nqsent.activations import Activation
 from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError, NumericError
-from nqsent.graph import _TABLE_BYTES, ComputationGraph, Node, feature_reduce
+from nqsent.graph import _TABLE_BYTES, ComputationGraph, Node, _eval_bits_chunked, feature_reduce
 from nqsent.statevector import (
     Statevector,
     from_amplitudes,
@@ -32,7 +32,22 @@ from nqsent.statevector import (
     materialize,
     save_nqsv,
     two_norm_distance,
+    _normalized,
 )
+
+
+def _pooled(ev, threads: int) -> Statevector:
+    """``materialize(ev)`` with its chunks on up to ``threads`` workers,
+    although a light tape's state runs on the calling thread."""
+    return _normalized(pooled_eval_bits(ev, range(1 << ev.n), threads), ev.n)
+
+
+def _pooled_auxiliary(r, fit, threads: int) -> Statevector:
+    """``auxiliary_state(r, fit)`` with its chunks on up to ``threads``
+    workers, although the auxiliary state runs on the calling thread."""
+    dtype = np.float64 if fit.real else np.complex128
+    amplitudes = _eval_bits_chunked(lambda piece: fit.evaluate(r.feature_values(piece)), range(1 << r.n), dtype, threads)
+    return _normalized(amplitudes, r.n)
 
 
 def test_dicke_n4_amplitudes():
@@ -153,10 +168,13 @@ def test_materialize_thread_and_chunk_invariance():
     r2 = feature_reduce(build_cosnet(CosnetSpec(n=17, k=1), RngStream(33).child(2)))
     assert r2.mu == 2
     fit2 = cheb_fit_multi(r2.g_eval, [feature_supnorm(f) for f in r2.features], 8)
+    # a light graph's state and the auxiliary states run on the calling
+    # thread; the same chunks on pool threads give the same bytes
     for make in (
         lambda t: materialize(g, threads=t),
-        lambda t: auxiliary_state(r, fit, threads=t),
-        lambda t: auxiliary_state(r2, fit2, threads=t),
+        lambda t: _pooled(g, t),
+        lambda t: auxiliary_state(r, fit) if t == 1 else _pooled_auxiliary(r, fit, t),
+        lambda t: auxiliary_state(r2, fit2) if t == 1 else _pooled_auxiliary(r2, fit2, t),
     ):
         base = make(1)
         for threads in (2, 4):
@@ -343,11 +361,13 @@ def test_real_state_is_the_real_part_of_its_complex_form():
 
 
 def test_real_state_bytes_ignore_threads():
-    # n=17 spans two pool threads; the Dicke state at n=18 spans four
+    # light tapes and the auxiliary state run on the calling thread at any
+    # thread count; their chunks on pool threads give the same bytes
     for make in (
         lambda t: materialize(_real_tanh(17), threads=t),
-        lambda t: materialize(build_dicke(DickeSpec(18)), threads=t),
-        lambda t: auxiliary_state(*_real_aux(17), threads=t),
+        lambda t: _pooled(_real_tanh(17), t),
+        lambda t: _pooled(build_dicke(DickeSpec(18)), t),
+        lambda t: auxiliary_state(*_real_aux(17)) if t == 1 else _pooled_auxiliary(*_real_aux(17), t),
     ):
         base = make(1)
         assert base.amplitudes.dtype == np.float64
