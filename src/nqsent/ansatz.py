@@ -16,6 +16,7 @@ A config block may set exactly the fields of its family's spec.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .activations import Activation, parse_activation
@@ -318,13 +319,22 @@ _FAMILIES = {
 
 
 def ansatz_from_config(block: dict, rng: RngStream, frozen_rng: RngStream | None = None) -> ComputationGraph:
-    """Build from a block {"family": ..., <spec fields>}; other keys raise ``ContractError``."""
+    """Build from a block {"family": ..., <spec fields>}; other keys, and a
+    value not of its field's type (a bool counts as neither an int nor a
+    float), raise ``ContractError``."""
     block = dict(block)
     family = block.pop("family", None)
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ContractError(f"unknown ansatz family {family!r}")
     spec_type, build = _FAMILIES[family]
-    unknown = sorted(set(block) - {f.name for f in fields(spec_type)})
+    # each field's annotation, a string under postponed evaluation
+    types = {f.name: f.type for f in fields(spec_type)}
+    unknown = sorted(set(block) - set(types))
     if unknown:
         raise ContractError(f"unknown {family} ansatz key {unknown[0]!r}")
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+    for key, value in block.items():
+        kind = kinds.get(types[key], (Activation, str))
+        if not isinstance(value, kind) or (isinstance(value, bool) and types[key] != "bool"):
+            raise ContractError(f"{family} ansatz key {key!r} must be {types[key]}, not {value!r}")
     return build(spec_type(**block), rng, frozen_rng)

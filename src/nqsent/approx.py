@@ -33,11 +33,12 @@ mu = 1. The paper's constructive argument gives the rest: split across the
 cut, the feature is x_A + x_B, and the fitted polynomial re-expands exactly
 as sum_ab C_ab T_a(x_A) T_b(x_B), a (d+1) x (d+1) Chebyshev interpolation.
 The auxiliary state's bipartition matrix is then U C V^T with Chebyshev
-tables U and V of the two sides, so its spectrum comes from QR factors and
-an SVD of size at most d+1, and its distance from the network's state from
-blocked products against that state's bipartition matrix
-(``_split_chain``). For mu >= 2 the rank bound (d+1)^mu exceeds the side
-dimensions and the auxiliary state is materialized instead.
+tables U and V of the two sides, so ``entropy`` reads its spectrum from a
+triangular QR factor of size at most d+1, and its distance from the
+network's state comes from blocked products against that state's
+bipartition matrix (``_split_chain``). For mu >= 2 the rank bound
+(d+1)^mu exceeds the side dimensions and the auxiliary state is
+materialized instead.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import AffineFeature, Subregion, check_n, feature_supnorm
+from .core import AffineFeature, Subregion, _is_integer, affine_tables, check_n, feature_supnorm
 from .errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
 from .graph import ComputationGraph, ReducedForm, feature_reduce
 from .graph import _eval_bits_chunked, _scratch, _TABLE_BYTES
@@ -55,7 +56,6 @@ from .statevector import Statevector, materialize, two_norm_distance, _normalize
 from .entanglement import (
     BipartitionMatrix,
     EntropyResult,
-    _spectrum,
     bipartition,
     entropy,
     fa_slack_from_bound,
@@ -388,10 +388,11 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) 
     d+1 nodes per side reproduces it as sum_ab C_ab T_a(y_A) T_b(y_B); a
     side with half = 0 takes one node and degree 0. The auxiliary matrix is
     then T_S C T_L^T, with S the side of fewer configurations and L the
-    other. With T_S = Q R, it has the singular values of W = R C T_L^T,
+    other. With T_S = Q R_S, it has the singular values of W = R_S C T_L^T,
     which are those of R_U C R_V^T. A QR of W^T over blocks of L's
-    configurations gives them. The spectrum is their squares over
-    ||W||_F^2, the squared norm of the unnormalized auxiliary state.
+    configurations leaves a triangular R with them, and ``entropy`` reads
+    the spectrum from R over ||R||_F = ||W||_F, the norm of the
+    unnormalized auxiliary state.
 
     The distance ||M - T_S C T_L^T / ||W||_F||_F is summed over the same
     blocks in a fixed order, with real products for the real and imaginary
@@ -403,7 +404,7 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) 
     y, weights, points = [], [], []
     for side in (bm.region, bm.region.complement()):
         members = side.members()
-        x = AffineFeature(f.weights[members], 0.5 * f.bias).eval_all() / t_bar
+        x = affine_tables(f.weights[None, members], np.array([0.5 * f.bias]))[0] / t_bar
         lo, hi = float(x.min()), float(x.max())
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         deg = d if half > 0.0 else 0
@@ -437,14 +438,10 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) 
         # W^T = T_L Z^T, by real products since T_L is real
         piece = piece @ Z.T.real + 1j * (piece @ Z.T.imag) if np.iscomplexobj(Z) else piece @ Z.T
         R = np.linalg.qr(np.vstack([R, piece]), mode="r")
-    try:
-        sigma = np.linalg.svd(R, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular values failed: {exc}") from exc
     norm_sq = float(np.vdot(R, R).real)
     if norm_sq == 0.0:
         raise DegenerateStateError("the auxiliary state vanishes; it cannot be normalized")
-    spectrum = _spectrum(sigma * sigma / norm_sq, rows)
+    spectrum = entropy(BipartitionMatrix(R / math.sqrt(norm_sq), bm.region))
 
     split = np.iscomplexobj(C) or np.iscomplexobj(M)
     parts = [C.real, C.imag] if split else [C]
@@ -515,7 +512,7 @@ def full_bound_report(
     if isinstance(degree, str):
         if degree != "auto":
             raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
-    elif isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+    elif not _is_integer(degree):
         raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
     if region.n != g.n:
         raise ContractError(f"region has n={region.n}, graph has n={g.n}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import analytic
 from .approx import full_bound_report
 from .core import Subregion, feature_supnorm, resolve_spin_cap
-from .errors import NqsError
+from .errors import DomainError, NqsError
 from .experiments import (
     ExperimentConfig,
     preset_configs,
@@ -152,6 +152,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_dicke(args) -> int:
+    if args.n < 2:  # no cut m = 1..n-1
+        raise DomainError(f"n={args.n} has no bipartition; need n >= 2")
     ms = [args.m] if args.m is not None else list(range(1, args.n))
     entries = []
     for m in ms:
@@ -170,6 +172,8 @@ def _cmd_dicke(args) -> int:
 
 
 def _cmd_page(args) -> int:
+    if args.n < 2:  # no cut m = 1..n-1
+        raise DomainError(f"n={args.n} has no bipartition; need n >= 2")
     _echo_config(args)
     lines = ["m,page_nats"]
     for m in range(1, args.n):

@@ -9,6 +9,7 @@ statevector coincide with configuration bits.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -48,6 +49,11 @@ def check_n(n: int) -> None:
         raise CapacityError(f"n={n} outside supported range 1..{cap}")
 
 
+def _is_integer(v) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def spin_matrix(bits: np.ndarray, n: int) -> np.ndarray:
     """(len(bits), n) float64 matrix of spin values for an array of configs.
 
@@ -69,6 +75,8 @@ class Subregion:
     n: int
 
     def __post_init__(self):
+        if not (_is_integer(self.mask) and _is_integer(self.n)):
+            raise ContractError(f"subregion mask {self.mask!r} and n {self.n!r} are not both integers")
         # numpy integers would carry into masks derived from this one
         object.__setattr__(self, "mask", int(self.mask))
         object.__setattr__(self, "n", int(self.n))
@@ -78,10 +86,12 @@ class Subregion:
     @classmethod
     def from_members(cls, members, n: int) -> "Subregion":
         mask = 0
-        for i in map(int, members):
+        for i in members:
+            if not _is_integer(i):
+                raise ContractError(f"spin index {i!r} is not an integer")
             if not 0 <= i < n:
                 raise ContractError(f"spin index {i} out of range for n={n}")
-            mask |= 1 << i
+            mask |= 1 << int(i)
         return cls(mask, n)
 
     @property
@@ -105,14 +115,6 @@ class AffineFeature:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    def eval_all(self) -> np.ndarray:
-        """Values over all 2^n configurations in ascending bits order."""
-        return affine_tables(self.weights[None, :], np.array([self.bias]))[0]
 
 
 def affine_tables(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -47,15 +47,13 @@ class BipartitionMatrix:
 
     Row index bit j corresponds to the j-th smallest member of A; column
     bits run over the complement the same way. The rearrangement is a
-    permutation, so the Frobenius norm equals the state norm.
+    permutation, so the Frobenius norm equals the state norm. ``entropy``
+    reads only M's singular values and the region, so a smaller matrix with
+    the same singular values (``approx._split_chain``'s QR factor) stands in.
     """
 
     M: np.ndarray
     region: Subregion
-
-    @property
-    def n(self) -> int:
-        return self.region.n
 
 
 def _axes(region: Subregion) -> list[int]:

@@ -17,13 +17,12 @@ from __future__ import annotations
 import copy
 import json
 import logging
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .analytic import page_value
-from .core import RngStream, Subregion
+from .core import RngStream, Subregion, _is_integer
 from .errors import (
     AmplitudeOverflowError,
     ContractError,
@@ -95,10 +94,6 @@ class ExperimentConfig:
         return cls(**doc)
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _count(what: str, v, half: bool = False):
     """A config value as an int >= 1 (or "half", where allowed); anything
     else is a ContractError naming it."""
@@ -155,14 +150,6 @@ class SweepResult:
                 }
             )
         return out
-
-    def trial_means(self, n: int, size: int, k: int | None = None) -> np.ndarray:
-        """Per-trial region-averaged entropies at one grid point."""
-        per_trial: dict[int, list[float]] = {}
-        for row in self.rows:
-            if row.n == n and row.subsystem_size == size and (k is None or row.k == k):
-                per_trial.setdefault(row.trial, []).append(row.entropy_nats)
-        return np.array([float(np.mean(per_trial[t])) for t in sorted(per_trial)])
 
 
 def _prefix_region(n: int, size: int) -> Subregion:

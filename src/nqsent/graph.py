@@ -369,14 +369,15 @@ class ComputationGraph:
             raise ContractError(f"expected {self.n} rows of port values, got {ports.shape[0]}")
         return self._evaluate(self._tape(np.iscomplexobj(ports)), ports)
 
-    def eval_bits(self, bits: np.ndarray | range, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    def eval_bits(self, bits: np.ndarray | range, threads: int = 1) -> np.ndarray:
         """Amplitudes for configuration bits, a 1-D integer array or a
-        ``range`` (else ``ContractError``), in thread-independent chunks, with
-        the dtype of the bits tape's output table; bits above n are ignored,
-        and an overflow's ``bits`` names the configuration."""
+        ``range`` (else ``ContractError``), in thread-independent chunks of
+        ``DEFAULT_CHUNK``, with the dtype of the bits tape's output table;
+        bits above n are ignored, and an overflow's ``bits`` names the
+        configuration."""
         tape = self._tape(False, bits=True)  # and its spin tables, before any pool thread starts
         return _eval_bits_chunked(
-            lambda piece: self._evaluate(tape, piece), bits, tape.dtype, threads if tape.heavy else 1, chunk
+            lambda piece: self._evaluate(tape, piece), bits, tape.dtype, threads if tape.heavy else 1
         )
 
 
@@ -694,12 +695,12 @@ class ReducedForm:
         """Evaluate G on feature values of shape (mu, B)."""
         return self.residual.eval_ports(np.asarray(tvals, dtype=np.float64))
 
-    def eval_bits(self, bits: np.ndarray | range, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    def eval_bits(self, bits: np.ndarray | range, threads: int = 1) -> np.ndarray:
         """Amplitudes G(t(s)) for configuration bits, as ``ComputationGraph.eval_bits``."""
         tape, _ = self.residual._tape(False), self._spin_tables  # both before any pool thread starts
         return _eval_bits_chunked(
             lambda piece: self.residual.eval_ports(self.feature_values(piece)),
-            bits, tape.dtype, threads if tape.heavy else 1, chunk,
+            bits, tape.dtype, threads if tape.heavy else 1,
         )
 
 

@@ -1,7 +1,7 @@
 """Reference helpers that only the tests use: a one-variable Chebyshev fit,
-a chunk run of a light evaluator on pool threads, the overlap of two
-states, the inverse of ``bipartition``, dense reduced density matrices and
-their trace distance."""
+a chunk run of a graph or reduced form at any chunk size and thread count,
+the overlap of two states, the inverse of ``bipartition``, dense reduced
+density matrices and their trace distance."""
 
 from __future__ import annotations
 
@@ -22,11 +22,11 @@ def cheb_fit_1d(f, t_bar: float, d: int) -> ChebyshevApprox:
     return cheb_fit_multi(lambda t: f(t[0]), (t_bar,), d)
 
 
-def pooled_eval_bits(ev, bits, threads: int = 2, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-    """``ev.eval_bits(bits, chunk=chunk)`` of a graph or a reduced form, run
-    on up to ``threads`` workers whether or not its tape is heavy: the
-    evaluate and dtype that ``eval_bits`` hands the chunk driver, which
-    pools every run it is asked to."""
+def chunked_eval_bits(ev, bits, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    """``ev.eval_bits(bits)`` of a graph or a reduced form, in pieces of
+    ``chunk`` configurations on up to ``threads`` workers whether or not its
+    tape is heavy: the evaluate and dtype that ``eval_bits`` hands the chunk
+    driver, which pools every run it is asked to."""
     if isinstance(ev, ComputationGraph):
         tape = ev._tape(False, bits=True)
         return _eval_bits_chunked(lambda piece: ev._evaluate(tape, piece), bits, tape.dtype, threads, chunk)
@@ -45,7 +45,7 @@ def overlap(psi: Statevector, phi: Statevector) -> complex:
 
 def flatten(bm: BipartitionMatrix) -> np.ndarray:
     """Inverse of ``bipartition``: amplitudes back in bits order."""
-    tensor = bm.M.reshape((2,) * bm.n).transpose(np.argsort(_axes(bm.region)))
+    tensor = bm.M.reshape((2,) * bm.region.n).transpose(np.argsort(_axes(bm.region)))
     return np.array(tensor, order="C").reshape(-1)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_state, random_evaluable_dag
-from oracles import cheb_fit_1d, reduced_trace_distance
+from oracles import cheb_fit_1d, chunked_eval_bits, reduced_trace_distance
 
 from nqsent.analytic import dicke_entropy, dicke_entropy_asymptotic, page_value
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
@@ -72,8 +72,9 @@ def _dag_soundness_rows(threads: int) -> list[str]:
         g = random_evaluable_dag(gen, n=n, max_k=8)
         r = feature_reduce(g)
         bits = np.arange(1 << n)
-        full = g.eval_bits(bits, threads=threads, chunk=1024)
-        red = r.eval_bits(bits, threads=threads, chunk=1024)
+        # chunks of 1024 on up to ``threads`` workers, light tape or not
+        full = chunked_eval_bits(g, bits, threads, chunk=1024)
+        red = chunked_eval_bits(r, bits, threads, chunk=1024)
         scale = float(np.abs(full).max())
         err = float(np.abs(full - red).max())
         assert r.mu <= g.k + 1, f"graph {idx}: mu={r.mu} > k+1={g.k + 1}"
@@ -266,7 +267,12 @@ def test_criterion_08_log_scaling_reproduction(phase_sweep):
     res = phase_sweep["result"]
     means = {}
     for size in range(1, 9):
-        tm = res.trial_means(16, size)
+        # per-trial means over the regions of each trial at n=16
+        per_trial = {}
+        for row in res.rows:
+            if row.n == 16 and row.subsystem_size == size:
+                per_trial.setdefault(row.trial, []).append(row.entropy_nats)
+        tm = np.array([float(np.mean(per_trial[t])) for t in sorted(per_trial)])
         assert tm.size == 20
         means[size] = tm
     nondecreasing = True

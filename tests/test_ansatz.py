@@ -269,6 +269,8 @@ def test_ansatz_from_config_dispatch():
     assert g.k == 1
     with pytest.raises(ContractError):
         ansatz_from_config({"family": "rbm", "n": 4}, RngStream(0).child(0))
+    with pytest.raises(ContractError, match="unknown ansatz family"):
+        ansatz_from_config({"family": ["dicke"], "n": 4}, RngStream(0).child(0))
 
 
 @pytest.mark.parametrize(
@@ -284,3 +286,30 @@ def test_ansatz_from_config_dispatch():
 def test_ansatz_from_config_refuses_unknown_keys(block, key):
     with pytest.raises(ContractError, match=f"unknown {block['family']} ansatz key '{key}'"):
         ansatz_from_config(block, RngStream(0).child(0))
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ({"family": "snnqs", "n": 4, "activation": 5}, "activation"),
+        ({"family": "snnqs", "n": 4, "bias_std": "a"}, "bias_std"),
+        ({"family": "mlp", "n": 4, "width": "2"}, "width"),
+        ({"family": "cosnet", "n": 4, "k": 2.5}, "k"),
+        ({"family": "cosnet", "n": 4, "k": True}, "k"),
+        ({"family": "snnqs", "n": 4, "weight_std": False}, "weight_std"),
+        ({"family": "mlp", "n": 4, "layernorm": 1}, "layernorm"),
+    ],
+    ids=["activation_int", "float_str", "int_str", "int_float", "int_bool", "float_bool", "bool_int"],
+)
+def test_ansatz_from_config_refuses_wrong_value_types(block, key):
+    with pytest.raises(ContractError, match=f"{block['family']} ansatz key '{key}' must be"):
+        ansatz_from_config(block, RngStream(0).child(0))
+
+
+def test_ansatz_from_config_takes_numpy_and_integer_values():
+    # numpy integers count as int, and any real but a bool as float
+    rng = RngStream(0).child(0)
+    block = {"family": "cosnet", "n": np.int64(4), "k": np.int32(2), "sigma_a": 10, "sigma_w": np.float32(1.0)}
+    bits = np.arange(16)
+    expected = build_cosnet(CosnetSpec(n=4, k=2), rng).eval_bits(bits)
+    assert np.array_equal(ansatz_from_config(block, rng).eval_bits(bits), expected)

@@ -544,6 +544,10 @@ def _assert_split_chain_matches_state(g, region, degree):
         result, split_distance = approx._split_chain(r.features[0], fit, bipartition(psi, region))
     assert abs(result.entropy - expected.entropy) <= 1e-12
     assert result.schmidt_rank == expected.schmidt_rank
+    # the spectra, each padded with zeros to the longer one's length
+    size = max(result.eigenvalues.size, expected.eigenvalues.size)
+    padded = [np.pad(lam, (0, size - lam.size)) for lam in (result.eigenvalues, expected.eigenvalues)]
+    assert np.abs(padded[0] - padded[1]).max() <= 1e-12
     assert abs(split_distance - distance) <= max(1e-12, 1e-9 * distance)
 
 

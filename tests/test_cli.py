@@ -380,3 +380,26 @@ def test_bad_spin_cap_env_is_domain_error(dicke4_path, tmp_path, monkeypatch, ca
     monkeypatch.delenv("NQS_MAX_N")
     assert main(["--max-n", "0", "statevector", "--graph", dicke4_path, "--out", str(tmp_path / "psi.nqsv")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == {"type": "CapacityError", "message": "max_n=0 is outside 1..26"}
+
+
+@pytest.mark.parametrize("command", ["dicke", "page"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_closed_forms_refuse_n_without_a_cut(command, n, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--n", str(n), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "DomainError"
+    assert f"n={n}" in err["error"]["message"]
+    assert captured.out == "" and not out.exists()
+
+
+def test_run_config_bad_ansatz_value_is_domain_error(tmp_path, capsys):
+    cfg = {"name": "bad", "ansatz": {"family": "snnqs", "activation": 5}, "n_grid": [4]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    message = "snnqs ansatz key 'activation' must be Activation | str, not 5"
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert not (tmp_path / "x.csv").exists()

@@ -5,6 +5,7 @@ from nqsent.core import (
     AffineFeature,
     RngStream,
     Subregion,
+    affine_tables,
     check_n,
     feature_supnorm,
     spin_matrix,
@@ -66,12 +67,12 @@ def test_supnorm_attained():
     assert value == pytest.approx(feature_supnorm(f), rel=1e-15)
 
 
-def test_eval_all_matches_pointwise():
+def test_affine_tables_match_pointwise():
     gen = np.random.default_rng(5)
-    f = AffineFeature(gen.normal(size=5), float(gen.normal()))
-    table = f.eval_all()
-    expect = spin_matrix(np.arange(32), 5) @ f.weights + f.bias
-    assert np.allclose(table, expect, rtol=1e-13, atol=1e-14)
+    weights, bias = gen.normal(size=(3, 5)), gen.normal(size=3)
+    table = affine_tables(weights, bias)
+    expect = spin_matrix(np.arange(32), 5) @ weights.T + bias
+    assert np.allclose(table, expect.T, rtol=1e-13, atol=1e-14)
 
 
 def test_subregion_members_and_complement():
@@ -124,6 +125,30 @@ def test_subregion_fields_are_python_ints():
     assert type(region.mask) is int and type(region.n) is int
     assert type(region.complement().mask) is int
     assert region.complement().mask == 0b11111010
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Subregion.from_members([0.9, 2.2], 4),
+        lambda: Subregion.from_members(np.array([1.0]), 4),
+        lambda: Subregion.from_members(["1"], 4),
+        lambda: Subregion.from_members([True], 4),
+        lambda: Subregion.from_members([np.True_], 4),
+        lambda: Subregion(1.5, 4),
+        lambda: Subregion(1.0, 4),
+        lambda: Subregion(True, 4),
+        lambda: Subregion("1", 4),
+        lambda: Subregion(1, 4.0),
+        lambda: Subregion(1, True),
+    ],
+    ids=["float_members", "float_array", "str_member", "bool_member", "numpy_bool_member",
+         "float_mask", "integral_float_mask", "bool_mask", "str_mask", "float_n", "bool_n"],
+)
+def test_subregion_refuses_non_integral_spins(build):
+    # int() would truncate a float member or mask and read a bool as 0 or 1
+    with pytest.raises(ContractError, match="integer"):
+        build()
 
 
 def test_config_validation():

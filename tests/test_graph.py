@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_dag, random_evaluable_dag
-from oracles import pooled_eval_bits
+from oracles import chunked_eval_bits
 
 from nqsent.activations import EXP_OVERFLOW_LIMIT, Activation
 from nqsent.core import HARD_SPIN_CAP, RngStream, spin_matrix
@@ -385,21 +385,21 @@ def test_eval_bits_thread_determinism():
     g = build_mlp(MlpSpec(n=8, width=4, depth=2), RngStream(5).child(3))
     bits = np.arange(256)
     for ev in (g, feature_reduce(g)):
-        a = ev.eval_bits(bits, threads=1, chunk=32)
-        b = ev.eval_bits(bits, threads=4, chunk=32)
+        a = chunked_eval_bits(ev, bits, threads=1, chunk=32)
+        b = chunked_eval_bits(ev, bits, threads=4, chunk=32)
         assert np.array_equal(a, b)
         # chunking only splits the work: one chunk gives the same amplitudes
-        assert np.array_equal(a, ev.eval_bits(bits, chunk=256))
+        assert np.array_equal(a, ev.eval_bits(bits))
         # the same chunks on pool threads: a light tape's run takes them
         # only when the driver is asked for two workers itself
         many = np.arange(_POOLED_BATCH) % 256
-        pooled = pooled_eval_bits(ev, many, chunk=1 << 12)
-        assert np.array_equal(pooled, ev.eval_bits(many, threads=1, chunk=1 << 12))
+        pooled = chunked_eval_bits(ev, many, threads=2, chunk=1 << 12)
+        assert np.array_equal(pooled, chunked_eval_bits(ev, many, threads=1, chunk=1 << 12))
         # a range gives the bytes of its index array, from any start
         span = range(37, 37 + _POOLED_BATCH)
-        expected = ev.eval_bits(np.arange(span.start, span.stop), chunk=1 << 12).tobytes()
-        assert ev.eval_bits(span, threads=2, chunk=1 << 12).tobytes() == expected
-        assert pooled_eval_bits(ev, span, chunk=1 << 12).tobytes() == expected
+        expected = chunked_eval_bits(ev, np.arange(span.start, span.stop), chunk=1 << 12).tobytes()
+        assert ev.eval_bits(span, threads=2).tobytes() == expected
+        assert chunked_eval_bits(ev, span, threads=2, chunk=1 << 12).tobytes() == expected
 
 
 def bit_batch(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -426,21 +426,21 @@ def check_bits_path(g: ComputationGraph, gen: np.random.Generator) -> None:
     for ev in (g, feature_reduce(g)):
         head = bits[: int(index.max()) + 1]
         try:
-            ref = ev.eval_bits(head, chunk=len(head))
+            ref = ev.eval_bits(head)  # one chunk
         except NumericError:
             for chunk in (1, 64):
                 with pytest.raises(NumericError):
-                    ev.eval_bits(bits, chunk=chunk)
+                    chunked_eval_bits(ev, bits, chunk=chunk)
             continue
         expected = ref[index].tobytes()
         for chunk in (1, 7, 64, 1 << 12):
             for threads in (1, 2):
-                assert ev.eval_bits(bits, threads=threads, chunk=chunk).tobytes() == expected
-        # the same chunks on pool threads
+                assert chunked_eval_bits(ev, bits, threads, chunk).tobytes() == expected
+        # the same chunks on pool threads, over a batch that keeps both busy
         many = np.resize(bits, _POOLED_BATCH)
-        pooled = pooled_eval_bits(ev, many, chunk=1 << 12)
+        pooled = chunked_eval_bits(ev, many, threads=2, chunk=1 << 12)
         assert pooled.tobytes() == ref[np.resize(index, len(many))].tobytes()
-        assert pooled.tobytes() == ev.eval_bits(many, threads=1, chunk=1 << 12).tobytes()
+        assert pooled.tobytes() == ev.eval_bits(many).tobytes()
 
     tape = g._tape(False, bits=True)
     table = np.zeros((max(tape.sizes), len(bits)))
@@ -540,7 +540,7 @@ def test_overflow_names_configuration_past_first_chunk(reduced):
     )
     ev = feature_reduce(g) if reduced else g
     with pytest.raises(AmplitudeOverflowError) as err:
-        ev.eval_bits(np.arange(1 << n), threads=2, chunk=64)
+        chunked_eval_bits(ev, np.arange(1 << n), chunk=64)
     bits = err.value.bits
     assert bits >= 128
     assert f"bits={bits:#x}" in str(err.value)
@@ -548,7 +548,7 @@ def test_overflow_names_configuration_past_first_chunk(reduced):
         ev.eval_bits(np.array([bits]))
     # the same from pool threads, over a batch that keeps both busy
     with pytest.raises(AmplitudeOverflowError) as err:
-        pooled_eval_bits(ev, np.arange(_POOLED_BATCH), chunk=64)
+        chunked_eval_bits(ev, np.arange(_POOLED_BATCH), threads=2, chunk=64)
     assert 128 <= err.value.bits < 192
     assert f"bits={err.value.bits:#x}" in str(err.value)
 
@@ -752,7 +752,7 @@ def test_overflow_names_the_first_failing_column_in_any_block():
     bits = np.arange(1 << n)
     for chunk in (1, 3, 8):
         with pytest.raises(AmplitudeOverflowError) as err:
-            g.eval_bits(bits, chunk=chunk)
+            chunked_eval_bits(g, bits, chunk=chunk)
         assert err.value.bits == 2
 
 
@@ -911,7 +911,7 @@ def test_overflow_in_later_sub_block_reports_global_bits():
     bits = np.arange(3 * width, dtype=np.int64) * 10 + 4
     bits[column] += 7
     with pytest.raises(AmplitudeOverflowError) as err:
-        g.eval_bits(bits, chunk=len(bits))
+        chunked_eval_bits(g, bits, chunk=len(bits))  # one chunk of three sub-blocks
     assert err.value.bits == bits[column]
     assert f"bits={bits[column]:#x}" in str(err.value)
 

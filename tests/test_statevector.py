@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_state, random_evaluable_dag
-from oracles import overlap, pooled_eval_bits
+from oracles import chunked_eval_bits, overlap
 
 from nqsent.ansatz import (
     CosnetSpec,
@@ -39,7 +39,7 @@ from nqsent.statevector import (
 def _pooled(ev, threads: int) -> Statevector:
     """``materialize(ev)`` with its chunks on up to ``threads`` workers,
     although a light tape's state runs on the calling thread."""
-    return _normalized(pooled_eval_bits(ev, range(1 << ev.n), threads), ev.n)
+    return _normalized(chunked_eval_bits(ev, range(1 << ev.n), threads), ev.n)
 
 
 def _pooled_auxiliary(r, fit, threads: int) -> Statevector:
