@@ -61,8 +61,6 @@ def _checked_exp(x):
 
 
 def _rsqrt(x):
-    if np.iscomplexobj(x):
-        raise NumericError("rsqrt requires real input")
     if np.any(x <= 0.0):
         raise NumericError("rsqrt argument must be positive")
     return 1.0 / np.sqrt(x)

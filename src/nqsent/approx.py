@@ -304,8 +304,8 @@ def degree_for_n_multi(n: int, rho_star: float, C: float, mu: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_grid(a: float, mu: int, total: int = DENSE_GRID_POINTS) -> np.ndarray:
-    per_axis = max(8, int(round(total ** (1.0 / mu))))
+def _boundary_grid(a: float, mu: int) -> np.ndarray:
+    per_axis = max(8, int(round(DENSE_GRID_POINTS ** (1.0 / mu))))
     theta = 2.0 * math.pi * (np.arange(per_axis) + 0.5) / per_axis
     ring = np.cosh(a) * np.cos(theta) + 1j * np.sinh(a) * np.sin(theta)
     return _tensor_grid(ring, mu)
@@ -509,10 +509,7 @@ def full_bound_report(
     which also gives the measured entropy. For mu >= 2 the auxiliary state
     is materialized and read like the network's.
     """
-    if isinstance(degree, str):
-        if degree != "auto":
-            raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
-    elif not _is_integer(degree):
+    if not (_is_integer(degree) or isinstance(degree, str) and degree == "auto"):
         raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
     if region.n != g.n:
         raise ContractError(f"region has n={region.n}, graph has n={g.n}")

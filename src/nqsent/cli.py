@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analytic
 from .approx import full_bound_report
 from .core import Subregion, feature_supnorm, resolve_spin_cap
@@ -40,21 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, indent=1, default=_json_default) + "\n"
+def _emit(doc: dict | str, out: str | None = None) -> None:
+    """Write a JSON document, or text as it is, to ``out`` or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=1) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _hex_mask(text: str) -> str:
@@ -70,7 +61,7 @@ def _echo_config(args, extra: dict | None = None) -> None:
     doc = {"schema_version": 1, "resolved_config": {k: v for k, v in vars(args).items() if k != "func"}}
     if extra:
         doc["resolved_config"].update(extra)
-    sys.stdout.write(json.dumps(doc, default=_json_default) + "\n")
+    sys.stdout.write(json.dumps(doc) + "\n")
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -178,12 +169,7 @@ def _cmd_page(args) -> int:
     lines = ["m,page_nats"]
     for m in range(1, args.n):
         lines.append(f"{m},{analytic.page_value(m, args.n)!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -272,15 +258,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    env_cap = os.environ.get("NQS_MAX_N")
     try:
         args = parser.parse_args(argv)
         if args.threads < 1:
             parser.error(f"argument --threads: must be at least 1, got {args.threads}")
-    except _UsageError as exc:
-        sys.stderr.write(json.dumps({"schema_version": 1, "error": {"type": "usage", "message": str(exc)}}) + "\n")
-        return 1
-    env_cap = os.environ.get("NQS_MAX_N")
-    try:
         if args.max_n is not None:
             # the cap holds for the whole command, like NQS_MAX_N
             os.environ["NQS_MAX_N"] = str(resolve_spin_cap(args.max_n))

@@ -153,13 +153,17 @@ class RngStream:
 
     Identical keys reproduce identical draw sequences regardless of thread
     scheduling; substreams derived via :meth:`child` are statistically
-    independent.
+    independent. The seed, the stream id and every child index are Python
+    or numpy integers; anything else, a bool or a float included, is a
+    ContractError rather than a key silently truncated to an integer.
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
+        if not (_is_integer(self.seed) and _is_integer(self.stream_id)):
+            raise ContractError(f"stream seed {self.seed!r} and id {self.stream_id!r} are not both integers")
         # numpy integers would overflow in the 64-bit mixing and key arithmetic
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "stream_id", int(self.stream_id))
@@ -167,6 +171,8 @@ class RngStream:
     def child(self, *indices: int) -> "RngStream":
         h = self.stream_id
         for ix in indices:
+            if not _is_integer(ix):
+                raise ContractError(f"child index {ix!r} is not an integer")
             h = _splitmix64(h ^ (int(ix) & _MASK64))
         return RngStream(self.seed, h)
 

@@ -34,7 +34,6 @@ from .statevector import Statevector
 RANK_THRESHOLD_REL = 1e-10
 RANK_THRESHOLD_ABS = 1e-14
 _EIG_CLAMP = -1e-12
-_DRIFT_RENORM = 1e-10
 _DRIFT_ERROR = 1e-8
 _SKETCH_START = 16
 _TAIL_BLOCK = 1 << 18  # elements of the sketch's residual temporary
@@ -100,39 +99,46 @@ def entropy(bm: BipartitionMatrix) -> EntropyResult:
     ``tail`` reports delta, and 0.0 on the dense path. Both paths run in a
     fixed order and the sketch draws from a stream keyed by the region alone,
     so results do not depend on the thread count of upstream evaluation.
+    A NaN or infinite entry of M raises NumericError on either path: from
+    an eigensolver that fails on it, or from the spectrum's non-finite
+    eigenvalues.
     """
     M = bm.M if bm.M.shape[0] <= bm.M.shape[1] else bm.M.T
-    sketch = _sketched_gram(M, bm.region)
-    gram, tail = sketch if sketch is not None else (_blocked_gram(M), 0.0)
     try:
+        sketch = _sketched_gram(M, bm.region)
+        gram, tail = sketch if sketch is not None else (_blocked_gram(M), 0.0)
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
     return _spectrum(lam, M.shape[0], tail)
 
 
-def _spectrum(lam: np.ndarray, rows: int, tail: float = 0.0) -> EntropyResult:
+def _spectrum(lam: np.ndarray, rows: int, tail: float) -> EntropyResult:
     """The EntropyResult of eigenvalues of a unit-trace reduced density
     matrix with ``rows`` rows, of which ``lam`` are the computed ones.
 
-    The rest are zeros. Values below the clamp window raise NumericError, the
-    others are clipped at 0; a sum off 1 by more than _DRIFT_ERROR raises
-    ConsistencyError, and one off by any amount is renormalized. The rank
-    counts eigenvalues above RANK_THRESHOLD_REL of the largest and above
+    The rest are zeros. A NaN or infinite eigenvalue raises NumericError,
+    as do values below the clamp window; the others are clipped at 0. A sum
+    off 1 by more than _DRIFT_ERROR raises ConsistencyError, and the
+    spectrum is renormalized exactly when its sum is not 1. The rank counts
+    eigenvalues above RANK_THRESHOLD_REL of the largest and above
     RANK_THRESHOLD_ABS.
     """
     lam = np.sort(np.concatenate([lam, np.zeros(rows - lam.size)]))[::-1]
+    if not np.isfinite(lam).all():
+        raise NumericError("Gram eigenvalues are not all finite; the state has a NaN or infinite amplitude")
+    # a hand-built BipartitionMatrix may have no rows; its drift of 1 is refused below
     if lam.size and lam[-1] < _EIG_CLAMP:
         raise NumericError(f"Gram eigenvalue {lam[-1]:.3e} below clamp window")
     lam = np.clip(lam, 0.0, None)
     drift = abs(float(lam.sum()) - 1.0)
     if drift > _DRIFT_ERROR:
         raise ConsistencyError(f"eigenvalue sum drifts from 1 by {drift:.3e}")
-    if drift > _DRIFT_RENORM or lam.sum() != 1.0:
+    if lam.sum() != 1.0:
         lam = lam / lam.sum()
     nz = lam[lam > 0.0]
-    ent = float(-(nz * np.log(nz)).sum()) if nz.size else 0.0
-    cut = max(RANK_THRESHOLD_REL * float(lam[0]) if lam.size else 0.0, RANK_THRESHOLD_ABS)
+    ent = float(-(nz * np.log(nz)).sum())
+    cut = max(RANK_THRESHOLD_REL * float(lam[0]), RANK_THRESHOLD_ABS)
     rank = int((lam > cut).sum())
     return EntropyResult(eigenvalues=lam, entropy=ent, schmidt_rank=rank, tail=tail)
 

@@ -71,11 +71,19 @@ class ExperimentConfig:
         self.seed = int(self.seed)
         if self.k_grid and self.ansatz.get("family") != "cosnet":
             raise ContractError("k_grid needs a cosnet ansatz block")
+        # the grids set these per grid point; a value in the block would be ignored
+        if "n" in self.ansatz:
+            raise ContractError("ansatz key 'n' is set by n_grid; drop it from the ansatz block")
+        if self.k_grid is not None and "k" in self.ansatz:
+            raise ContractError("ansatz key 'k' is set by k_grid; drop it from the ansatz block")
         self.n_grid = _counts("n_grid", self.n_grid)
         if self.k_grid is not None:
             self.k_grid = _counts("k_grid", self.k_grid)
         if self.sizes is not None:
             self.sizes = _counts("sizes", self.sizes, half=True)
+        for n in self.n_grid:
+            if n < 2 or not _default_sizes(self, n):
+                raise ContractError(f"n_grid entry {n} has no subsystem size in 1..{n - 1}")
 
     def to_json(self) -> dict:
         doc = asdict(self)
@@ -106,9 +114,10 @@ def _count(what: str, v, half: bool = False):
 
 
 def _counts(key: str, values, half: bool = False) -> list:
-    """A config list of counts; a ContractError names the first bad entry."""
-    if not isinstance(values, (list, tuple)):
-        raise ContractError(f"{key} must be a list, not {values!r}")
+    """A nonempty config list of counts; a ContractError names the first
+    bad entry."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ContractError(f"{key} must be a nonempty list, not {values!r}")
     return [_count(f"{key} entry", v, half) for v in values]
 
 

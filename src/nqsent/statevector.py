@@ -108,7 +108,7 @@ def _norm(amplitudes: np.ndarray) -> float:
             scaled = piece / scale
             norm_sq_scaled += float(np.sum(scaled.real**2 + scaled.imag**2))
     norm = scale * float(np.sqrt(norm_sq_scaled))
-    if not np.isfinite(norm) or norm == 0.0:
+    if not np.isfinite(norm):
         raise DegenerateStateError(f"state norm {norm} cannot normalize the amplitudes")
     return norm
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,42 @@ def test_parse_rejects_garbage():
         parse_activation("warp")
     with pytest.raises(ContractError):
         parse_activation("softplus")
+    for text, message in (
+        ("tanh(", "cannot parse activation 'tanh('"),
+        ("poly", "poly requires coefficients, e.g. poly(1,0,2)"),
+        ("tanh(2)", "activation 'tanh' takes no arguments"),
+        ("tanh+i*softplus(2)", "pair mode second kind cannot carry parameters"),
+    ):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            parse_activation(text)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"kind": "tanh", "mode": "double"}, "unknown complex mode 'double'"),
+        ({"kind": "tanh", "mode": "pair"}, "pair mode requires a valid second kind"),
+        ({"kind": "tanh", "mode": "pair", "second": "warp"}, "pair mode requires a valid second kind"),
+        ({"kind": "softplus", "beta": 0.0}, "softplus requires beta > 0"),
+        ({"kind": "softplus"}, "softplus requires beta > 0"),
+    ],
+)
+def test_activation_rejects_bad_fields(params, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        Activation(**params)
+
+
+@pytest.mark.parametrize(
+    "kind, x, message",
+    [("rsqrt", [1.0, 0.0], "rsqrt argument must be positive"), ("rsqrt", [-4.0], "rsqrt argument must be positive"),
+     ("recip", [2.0, 0.0], "recip argument must be nonzero")],
+)
+def test_division_kinds_refuse_their_poles(kind, x, message):
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        Activation(kind).apply(np.array(x))
+    # a complex argument is refused before the function sees it
+    with pytest.raises(NumericError, match=f"^activation {kind} does not accept complex input$"):
+        Activation(kind).apply(np.array(x) + 1j)
 
 
 def _one_feature(activation, parameterization="wrap_exp", scale=1.0):

@@ -103,6 +103,9 @@ def test_domain_errors():
         dicke_entropy_asymptotic(10, 0.0)
     with pytest.raises(DomainError):
         dicke_entropy_asymptotic(10, 1.0)
+    for m in (0, 10):
+        with pytest.raises(DomainError, match=f"^m={m} outside 1..9$"):
+            page_value(m, 10)
 
 
 def test_gaussian_form_tiny_p_diverges_without_error():

@@ -203,6 +203,20 @@ def test_transformer_patch_too_large():
         build_transformer(TransformerSpec(n=4, patch=6), RngStream(0).child(0))
 
 
+@pytest.mark.parametrize(
+    "build, spec, message",
+    [
+        (build_snnqs, SnnqsSpec(n=4, parameterization="polar"), "unknown parameterization 'polar'"),
+        (build_transformer, TransformerSpec(n=8, patch=3, stride=0), "stride must be >= 1"),
+        (build_transformer, TransformerSpec(n=8, patch=3, embed_dim=10, heads=4), "embed dim 10 not divisible by 4 heads"),
+    ],
+    ids=["snnqs_parameterization", "transformer_stride", "transformer_heads"],
+)
+def test_builders_refuse_bad_specs(build, spec, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        build(spec, RngStream(0).child(0))
+
+
 def test_cosnet_structure():
     g = build_cosnet(CosnetSpec(n=6, k=5), RngStream(8).child(0))
     assert g.k == 10  # k units for each of the two components

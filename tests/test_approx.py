@@ -159,6 +159,20 @@ def test_evaluate_rejects_malformed_points():
             ChebyshevApprox(np.ones(shape, dtype=complex), (1.0, 2.0), 3, 0.0).evaluate_unit(np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize(
+    "G, t_bars, d, error, message",
+    [
+        (lambda t: t, (), 3, ContractError, "need at least one variable"),
+        (np.sin, (1.0,), -1, DomainError, "degree must be nonnegative"),
+        (lambda t: t[0] * np.inf, (1.0, 1.0), 3, NumericError, "function not finite on the quadrature grid"),
+    ],
+    ids=["no_variables", "negative_degree", "non_finite"],
+)
+def test_multi_fit_refuses(G, t_bars, d, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        cheb_fit_multi(G, t_bars, d)
+
+
 def test_multi_capacity():
     with pytest.raises(CapacityError):
         cheb_fit_multi(lambda t: t[0], (1.0,) * 5, 3)
@@ -180,6 +194,22 @@ def test_rank_bound_values():
     assert rank_bound(3, 2) == 100
     # big integers stay exact
     assert rank_bound(1000, 4) == (1001 * 1002 // 2) ** 4
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_bound(-1, 1), "need d >= 0 and mu >= 1"),
+        (lambda: rank_bound(2, 0), "need d >= 0 and mu >= 1"),
+        (lambda: degree_for_n(10, 0.0, 1.0), "need a > 0 and C > 0"),
+        (lambda: degree_for_n(10, 1.0, -1.0), "need a > 0 and C > 0"),
+        (lambda: degree_for_n_multi(10, 2.0, 0.0, 2), "need C > 0 and mu >= 1"),
+        (lambda: degree_for_n_multi(10, 2.0, 1.0, 0), "need C > 0 and mu >= 1"),
+    ],
+)
+def test_degree_rules_refuse_their_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
 
 
 def test_degree_for_n_example():
@@ -237,6 +267,9 @@ def test_auxiliary_domain_check():
     fit = cheb_fit_multi(r.g_eval, (0.5 * feature_supnorm(r.features[0]),), 4)
     with pytest.raises(ContractError):
         auxiliary_state(r, fit)
+    two = cheb_fit_multi(lambda t: t[0] * t[1], (1.0, 1.0), 2)
+    with pytest.raises(ContractError, match="^fit has 2 variables, reduced form has 1$"):
+        auxiliary_state(r, two)
 
 
 def test_dicke_quadratic_auxiliary_rank():
@@ -349,6 +382,39 @@ def test_softplus_has_no_certificate():
     report = full_bound_report(g, Subregion(0b111, 6), degree=8)
     assert report.empirical_only and not report.certified
     assert report.entropy_bound_final is None
+
+
+def _tanh_chain(depth: int) -> ComputationGraph:
+    """tanh applied ``depth`` times to 0.3 (s_0 + s_1) + 0.1, as the amplitude."""
+    nodes = [Node(0, "nonlinear", ((("s", 0), 0.3), (("s", 1), 0.3)), bias=0.1, activation=Activation("tanh"))]
+    nodes += [Node(j, "nonlinear", ((j - 1, 0.8),), activation=Activation("tanh")) for j in range(1, depth)]
+    nodes.append(Node(depth, "output", ((depth - 1, 1.0),), bias=1.5, output_mode="amplitude"))
+    return ComputationGraph(nodes, n=2)
+
+
+def test_composed_pole_limited_kinds_have_no_certificate():
+    # tanh reading the feature ports is capped by its pole; a tanh of a tanh
+    # has no such cap, so no certificate is claimed
+    assert reduced_certificate(feature_reduce(_tanh_chain(1))) is not None
+    assert reduced_certificate(feature_reduce(_tanh_chain(2))) is None
+
+
+def test_modulus_overflow_on_the_ellipse_ends_the_search():
+    # both parts of every boundary value are finite (about 1.5e308), but
+    # their modulus is not: the sup is infinite from the first parameter on
+    c = 1.5e308
+    g = ComputationGraph(
+        [
+            Node(0, "nonlinear", ((("s", 0), 1e-3),), activation=Activation("exp")),
+            Node(1, "output", ((0, complex(c, c)),), output_mode="amplitude"),
+        ],
+        n=1,
+    )
+    r = feature_reduce(g)
+    t_bars = np.array([feature_supnorm(f) for f in r.features])[:, None]
+    values = r.residual.eval_ports(approx._boundary_grid(approx._A_GRID[0], r.mu) * t_bars)
+    assert np.isfinite(values).all() and np.abs(values).max() == np.inf
+    assert reduced_certificate(r) is None
 
 
 def test_spin_independent_state_has_no_features():
@@ -505,7 +571,7 @@ def test_bound_chain_dominates_measured(family, seed, spins):
     assert report.error_empirical <= report.eps_raw
 
 
-@pytest.mark.parametrize("degree", ["abc", "AUTO", 2.7, 6.0, True, False, None, [6]])
+@pytest.mark.parametrize("degree", ["abc", "AUTO", 2.7, 6.0, True, False, None, [6], np.array([6, 7])])
 def test_full_report_refuses_bad_degree(degree):
     g = build_snnqs(SnnqsSpec(n=6, activation="sin", parameterization="direct"), RngStream(9).child(0))
     with pytest.raises(ContractError, match="degree"):

@@ -204,6 +204,12 @@ def test_page_command(capsys, tmp_path):
     lines = open(out).read().splitlines()
     assert len(lines) == 64
     assert float(lines[32].split(",")[1]) == pytest.approx(32 * math.log(2.0) - 0.5, abs=1e-12)
+    # without --out the CSV follows the config echo on stdout
+    capsys.readouterr()
+    assert main(["page", "--n", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0])["resolved_config"]["out"] is None
+    assert lines[1:] == ["m,page_nats", f"1,{page_value(1, 3)!r}", f"2,{page_value(2, 3)!r}"]
 
 
 def test_run_config_and_determinism(tmp_path, capsys):
@@ -264,6 +270,26 @@ def test_run_config_bad_grid_value_is_domain_error(tmp_path, capsys, key, value,
     message = f"{key} entry {bad} is not {expected}"
     assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"ansatz": {"family": "dicke", "n": 8}}, "ansatz key 'n' is set by n_grid; drop it from the ansatz block"),
+        ({"n_grid": []}, "n_grid must be a nonempty list, not []"),
+        ({"sizes": [9]}, "n_grid entry 4 has no subsystem size in 1..3"),
+    ],
+    ids=["ansatz_n", "empty_n_grid", "no_size"],
+)
+def test_run_config_rewritten_or_empty_grid_is_domain_error(tmp_path, capsys, fields, message):
+    # refused before any run, which would write n=4 rows under the ansatz's n=8, or an empty CSV
+    cfg = {"name": "bad", "ansatz": {"family": "dicke"}, "n_grid": [4], **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert captured.out == "" and not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,19 @@ def test_rng_stream_numpy_integer_keys():
     assert np.array_equal(draw(RngStream(1).child(np.int64(-1), 2)), draw(RngStream(1).child(-1, 2)))
 
 
+@pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (1, 2.0), (True, 0), (1, False), ("1", 0), (None, 0)])
+def test_rng_stream_refuses_non_integer_keys(seed, stream_id):
+    # a float would be truncated to an integer key: RngStream(1.5) drew as RngStream(1)
+    with pytest.raises(ContractError, match="not both integers"):
+        RngStream(seed, stream_id)
+
+
+@pytest.mark.parametrize("index", [2.7, 2.0, True, "2", None])
+def test_rng_stream_refuses_non_integer_child_index(index):
+    with pytest.raises(ContractError, match=f"^child index {index!r} is not an integer$"):
+        RngStream(1).child(0, index)
+
+
 def test_subregion_from_numpy_members():
     region = Subregion.from_members(np.arange(4), 8)
     assert type(region.mask) is int and region.mask == 0b1111

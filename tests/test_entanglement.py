@@ -21,8 +21,8 @@ from nqsent.entanglement import (
     fannes_audenaert_bound,
     subregion_entropy,
 )
-from nqsent.errors import CapacityError, ContractError, DomainError
-from nqsent.statevector import from_amplitudes, materialize, two_norm_distance
+from nqsent.errors import CapacityError, ConsistencyError, ContractError, DomainError, NumericError
+from nqsent.statevector import Statevector, from_amplitudes, materialize, two_norm_distance
 
 
 def bell_state():
@@ -46,6 +46,8 @@ def test_bipartition_rejects_trivial_regions():
         bipartition(bell_state(), Subregion(0b00, 2))
     with pytest.raises(ContractError):
         bipartition(bell_state(), Subregion(0b11, 2))
+    with pytest.raises(ContractError, match="^region has n=3, state has n=2$"):
+        bipartition(bell_state(), Subregion(0b001, 3))
 
 
 def test_bipartition_flatten_roundtrip():
@@ -207,6 +209,51 @@ def test_sketch_rejects_a_tail_above_threshold(monkeypatch):
     assert res.entropy == pytest.approx(-(lam * np.log(lam)).sum(), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_state_is_numeric_error(bad):
+    # the public constructor does not check amplitudes; the eigensolver
+    # returns NaN eigenvalues here, which the spectrum refuses
+    psi = Statevector(np.array([bad, 1.0, 0.0, 0.0]), 2, 1.0)
+    with pytest.raises(NumericError, match="^Gram eigenvalues are not all finite"):
+        subregion_entropy(psi, Subregion(1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("rows", [128, 512], ids=["dense", "sketch"])
+def test_non_finite_matrix_is_numeric_error(rows, dtype):
+    # under 256 rows the dense Gram's eigensolver meets the NaNs; at 512 rows
+    # the sketch's own eigensolver does, before any dense Gram is formed
+    m = rows.bit_length() - 1
+    M = np.random.default_rng(rows).standard_normal((rows, 1024)).astype(dtype)
+    M /= np.linalg.norm(M)
+    M[3, 5] = M[7, 900] = np.nan
+    with pytest.raises(NumericError):
+        entropy(BipartitionMatrix(M, Subregion((1 << m) - 1, m + 10)))
+
+
+def test_spectrum_refuses_negative_and_drifting_eigenvalues():
+    with pytest.raises(NumericError, match="below clamp window"):
+        entanglement._spectrum(np.array([1.0 + 1e-9, -1e-9]), 2, 0.0)
+    # within the clamp window the value is clipped to 0
+    assert list(entanglement._spectrum(np.array([1.0, -1e-13]), 2, 0.0).eigenvalues) == [1.0, 0.0]
+    # M = 0.6 I is no unit vector: its Gram has trace 2 * 0.36 = 0.72
+    with pytest.raises(ConsistencyError, match="drifts from 1 by 2.800e-01"):
+        entropy(BipartitionMatrix(0.6 * np.eye(2), Subregion(1, 2)))
+    # an empty matrix has no eigenvalue at all, and a trace of 0
+    for shape in ((0, 4), (4, 0)):
+        with pytest.raises(ConsistencyError, match="drifts from 1 by 1.000e"):
+            entropy(BipartitionMatrix(np.zeros(shape), Subregion(1, 3)))
+
+
+def test_spectrum_renormalizes_exactly_when_the_sum_is_not_one():
+    lam = np.array([0.75, 0.25])
+    assert entanglement._spectrum(lam, 2, 0.0).eigenvalues.tolist() == [0.75, 0.25]
+    off = np.array([0.75, 0.25 + 4e-16])
+    assert off.sum() != 1.0
+    out = entanglement._spectrum(off, 2, 0.0).eigenvalues
+    assert out.tolist() == (off / off.sum()).tolist()
+
+
 def test_entropy_bytes_repeat_and_ignore_threads(monkeypatch):
     g = build_snnqs(SnnqsSpec(n=16, activation="i*tanh"), RngStream(5).child(1))
     region = Subregion.from_members(np.arange(0, 16, 2), 16)
@@ -311,6 +358,13 @@ def test_fannes_audenaert_values():
     assert expect == pytest.approx(0.8370, abs=5e-5)
     with pytest.raises(DomainError):
         fannes_audenaert_bound(1.5, 2)
+    with pytest.raises(DomainError, match="^subregion must have at least one spin$"):
+        fannes_audenaert_bound(0.5, 0)
+    for t in (-0.1, 1.5):
+        with pytest.raises(DomainError, match=f"^H2 argument {t} outside"):
+            binary_entropy(t)
+    with pytest.raises(DomainError, match="^trace bound must be nonnegative$"):
+        fa_slack_from_bound(-0.1, 3)
 
 
 def test_fa_slack_cap():

@@ -125,7 +125,7 @@ def test_some_exclusions_tolerated():
     assert len(res.rows) == (8 - 2) * 3 * 3
 
 
-def test_cosnet_k_sweep_page_reference():
+def test_cosnet_k_sweep_page_reference(tmp_path):
     cfg = ExperimentConfig(
         name="cos",
         ansatz={"family": "cosnet", "sigma_a": 10.0, "sigma_w": 1.0},
@@ -143,6 +143,8 @@ def test_cosnet_k_sweep_page_reference():
     assert res.page_reference == {"n=8,m=3": pytest.approx(page_value(3, 8))}
     # the one runner attaches the reference to any k grid
     assert run_configs([cfg]).page_reference == res.page_reference
+    write_aggregates(res, tmp_path / "cos.agg.json")
+    assert json.loads((tmp_path / "cos.agg.json").read_text())["page_reference"] == res.page_reference
     # Haar average dominates the ensemble means
     for point in res.aggregates():
         assert point["mean"] <= page_value(3, 8) + 1e-9
@@ -165,6 +167,48 @@ def test_cosnet_without_k_runs_at_the_default_k(tmp_path):
 def test_k_grid_needs_a_cosnet_block():
     with pytest.raises(ContractError, match="k_grid"):
         _phase_cfg(k_grid=[1, 2])
+
+
+_DICKE, _COSNET = {"family": "dicke"}, {"family": "cosnet"}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # values the grids would overwrite at every grid point
+        ({"ansatz": {"family": "dicke", "n": 8}, "n_grid": [4]}, "ansatz key 'n' is set by n_grid; drop it from the ansatz block"),
+        (
+            {"ansatz": {"family": "cosnet", "k": 4}, "n_grid": [4], "k_grid": [2]},
+            "ansatz key 'k' is set by k_grid; drop it from the ansatz block",
+        ),
+        # grids that would run nothing
+        ({"ansatz": _DICKE, "n_grid": []}, "n_grid must be a nonempty list, not []"),
+        ({"ansatz": _COSNET, "n_grid": [4], "k_grid": []}, "k_grid must be a nonempty list, not []"),
+        ({"ansatz": _DICKE, "n_grid": [4], "sizes": []}, "sizes must be a nonempty list, not []"),
+        ({"ansatz": _DICKE, "n_grid": [4], "sizes": [9]}, "n_grid entry 4 has no subsystem size in 1..3"),
+        ({"ansatz": _DICKE, "n_grid": [6, 4], "sizes": [5]}, "n_grid entry 4 has no subsystem size in 1..3"),
+        ({"ansatz": _DICKE, "n_grid": [1]}, "n_grid entry 1 has no subsystem size in 1..0"),
+        ({"ansatz": _DICKE, "n_grid": [1], "region_mode": "fixed-half"}, "n_grid entry 1 has no subsystem size in 1..0"),
+        ({"ansatz": _DICKE, "n_grid": [1], "sizes": ["half"]}, "n_grid entry 1 has no subsystem size in 1..0"),
+        # malformed fields
+        ({"ansatz": _DICKE, "n_grid": 4}, "n_grid must be a nonempty list, not 4"),
+        ({"ansatz": _DICKE, "n_grid": [4], "region_mode": "half"}, "unknown region mode 'half'"),
+    ],
+    ids=[
+        "ansatz_n", "ansatz_k_under_k_grid", "empty_n_grid", "empty_k_grid", "empty_sizes", "size_above_n",
+        "size_above_second_n", "n1", "n1_fixed_half", "n1_half", "n_grid_not_a_list", "region_mode",
+    ],
+)
+def test_config_refuses_grids_that_would_be_rewritten_or_empty(fields, message):
+    with pytest.raises(ContractError) as info:
+        ExperimentConfig(name="bad", **fields)
+    assert str(info.value) == message
+
+
+def test_config_keeps_ansatz_k_without_a_k_grid():
+    cfg = ExperimentConfig(name="k4", ansatz={"family": "cosnet", "k": 4}, n_grid=[4], sizes=[2, 9], trials=1)
+    res = run_sweep(cfg)
+    assert {(r.k, r.subsystem_size) for r in res.rows} == {(4, 2)}
 
 
 def test_config_refuses_unknown_keys():

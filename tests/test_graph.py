@@ -266,6 +266,29 @@ def test_json_raw_spin_reference_format():
     doc = to_json(g)
     assert doc["nodes"][0]["inputs"][0]["from"] == "s_1"
     assert from_json(doc).n == 1
+    doc["nodes"][0]["inputs"][0]["from"] = "x_1"
+    with pytest.raises(ContractError, match="^bad raw spin reference 'x_1'$"):
+        from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("hidden", {}, "unknown node kind 'hidden'"),
+        ("nonlinear", {}, "nonlinear node 3 needs an activation"),
+        ("output", {}, "output node 3 needs a valid output_mode"),
+        ("output", {"output_mode": "phase"}, "output node 3 needs a valid output_mode"),
+    ],
+)
+def test_node_field_rules(kind, params, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        Node(3, kind, ((("s", 0), 1.0),), **params)
+
+
+def test_duplicate_node_ids_refused():
+    nodes = [Node(0, "input", ((("s", 0), 1.0),)), Node(0, "output", ((("s", 0), 1.0),), output_mode="amplitude")]
+    with pytest.raises(ContractError, match="^duplicate node ids$"):
+        ComputationGraph(nodes, n=1)
 
 
 TANH, RELU, I_TANH = Activation("tanh"), Activation("relu"), Activation("tanh", "imag")
@@ -723,6 +746,22 @@ def _overflowing_heavy_graph() -> ComputationGraph:
     spins = tuple((("s", i), 50.0) for i in range(15))
     nodes.append(Node(144, "output", spins + tuple((64 + k, 0.01) for k in range(80)), output_mode="log_amplitude"))
     return ComputationGraph(nodes, n)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overflow_without_a_column_passes_through(threads):
+    # a chunk run takes any evaluator; an overflow that names no column is
+    # re-raised as it is, since no configuration can be named for it
+    error = AmplitudeOverflowError("no column", bits=None)
+
+    def evaluate(piece):
+        if piece[0] == 4:
+            raise error
+        return np.zeros(len(piece))
+
+    with pytest.raises(AmplitudeOverflowError) as err:
+        _eval_bits_chunked(evaluate, range(8), np.float64, threads=threads, chunk=4)
+    assert err.value is error and err.value.bits is None
 
 
 def test_overflow_in_two_chunks_names_the_earlier_one():

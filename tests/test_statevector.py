@@ -99,6 +99,22 @@ def test_from_amplitudes_rejects_non_vectors(raw):
         from_amplitudes(raw)
 
 
+def test_from_amplitudes_rejects_non_power_of_two():
+    with pytest.raises(ContractError, match="^length 3 is not a power of two$"):
+        from_amplitudes([1.0, 2.0, 3.0])
+
+
+def test_statevector_shape_must_match_n():
+    with pytest.raises(ContractError, match=r"^amplitude array has shape \(8,\), expected \(4,\)$"):
+        Statevector(np.ones(8) / math.sqrt(8.0), 2, 1.0)
+
+
+def test_norm_past_the_float_ceiling_is_degenerate():
+    # every amplitude is finite, but the 2-norm 2 * 1.5e308 is not
+    with pytest.raises(DegenerateStateError, match="^state norm inf cannot normalize the amplitudes$"):
+        from_amplitudes(np.full(4, 1.5e308))
+
+
 def test_overlap_and_identity():
     gen = np.random.default_rng(8)
     psi = from_amplitudes(haar_state(6, gen))
@@ -222,6 +238,26 @@ def test_load_nqsv_checks_the_header_before_the_body(tmp_path, monkeypatch):
     monkeypatch.setenv("NQS_MAX_N", "2")
     with pytest.raises(CapacityError):
         load_nqsv(_dump(tmp_path / "n3.nqsv", 3, np.ones(8, dtype="<c16").tobytes()))
+
+
+_N2_BODY = np.ones(4, dtype="<c16").tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"NQSX" + struct.pack("<III", 1, 2, 0) + _N2_BODY, "not a statevector dump"),
+        (b"NQSV" + struct.pack("<II", 1, 2), "not a statevector dump"),
+        (b"NQSV" + struct.pack("<III", 2, 2, 0) + _N2_BODY, "unsupported dump version 2"),
+    ],
+    ids=["magic", "short", "version"],
+)
+def test_load_nqsv_refuses_bad_headers(tmp_path, raw, message):
+    path = tmp_path / "bad.nqsv"
+    path.write_bytes(raw)
+    with pytest.raises(ContractError) as err:
+        load_nqsv(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("size", [48, 65, 80])
