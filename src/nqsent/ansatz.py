@@ -143,8 +143,9 @@ def build_mlp(spec: MlpSpec, rng: RngStream) -> ComputationGraph:
                 for i in range(spec.width)
             ]
 
-    # fixed heads: weight 1+i on every last-layer unit
-    bld.add("output", [(h, 1.0 + 1.0j) for h in prev_refs], output_mode="amplitude")
+    # fixed heads: weight 1 on every last-layer unit, so the state is real;
+    # a common complex head weight such as 1+i would only be a global phase
+    bld.add("output", [(h, 1.0) for h in prev_refs], output_mode="amplitude")
     return bld.graph()
 
 

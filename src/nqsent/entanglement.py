@@ -105,8 +105,11 @@ def entropy(bm: BipartitionMatrix) -> EntropyResult:
     """
     M = bm.M if bm.M.shape[0] <= bm.M.shape[1] else bm.M.T
     try:
-        sketch = _sketched_gram(M, bm.region)
-        gram, tail = sketch if sketch is not None else (_blocked_gram(M), 0.0)
+        # a complex inf entry makes the products meet inf - inf; the
+        # eigensolver or the spectrum then refuses what they give
+        with np.errstate(invalid="ignore", over="ignore"):
+            sketch = _sketched_gram(M, bm.region)
+            gram, tail = sketch if sketch is not None else (_blocked_gram(M), 0.0)
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc

@@ -299,9 +299,7 @@ def _build_presets() -> dict[str, list[ExperimentConfig]]:
     ]
     presets["fig1d"] = [
         ExperimentConfig(name="fig1d_snnqs", ansatz=snnqs_phase, n_grid=list(range(8, 23, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
-        # the MLP n grid stops short of 22: the LayerNorm decomposition makes
-        # large-n sweeps slow
-        ExperimentConfig(name="fig1d_mlp", ansatz=mlp_fig1, n_grid=list(range(8, 19, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
+        ExperimentConfig(name="fig1d_mlp", ansatz=mlp_fig1, n_grid=list(range(8, 23, 2)), region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
         # n = 1 (mod 5): patches of 6 at stride 5 then cover every spin
         ExperimentConfig(name="fig1d_tnqs", ansatz=tnqs_fig1, n_grid=[6, 11, 16, 21], region_mode="random-subset", sizes=["half"], trials=20, regions_per_trial=10),
     ]

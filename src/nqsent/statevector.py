@@ -22,7 +22,8 @@ matrix is built. The norm is then reduced over
 depends on the thread count, so every floating-point result, and
 therefore the output, is byte-identical across --threads settings. The
 ``.nqsv`` dump is complex on disk for either kind, and a dump of a
-normalized state loads back with its amplitudes as written.
+normalized state loads back with its amplitudes as written; a dump whose
+imaginary parts are all +0.0, as a real state's are, loads back float64.
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def two_norm_distance(psi: Statevector, phi: Statevector) -> float:
 def save_nqsv(psi: Statevector, path) -> None:
     """16-byte header (magic, u32 version, u32 n, u32 reserved) then little-endian
     interleaved re/im float64 pairs in ascending bits order; a real state is
-    written with +0.0 imaginary parts."""
+    written with +0.0 imaginary parts. Amplitudes whose norm ``load_nqsv``
+    would refuse (a NaN or infinite amplitude, or all zeros) raise before the
+    path is opened."""
+    _norm(psi.amplitudes)
     header = NQSV_MAGIC + struct.pack("<III", NQSV_VERSION, psi.n, 0)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -173,4 +177,9 @@ def load_nqsv(path) -> Statevector:
     # its last bits
     if abs(norm - 1.0) > n * np.finfo(np.float64).eps:
         amplitudes /= norm
+    # bits, not a tolerance: only a dump whose imaginary parts are all +0.0,
+    # as a real state's are, loads back as the real state it was
+    im = amplitudes.imag
+    if not im.any() and not np.signbit(im).any():
+        amplitudes = np.ascontiguousarray(amplitudes.real)
     return Statevector(amplitudes, n, norm)

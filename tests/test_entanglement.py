@@ -221,14 +221,20 @@ def test_non_finite_state_is_numeric_error(bad):
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("rows", [128, 512], ids=["dense", "sketch"])
 def test_non_finite_matrix_is_numeric_error(rows, dtype):
-    # under 256 rows the dense Gram's eigensolver meets the NaNs; at 512 rows
-    # the sketch's own eigensolver does, before any dense Gram is formed
+    # under 256 rows the dense Gram's eigensolver meets the non-finite
+    # values; at 512 rows the sketch's own eigensolver does, before any dense
+    # Gram is formed. A complex inf meets inf - inf in the products, which
+    # must not end the call in a RuntimeWarning instead.
     m = rows.bit_length() - 1
-    M = np.random.default_rng(rows).standard_normal((rows, 1024)).astype(dtype)
-    M /= np.linalg.norm(M)
-    M[3, 5] = M[7, 900] = np.nan
-    with pytest.raises(NumericError):
-        entropy(BipartitionMatrix(M, Subregion((1 << m) - 1, m + 10)))
+    bads = [np.nan, np.inf]
+    if dtype is np.complex128:
+        bads += [-np.inf, complex(np.inf, 1.0)]
+    for bad in bads:
+        M = np.random.default_rng(rows).standard_normal((rows, 1024)).astype(dtype)
+        M /= np.linalg.norm(M)
+        M[3, 5] = M[7, 900] = bad
+        with pytest.raises(NumericError):
+            entropy(BipartitionMatrix(M, Subregion((1 << m) - 1, m + 10)))
 
 
 def test_spectrum_refuses_negative_and_drifting_eigenvalues():

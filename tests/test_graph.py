@@ -406,8 +406,11 @@ def test_output_uniqueness_enforced():
 
 def test_eval_bits_thread_determinism():
     g = build_mlp(MlpSpec(n=8, width=4, depth=2), RngStream(5).child(3))
+    # a complex output over real cos units reaches the complex table's mirror rows
+    cosnet = build_cosnet(CosnetSpec(n=8, k=4), RngStream(5).child(4))
+    assert cosnet.eval_bits(range(4)).dtype == np.complex128
     bits = np.arange(256)
-    for ev in (g, feature_reduce(g)):
+    for ev in (g, feature_reduce(g), cosnet):
         a = chunked_eval_bits(ev, bits, threads=1, chunk=32)
         b = chunked_eval_bits(ev, bits, threads=4, chunk=32)
         assert np.array_equal(a, b)

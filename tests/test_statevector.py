@@ -21,7 +21,8 @@ from nqsent.ansatz import (
     build_transformer,
 )
 from nqsent.approx import auxiliary_state, cheb_fit_multi
-from nqsent.core import RngStream, feature_supnorm
+from nqsent.core import RngStream, Subregion, feature_supnorm
+from nqsent.entanglement import subregion_entropy
 from nqsent.activations import Activation
 from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError, NumericError
 from nqsent.graph import _TABLE_BYTES, ComputationGraph, Node, _eval_bits_chunked, feature_reduce
@@ -177,6 +178,9 @@ def test_materialize_agrees_with_reduced_form_transformer():
 
 def test_materialize_thread_and_chunk_invariance():
     g = build_mlp(MlpSpec(n=9, width=4, depth=2), RngStream(33).child(0))
+    # a complex output over real cos units reaches the complex table's mirror rows
+    c = build_cosnet(CosnetSpec(n=9, k=4), RngStream(33).child(3))
+    assert c.eval_bits(range(4)).dtype == np.complex128
     # the auxiliary state at n=17 spans two chunks of the shared driver
     r = feature_reduce(build_snnqs(SnnqsSpec(n=17, activation="i*tanh", bias_std=0.5), RngStream(33).child(1)))
     fit = cheb_fit_multi(r.g_eval, [feature_supnorm(f) for f in r.features], 8)
@@ -189,6 +193,8 @@ def test_materialize_thread_and_chunk_invariance():
     for make in (
         lambda t: materialize(g, threads=t),
         lambda t: _pooled(g, t),
+        lambda t: materialize(c, threads=t),
+        lambda t: _pooled(c, t),
         lambda t: auxiliary_state(r, fit) if t == 1 else _pooled_auxiliary(r, fit, t),
         lambda t: auxiliary_state(r2, fit2) if t == 1 else _pooled_auxiliary(r2, fit2, t),
     ):
@@ -291,7 +297,12 @@ def test_non_finite_amplitudes_are_not_a_degenerate_state(tmp_path):
         with pytest.raises(NumericError, match=f"amplitude {bad} is") as err:
             from_amplitudes(raw)
         assert not isinstance(err.value, DegenerateStateError)
-        path = tmp_path / "bad.nqsv"
+        # the unchecked constructor's state is refused before a dump is
+        # written, since load_nqsv would refuse the dump
+        path = tmp_path / f"bad{bad}.nqsv"
+        with pytest.raises(NumericError, match=f"amplitude {bad} is"):
+            save_nqsv(Statevector(np.array(raw), 2, 1.0), path)
+        assert not path.exists()
         path.write_bytes(b"NQSV" + struct.pack("<III", 1, 2, 0) + np.array(raw, dtype="<c16").tobytes())
         with pytest.raises(NumericError, match=f"amplitude {bad} is"):
             load_nqsv(path)
@@ -301,6 +312,14 @@ def test_non_finite_amplitudes_are_not_a_degenerate_state(tmp_path):
     raw[(1 << 16) + 3] = complex(1.0, np.nan)
     with pytest.raises(NumericError, match=f"amplitude {(1 << 16) + 3} is"):
         from_amplitudes(raw)
+
+
+def test_save_nqsv_refuses_a_zero_state(tmp_path):
+    # load_nqsv would refuse the dump as degenerate, so none is written
+    path = tmp_path / "zero.nqsv"
+    with pytest.raises(DegenerateStateError):
+        save_nqsv(Statevector(np.zeros(4), 2, 1.0), path)
+    assert not path.exists()
 
 
 def cosh_graph(spin_weights) -> ComputationGraph:
@@ -456,5 +475,22 @@ def test_real_state_dump_is_complex_on_disk(tmp_path):
     assert body[0::2].tobytes() == psi.amplitudes.tobytes()
     assert not np.signbit(body[1::2]).any() and not body[1::2].any()
     back = load_nqsv(tmp_path / "real.nqsv")
-    assert back.amplitudes.dtype == np.complex128
-    assert np.array_equal(back.amplitudes, psi.amplitudes)
+    assert back.amplitudes.dtype == np.float64
+    assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+
+def test_real_dump_loads_back_real(tmp_path):
+    # a real state's dump loads back float64 with the saved bytes, so its
+    # entropy is the in-memory one; a phase state's dump stays complex
+    dicke = materialize(build_dicke(DickeSpec(10)))
+    mlp = materialize(build_mlp(MlpSpec(n=12), RngStream(42).child(0)))
+    phase = materialize(build_snnqs(SnnqsSpec(n=12, activation="i*tanh"), RngStream(42).child(1)))
+    for psi, dtype in ((dicke, np.float64), (mlp, np.float64), (phase, np.complex128)):
+        assert psi.amplitudes.dtype == dtype
+        path = tmp_path / "state.nqsv"
+        save_nqsv(psi, path)
+        back = load_nqsv(path)
+        assert back.amplitudes.dtype == dtype
+        assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
+        region = Subregion((1 << (psi.n // 2)) - 1, psi.n)
+        assert subregion_entropy(back, region).entropy == subregion_entropy(psi, region).entropy
