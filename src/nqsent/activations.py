@@ -73,29 +73,28 @@ def _recip(x):
 
 
 class _Kind:
-    def __init__(self, fn, holomorphic, entire, pole_spacing=None):
+    def __init__(self, fn, holomorphic, pole_spacing=None):
         self.fn = fn
         # holomorphic kinds accept complex arguments (numpy implementation
         # is the analytic continuation); others require real input
         self.holomorphic = holomorphic
-        self.entire = entire
         # for pole-limited kinds: sigma(z) is singular at z = i*pole_spacing*(m + 1/2)
         self.pole_spacing = pole_spacing
 
 
 _KINDS: dict[str, _Kind] = {
-    "identity": _Kind(lambda x: x, True, True),
-    "tanh": _Kind(np.tanh, True, False, pole_spacing=math.pi),
-    "sin": _Kind(np.sin, True, True),
-    "cos": _Kind(np.cos, True, True),
-    "relu": _Kind(_relu, False, False),
-    "gelu": _Kind(_gelu, False, False),
-    "softplus": _Kind(None, False, False),  # fn built per beta
-    "exp": _Kind(_checked_exp, True, True),
-    "dicke_delta": _Kind(_dicke_delta, False, False),
-    "poly": _Kind(None, True, True),  # fn built per coeffs
-    "rsqrt": _Kind(_rsqrt, False, False),
-    "recip": _Kind(_recip, False, False),
+    "identity": _Kind(lambda x: x, True),
+    "tanh": _Kind(np.tanh, True, pole_spacing=math.pi),
+    "sin": _Kind(np.sin, True),
+    "cos": _Kind(np.cos, True),
+    "relu": _Kind(_relu, False),
+    "gelu": _Kind(_gelu, False),
+    "softplus": _Kind(None, False),  # fn built per beta
+    "exp": _Kind(_checked_exp, True),
+    "dicke_delta": _Kind(_dicke_delta, False),
+    "poly": _Kind(None, True),  # fn built per coeffs
+    "rsqrt": _Kind(_rsqrt, False),
+    "recip": _Kind(_recip, False),
 }
 
 
@@ -119,10 +118,14 @@ class Activation:
                 raise ContractError("pair mode requires a valid second kind")
         if self.kind == "softplus" and (self.beta is None or self.beta <= 0):
             raise ContractError("softplus requires beta > 0")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise ContractError(f"beta {self.beta!r} is not finite")
         if "poly" in self._parts:
             if not self.coeffs:
                 raise ContractError("poly requires coefficients")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+            if not all(map(math.isfinite, self.coeffs)):
+                raise ContractError(f"poly coefficients {self.coeffs} are not all finite")
 
     def _base_fn(self, kind: str):
         if kind == "softplus":
@@ -188,7 +191,7 @@ class Activation:
         distances = [
             _KINDS[k].pole_spacing / 2.0 if _KINDS[k].pole_spacing is not None else 0.0
             for k in self._parts
-            if not _KINDS[k].entire
+            if not (_KINDS[k].holomorphic and _KINDS[k].pole_spacing is None)  # not entire
         ]
         return min(distances) if distances else None
 
@@ -238,18 +241,19 @@ def _parse_base(text: str):
     if not m:
         raise ContractError(f"cannot parse activation {text!r}")
     kind, args = m.group(1), m.group(2)
-    beta = None
-    coeffs = None
     if kind == "softplus":
         if args is None:
             raise ContractError("softplus requires a beta argument, e.g. softplus(2.0)")
-        beta = float(args)
     elif kind == "poly":
         if args is None:
             raise ContractError("poly requires coefficients, e.g. poly(1,0,2)")
-        coeffs = tuple(float(p) for p in args.split(","))
     elif args is not None:
         raise ContractError(f"activation {kind!r} takes no arguments")
+    try:
+        beta = float(args) if kind == "softplus" else None
+        coeffs = tuple(float(p) for p in args.split(",")) if kind == "poly" else None
+    except ValueError:
+        raise ContractError(f"activation {text!r} has a malformed number") from None
     return kind, beta, coeffs
 
 

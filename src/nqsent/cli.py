@@ -15,7 +15,7 @@ import sys
 
 from . import analytic
 from .approx import full_bound_report
-from .core import Subregion, feature_supnorm, resolve_spin_cap
+from .core import Subregion, feature_supnorm
 from .errors import DomainError, NqsError
 from .experiments import (
     ExperimentConfig,
@@ -205,7 +205,6 @@ def build_parser() -> _Parser:
         help="worker threads for statevector evaluation (results do not depend on this)",
     )
     parser.add_argument("--log-base", choices=["e", "2"], default="e", dest="log_base")
-    parser.add_argument("--max-n", type=int, default=None, dest="max_n", help="spin cap for every subcommand (max 26)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a graph JSON file")
@@ -258,14 +257,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    env_cap = os.environ.get("NQS_MAX_N")
     try:
         args = parser.parse_args(argv)
         if args.threads < 1:
             parser.error(f"argument --threads: must be at least 1, got {args.threads}")
-        if args.max_n is not None:
-            # the cap holds for the whole command, like NQS_MAX_N
-            os.environ["NQS_MAX_N"] = str(resolve_spin_cap(args.max_n))
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(json.dumps({"schema_version": 1, "error": {"type": "usage", "message": str(exc)}}) + "\n")
@@ -279,11 +274,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"schema_version": 1, "error": {"type": "io", "message": str(exc)}}) + "\n")
         return 1
-    finally:
-        if env_cap is None:
-            os.environ.pop("NQS_MAX_N", None)
-        else:
-            os.environ["NQS_MAX_N"] = env_cap
 
 
 if __name__ == "__main__":

@@ -23,28 +23,18 @@ HARD_SPIN_CAP = 26
 _MASK64 = (1 << 64) - 1
 
 
-def resolve_spin_cap(max_n: int | None = None) -> int:
-    """Effective spin cap: explicit override, then NQS_MAX_N env var, then 24.
-
-    The hard ceiling of 26 cannot be raised (1 GiB of amplitudes). A cap
-    outside 1..26, or an NQS_MAX_N that is not an integer, is a CapacityError.
-    """
-    cap, source = max_n, "max_n"
-    if cap is None:
-        env = os.environ.get("NQS_MAX_N")
-        if not env:
-            return DEFAULT_SPIN_CAP
-        try:
-            cap, source = int(env), "NQS_MAX_N"
-        except ValueError:
-            raise CapacityError(f"NQS_MAX_N={env!r} is not an integer") from None
-    if not 1 <= cap <= HARD_SPIN_CAP:
-        raise CapacityError(f"{source}={cap} is outside 1..{HARD_SPIN_CAP}")
-    return cap
-
-
 def check_n(n: int) -> None:
-    cap = resolve_spin_cap()
+    """Refuse n outside 1..cap. The cap is NQS_MAX_N, else 24; its hard
+    ceiling of 26 cannot be raised (1 GiB of amplitudes). An NQS_MAX_N
+    outside 1..26, or one that is not an integer, is a CapacityError.
+    """
+    env = os.environ.get("NQS_MAX_N") or str(DEFAULT_SPIN_CAP)
+    try:
+        cap = int(env)
+    except ValueError:
+        raise CapacityError(f"NQS_MAX_N={env!r} is not an integer") from None
+    if not 1 <= cap <= HARD_SPIN_CAP:
+        raise CapacityError(f"NQS_MAX_N={cap} is outside 1..{HARD_SPIN_CAP}")
     if not 1 <= n <= cap:
         raise CapacityError(f"n={n} outside supported range 1..{cap}")
 

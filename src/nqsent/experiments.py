@@ -37,7 +37,7 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "experiment,n,subsystem_size,k,trial,region_mask_hex,seed,entropy_nats"
 
-REGION_MODES = ("fixed-half", "sweep-size", "random-contiguous", "random-subset")
+REGION_MODES = ("sweep-size", "random-contiguous", "random-subset")
 
 _BUILD_LABEL = 0x42
 _FROZEN_LABEL = 0x5A
@@ -161,13 +161,9 @@ class SweepResult:
         return out
 
 
-def _prefix_region(n: int, size: int) -> Subregion:
-    return Subregion((1 << size) - 1, n)
-
-
 def _sample_regions(mode: str, n: int, size: int, count: int, gen: np.random.Generator) -> list[Subregion]:
-    if mode == "fixed-half" or mode == "sweep-size":
-        return [_prefix_region(n, size)]
+    if mode == "sweep-size":  # the prefix cut
+        return [Subregion((1 << size) - 1, n)]
     regions = []
     for _ in range(count):
         if mode == "random-contiguous":
@@ -183,8 +179,6 @@ def _default_sizes(cfg: ExperimentConfig, n: int) -> list[int]:
     if cfg.sizes is not None:
         resolved = [n // 2 if s == "half" else s for s in cfg.sizes]
         return [s for s in resolved if 1 <= s <= n - 1]
-    if cfg.region_mode == "fixed-half":
-        return [n // 2]
     return list(range(1, n))
 
 
@@ -283,7 +277,7 @@ def _build_presets() -> dict[str, list[ExperimentConfig]]:
         ExperimentConfig(name="fig1a_dicke", ansatz={"family": "dicke"}, n_grid=[22], region_mode="sweep-size", trials=1, regions_per_trial=1)
     ]
     presets["fig1b"] = [
-        ExperimentConfig(name="fig1b_dicke", ansatz={"family": "dicke"}, n_grid=list(range(4, 23, 2)), region_mode="fixed-half", trials=1, regions_per_trial=1)
+        ExperimentConfig(name="fig1b_dicke", ansatz={"family": "dicke"}, n_grid=list(range(4, 23, 2)), region_mode="sweep-size", sizes=["half"], trials=1, regions_per_trial=1)
     ]
 
     snnqs_phase = {"family": "snnqs", "activation": "i*tanh", "parameterization": "wrap_exp", "bias_std": 0.5}

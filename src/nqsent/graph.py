@@ -59,6 +59,8 @@ import concurrent.futures
 import functools
 import heapq
 import json
+import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -67,7 +69,7 @@ import numpy as np
 import scipy.sparse
 
 from .activations import Activation, format_activation, parse_activation, _checked_exp
-from .core import HARD_SPIN_CAP, AffineFeature, affine_tables
+from .core import HARD_SPIN_CAP, AffineFeature, _is_integer, affine_tables
 from .errors import AmplitudeOverflowError, CapacityError, ContractError, CycleError
 
 # node input references are int node ids or ("s", spin_index) raw-spin tuples
@@ -264,6 +266,8 @@ class ComputationGraph:
     """
 
     def __init__(self, nodes: Sequence[Node], n: int):
+        if not _is_integer(n):
+            raise ContractError(f"n {n!r} is not an integer")
         self.n = int(n)
         self.nodes = {node.id: node for node in nodes}
         if len(self.nodes) != len(nodes):
@@ -843,10 +847,21 @@ def _num_to_json(x: complex):
     return x.real if x.imag == 0.0 else [x.real, x.imag]
 
 
+def _int_from_json(v) -> int:
+    if not _is_integer(v):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _num_from_json(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+    """A finite real number or an [re, im] pair of them; never a bool or a string."""
+    re, im = v if isinstance(v, (list, tuple)) else (v, 0.0)
+    for x in (re, im):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise TypeError(f"{x!r} is not a number")
+        if not math.isfinite(x):
+            raise ValueError(f"{x!r} is not finite")
+    return complex(re, im)
 
 
 def _ref_to_json(ref):
@@ -858,7 +873,7 @@ def _ref_from_json(v):
         if not v.startswith("s_"):
             raise ContractError(f"bad raw spin reference {v!r}")
         return ("s", int(v[2:]) - 1)
-    return int(v)
+    return _int_from_json(v)
 
 
 def to_json(g: ComputationGraph) -> dict:
@@ -884,11 +899,13 @@ def from_json(doc: dict) -> ComputationGraph:
     raises ``ContractError`` naming the node and the field."""
     node, key, nodes = "document", "n", []
     try:
-        n = int(doc["n"])
+        n = _int_from_json(doc["n"])
+        if n < 1:
+            raise ValueError(f"{n} is not at least 1")
         key = "nodes"
         for position, entry in enumerate(doc["nodes"]):
             node, key = f"node at position {position}", "id"
-            nid = int(entry["id"])
+            nid = _int_from_json(entry["id"])
             node, key = f"node {nid}", "kind"
             kind, inputs = entry["kind"], []
             for j, e in enumerate(entry.get("inputs", [])):
@@ -902,7 +919,7 @@ def from_json(doc: dict) -> ComputationGraph:
             activation = parse_activation(entry["activation"]) if entry.get("activation") else None
             output_mode = entry.get("output_mode", "amplitude") if kind == "output" else None
             nodes.append(Node(nid, kind, tuple(inputs), bias, activation, output_mode))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ContractError(f"malformed graph JSON: {node}, field {key!r}: {type(exc).__name__}: {exc}") from None
     return ComputationGraph(nodes, n)
 

@@ -130,6 +130,8 @@ def test_parse_rejects_garbage():
         ({"kind": "tanh", "mode": "pair", "second": "warp"}, "pair mode requires a valid second kind"),
         ({"kind": "softplus", "beta": 0.0}, "softplus requires beta > 0"),
         ({"kind": "softplus"}, "softplus requires beta > 0"),
+        ({"kind": "softplus", "beta": float("inf")}, "beta inf is not finite"),
+        ({"kind": "poly", "coeffs": (1.0, float("nan"))}, "poly coefficients (1.0, nan) are not all finite"),
     ],
 )
 def test_activation_rejects_bad_fields(params, message):

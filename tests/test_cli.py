@@ -6,8 +6,7 @@ import pytest
 
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
 from nqsent.cli import main
-from nqsent import cli
-from nqsent.core import RngStream, resolve_spin_cap
+from nqsent.core import RngStream
 from nqsent.graph import save_graph, to_json
 from nqsent.statevector import from_amplitudes, load_nqsv, save_nqsv
 
@@ -105,6 +104,56 @@ def test_validate_malformed_graph_json_is_a_contract_error(doc, where, tmp_path,
     good = {"n": 2, "nodes": [_GRAPH_NODE]}
     path.write_text(json.dumps(good))
     assert main(["validate", "--graph", str(path)]) == 0
+
+
+_LINEAR_NODE = {"id": 1, "kind": "linear", "inputs": [{"from": "s_2", "weight": 0.5}], "bias": 0.25}
+_READER_NODE = dict(_GRAPH_NODE, inputs=[{"from": "s_1", "weight": 1.0}, {"from": 1, "weight": [0.5, 0.0]}])
+
+
+def _two_nodes(n=2, **fields):
+    """A valid two-node graph document with ``fields`` set on the linear node."""
+    return {"n": n, "nodes": [_READER_NODE, dict(_LINEAR_NODE, **fields)]}
+
+
+def _weight(w):
+    return {"inputs": [{"from": "s_2", "weight": w}]}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (_two_nodes(id=0.5), "node at position 1, field 'id': ValueError: 0.5 is not an integer"),
+        (_two_nodes(id="3"), "node at position 1, field 'id': ValueError: '3' is not an integer"),
+        (_two_nodes(id=True), "node at position 1, field 'id': ValueError: True is not an integer"),
+        (
+            {"n": 2, "nodes": [dict(_READER_NODE, inputs=[{"from": 0.7, "weight": 1.0}]), _LINEAR_NODE]},
+            "node 0, field 'inputs[0].from': ValueError: 0.7 is not an integer",
+        ),
+        (_two_nodes(n=2.9), "document, field 'n': ValueError: 2.9 is not an integer"),
+        (_two_nodes(n=True), "document, field 'n': ValueError: True is not an integer"),
+        (_two_nodes(n=-1), "document, field 'n': ValueError: -1 is not at least 1"),
+        (_two_nodes(**_weight("2")), "node 1, field 'inputs[0].weight': TypeError: '2' is not a number"),
+        (_two_nodes(**_weight(True)), "node 1, field 'inputs[0].weight': TypeError: True is not a number"),
+        (_two_nodes(**_weight(float("nan"))), "node 1, field 'inputs[0].weight': ValueError: nan is not finite"),
+        (_two_nodes(**_weight([1.0, 2.0, 3.0])), "node 1, field 'inputs[0].weight': ValueError: too many values"),
+        (_two_nodes(bias=float("inf")), "node 1, field 'bias': ValueError: inf is not finite"),
+        (_two_nodes(bias=[0.0, "1"]), "node 1, field 'bias': TypeError: '1' is not a number"),
+        (_two_nodes(bias=10**400), "node 1, field 'bias': OverflowError"),
+    ],
+    ids=[
+        "id_half", "id_string", "id_bool", "from_float", "n_float", "n_bool", "n_negative", "weight_string",
+        "weight_bool", "weight_nan", "weight_triple", "bias_inf", "bias_pair_string", "bias_huge",
+    ],
+)
+def test_validate_refuses_numbers_instead_of_coercing_them(doc, where, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--graph", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ContractError" and err["message"].startswith(f"malformed graph JSON: {where}")
+    path.write_text(json.dumps(_two_nodes()))
+    assert main(["validate", "--graph", str(path)]) == 0
+    assert _last_json(capsys)["nodes"] == 2
 
 
 def test_statevector_entropy_pipeline(dicke4_path, tmp_path, capsys):
@@ -371,28 +420,31 @@ def test_max_n_cap(tmp_path, capsys):
 
 
 def test_max_n_holds_for_every_subcommand(dicke4_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NQS_MAX_N", "20")
-    # below the graph's n=4, the flag stops the bound chain's materialize
-    assert main(["--max-n", "3", "bound", "--graph", dicke4_path, "--region", "3", "--degree", "2"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "CapacityError"
-    seen = []
+    # NQS_MAX_N is the cap's one switch; below the graph's n=4 it stops each
+    # subcommand that builds a state, and main leaves the environment alone
+    monkeypatch.setenv("NQS_MAX_N", "3")
+    config = tmp_path / "dicke.json"
+    config.write_text(json.dumps({"name": "d", "ansatz": {"family": "dicke"}, "n_grid": [4], "trials": 1}))
+    for argv in (
+        ["bound", "--graph", dicke4_path, "--region", "3", "--degree", "2"],
+        ["statevector", "--graph", dicke4_path, "--out", str(tmp_path / "psi.nqsv")],
+        ["run", "--config", str(config), "--out", str(tmp_path / "rows.csv")],
+    ):
+        assert main(argv) == 2
+        message = "n=4 outside supported range 1..3"
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "CapacityError", "message": message}
+        assert os.environ["NQS_MAX_N"] == "3"
+    monkeypatch.setenv("NQS_MAX_N", "4")
+    assert main(["statevector", "--graph", dicke4_path, "--out", str(tmp_path / "psi.nqsv")]) == 0
 
-    class Report:
-        def to_json(self):
-            return {}
 
-    def fake_report(*args, **kwargs):
-        seen.append(resolve_spin_cap())
-        return Report()
-
-    monkeypatch.setattr(cli, "full_bound_report", fake_report)
-    assert main(["--max-n", "25", "bound", "--graph", dicke4_path, "--region", "3"]) == 0
-    assert seen == [25]
-    assert os.environ["NQS_MAX_N"] == "20"
-    monkeypatch.delenv("NQS_MAX_N")
-    assert main(["--max-n", "26", "bound", "--graph", dicke4_path, "--region", "3"]) == 0
-    assert seen == [25, 26]
-    assert "NQS_MAX_N" not in os.environ
+def test_max_n_flag_is_gone(dicke4_path, tmp_path, capsys):
+    # the spin cap has one spelling, the environment variable
+    statevector = ["statevector", "--graph", dicke4_path, "--out", str(tmp_path / "psi.nqsv")]
+    for argv in (["--max-n", "26", *statevector], [*statevector, "--max-n", "26"]):
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+    assert not (tmp_path / "psi.nqsv").exists()
 
 
 @pytest.mark.parametrize("env", ["abc", "-3"])
@@ -402,10 +454,6 @@ def test_bad_spin_cap_env_is_domain_error(dicke4_path, tmp_path, monkeypatch, ca
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "CapacityError" and "NQS_MAX_N" in err["message"]
     assert os.environ["NQS_MAX_N"] == env
-    # --max-n goes through the same check
-    monkeypatch.delenv("NQS_MAX_N")
-    assert main(["--max-n", "0", "statevector", "--graph", dicke4_path, "--out", str(tmp_path / "psi.nqsv")]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == {"type": "CapacityError", "message": "max_n=0 is outside 1..26"}
 
 
 @pytest.mark.parametrize("command", ["dicke", "page"])
@@ -418,6 +466,39 @@ def test_closed_forms_refuse_n_without_a_cut(command, n, tmp_path, capsys):
     assert err["error"]["type"] == "DomainError"
     assert f"n={n}" in err["error"]["message"]
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "activation, message",
+    [
+        ("poly()", "activation 'poly()' has a malformed number"),
+        ("softplus(abc)", "activation 'softplus(abc)' has a malformed number"),
+        ("softplus(nan)", "beta nan is not finite"),
+        ("poly(1,inf)", "poly coefficients (1.0, inf) are not all finite"),
+    ],
+)
+def test_run_config_bad_activation_number_is_domain_error(tmp_path, capsys, activation, message):
+    cfg = {"name": "bad", "ansatz": {"family": "snnqs", "activation": activation}, "n_grid": [4], "trials": 1}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_config_fixed_half_mode_is_gone(tmp_path, capsys):
+    # the half cut is spelled region_mode "sweep-size" with sizes ["half"]
+    cfg = {"name": "half", "ansatz": {"family": "dicke"}, "n_grid": [6], "region_mode": "fixed-half", "trials": 1}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": "unknown region mode 'fixed-half'"}}
+    cfg.update(region_mode="sweep-size", sizes=["half"])
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
+    assert (tmp_path / "x.csv").read_text().splitlines()[1].startswith("half,6,3,1,0,7,0,")
 
 
 def test_run_config_bad_ansatz_value_is_domain_error(tmp_path, capsys):

@@ -172,18 +172,21 @@ def test_config_validation():
 
 
 def test_spin_cap_env_override(monkeypatch):
-    from nqsent.core import resolve_spin_cap
-
     monkeypatch.delenv("NQS_MAX_N", raising=False)
-    assert resolve_spin_cap() == 24
+    check_n(24)
+    with pytest.raises(CapacityError, match=r"^n=25 outside supported range 1\.\.24$"):
+        check_n(25)
     monkeypatch.setenv("NQS_MAX_N", "26")
-    assert resolve_spin_cap() == 26
     check_n(25)  # env raises the cap
+    check_n(26)
+    monkeypatch.setenv("NQS_MAX_N", "20")
+    with pytest.raises(CapacityError, match=r"^n=21 outside supported range 1\.\.20$"):
+        check_n(21)  # and lowers it
     monkeypatch.setenv("NQS_MAX_N", "30")
-    with pytest.raises(CapacityError):
-        resolve_spin_cap()
-    # explicit argument beats the environment
-    assert resolve_spin_cap(max_n=20) == 20
+    with pytest.raises(CapacityError, match="^NQS_MAX_N=30 is outside 1..26$"):
+        check_n(4)
+    monkeypatch.setenv("NQS_MAX_N", "")
+    check_n(24)  # an empty value is no setting
 
 
 @pytest.mark.parametrize(
@@ -197,15 +200,9 @@ def test_spin_cap_env_override(monkeypatch):
     ],
 )
 def test_spin_cap_refuses_bad_env(monkeypatch, env, message):
-    from nqsent.core import resolve_spin_cap
-
     monkeypatch.setenv("NQS_MAX_N", env)
-    with pytest.raises(CapacityError) as info:
-        resolve_spin_cap()
-    assert str(info.value) == message
-    with pytest.raises(CapacityError, match="NQS_MAX_N"):
-        check_n(4)
-    # an explicit cap does not read the environment
-    assert resolve_spin_cap(max_n=20) == 20
-    with pytest.raises(CapacityError, match="max_n=0 is outside 1..26"):
-        resolve_spin_cap(max_n=0)
+    # refused for any n, also one a valid cap would admit
+    for n in (1, 4):
+        with pytest.raises(CapacityError) as info:
+            check_n(n)
+        assert str(info.value) == message

@@ -87,13 +87,15 @@ def test_dicke_sweep_matches_analytic_with_zero_std():
 
 
 def test_region_modes():
-    for mode in ("fixed-half", "sweep-size", "random-contiguous", "random-subset"):
-        cfg = _phase_cfg(region_mode=mode, sizes=None if mode == "fixed-half" else [2, 3], trials=2)
+    # the half cut is the sweep-size prefix at n // 2
+    res = run_sweep(_phase_cfg(region_mode="sweep-size", sizes=["half"], trials=2))
+    assert [(r.subsystem_size, r.region_mask) for r in res.rows] == [(4, 0b1111)] * 2
+    for mode in ("sweep-size", "random-contiguous", "random-subset"):
+        cfg = _phase_cfg(region_mode=mode, sizes=[2, 3], trials=2)
         res = run_sweep(cfg)
         assert res.rows
-        if mode == "fixed-half":
-            assert {r.subsystem_size for r in res.rows} == {4}
-            assert {r.region_mask for r in res.rows} == {0b1111}
+        if mode == "sweep-size":
+            assert {r.region_mask for r in res.rows} == {0b11, 0b111}
         if mode == "random-contiguous":
             # windows wrap periodically; every mask has the right popcount
             for r in res.rows:
@@ -188,7 +190,8 @@ _DICKE, _COSNET = {"family": "dicke"}, {"family": "cosnet"}
         ({"ansatz": _DICKE, "n_grid": [4], "sizes": [9]}, "n_grid entry 4 has no subsystem size in 1..3"),
         ({"ansatz": _DICKE, "n_grid": [6, 4], "sizes": [5]}, "n_grid entry 4 has no subsystem size in 1..3"),
         ({"ansatz": _DICKE, "n_grid": [1]}, "n_grid entry 1 has no subsystem size in 1..0"),
-        ({"ansatz": _DICKE, "n_grid": [1], "region_mode": "fixed-half"}, "n_grid entry 1 has no subsystem size in 1..0"),
+        # the removed fixed-half mode; its half cut is the next case's sizes ["half"]
+        ({"ansatz": _DICKE, "n_grid": [1], "region_mode": "fixed-half"}, "unknown region mode 'fixed-half'"),
         ({"ansatz": _DICKE, "n_grid": [1], "sizes": ["half"]}, "n_grid entry 1 has no subsystem size in 1..0"),
         # malformed fields
         ({"ansatz": _DICKE, "n_grid": 4}, "n_grid must be a nonempty list, not 4"),

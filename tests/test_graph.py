@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import threading
 
 import numpy as np
@@ -283,6 +284,13 @@ def test_json_raw_spin_reference_format():
 def test_node_field_rules(kind, params, message):
     with pytest.raises(ContractError, match=f"^{message}$"):
         Node(3, kind, ((("s", 0), 1.0),), **params)
+
+
+@pytest.mark.parametrize("n", [2.9, True, "2"])
+def test_graph_n_is_not_coerced(n):
+    nodes = [Node(0, "output", ((("s", 0), 1.0),), output_mode="amplitude")]
+    with pytest.raises(ContractError, match=f"^n {re.escape(repr(n))} is not an integer$"):
+        ComputationGraph(nodes, n=n)
 
 
 def test_duplicate_node_ids_refused():
