@@ -1,9 +1,7 @@
 """Closed-form reference values: zero-magnetization (Dicke) spectra and
 entropies, their large-n Gaussian form, and the Haar-average (Page) entropy.
 
-These are the oracles the statevector pipeline is tested against. Binomial
-ratios use exact rational arithmetic up to n = 64 and log-gamma floats
-beyond, which keeps oracle values free of cancellation noise.
+These are the oracles the statevector pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -11,14 +9,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import digamma
 
 from .errors import DomainError
-
-RATIONAL_LIMIT = 64
 
 
 @dataclass
@@ -50,28 +45,17 @@ def dicke_spectrum(n: int, m: int) -> DickeSpectrum:
     if not 1 <= m <= n - 1:
         raise DomainError(f"m={m} outside 1..{n - 1}")
     idx = list(_support(n, m))
-    if n <= RATIONAL_LIMIT:
-        c = math.comb(n, n // 2)
-        vals = [Fraction(math.comb(n - m, n // 2 - i) * math.comb(m, i), c) for i in idx]
-        assert sum(vals) == 1
-        lam = np.array([float(v) for v in vals])
-    else:
-        logc = math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1)
-        lam = np.array(
-            [
-                math.exp(
-                    math.lgamma(n - m + 1)
-                    - math.lgamma(n // 2 - i + 1)
-                    - math.lgamma(n // 2 - m + i + 1)
-                    + math.lgamma(m + 1)
-                    - math.lgamma(i + 1)
-                    - math.lgamma(m - i + 1)
-                    - logc
-                )
-                for i in idx
-            ]
-        )
-        lam = lam / lam.sum()
+    # a_i = C(n-m, n/2-i) C(m, i) by an exact integer recurrence in i; each
+    # int/int true division is correctly rounded, so every eigenvalue is the
+    # exact hypergeometric probability rounded once
+    h = n // 2
+    a = math.comb(n - m, h - idx[0]) * math.comb(m, idx[0])
+    c = math.comb(n, h)
+    vals = []
+    for i in idx:
+        vals.append(a / c)
+        a = a * (h - i) * (m - i) // ((i + 1) * (h - m + i + 1))
+    lam = np.array(vals)
     return DickeSpectrum(n=n, m=m, indices=idx, eigenvalues=lam)
 
 

@@ -61,6 +61,7 @@ import heapq
 import json
 import math
 import numbers
+import re
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -222,8 +223,12 @@ class Node:
             raise ContractError(f"unknown node kind {self.kind!r}")
         if self.kind == "nonlinear" and self.activation is None:
             raise ContractError(f"nonlinear node {self.id} needs an activation")
+        if self.kind in ("input", "linear", "output") and self.activation is not None:
+            raise ContractError(f"{self.kind} node {self.id} takes no activation")
         if self.kind == "output" and self.output_mode not in ("amplitude", "log_amplitude"):
             raise ContractError(f"output node {self.id} needs a valid output_mode")
+        if self.kind != "output" and self.output_mode is not None:
+            raise ContractError(f"{self.kind} node {self.id} takes no output_mode")
         object.__setattr__(self, "inputs", tuple([(ref, complex(w)) for ref, w in self.inputs]))
         object.__setattr__(self, "bias", complex(self.bias))
         object.__setattr__(self, "raw", tuple([_is_raw(ref) for ref, _ in self.inputs]))
@@ -248,9 +253,10 @@ class ComputationGraph:
     """Validated DAG over n spins with exactly one output node.
 
     Construction rules (``ContractError`` unless noted; ``Node`` itself
-    rejects an unknown kind, a nonlinear node without an activation, a
-    product without exactly two inputs or with a bias or activation, and an
-    output without a valid ``output_mode``):
+    rejects an unknown kind, a nonlinear node without an activation, an
+    activation on any other node, a product without exactly two inputs or
+    with a bias, an output without a valid ``output_mode`` and an
+    ``output_mode`` on any other node):
 
     * node ids are unique and exactly one node is the output;
     * referenced nodes exist, raw spins lie in 0..n-1, no node reads the output;
@@ -869,11 +875,16 @@ def _ref_to_json(ref):
 
 
 def _ref_from_json(v):
+    """A node id, or a raw spin as ``to_json`` writes it: ``s_`` and a decimal of at least 1."""
     if isinstance(v, str):
-        if not v.startswith("s_"):
-            raise ContractError(f"bad raw spin reference {v!r}")
+        if not re.fullmatch(r"s_[1-9][0-9]*", v):
+            raise ValueError(f"bad raw spin reference {v!r}")
         return ("s", int(v[2:]) - 1)
     return _int_from_json(v)
+
+
+def _unknown_keys(entry: dict, known: tuple, prefix: str = "") -> list:
+    return [prefix + key for key in sorted(set(entry) - set(known))]
 
 
 def to_json(g: ComputationGraph) -> dict:
@@ -895,33 +906,44 @@ def to_json(g: ComputationGraph) -> dict:
 
 
 def from_json(doc: dict) -> ComputationGraph:
-    """The graph of a ``to_json`` document; a document of any other shape
-    raises ``ContractError`` naming the node and the field."""
-    node, key, nodes = "document", "n", []
+    """The graph of a ``to_json`` document. A field that does not parse, or
+    a key ``to_json`` does not write, raises ``ContractError`` naming the
+    node and the field; ``Node`` and ``ComputationGraph`` then apply their
+    own rules, with their own messages, to the fields as read."""
+    node, key, fields = "document", "n", []
     try:
         n = _int_from_json(doc["n"])
         if n < 1:
             raise ValueError(f"{n} is not at least 1")
         key = "nodes"
-        for position, entry in enumerate(doc["nodes"]):
+        entries = doc["nodes"]
+        # each loop over unknown keys names the first one as the field
+        for key in _unknown_keys(doc, ("schema_version", "n", "nodes")):
+            raise ValueError("unknown key")
+        for position, entry in enumerate(entries):
             node, key = f"node at position {position}", "id"
             nid = _int_from_json(entry["id"])
-            node, key = f"node {nid}", "kind"
+            node = f"node {nid}"
+            for key in _unknown_keys(entry, ("id", "kind", "inputs", "bias", "activation", "output_mode")):
+                raise ValueError("unknown key")
+            key = "kind"
             kind, inputs = entry["kind"], []
             for j, e in enumerate(entry.get("inputs", [])):
                 key = f"inputs[{j}].from"
                 ref = _ref_from_json(e["from"])
                 key = f"inputs[{j}].weight"
                 inputs.append((ref, _num_from_json(e["weight"])))
+                for key in _unknown_keys(e, ("from", "weight"), f"inputs[{j}]."):
+                    raise ValueError("unknown key")
             key = "bias"
             bias = _num_from_json(entry.get("bias", 0.0))
             key = "activation"
-            activation = parse_activation(entry["activation"]) if entry.get("activation") else None
-            output_mode = entry.get("output_mode", "amplitude") if kind == "output" else None
-            nodes.append(Node(nid, kind, tuple(inputs), bias, activation, output_mode))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            activation = parse_activation(entry["activation"]) if "activation" in entry else None
+            output_mode = entry.get("output_mode", "amplitude" if kind == "output" else None)
+            fields.append((nid, kind, tuple(inputs), bias, activation, output_mode))
+    except (ContractError, KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ContractError(f"malformed graph JSON: {node}, field {key!r}: {type(exc).__name__}: {exc}") from None
-    return ComputationGraph(nodes, n)
+    return ComputationGraph([Node(*f) for f in fields], n)
 
 
 def save_graph(g: ComputationGraph, path) -> None:

@@ -59,10 +59,18 @@ def test_entropy_matches_statevector_oracle():
         assert got == pytest.approx(dicke_entropy(12, m), abs=1e-10)
 
 
-def test_large_n_uses_float_path():
-    # n=100 is beyond the exact-rational limit; value frozen from the
-    # rational evaluation at build time
+def test_entropy_at_n100():
+    # value frozen from an exact rational evaluation
     assert dicke_entropy(100, 50) == pytest.approx(2.3402461037710593, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [66, 100, 1000])
+def test_spectrum_is_the_exact_ratio_rounded_once(n):
+    c = math.comb(n, n // 2)
+    for m in (1, n // 4, n // 2, n - 1):
+        spec = dicke_spectrum(n, m)
+        expect = [float(Fraction(math.comb(n - m, n // 2 - i) * math.comb(m, i), c)) for i in spec.indices]
+        assert spec.eigenvalues.tobytes() == np.array(expect).tobytes()
 
 
 def test_exact_value_at_n1000():

@@ -268,7 +268,82 @@ def test_json_raw_spin_reference_format():
     assert doc["nodes"][0]["inputs"][0]["from"] == "s_1"
     assert from_json(doc).n == 1
     doc["nodes"][0]["inputs"][0]["from"] = "x_1"
-    with pytest.raises(ContractError, match="^bad raw spin reference 'x_1'$"):
+    message = "malformed graph JSON: node 0, field 'inputs[0].from': ValueError: bad raw spin reference 'x_1'"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        from_json(doc)
+
+
+def _three_spin_doc():
+    """A valid 3-spin graph document: input 0, linear 1, nonlinear 2, output 3."""
+    return {
+        "schema_version": 1,
+        "n": 3,
+        "nodes": [
+            {"id": 0, "kind": "input", "inputs": [{"from": "s_1", "weight": 1.0}], "bias": 0.0},
+            {"id": 1, "kind": "linear", "inputs": [{"from": 0, "weight": 0.5}, {"from": "s_2", "weight": 1.0}]},
+            {"id": 2, "kind": "nonlinear", "inputs": [{"from": 1, "weight": 1.0}], "activation": "tanh"},
+            {"id": 3, "kind": "output", "inputs": [{"from": 2, "weight": 1.0}, {"from": "s_3", "weight": 0.25}],
+             "output_mode": "amplitude"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "position, fields, message",
+    [
+        (1, {"activation": "tanh"}, "linear node 1 takes no activation"),
+        (0, {"activation": "tanh"}, "input node 0 takes no activation"),
+        (3, {"activation": "tanh"}, "output node 3 takes no activation"),
+        (2, {"output_mode": "amplitude"}, "nonlinear node 2 takes no output_mode"),
+        (1, {"output_mode": "log_amplitude"}, "linear node 1 takes no output_mode"),
+    ],
+)
+def test_json_activation_and_output_mode_only_where_they_act(position, fields, message):
+    doc = _three_spin_doc()
+    assert from_json(doc).k == 1
+    doc["nodes"][position].update(fields)
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        from_json(doc)
+
+
+def _loosened(where, change):
+    doc = _three_spin_doc()
+    change(doc if where is None else doc["nodes"][where])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_loosened(None, lambda d: d.update(nodez=[])), "document, field 'nodez': ValueError: unknown key"),
+        (_loosened(1, lambda d: d.update(bogus=1)), "node 1, field 'bogus': ValueError: unknown key"),
+        (
+            _loosened(3, lambda d: d.update(weights=d.pop("inputs"))),
+            "node 3, field 'weights': ValueError: unknown key",
+        ),
+        (
+            _loosened(1, lambda d: d["inputs"][1].update(bogus=1)),
+            "node 1, field 'inputs[1].bogus': ValueError: unknown key",
+        ),
+        *[
+            (
+                _loosened(1, lambda d, ref=ref: d["inputs"][1].update({"from": ref})),
+                f"node 1, field 'inputs[1].from': ValueError: bad raw spin reference {ref!r}",
+            )
+            for ref in ("s_+1", "s_ 1", "s_1_0", "s_02", "s_0", "s_1\n")
+        ],
+        (
+            _loosened(2, lambda d: d.update(activation="poly()")),
+            "node 2, field 'activation': ContractError: activation 'poly()' has a malformed number",
+        ),
+    ],
+    ids=[
+        "document_key", "node_key", "misspelt_inputs", "input_key", "plus_sign", "space", "underscore",
+        "leading_zero", "spin_zero", "newline", "activation",
+    ],
+)
+def test_json_reader_refuses_what_to_json_does_not_write(doc, message):
+    with pytest.raises(ContractError, match=f"^{re.escape('malformed graph JSON: ' + message)}$"):
         from_json(doc)
 
 
@@ -279,6 +354,16 @@ def test_json_raw_spin_reference_format():
         ("nonlinear", {}, "nonlinear node 3 needs an activation"),
         ("output", {}, "output node 3 needs a valid output_mode"),
         ("output", {"output_mode": "phase"}, "output node 3 needs a valid output_mode"),
+        ("input", {"activation": Activation("tanh")}, "input node 3 takes no activation"),
+        ("linear", {"activation": Activation("tanh")}, "linear node 3 takes no activation"),
+        ("output", {"activation": Activation("tanh"), "output_mode": "amplitude"}, "output node 3 takes no activation"),
+        ("input", {"output_mode": "amplitude"}, "input node 3 takes no output_mode"),
+        ("linear", {"output_mode": "log_amplitude"}, "linear node 3 takes no output_mode"),
+        (
+            "nonlinear",
+            {"activation": Activation("tanh"), "output_mode": "amplitude"},
+            "nonlinear node 3 takes no output_mode",
+        ),
     ],
 )
 def test_node_field_rules(kind, params, message):
@@ -1021,8 +1106,13 @@ def test_product_node_counts_two_and_round_trips():
 
 @pytest.mark.parametrize(
     "inputs,params",
-    [(((("s", 0), 1.0),), {}), (((("s", 0), 1.0),) * 3, {}), (((("s", 0), 1.0),) * 2, {"bias": 0.5})],
-    ids=["one input", "three inputs", "bias"],
+    [
+        (((("s", 0), 1.0),), {}),
+        (((("s", 0), 1.0),) * 3, {}),
+        (((("s", 0), 1.0),) * 2, {"bias": 0.5}),
+        (((("s", 0), 1.0),) * 2, {"activation": Activation("tanh")}),
+    ],
+    ids=["one input", "three inputs", "bias", "activation"],
 )
 def test_product_node_shape_rules(inputs, params):
     with pytest.raises(ContractError, match="^product node 3 needs exactly two inputs, no bias and no activation$"):
