@@ -31,8 +31,6 @@ from .approx import (
     ChebyshevApprox,
     auxiliary_state,
     cheb_fit_multi,
-    degree_for_n,
-    degree_for_n_multi,
     full_bound_report,
     rank_bound,
 )

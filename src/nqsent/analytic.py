@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma
 
+from .core import _is_integer
 from .errors import DomainError
 
 
@@ -39,7 +40,15 @@ def _support(n: int, m: int) -> range:
     return range(lo, hi + 1)
 
 
+def _integers(**values) -> None:
+    """Refuse any value that is not a Python or numpy integer (a bool is not)."""
+    for name, v in values.items():
+        if not _is_integer(v):
+            raise DomainError(f"{name}={v!r} is not an integer")
+
+
 def dicke_spectrum(n: int, m: int) -> DickeSpectrum:
+    _integers(n=n, m=m)
     if n % 2 != 0:
         raise DomainError(f"n={n} must be even")
     if not 1 <= m <= n - 1:
@@ -78,6 +87,9 @@ def dicke_entropy_asymptotic(n: int, p: float) -> float:
     (n/2)/(n-1) -> 1/2 and sits (ln 2)/2 ~ 0.3466 nats above the exact
     entropy at every n.
     """
+    _integers(n=n)
+    if n < 1:
+        raise DomainError(f"n={n} is not at least 1")
     if not 0.0 < p < 1.0:
         raise DomainError(f"p={p} outside (0, 1)")
     return 0.5 * math.log(2.0 * math.pi * math.e * (n / 4.0) * p * (1.0 - p))
@@ -91,6 +103,7 @@ def page_value(m: int, n: int) -> float:
     floats, so n is refused once 2^n is not a finite float. For m > n/2 the
     pure-state symmetry m <-> n-m applies.
     """
+    _integers(m=m, n=n)
     if not 1 <= m <= n - 1:
         raise DomainError(f"m={m} outside 1..{n - 1}")
     if n >= sys.float_info.max_exp:

@@ -10,7 +10,9 @@ counts two in the graph's k, the squares of ((x+y)^2 - (x-y)^2)/4, so k
 reports the exact count of scalar nonlinear operations, which is larger
 than the nominal neuron count for LayerNorm and attention architectures.
 
-A config block may set exactly the fields of its family's spec.
+Every builder first applies one field rule to its spec: an ``int`` field
+is an integer >= 1 and a ``float`` field a finite number >= 0. A config
+block may set exactly the fields of its family's spec.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 from .activations import Activation, parse_activation
-from .core import RngStream
+from .core import RngStream, _is_integer
 from .errors import ContractError
 from .graph import ComputationGraph, Node
 
@@ -29,6 +31,19 @@ _RSQRT = Activation("rsqrt")
 _RECIP = Activation("recip")
 _LN_EPS = 1e-5
 _FROZEN_CHILD = 0x46
+
+
+def _check_fields(spec) -> None:
+    """The field rule every builder applies; a ContractError names the
+    family and the first field that breaks it."""
+    family = type(spec).__name__.removesuffix("Spec").lower()
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.type == "int" and not (_is_integer(v) and v >= 1):
+            raise ContractError(f"{family} ansatz field {f.name!r} must be an integer >= 1, not {v!r}")
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if f.type == "float" and not (real and math.isfinite(v) and v >= 0):
+            raise ContractError(f"{family} ansatz field {f.name!r} must be a finite number >= 0, not {v!r}")
 
 
 def _as_activation(a) -> Activation:
@@ -81,6 +96,7 @@ class SnnqsSpec:
 
 
 def build_snnqs(spec: SnnqsSpec, rng: RngStream) -> ComputationGraph:
+    _check_fields(spec)
     if spec.parameterization not in ("wrap_exp", "direct"):
         raise ContractError(f"unknown parameterization {spec.parameterization!r}")
     gen = rng.generator()
@@ -121,8 +137,7 @@ def _layernorm(bld: _Builder, zs: list[int]) -> list[int]:
 
 
 def build_mlp(spec: MlpSpec, rng: RngStream) -> ComputationGraph:
-    if spec.width < 1 or spec.depth < 1:
-        raise ContractError("need width >= 1 and depth >= 1")
+    _check_fields(spec)
     act = _as_activation(spec.activation)
     gen = rng.generator()
     bld = _Builder(spec.n)
@@ -175,10 +190,9 @@ class TransformerSpec:
 def build_transformer(
     spec: TransformerSpec, rng: RngStream, frozen_rng: RngStream | None = None
 ) -> ComputationGraph:
+    _check_fields(spec)
     if spec.patch > spec.n:
         raise ContractError(f"patch {spec.patch} larger than n={spec.n}")
-    if spec.stride < 1:
-        raise ContractError("stride must be >= 1")
     d = spec.embed_dim
     if d % spec.heads != 0:
         raise ContractError(f"embed dim {d} not divisible by {spec.heads} heads")
@@ -269,8 +283,7 @@ class CosnetSpec:
 
 
 def build_cosnet(spec: CosnetSpec, rng: RngStream) -> ComputationGraph:
-    if spec.k < 1:
-        raise ContractError("need at least one cosine unit")
+    _check_fields(spec)
     gen = rng.generator()
     bld = _Builder(spec.n)
     cos = Activation("cos")
@@ -298,6 +311,7 @@ class DickeSpec:
 
 
 def build_dicke(spec: DickeSpec) -> ComputationGraph:
+    _check_fields(spec)
     if spec.n % 2 != 0:
         raise ContractError(f"n={spec.n} must be even")
     bld = _Builder(spec.n)

@@ -212,11 +212,16 @@ class Certificate:
         return bernstein_bound(self.a, self.C, d, mu)
 
 
+def _nodes_per_axis(d: int, mu: int) -> int:
+    return (4 if mu <= 2 else 2) * (d + 1)
+
+
 def cheb_fit_multi(G, t_bars, d: int) -> ChebyshevApprox:
     """Tensor-product fit of G(t_1..t_mu); G maps a (mu, B) array to (B,) values.
 
-    The fit carries its empirical error on a dense check grid; the certified
-    error is ``Certificate.error_bound(d, mu)``.
+    The degree d is an integer (not a bool), else a ContractError. The fit
+    carries its empirical error on a dense check grid; the certified error
+    is ``Certificate.error_bound(d, mu)``.
     """
     t_bars = tuple(float(t) for t in t_bars)
     mu = len(t_bars)
@@ -224,12 +229,15 @@ def cheb_fit_multi(G, t_bars, d: int) -> ChebyshevApprox:
         raise CapacityError(f"mu={mu} above the tensor-grid cap {MULTIVAR_CAP}")
     if mu == 0:
         raise ContractError("need at least one variable")
+    if not _is_integer(d):
+        raise ContractError(f"degree must be an integer, got {d!r}")
+    d = int(d)
     if d < 0:
         raise DomainError("degree must be nonnegative")
     if min(t_bars) <= 0:
         raise DomainError("t_bar must be positive")
 
-    K = (4 if mu <= 2 else 2) * (d + 1)
+    K = _nodes_per_axis(d, mu)
     if K**mu > FIT_POINT_CAP:
         raise CapacityError(f"degree {d} needs {K}^{mu} quadrature points, above the cap {FIT_POINT_CAP}")
     scale_t = np.asarray(t_bars)[:, None]
@@ -276,27 +284,20 @@ def rank_bound(d: int, mu: int) -> int:
     return ((d + 1) * (d + 2) // 2) ** mu
 
 
-def degree_for_n(n: int, a: float, C: float) -> int:
-    """Smallest degree making the one-variable chain bound O(1) at size n."""
-    if a <= 0 or C <= 0:
-        raise DomainError("need a > 0 and C > 0")
-    value = (n / (2.0 * a)) * math.log(2.0) + math.log(n) / a + math.log(8.0 * C / (math.exp(a) - 1.0)) / a
-    return max(0, math.ceil(value))
-
-
-def degree_for_n_multi(n: int, rho_star: float, C: float, mu: int) -> int:
-    """Multivariable analog; rho_star = exp(a) must exceed 1."""
-    if rho_star <= 1.0:
-        raise DomainError("rho_star must exceed 1")
-    if C <= 0 or mu < 1:
-        raise DomainError("need C > 0 and mu >= 1")
-    log_r = math.log(rho_star)
-    value = (
-        n * math.log(2.0) / (2.0 * log_r)
-        + 2.0 * math.log(n) / log_r
-        + math.log(C * 2.0 ** (mu + 2) * mu * (rho_star - 1.0) ** (-mu) * rho_star ** (mu - 1)) / log_r
-    )
-    return max(0, math.ceil(value))
+def _auto_degree(cert: Certificate, n: int, mu: int) -> int:
+    """Smallest degree d >= 0 with ``cert.error_bound(d, mu)`` at most the
+    chain's target 2^(-n/2)/(4 n^min(mu, 2)): /(4n) for one variable,
+    /(4n^2) for several. An exact polynomial's bound is inf below its exact
+    degree and 0 from it on. The count from 0 stops early at the first
+    degree whose fit needs more than ``FIT_POINT_CAP`` points, which
+    ``cheb_fit_multi`` refuses; a log/ceil closed form would come out one
+    degree off on exact boundaries.
+    """
+    target = 2.0 ** (-n / 2.0) / (4.0 * n ** min(mu, 2))
+    d = 0
+    while cert.error_bound(d, mu) > target and _nodes_per_axis(d, mu) ** mu <= FIT_POINT_CAP:
+        d += 1
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,8 @@ def full_bound_report(
     one it carries the empirical fit error only and no final bound.
     ``degree`` is "auto" or an integer (not a bool); anything else, and a
     region that is not a proper nonempty subset of the graph's n spins, is a
-    ContractError raised before any fit or state.
+    ContractError raised before any fit or state, as is the spin cap's
+    CapacityError.
 
     The network's state is the only 2^n statevector when mu = 1: the
     auxiliary entropy and the distance come from the split factorization of
@@ -515,6 +517,7 @@ def full_bound_report(
         raise ContractError(f"region has n={region.n}, graph has n={g.n}")
     if not 0 < region.size < g.n:
         raise ContractError("subregion must be a proper nonempty subset")
+    check_n(g.n)
     r = feature_reduce(g)
     if r.mu == 0:
         raise ContractError("state has no feature dependence; nothing to bound")
@@ -524,12 +527,7 @@ def full_bound_report(
     if degree == "auto":
         if cert is None:
             raise DomainError("no analyticity certificate; pass an explicit degree")
-        if cert.exact_degree is not None:
-            d = cert.exact_degree
-        elif r.mu == 1:
-            d = degree_for_n(g.n, cert.a, cert.C)
-        else:
-            d = degree_for_n_multi(g.n, math.exp(cert.a), cert.C, r.mu)
+        d = _auto_degree(cert, g.n, r.mu)
     else:
         d = int(degree)
 

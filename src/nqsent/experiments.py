@@ -95,7 +95,9 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ContractError(f"experiment config {doc!r} is not an object")
         doc = dict(doc)
-        doc.pop("schema_version", None)
+        version = doc.pop("schema_version", 1)
+        if not _is_integer(version) or version != 1:
+            raise ContractError(f"experiment config key 'schema_version' must be 1, not {version!r}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ContractError(f"unknown experiment config key {unknown[0]!r}")

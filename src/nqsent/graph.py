@@ -258,6 +258,8 @@ class ComputationGraph:
     with a bias, an output without a valid ``output_mode`` and an
     ``output_mode`` on any other node):
 
+    * n is an integer >= 0: the residual of a state with no feature has no
+      ports, while builders and ``from_json`` refuse a spin graph with n < 1;
     * node ids are unique and exactly one node is the output;
     * referenced nodes exist, raw spins lie in 0..n-1, no node reads the output;
     * an ``input`` node reads exactly one raw spin and nothing else;
@@ -274,6 +276,8 @@ class ComputationGraph:
     def __init__(self, nodes: Sequence[Node], n: int):
         if not _is_integer(n):
             raise ContractError(f"n {n!r} is not an integer")
+        if n < 0:
+            raise ContractError(f"n={n} is negative")
         self.n = int(n)
         self.nodes = {node.id: node for node in nodes}
         if len(self.nodes) != len(nodes):
@@ -906,8 +910,9 @@ def to_json(g: ComputationGraph) -> dict:
 
 
 def from_json(doc: dict) -> ComputationGraph:
-    """The graph of a ``to_json`` document. A field that does not parse, or
-    a key ``to_json`` does not write, raises ``ContractError`` naming the
+    """The graph of a ``to_json`` document. A field that does not parse, a
+    key ``to_json`` does not write, or a ``schema_version`` other than the
+    integer 1 (the key may be absent) raises ``ContractError`` naming the
     node and the field; ``Node`` and ``ComputationGraph`` then apply their
     own rules, with their own messages, to the fields as read."""
     node, key, fields = "document", "n", []
@@ -920,6 +925,9 @@ def from_json(doc: dict) -> ComputationGraph:
         # each loop over unknown keys names the first one as the field
         for key in _unknown_keys(doc, ("schema_version", "n", "nodes")):
             raise ValueError("unknown key")
+        key = "schema_version"
+        if _int_from_json(doc.get(key, 1)) != 1:
+            raise ValueError("only version 1 is read")
         for position, entry in enumerate(entries):
             node, key = f"node at position {position}", "id"
             nid = _int_from_json(entry["id"])

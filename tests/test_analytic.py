@@ -116,6 +116,23 @@ def test_domain_errors():
             page_value(m, 10)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dicke_entropy_asymptotic(0, 0.5), "n=0 is not at least 1"),
+        (lambda: dicke_entropy_asymptotic(10.0, 0.5), "n=10.0 is not an integer"),
+        (lambda: dicke_spectrum(4.0, 2), "n=4.0 is not an integer"),
+        (lambda: dicke_spectrum(4, True), "m=True is not an integer"),
+        (lambda: page_value(1.5, 4), "m=1.5 is not an integer"),
+        (lambda: page_value(1, 4.0), "n=4.0 is not an integer"),
+    ],
+    ids=["asymptotic_n0", "asymptotic_n_float", "spectrum_n_float", "spectrum_m_bool", "page_m_float", "page_n_float"],
+)
+def test_oracles_refuse_non_integers_with_domain_errors(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_gaussian_form_tiny_p_diverges_without_error():
     # p -> 0+ sends the formula toward -infinity; it stays a value, never an
     # exception (the argument only denormalizes, so the float stays finite)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_mlp_mu_is_first_layer_row_rank():
 
 
 def test_mlp_rejects_zero_depth():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^mlp ansatz field 'depth' must be an integer >= 1, not 0$"):
         build_mlp(MlpSpec(n=4, width=3, depth=0), RngStream(0).child(0))
 
 
@@ -209,7 +210,7 @@ def test_transformer_patch_too_large():
     "build, spec, message",
     [
         (build_snnqs, SnnqsSpec(n=4, parameterization="polar"), "unknown parameterization 'polar'"),
-        (build_transformer, TransformerSpec(n=8, patch=3, stride=0), "stride must be >= 1"),
+        (build_transformer, TransformerSpec(n=8, patch=3, stride=0), "transformer ansatz field 'stride' must be an integer >= 1, not 0"),
         (build_transformer, TransformerSpec(n=8, patch=3, embed_dim=10, heads=4), "embed dim 10 not divisible by 4 heads"),
     ],
     ids=["snnqs_parameterization", "transformer_stride", "transformer_heads"],
@@ -217,6 +218,57 @@ def test_transformer_patch_too_large():
 def test_builders_refuse_bad_specs(build, spec, message):
     with pytest.raises(ContractError, match=f"^{message}$"):
         build(spec, RngStream(0).child(0))
+
+
+_SPECS = {
+    "snnqs": (SnnqsSpec, build_snnqs),
+    "mlp": (MlpSpec, build_mlp),
+    "transformer": (TransformerSpec, build_transformer),
+    "cosnet": (CosnetSpec, build_cosnet),
+}
+_SPINS = {"snnqs": 6, "mlp": 6, "transformer": 12, "cosnet": 6, "dicke": 6}
+
+
+@pytest.mark.parametrize(
+    "family, key, value",
+    [
+        ("transformer", "heads", 0),
+        ("transformer", "heads", -1),
+        ("transformer", "embed_dim", 0),
+        ("transformer", "patch", -1),
+        ("transformer", "stride", -1),
+        ("transformer", "layers", -1),
+        ("transformer", "layers", 0),
+        ("transformer", "ffn_width", 0),
+        ("transformer", "sigma_w", -1.0),
+        ("transformer", "sigma_b", -0.5),
+        ("mlp", "width", -1),
+        ("mlp", "depth", 0),
+        ("mlp", "sigma_w", -1.0),
+        ("mlp", "sigma_b", math.nan),
+        ("snnqs", "n", 0),
+        ("snnqs", "weight_std", -1.0),
+        ("snnqs", "bias_std", math.inf),
+        ("cosnet", "k", -2),
+        ("cosnet", "sigma_a", -1.0),
+        ("cosnet", "sigma_w", -0.1),
+        ("dicke", "n", 0),
+        ("dicke", "n", -2),
+    ],
+)
+def test_builders_apply_one_field_rule(family, key, value):
+    fields = {"n": _SPINS[family], key: value}
+    rule = "an integer >= 1" if isinstance(value, int) else "a finite number >= 0"
+    message = f"^{re.escape(f'{family} ansatz field {key!r} must be {rule}, not {value!r}')}$"
+    rng = RngStream(0).child(0)
+    with pytest.raises(ContractError, match=message):
+        if family == "dicke":
+            build_dicke(DickeSpec(**fields))
+        else:
+            spec_type, build = _SPECS[family]
+            build(spec_type(**fields), rng)
+    with pytest.raises(ContractError, match=message):
+        ansatz_from_config({"family": family, **fields}, rng)
 
 
 def test_cosnet_structure():
@@ -245,7 +297,7 @@ def test_cosnet_coefficient_scaling():
 
 
 def test_cosnet_rejects_k0():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^cosnet ansatz field 'k' must be an integer >= 1, not 0$"):
         build_cosnet(CosnetSpec(n=4, k=0), RngStream(0).child(0))
 
 

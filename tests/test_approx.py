@@ -12,12 +12,12 @@ from nqsent import approx
 from nqsent.activations import Activation
 from nqsent.ansatz import CosnetSpec, DickeSpec, SnnqsSpec, build_cosnet, build_dicke, build_snnqs
 from nqsent.approx import (
+    Certificate,
     ChebyshevApprox,
+    _auto_degree,
     auxiliary_state,
     bernstein_bound,
     cheb_fit_multi,
-    degree_for_n,
-    degree_for_n_multi,
     full_bound_report,
     rank_bound,
     reduced_certificate,
@@ -164,9 +164,11 @@ def test_evaluate_rejects_malformed_points():
     [
         (lambda t: t, (), 3, ContractError, "need at least one variable"),
         (np.sin, (1.0,), -1, DomainError, "degree must be nonnegative"),
+        (np.sin, (1.0,), 2.5, ContractError, "degree must be an integer, got 2.5"),
+        (np.sin, (1.0,), True, ContractError, "degree must be an integer, got True"),
         (lambda t: t[0] * np.inf, (1.0, 1.0), 3, NumericError, "function not finite on the quadrature grid"),
     ],
-    ids=["no_variables", "negative_degree", "non_finite"],
+    ids=["no_variables", "negative_degree", "non_finite", "fractional_degree", "bool_degree"],
 )
 def test_multi_fit_refuses(G, t_bars, d, error, message):
     with pytest.raises(error, match=f"^{message}$"):
@@ -201,10 +203,6 @@ def test_rank_bound_values():
     [
         (lambda: rank_bound(-1, 1), "need d >= 0 and mu >= 1"),
         (lambda: rank_bound(2, 0), "need d >= 0 and mu >= 1"),
-        (lambda: degree_for_n(10, 0.0, 1.0), "need a > 0 and C > 0"),
-        (lambda: degree_for_n(10, 1.0, -1.0), "need a > 0 and C > 0"),
-        (lambda: degree_for_n_multi(10, 2.0, 0.0, 2), "need C > 0 and mu >= 1"),
-        (lambda: degree_for_n_multi(10, 2.0, 1.0, 0), "need C > 0 and mu >= 1"),
     ],
 )
 def test_degree_rules_refuse_their_domain(call, message):
@@ -212,35 +210,93 @@ def test_degree_rules_refuse_their_domain(call, message):
         call()
 
 
+def degree_for_n(n: int, a: float, C: float) -> int:
+    """Reference for the one-variable auto degree: the smallest d with
+    2 C rho^-d / (rho - 1) <= 2^(-n/2) / (4n), solved for d in closed form."""
+    value = (n / (2.0 * a)) * math.log(2.0) + math.log(n) / a + math.log(8.0 * C / (math.exp(a) - 1.0)) / a
+    return max(0, math.ceil(value))
+
+
+def degree_for_n_multi(n: int, rho_star: float, C: float, mu: int) -> int:
+    """Reference for the auto degree of mu variables, rho_star = e^a: the
+    smallest d with bernstein_bound(a, C, d, mu) <= 2^(-n/2) / (4n^2), solved
+    for d in closed form."""
+    log_r = math.log(rho_star)
+    value = (
+        n * math.log(2.0) / (2.0 * log_r)
+        + 2.0 * math.log(n) / log_r
+        + math.log(C * 2.0 ** (mu + 2) * mu * (rho_star - 1.0) ** (-mu) * rho_star ** (mu - 1)) / log_r
+    )
+    return max(0, math.ceil(value))
+
+
+def _auto(n: int, a: float, C: float, mu: int = 1) -> int:
+    return _auto_degree(Certificate(a=a, C=C, exact_degree=None), n, mu)
+
+
+def test_auto_degree_matches_the_closed_forms():
+    # the first degree whose fit needs more than FIT_POINT_CAP points ends
+    # the search; cheb_fit_multi refuses it
+    unfit = {
+        mu: next(d for d in range(1 << 21) if ((4 if mu <= 2 else 2) * (d + 1)) ** mu > approx.FIT_POINT_CAP)
+        for mu in range(1, 5)
+    }
+    assert unfit == {1: 1 << 20, 2: 512, 3: 80, 4: 22}
+    grid = [
+        (n, a, 10.0**e, mu)
+        for n in range(2, 41)
+        for a in sorted({0.1, 0.2, 1.0 / 3.0, 0.5, math.log(2.0), 1.0, 2.0, 3.5, *approx._A_GRID})
+        for e in range(-12, 13, 3)
+        for mu in range(1, 5)
+    ]
+    gen = np.random.default_rng(27)
+    draws = [
+        (int(n), float(a), float(C), int(mu))
+        for n, a, C, mu in zip(
+            gen.integers(2, 41, 25_000),
+            np.exp(gen.uniform(math.log(0.1), math.log(3.5), 25_000)),
+            10.0 ** gen.uniform(-12.0, 12.0, 25_000),
+            gen.integers(1, 5, 25_000),
+        )
+    ]
+    cases = grid + draws
+    assert len(cases) >= 50_000
+    mismatches = []
+    for n, a, C, mu in cases:
+        closed = degree_for_n(n, a, C) if mu == 1 else degree_for_n_multi(n, math.exp(a), C, mu)
+        if _auto(n, a, C, mu) != min(closed, unfit[mu]):
+            mismatches.append((n, a, C, mu))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("exact_degree", [0, 3])
+def test_auto_degree_of_an_exact_polynomial(exact_degree):
+    cert = Certificate(a=None, C=None, exact_degree=exact_degree)
+    for n in (2, 10, 26):
+        for mu in (1, 2, 5):
+            assert _auto_degree(cert, n, mu) == exact_degree
+
+
 def test_degree_for_n_example():
-    assert degree_for_n(10, math.log(2.0), 1.0) == 12
+    assert _auto(10, math.log(2.0), 1.0) == degree_for_n(10, math.log(2.0), 1.0) == 12
 
 
 def test_degree_for_n_clamps():
-    assert degree_for_n(1, 5.0, 1e-12) == 0
+    assert _auto(1, 5.0, 1e-12) == 0
 
 
 def test_degree_for_n_roughly_linear():
-    d10 = degree_for_n(10, 1.0, 2.0)
-    d20 = degree_for_n(20, 1.0, 2.0)
-    d40 = degree_for_n(40, 1.0, 2.0)
+    d10, d20, d40 = (_auto(n, 1.0, 2.0) for n in (10, 20, 40))
     assert (d40 - d20) == pytest.approx(2 * (d20 - d10), abs=3)
 
 
 def test_degree_for_n_multi():
-    with pytest.raises(DomainError):
-        degree_for_n_multi(10, 1.0, 1.0, 2)
-    # mu = 1 stays within a constant band of the one-variable formula
-    for n in (10, 20, 40):
-        a = degree_for_n(n, math.log(2.0), 1.0)
-        b = degree_for_n_multi(n, 2.0, 1.0, 1)
-        assert abs(a - b) <= 8
     # larger rho* means smaller degree
-    assert degree_for_n_multi(10, 4.0, 1.0, 2) <= degree_for_n_multi(10, 2.0, 1.0, 2)
+    assert _auto(10, math.log(4.0), 1.0, 2) <= _auto(10, math.log(2.0), 1.0, 2)
     # paper-style direct substitution at n=10, rho*=2, C=1, mu=2
     log_r = math.log(2.0)
     value = 10 * math.log(2.0) / (2 * log_r) + 2 * math.log(10.0) / log_r + math.log(1.0 * 2**4 * 2 * 1.0 ** (-2) * 2.0) / log_r
-    assert degree_for_n_multi(10, 2.0, 1.0, 2) == math.ceil(value)
+    assert _auto(10, math.log(2.0), 1.0, 2) == math.ceil(value)
 
 
 def test_poly_mlp_bound_values():
@@ -595,6 +651,35 @@ def test_full_report_refuses_region_before_any_work(monkeypatch, region):
         monkeypatch.setattr(approx, name, no_work)
     with pytest.raises(ContractError):
         full_bound_report(g, region, degree=4)
+
+
+@pytest.mark.parametrize("degree", ["auto", 4])
+def test_full_report_refuses_spin_cap_before_any_work(monkeypatch, degree):
+    g = build_snnqs(SnnqsSpec(n=6, activation="sin", parameterization="direct"), RngStream(9).child(0))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the spin cap check")
+
+    for name in ("feature_reduce", "cheb_fit_multi", "materialize"):
+        monkeypatch.setattr(approx, name, no_work)
+    monkeypatch.setenv("NQS_MAX_N", "5")
+    with pytest.raises(CapacityError, match="^n=6 outside supported range 1..5$"):
+        full_bound_report(g, Subregion(0b111, 6), degree=degree)
+
+
+def test_auto_degree_stops_at_the_fit_point_cap(monkeypatch):
+    # weights near 1e9 put the tanh pole within a ~ 2e-10 of the interval,
+    # where the target needs a degree near 1e11; the search ends at the
+    # first degree the fit refuses, before any state
+    g = build_snnqs(SnnqsSpec(n=6, activation="tanh", weight_std=1e9, bias_std=0.5), RngStream(1))
+    assert reduced_certificate(feature_reduce(g)).a < 1e-9
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("state built before the fit's point cap")
+
+    monkeypatch.setattr(approx, "materialize", no_state)
+    with pytest.raises(CapacityError, match=r"^degree 1048576 needs 4194308\^1 quadrature points"):
+        full_bound_report(g, Subregion(0b111, 6), degree="auto")
 
 
 def _assert_split_chain_matches_state(g, region, degree):

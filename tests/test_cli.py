@@ -501,6 +501,38 @@ def test_run_config_fixed_half_mode_is_gone(tmp_path, capsys):
     assert (tmp_path / "x.csv").read_text().splitlines()[1].startswith("half,6,3,1,0,7,0,")
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"family": "transformer", "heads": 0}, "transformer ansatz field 'heads' must be an integer >= 1, not 0"),
+        ({"family": "transformer", "patch": -1}, "transformer ansatz field 'patch' must be an integer >= 1, not -1"),
+        ({"family": "transformer", "layers": -1}, "transformer ansatz field 'layers' must be an integer >= 1, not -1"),
+        ({"family": "cosnet", "sigma_a": -1.0}, "cosnet ansatz field 'sigma_a' must be a finite number >= 0, not -1.0"),
+        ({"family": "snnqs", "bias_std": math.nan}, "snnqs ansatz field 'bias_std' must be a finite number >= 0, not nan"),
+    ],
+    ids=["heads_zero", "patch_negative", "layers_negative", "std_negative", "std_nan"],
+)
+def test_run_config_bad_ansatz_field_is_domain_error(tmp_path, capsys, block, message):
+    cfg = {"name": "bad", "ansatz": block, "n_grid": [11], "trials": 1}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_config_schema_version_other_than_1_is_domain_error(tmp_path, capsys):
+    cfg = {"schema_version": 2, "name": "bad", "ansatz": {"family": "dicke"}, "n_grid": [4], "trials": 1}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    message = "experiment config key 'schema_version' must be 1, not 2"
+    assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_config_bad_ansatz_value_is_domain_error(tmp_path, capsys):
     cfg = {"name": "bad", "ansatz": {"family": "snnqs", "activation": 5}, "n_grid": [4]}
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,17 @@ def test_config_refuses_unknown_keys():
         ExperimentConfig.from_json(dict(doc, trial=3))
     with pytest.raises(ContractError, match="unknown snnqs ansatz key 'heads'"):
         run_sweep(ExperimentConfig.from_json(dict(doc, ansatz=dict(doc["ansatz"], heads="ones"))))
+
+
+@pytest.mark.parametrize("version", [99, 2, "x", None, True, 1.0], ids=["99", "2", "string", "null", "true", "float"])
+def test_config_reads_only_schema_version_1(version):
+    doc = _phase_cfg().to_json()
+    message = f"experiment config key 'schema_version' must be 1, not {version!r}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_json(dict(doc, schema_version=version))
+    # the key may be absent
+    del doc["schema_version"]
+    assert ExperimentConfig.from_json(doc) == _phase_cfg()
 
 
 def test_config_refuses_documents_that_are_not_objects():

@@ -348,6 +348,28 @@ def test_json_reader_refuses_what_to_json_does_not_write(doc, message):
 
 
 @pytest.mark.parametrize(
+    "version, error",
+    [
+        (99, "ValueError: only version 1 is read"),
+        (2, "ValueError: only version 1 is read"),
+        ("x", "ValueError: 'x' is not an integer"),
+        (None, "ValueError: None is not an integer"),
+        (True, "ValueError: True is not an integer"),
+        (1.0, "ValueError: 1.0 is not an integer"),
+    ],
+    ids=["99", "2", "string", "null", "true", "float"],
+)
+def test_json_reader_reads_only_schema_version_1(version, error):
+    doc = _three_spin_doc()
+    message = f"malformed graph JSON: document, field 'schema_version': {error}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        from_json(dict(doc, schema_version=version))
+    # the key may be absent
+    del doc["schema_version"]
+    assert to_json(from_json(doc)) == to_json(from_json(_three_spin_doc()))
+
+
+@pytest.mark.parametrize(
     "kind, params, message",
     [
         ("hidden", {}, "unknown node kind 'hidden'"),
@@ -376,6 +398,14 @@ def test_graph_n_is_not_coerced(n):
     nodes = [Node(0, "output", ((("s", 0), 1.0),), output_mode="amplitude")]
     with pytest.raises(ContractError, match=f"^n {re.escape(repr(n))} is not an integer$"):
         ComputationGraph(nodes, n=n)
+
+
+def test_graph_n_is_not_negative():
+    # n = 0 stays: it is the residual of a state with no feature, over no ports
+    nodes = [Node(0, "output", (), bias=0.5, output_mode="amplitude")]
+    assert ComputationGraph(nodes, n=0).n == 0
+    with pytest.raises(ContractError, match="^n=-1 is negative$"):
+        ComputationGraph(nodes, n=-1)
 
 
 def test_duplicate_node_ids_refused():
