@@ -195,9 +195,15 @@ def _tensor_grid(x: np.ndarray, mu: int) -> np.ndarray:
 
 def bernstein_bound(a: float, C: float, d: int, mu: int) -> float:
     """Degree-d Chebyshev error of a function of mu variables bounded by C on
-    the Bernstein ellipse of parameter a in each variable."""
-    rho = math.exp(a)
-    return 2.0 * C * rho ** (-d) / (rho - 1.0) * mu * (2.0 * rho / (rho - 1.0)) ** (mu - 1)
+    the Bernstein ellipse of parameter a in each variable.
+
+    rho - 1 is ``expm1(a)``, which is 0 only at a = 0; there, and where a
+    power overflows, the bound is inf, which certifies nothing."""
+    try:
+        rho, rho_m1 = math.exp(a), math.expm1(a)
+        return 2.0 * C * rho ** (-d) / rho_m1 * mu * (2.0 * rho / rho_m1) ** (mu - 1)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 @dataclass

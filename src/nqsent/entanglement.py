@@ -4,14 +4,22 @@ distances.
 Entropies are computed and stored in nats; base 2 is a presentation
 conversion. Eigenvalues come from the smaller side of the bipartition matrix
 M, never from a full SVD of the 2^|A| x 2^(n-|A|) matrix. The entropy bound
-says Schmidt ranks are small, so :func:`entropy` first tries a randomized
-range finder with one power step (Halko, Martinsson and Tropp, SIAM Review
-53 (2011), Alg. 4.3 and the a-posteriori check of its section 4.3): an
-orthonormal Q with the tail ||M - Q Q^dag M||_F^2 computed exactly and
-accepted only up to RANK_THRESHOLD_ABS, after which the spectrum is that of
-the small Gram of Q^dag M. When no sketch within the width cap captures the
-state, it falls back to the dense O(4^min(|A|, n-|A|)) Gram and its full
+says Schmidt ranks are small, so the spectrum routine first tries a
+randomized range finder with one power step (Halko, Martinsson and Tropp,
+SIAM Review 53 (2011), Alg. 4.3 and the a-posteriori check of its section
+4.3): an orthonormal Q with the tail ||M - Q Q^dag M||_F^2 computed exactly
+and accepted only up to RANK_THRESHOLD_ABS, after which the spectrum is that
+of the small Gram of Q^dag M. When no sketch within the width cap captures
+the state, it falls back to the dense O(4^min(|A|, n-|A|)) Gram and its full
 eigensolve.
+
+The routine reads M in column blocks, one pass over M per step, and never
+holds M whole. :func:`subregion_entropy` gathers each block from the
+permuted (2,)*n view of the state's amplitudes into one scratch array of
+about _BLOCK elements (at least _BLOCK_COLS columns), so an entropy holds
+the state plus one block, the sketch's Z and Y and, on the dense path, the
+Gram. :func:`entropy` runs the same routine over views of a given
+:class:`BipartitionMatrix`.
 
 Every step follows the dtype of the state: a real (float64) state gives a
 real M, a real sketch, a real symmetric Gram and a real eigensolve, which
@@ -23,6 +31,7 @@ itself, not a copy).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +45,8 @@ RANK_THRESHOLD_ABS = 1e-14
 _EIG_CLAMP = -1e-12
 _DRIFT_ERROR = 1e-8
 _SKETCH_START = 16
-_TAIL_BLOCK = 1 << 18  # elements of the sketch's residual temporary
-_GRAM_BLOCK = 1 << 14  # columns per product of the dense Gram
+_BLOCK = 1 << 17  # elements of the block every pass reads M through
+_BLOCK_COLS = 128  # fewest columns of a block
 
 
 @dataclass
@@ -49,6 +58,9 @@ class BipartitionMatrix:
     permutation, so the Frobenius norm equals the state norm. ``entropy``
     reads only M's singular values and the region, so a smaller matrix with
     the same singular values (``approx._split_chain``'s QR factor) stands in.
+    ``bipartition`` builds M as a copy of the state, which
+    ``subregion_entropy`` never makes: it reads the same matrix block by
+    block from the amplitudes.
     """
 
     M: np.ndarray
@@ -66,13 +78,17 @@ def _axes(region: Subregion) -> list[int]:
     ]
 
 
-def bipartition(psi: Statevector, region: Subregion) -> BipartitionMatrix:
-    """Permute the amplitudes into a 2^|A| x 2^(n-|A|) matrix."""
+def _check_cut(psi: Statevector, region: Subregion) -> None:
     if region.n != psi.n:
         raise ContractError(f"region has n={region.n}, state has n={psi.n}")
-    m = region.size
-    if m == 0 or m == psi.n:
+    if not 0 < region.size < psi.n:
         raise ContractError("subregion must be a proper nonempty subset")
+
+
+def bipartition(psi: Statevector, region: Subregion) -> BipartitionMatrix:
+    """Permute the amplitudes into a 2^|A| x 2^(n-|A|) matrix."""
+    _check_cut(psi, region)
+    m = region.size
     tensor = psi.amplitudes.reshape((2,) * psi.n).transpose(_axes(region))
     # a C-ordered copy, never a view of the state, even for the identity order
     return BipartitionMatrix(np.array(tensor, order="C").reshape(1 << m, -1), region)
@@ -89,31 +105,110 @@ class EntropyResult:
 def entropy(bm: BipartitionMatrix) -> EntropyResult:
     """Spectrum, entropy (nats) and numerical Schmidt rank of the bipartition.
 
-    M is the bipartition matrix read on its smaller side, as a transposed
-    view when |A| > n/2 (M^T conj(M) has the spectrum of M^dag M). A sketch
-    Q of M's range is tried first; when its tail delta = ||M - Q Q^dag M||_F^2
-    is at most RANK_THRESHOLD_ABS, the spectrum is that of B = Q^dag M padded
-    with zeros to the row count. Since Q^dag (M - Q B) = 0, M^dag M = B^dag B
-    + E^dag E with E = M - Q B, so by Weyl each eigenvalue lies within delta
-    of the exact one. Otherwise the dense Gram M M^dag is diagonalized.
-    ``tail`` reports delta, and 0.0 on the dense path. Both paths run in a
-    fixed order and the sketch draws from a stream keyed by the region alone,
-    so results do not depend on the thread count of upstream evaluation.
-    A NaN or infinite entry of M raises NumericError on either path: from
-    an eigensolver that fails on it, or from the spectrum's non-finite
-    eigenvalues.
+    M is bm.M read on its smaller side, as a transposed view when
+    |A| > n/2 (M^T conj(M) has the spectrum of M^dag M), in column blocks
+    that are views of bm.M; see ``_spectrum_of``.
     """
     M = bm.M if bm.M.shape[0] <= bm.M.shape[1] else bm.M.T
+    return _spectrum_of(_ColumnReader(*M.shape, M.dtype, lambda cut: M[:, cut]), bm.region)
+
+
+def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
+    """``entropy(bipartition(psi, region))`` without the bipartition copy.
+
+    The bipartition matrix of the smaller side (A when |A| <= n/2, else the
+    complement, rows in ``bipartition``'s bit order of that side) is read in
+    column blocks gathered from the amplitudes into one reused scratch
+    array, so the call holds the state and one block. A block's columns are
+    the configurations of the larger side's lowest spins, with its higher
+    spins fixed; the sketch's Omega stays keyed by ``region``.
+    """
+    _check_cut(psi, region)
+    n, amps = psi.n, psi.amplitudes
+    side = region if 2 * region.size <= n else region.complement()
+    rows, cols = 1 << side.size, 1 << (n - side.size)
+    width = _block_width(rows, cols)
+    # each np.take gathers an eighth of a block's rows through one index of
+    # the offsets of the side's lowest spins plus the block's columns; the
+    # other spins fix where in the amplitudes that index starts. Every index
+    # is in range, and "wrap" spares the copy that "raise" makes of out.
+    step = max(1, rows // 8)
+    row_spins, col_spins = side.members(), side.complement().members()
+    low_rows, low_cols = step.bit_length() - 1, width.bit_length() - 1
+    index = _offsets(row_spins[:low_rows])[:, None] + _offsets(col_spins[:low_cols])
+    row_starts, col_starts = _offsets(row_spins[low_rows:]), _offsets(col_spins[low_cols:])
+    scratch = np.empty((rows, width), dtype=amps.dtype)
+
+    def read(cut: slice) -> np.ndarray:
+        col_start = col_starts[cut.start // width]
+        for k, row_start in enumerate(row_starts):
+            np.take(amps[row_start + col_start :], index, out=scratch[k * step : (k + 1) * step], mode="wrap")
+        return scratch
+
+    return _spectrum_of(_ColumnReader(rows, cols, amps.dtype, read), region)
+
+
+def _offsets(spins: list[int]) -> np.ndarray:
+    """Amplitude offsets of every configuration of ``spins``, whose index
+    bit j is spin ``spins[j]``."""
+    out = np.zeros(1, dtype=np.intp)
+    for spin in spins:
+        out = np.concatenate([out, out + (1 << spin)])
+    return out
+
+
+def _block_width(rows: int, cols: int) -> int:
+    """Columns per block: _BLOCK elements, but at least _BLOCK_COLS so that
+    the sketch's products over a block stay wide, and at most cols."""
+    return max(1, min(cols, max(_BLOCK_COLS, _BLOCK // max(rows, 1))))
+
+
+@dataclass
+class _ColumnReader:
+    """A rows x cols matrix M read in column blocks of ``_block_width``.
+
+    ``read(cut)`` returns M[:, cut], valid until the next read. Each call
+    of ``blocks()`` is one pass over M: (cut, block) pairs in a fixed order,
+    with boundaries that depend only on the shape.
+    """
+
+    rows: int
+    cols: int
+    dtype: np.dtype
+    read: Callable[[slice], np.ndarray]
+
+    def blocks(self):
+        width = _block_width(self.rows, self.cols)
+        for start in range(0, self.cols if self.rows else 0, width):
+            cut = slice(start, min(start + width, self.cols))
+            yield cut, self.read(cut)
+
+
+def _spectrum_of(m: _ColumnReader, region: Subregion) -> EntropyResult:
+    """The EntropyResult of the bipartition matrix M that ``m`` reads.
+
+    A sketch Q of M's range is tried first; when its tail delta =
+    ||M - Q Q^dag M||_F^2 is at most RANK_THRESHOLD_ABS, the spectrum is
+    that of B = Q^dag M padded with zeros to the row count. Since
+    Q^dag (M - Q B) = 0, M^dag M = B^dag B + E^dag E with E = M - Q B, so by
+    Weyl each eigenvalue lies within delta of the exact one. Otherwise the
+    dense Gram M M^dag is diagonalized. ``tail`` reports delta, and 0.0 on
+    the dense path. Both paths read the blocks in a fixed order and the
+    sketch draws from a stream keyed by the region alone, so results do not
+    depend on the thread count of upstream evaluation. A NaN or infinite
+    entry of M raises NumericError on either path: from an eigensolver that
+    fails on it, or from the spectrum's non-finite eigenvalues.
+    """
     try:
         # a complex inf entry makes the products meet inf - inf; the
         # eigensolver or the spectrum then refuses what they give
         with np.errstate(invalid="ignore", over="ignore"):
-            sketch = _sketched_gram(M, bm.region)
-            gram, tail = sketch if sketch is not None else (_blocked_gram(M), 0.0)
+            sketch = _sketched_gram(m, region)
+            gram, tail = sketch if sketch is not None else (_dense_gram(m), 0.0)
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    return _spectrum(lam, M.shape[0], tail)
+    return _spectrum(lam, m.rows, tail)
 
 
 def _spectrum(lam: np.ndarray, rows: int, tail: float) -> EntropyResult:
@@ -146,69 +241,70 @@ def _spectrum(lam: np.ndarray, rows: int, tail: float) -> EntropyResult:
     return EntropyResult(eigenvalues=lam, entropy=ent, schmidt_rank=rank, tail=tail)
 
 
-def _sketched_gram(M: np.ndarray, region: Subregion) -> tuple[np.ndarray, float] | None:
+def _sketched_gram(m: _ColumnReader, region: Subregion) -> tuple[np.ndarray, float] | None:
     """Gram of B = Q^dag M and the tail ||M - Q B||_F^2 for an orthonormal
     Q = orth(M M^dag Omega), or None when no sketch within the width cap
     leaves a tail of at most RANK_THRESHOLD_ABS.
 
     Omega starts at _SKETCH_START columns and doubles; new columns are
-    appended to Z = Omega^dag M rather than redrawn. Z Z^dag = Omega^dag M
-    M^dag Omega is the Gram compressed to the sketch, and its eigenvalues
-    follow M's. While the smallest is above RANK_THRESHOLD_ABS of the largest,
-    M has more eigenvalues above the tail threshold than the sketch has
-    columns, so the sketch grows without forming Y = M Z^dag, Q or the tail.
+    appended rather than redrawn. Each width takes one pass over M's blocks
+    that extends both Z = Omega^dag M and Y = M Z^dag by the new columns.
+    Z Z^dag = Omega^dag M M^dag Omega is the Gram compressed to the sketch,
+    and its eigenvalues follow M's. While the smallest is above
+    RANK_THRESHOLD_ABS of the largest, M has more eigenvalues above the tail
+    threshold than the sketch has columns, so the sketch grows. Otherwise
+    Q = orth(Y), and one more pass sums B B^dag and the exact tail block by
+    block, the residual an eighth of a block's rows at a time.
 
-    The width stays at most rows/8 and rows^2/cols: a full-rank state then
-    pays at most an eighth of the dense Gram's products on top of the dense
-    path, and an accepted sketch at most half of them. When the cap leaves
-    room for fewer than two widths (fewer than 256 rows, or more than
-    rows^2/32 columns), the dense path is taken at once.
+    The width stays at most rows/8 and rows^2/cols, so Z and Y together
+    cost at most half the products of the dense Gram as a general product,
+    and the passes for B and the tail as much again. When the cap leaves room for fewer than two widths
+    (fewer than 256 rows, or more than rows^2/32 columns), the dense path is
+    taken at once.
     """
-    rows, cols = M.shape
+    rows, cols, dtype = m.rows, m.cols, m.dtype
     cap = min(rows // 8, rows * rows // cols)
     if cap < 2 * _SKETCH_START:
         return None
     gen = RngStream(region.n, region.mask).generator()
-    z = np.zeros((0, cols), dtype=M.dtype)
-    y = np.zeros((rows, 0), dtype=M.dtype)
+    z = np.zeros((0, cols), dtype=dtype)
+    y = np.zeros((rows, 0), dtype=dtype)
     width = _SKETCH_START
     while width <= cap:
-        omega = gen.standard_normal((width - z.shape[0], rows)).astype(M.dtype, copy=False)
-        z = np.vstack([z, omega @ M])
+        omega = gen.standard_normal((width - z.shape[0], rows)).astype(dtype, copy=False)
+        new = omega.shape[0]
+        z = np.vstack([z, np.empty((new, cols), dtype=dtype)])
+        y = np.hstack([y, np.zeros((rows, new), dtype=dtype)])
+        for cut, block in m.blocks():
+            part = z[-new:, cut] = omega @ block
+            y[:, -new:] += block @ part.conj().T
         ev = np.linalg.eigvalsh(z @ z.conj().T)
         if ev[0] <= RANK_THRESHOLD_ABS * ev[-1]:
-            y = np.hstack([y, M @ z[y.shape[1] :].conj().T])
             q = np.linalg.qr(y)[0]
-            b = q.conj().T @ M
-            tail = 0.0
-            # blocks bound the residual's temporary; each is made in M's own
-            # memory order so that subtracting and flattening copy nothing
-            block = max(1, _TAIL_BLOCK // rows)
-            for start in range(0, cols, block):
-                piece = M[:, start : start + block]
-                resid = np.matmul(q, b[:, start : start + block], out=np.empty_like(piece))
-                resid -= piece
-                resid = resid.ravel(order="K")
-                tail += float(np.vdot(resid, resid).real)
+            q_dag = q.conj().T
+            gram = np.zeros((width, width), dtype=dtype)
+            tail, step = 0.0, max(1, rows // 8)
+            for _, block in m.blocks():
+                piece = q_dag @ block
+                gram += piece @ piece.conj().T
+                # the residual an eighth of the block's rows at a time
+                for lo in range(0, rows, step):
+                    resid = q[lo : lo + step] @ piece
+                    resid -= block[lo : lo + step]
+                    tail += float(np.vdot(resid, resid).real)
             if tail <= RANK_THRESHOLD_ABS:
-                return b @ b.conj().T, tail
+                return gram, tail
         width *= 2
     return None
 
 
-def _blocked_gram(M: np.ndarray) -> np.ndarray:
-    rows, cols = M.shape
-    if cols <= _GRAM_BLOCK:
-        return M @ M.conj().T
-    gram = np.zeros((rows, rows), dtype=M.dtype)
-    for start in range(0, cols, _GRAM_BLOCK):
-        piece = M[:, start : start + _GRAM_BLOCK]
-        gram += piece @ piece.conj().T
+def _dense_gram(m: _ColumnReader) -> np.ndarray:
+    """M M^dag, summed over the blocks through one product buffer."""
+    gram = np.zeros((m.rows, m.rows), dtype=m.dtype)
+    product = np.empty_like(gram)
+    for _, block in m.blocks():
+        gram += np.matmul(block, block.conj().T, out=product)
     return gram
-
-
-def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
-    return entropy(bipartition(psi, region))
 
 
 def binary_entropy(t: float) -> float:

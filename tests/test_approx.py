@@ -23,8 +23,9 @@ from nqsent.approx import (
     reduced_certificate,
 )
 from nqsent.core import RngStream, Subregion, feature_supnorm
-from nqsent.errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
-from nqsent.graph import ComputationGraph, Node, feature_reduce
+from nqsent.cli import main
+from nqsent.errors import CapacityError, ContractError, DegenerateStateError, DomainError, NqsError, NumericError
+from nqsent.graph import ComputationGraph, Node, feature_reduce, save_graph
 from nqsent.statevector import materialize, two_norm_distance
 from nqsent.entanglement import bipartition, subregion_entropy
 
@@ -505,10 +506,39 @@ def test_bernstein_bound_formula():
     for _ in range(200):
         a, C, d = gen.uniform(0.05, 3.0), gen.uniform(0.1, 1e6), int(gen.integers(0, 60))
         rho = math.exp(a)
-        assert bernstein_bound(a, C, d, 1) == 2 * C * rho**-d / (rho - 1)
+        assert bernstein_bound(a, C, d, 1) == 2 * C * rho**-d / math.expm1(a)
         for mu in (2, 3, 4):
-            multi = C * mu / rho * (2.0 * rho / (rho - 1.0)) ** mu * rho ** (-d)
+            multi = C * mu / rho * (2.0 * rho / math.expm1(a)) ** mu * rho ** (-d)
             assert bernstein_bound(a, C, d, mu) == pytest.approx(multi, rel=1e-15, abs=0.0)
+
+
+def test_bernstein_bound_never_raises():
+    # exp(a) - 1 is 0 below a = 1.1e-16, expm1(a) only at a = 0; a bound
+    # past the float range is inf, which certifies nothing
+    assert bernstein_bound(3.8e-18, 3.0, 10, 1) == 6.0 / math.expm1(3.8e-18)
+    assert bernstein_bound(0.0, 1.0, 10, 1) == math.inf
+    assert bernstein_bound(1e-300, 1.0, 10, 3) == math.inf
+    assert bernstein_bound(1000.0, 1.0, 10, 1) == math.inf
+
+
+def test_bound_report_of_a_vanishing_ellipse(tmp_path, capsys):
+    # weights of 1e17 leave the certificate an ellipse parameter near 4e-18,
+    # where rho - 1 = exp(a) - 1 rounded to 0: each report is a typed error,
+    # an uncertified report or a certified one that still dominates
+    g = build_snnqs(SnnqsSpec(n=6, activation="tanh", weight_std=1e17), RngStream(1))
+    region = Subregion(0b111, 6)
+    assert 0.0 < reduced_certificate(feature_reduce(g)).a < 1.1e-16
+    for degree in (10, "auto"):
+        try:
+            report = full_bound_report(g, region, degree=degree)
+        except NqsError:
+            continue
+        assert not report.certified or report.entropy_bound_final >= report.measured_entropy
+    path = tmp_path / "tanh.json"
+    save_graph(g, path)
+    for degree in ("10", "auto"):
+        assert main(["bound", "--graph", str(path), "--region", "7", "--degree", degree]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight_std, first_failure, a", [(0.5, 1.25, 0.25), (1.0, 0.25, None)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,12 +43,14 @@ def test_bell_bipartition_matrix():
 
 
 def test_bipartition_rejects_trivial_regions():
-    with pytest.raises(ContractError):
-        bipartition(bell_state(), Subregion(0b00, 2))
-    with pytest.raises(ContractError):
-        bipartition(bell_state(), Subregion(0b11, 2))
-    with pytest.raises(ContractError, match="^region has n=3, state has n=2$"):
-        bipartition(bell_state(), Subregion(0b001, 3))
+    # the streamed entropy refuses the same cuts before it reads a block
+    for cut in (bipartition, subregion_entropy):
+        with pytest.raises(ContractError):
+            cut(bell_state(), Subregion(0b00, 2))
+        with pytest.raises(ContractError):
+            cut(bell_state(), Subregion(0b11, 2))
+        with pytest.raises(ContractError, match="^region has n=3, state has n=2$"):
+            cut(bell_state(), Subregion(0b001, 3))
 
 
 def test_bipartition_flatten_roundtrip():
@@ -119,8 +122,8 @@ def _sketch_spy(monkeypatch) -> list:
     accepted = []
     real = entanglement._sketched_gram
 
-    def spy(M, region):
-        out = real(M, region)
+    def spy(m, region):
+        out = real(m, region)
         accepted.append(out is not None)
         return out
 
@@ -130,8 +133,14 @@ def _sketch_spy(monkeypatch) -> list:
 
 def _dense_entropy(bm, monkeypatch):
     with monkeypatch.context() as mp:
-        mp.setattr(entanglement, "_sketched_gram", lambda M, region: None)
+        mp.setattr(entanglement, "_sketched_gram", lambda m, region: None)
         return entropy(bm)
+
+
+def _reader(M: np.ndarray) -> entanglement._ColumnReader:
+    """The reader ``entropy`` builds for a matrix with no more rows than
+    columns."""
+    return entanglement._ColumnReader(*M.shape, M.dtype, lambda cut: M[:, cut])
 
 
 def test_sketch_matches_dense_every_size(monkeypatch):
@@ -166,7 +175,7 @@ def test_haar_state_falls_back_to_dense_gram(monkeypatch):
     res = entropy(bm)
     assert accepted == [False]
     assert res.tail == 0.0
-    lam = np.clip(np.linalg.eigvalsh(entanglement._blocked_gram(bm.M))[::-1], 0.0, None)
+    lam = np.clip(np.linalg.eigvalsh(entanglement._dense_gram(_reader(bm.M)))[::-1], 0.0, None)
     if abs(lam.sum() - 1.0) > 1e-10 or lam.sum() != 1.0:
         lam = lam / lam.sum()
     assert res.eigenvalues.tobytes() == lam.tobytes()
@@ -218,13 +227,9 @@ def test_non_finite_state_is_numeric_error(bad):
         subregion_entropy(psi, Subregion(1, 2))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("rows", [128, 512], ids=["dense", "sketch"])
-def test_non_finite_matrix_is_numeric_error(rows, dtype):
-    # under 256 rows the dense Gram's eigensolver meets the non-finite
-    # values; at 512 rows the sketch's own eigensolver does, before any dense
-    # Gram is formed. A complex inf meets inf - inf in the products, which
-    # must not end the call in a RuntimeWarning instead.
+def _non_finite_matrices(rows: int, dtype):
+    """Unit-norm rows x 1024 matrices with two NaN or infinite entries, and
+    the region of their rows."""
     m = rows.bit_length() - 1
     bads = [np.nan, np.inf]
     if dtype is np.complex128:
@@ -233,8 +238,106 @@ def test_non_finite_matrix_is_numeric_error(rows, dtype):
         M = np.random.default_rng(rows).standard_normal((rows, 1024)).astype(dtype)
         M /= np.linalg.norm(M)
         M[3, 5] = M[7, 900] = bad
+        yield BipartitionMatrix(M, Subregion((1 << m) - 1, m + 10))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("rows", [128, 512], ids=["dense", "sketch"])
+def test_non_finite_matrix_is_numeric_error(rows, dtype):
+    # under 256 rows the dense Gram's eigensolver meets the non-finite
+    # values; at 512 rows the sketch's own eigensolver does, before any dense
+    # Gram is formed. A complex inf meets inf - inf in the products, which
+    # must not end the call in a RuntimeWarning instead.
+    for bm in _non_finite_matrices(rows, dtype):
         with pytest.raises(NumericError):
-            entropy(BipartitionMatrix(M, Subregion((1 << m) - 1, m + 10)))
+            entropy(bm)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("rows", [128, 512], ids=["dense", "sketch"])
+def test_non_finite_streamed_matrix_is_numeric_error(rows, dtype):
+    # the same matrices read block by block from a state's amplitudes
+    for bm in _non_finite_matrices(rows, dtype):
+        with pytest.raises(NumericError):
+            subregion_entropy(Statevector(flatten(bm), bm.region.n, 1.0), bm.region)
+
+
+def _low_rank_state(n: int, rank: int, complex_: bool, gen: np.random.Generator) -> Statevector:
+    """A sum of ``rank`` random product states: Schmidt rank at most
+    ``rank`` on every cut; ``rank`` 0 draws a Gaussian state instead."""
+    if rank == 0:
+        raw = gen.normal(size=1 << n) + (1j * gen.normal(size=1 << n) if complex_ else 0.0)
+        return from_amplitudes(raw)
+    total = np.zeros(1 << n, dtype=complex if complex_ else float)
+    for _ in range(rank):
+        term = np.ones(1)
+        for _ in range(n):
+            spin = gen.normal(size=2) + (1j * gen.normal(size=2) if complex_ else 0.0)
+            term = np.kron(spin, term)
+        total = total + term
+    return from_amplitudes(total)
+
+
+def _assert_streamed_matches_explicit(psi: Statevector, region: Subregion) -> bool:
+    """The streamed and the explicit spectrum agree; returns whether the
+    sketch served the call."""
+    streamed, explicit = subregion_entropy(psi, region), entropy(bipartition(psi, region))
+    assert streamed.schmidt_rank == explicit.schmidt_rank
+    assert streamed.eigenvalues.size == explicit.eigenvalues.size == 1 << min(region.size, region.n - region.size)
+    assert np.abs(streamed.eigenvalues - explicit.eigenvalues).max() <= 1e-12
+    assert abs(streamed.entropy - explicit.entropy) <= 1e-12
+    assert (streamed.tail > 0.0) == (explicit.tail > 0.0)
+    return streamed.tail > 0.0
+
+
+@given(
+    st.integers(2, 14),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_streamed_entropy_matches_the_explicit_matrix(n, rank, complex_, seed):
+    # blocks of two columns, so that every cut reads many blocks; regions
+    # on both sides of the half
+    gen = np.random.default_rng(seed)
+    psi = _low_rank_state(n, rank, complex_, gen)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "_BLOCK", 8)
+        mp.setattr(entanglement, "_BLOCK_COLS", 2)
+        for m in {1, n // 2, n - 1, int(gen.integers(1, n))}:
+            region = Subregion.from_members(gen.choice(n, m, replace=False), n)
+            assert not _assert_streamed_matches_explicit(psi, region)
+
+
+@pytest.mark.parametrize("rank, sketched", [(3, True), (0, False)], ids=["accepted", "dense"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_streamed_sketch_matches_the_explicit_matrix(rank, sketched, complex_, monkeypatch):
+    # n=16 half cuts have the 256 rows a sketch needs; a rank-3 state is
+    # accepted at the first width, a Gaussian one falls back to the dense Gram
+    gen = np.random.default_rng(43 + rank)
+    psi = _low_rank_state(16, rank, complex_, gen)
+    monkeypatch.setattr(entanglement, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(entanglement, "_BLOCK_COLS", 4)
+    for mask in (0x00FF, 0x5555, 0xA5A5):
+        for region in (Subregion(mask, 16), Subregion(mask, 16).complement()):
+            assert _assert_streamed_matches_explicit(psi, region) == sketched
+
+
+def test_subregion_entropy_holds_one_block_not_a_copy(monkeypatch):
+    # the bipartition copy would hold the state's 8 MiB once more; a
+    # sketched half cut and a dense cut of few rows hold a block each
+    psi = materialize(build_dicke(DickeSpec(20)))
+    accepted = _sketch_spy(monkeypatch)
+    for m, region in ((10, Subregion.from_members(range(0, 20, 2), 20)), (3, Subregion(0b111, 20))):
+        tracemalloc.start()
+        try:
+            res = subregion_entropy(psi, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= psi.amplitudes.nbytes // 4 + (1 << 20)
+        assert res.entropy == pytest.approx(dicke_entropy(20, m), abs=1e-10)
+    assert accepted == [True, False]
 
 
 def test_spectrum_refuses_negative_and_drifting_eigenvalues():
