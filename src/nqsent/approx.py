@@ -33,12 +33,12 @@ mu = 1. The paper's constructive argument gives the rest: split across the
 cut, the feature is x_A + x_B, and the fitted polynomial re-expands exactly
 as sum_ab C_ab T_a(x_A) T_b(x_B), a (d+1) x (d+1) Chebyshev interpolation.
 The auxiliary state's bipartition matrix is then U C V^T with Chebyshev
-tables U and V of the two sides, so ``entropy`` reads its spectrum from a
-triangular QR factor of size at most d+1, and its distance from the
-network's state comes from blocked products against that state's
-bipartition matrix (``_split_chain``). For mu >= 2 the rank bound
-(d+1)^mu exceeds the side dimensions and the auxiliary state is
-materialized instead.
+tables U and V of the two sides, so its spectrum comes from a triangular
+QR factor of size at most d+1, and its distance from the network's state
+from products against the column blocks of the state that
+``entanglement._state_reader`` gathers, never a copy of the state
+(``_split_chain``). For mu >= 2 the rank bound (d+1)^mu exceeds the side
+dimensions and the auxiliary state is materialized instead.
 """
 
 from __future__ import annotations
@@ -53,14 +53,7 @@ from .errors import CapacityError, ContractError, DegenerateStateError, DomainEr
 from .graph import ComputationGraph, ReducedForm, feature_reduce
 from .graph import _eval_bits_chunked, _scratch, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance, _normalized
-from .entanglement import (
-    BipartitionMatrix,
-    EntropyResult,
-    bipartition,
-    entropy,
-    fa_slack_from_bound,
-    subregion_entropy,
-)
+from .entanglement import EntropyResult, fa_slack_from_bound, subregion_entropy, _ColumnReader, _spectrum_of, _state_reader
 
 MULTIVAR_CAP = 4
 # cap on the K^mu quadrature points of a multivariable fit. The grid (mu
@@ -294,14 +287,19 @@ def _auto_degree(cert: Certificate, n: int, mu: int) -> int:
     """Smallest degree d >= 0 with ``cert.error_bound(d, mu)`` at most the
     chain's target 2^(-n/2)/(4 n^min(mu, 2)): /(4n) for one variable,
     /(4n^2) for several. An exact polynomial's bound is inf below its exact
-    degree and 0 from it on. The count from 0 stops early at the first
-    degree whose fit needs more than ``FIT_POINT_CAP`` points, which
-    ``cheb_fit_multi`` refuses; a log/ceil closed form would come out one
-    degree off on exact boundaries.
+    degree and 0 from it on. The bound does not grow with d, so when the
+    largest degree within ``FIT_POINT_CAP`` fit points misses the target,
+    the next, which ``cheb_fit_multi`` refuses, is returned at once; else d
+    counts up from 0 (a log/ceil closed form errs on exact boundaries).
     """
     target = 2.0 ** (-n / 2.0) / (4.0 * n ** min(mu, 2))
+    root = round(FIT_POINT_CAP ** (1.0 / mu))
+    root -= root**mu > FIT_POINT_CAP  # the float root may round up
+    top = root // _nodes_per_axis(0, mu) - 1
+    if top < 0 or cert.error_bound(top, mu) > target:
+        return top + 1
     d = 0
-    while cert.error_bound(d, mu) > target and _nodes_per_axis(d, mu) ** mu <= FIT_POINT_CAP:
+    while cert.error_bound(d, mu) > target:
         d += 1
     return d
 
@@ -382,10 +380,10 @@ def reduced_certificate(r: ReducedForm) -> Certificate | None:
 # ---------------------------------------------------------------------------
 
 
-def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) -> tuple[EntropyResult, float]:
-    """Spectrum of the one-feature auxiliary state P(f/t_bar) on the cut of
-    bm, and its 2-norm distance from the normalized state whose bipartition
-    matrix is bm.M, without the auxiliary state.
+def _split_chain(f: AffineFeature, fit: ChebyshevApprox, psi: Statevector, region: Subregion) -> tuple[EntropyResult, float]:
+    """Spectrum of the one-feature auxiliary state P(f/t_bar) on the cut
+    ``region``, and its 2-norm distance from the normalized state psi,
+    without the auxiliary state.
 
     Each side carries its feature weights and half the bias, over t_bar; its
     values x over the side's configurations (index doubling, with
@@ -394,22 +392,22 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) 
     degree d in (y_A, y_B), so Chebyshev interpolation on the product of
     d+1 nodes per side reproduces it as sum_ab C_ab T_a(y_A) T_b(y_B); a
     side with half = 0 takes one node and degree 0. The auxiliary matrix is
-    then T_S C T_L^T, with S the side of fewer configurations and L the
-    other. With T_S = Q R_S, it has the singular values of W = R_S C T_L^T,
-    which are those of R_U C R_V^T. A QR of W^T over blocks of L's
-    configurations leaves a triangular R with them, and ``entropy`` reads
-    the spectrum from R over ||R||_F = ||W||_F, the norm of the
-    unnormalized auxiliary state.
+    then T_S C T_L^T, with S the side ``_state_reader`` puts in the rows
+    (the one of fewer configurations) and L the other. With T_S = Q R_S, it
+    has the singular values of W = R_S C T_L^T, which are those of
+    R_U C R_V^T. A QR of W^T over blocks of L's configurations leaves a
+    triangular R with them, and ``_spectrum_of`` reads the spectrum from R
+    over ||R||_F = ||W||_F, the norm of the unnormalized auxiliary state.
 
-    The distance ||M - T_S C T_L^T / ||W||_F||_F is summed over the same
-    blocks in a fixed order, with real products for the real and imaginary
-    parts. Apart from the side values and the tables of S (at most 2^(n/2)
-    rows), a block's tables stay near ``_TABLE_BYTES`` and its products near
-    ``_SPLIT_BYTES``.
+    The distance ||M - T_S C T_L^T / ||W||_F||_F, with M psi's bipartition
+    matrix, is summed over the state reader's blocks in their fixed order,
+    with real products for the real and imaginary parts. Apart from the
+    side values, the tables of S (at most 2^(n/2) rows) and one block of M
+    and of its products, L's tables stay near ``_TABLE_BYTES``.
     """
     d, t_bar = fit.degree, fit.t_bars[0]
     y, weights, points = [], [], []
-    for side in (bm.region, bm.region.complement()):
+    for side in (region, region.complement()):
         members = side.members()
         x = affine_tables(f.weights[None, members], np.array([0.5 * f.bias]))[0] / t_bar
         lo, hi = float(x.min()), float(x.max())
@@ -422,23 +420,21 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) 
         points.append(mid + half * _quad_nodes(deg + 1))
     grid = fit.evaluate_unit((points[0][:, None] + points[1][None, :]).reshape(1, -1))
     C = weights[0] @ grid.reshape(points[0].size, points[1].size) @ weights[1].T
-    M, (y_s, y_l) = bm.M, y
-    if M.shape[0] > M.shape[1]:
-        M, C, y_s, y_l = M.T, C.T, y_l, y_s
-    rows, k_l = M.shape[0], C.shape[1]
+    # the reader's scratch is first written in the distance pass
+    (rows_side, reader), (y_s, y_l) = _state_reader(psi, region), y
+    if rows_side != region:
+        C, y_s, y_l = C.T, y_l, y_s
+    k_l = C.shape[1]
 
     def table(v: np.ndarray, count: int) -> np.ndarray:
         out = np.empty((count, v.size))
         _recurrence(out, v, 2.0 * v)
         return out
 
-    def block(products: int) -> int:
-        """Columns of L per block: tables near _TABLE_BYTES, products near _SPLIT_BYTES."""
-        return max(1, min(_TABLE_BYTES // (8 * (k_l + 2)), _SPLIT_BYTES // (8 * products)))
-
     t_s = table(y_s, C.shape[0]).T
     Z = np.linalg.qr(t_s, mode="r") @ C
-    width = max(Z.shape[0], block(4 * Z.shape[0]))
+    # columns of L per block: tables near _TABLE_BYTES, products near _SPLIT_BYTES
+    width = max(Z.shape[0], min(_TABLE_BYTES // (8 * (k_l + 2)), _SPLIT_BYTES // (32 * Z.shape[0])))
     R = np.zeros((0, Z.shape[0]), Z.dtype)
     for lo in range(0, y_l.size, width):
         piece = table(y_l[lo : lo + width], k_l).T
@@ -448,19 +444,21 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, bm: BipartitionMatrix) 
     norm_sq = float(np.vdot(R, R).real)
     if norm_sq == 0.0:
         raise DegenerateStateError("the auxiliary state vanishes; it cannot be normalized")
-    spectrum = entropy(BipartitionMatrix(R / math.sqrt(norm_sq), bm.region))
+    R = R / math.sqrt(norm_sq)
+    spectrum = _spectrum_of(_ColumnReader(*R.shape, R.dtype, lambda cut: R[:, cut]), region)
 
-    split = np.iscomplexobj(C) or np.iscomplexobj(M)
+    split = np.iscomplexobj(C) or np.iscomplexobj(psi.amplitudes)
     parts = [C.real, C.imag] if split else [C]
-    state = [M.real, M.imag] if split else [M]
     aux = np.concatenate([t_s @ p for p in parts]) / math.sqrt(norm_sq)
-    width = block(len(parts) * rows)
     dist_sq = 0.0
-    for lo in range(0, y_l.size, width):
-        cols = slice(lo, lo + width)
-        for value, target in zip(np.split(aux @ table(y_l[cols], k_l), len(parts)), state):
-            value -= target[:, cols]
-            dist_sq += float(np.vdot(value, value))
+    for cut, block in reader.blocks():
+        state = [block.real, block.imag] if split else [block]
+        # L's tables in slices of the QR pass's width
+        for lo in range(0, block.shape[1], width):
+            cols = slice(lo, lo + width)
+            for value, target in zip(np.split(aux @ table(y_l[cut][cols], k_l), len(parts)), state):
+                value -= target[:, cols]
+                dist_sq += float(np.vdot(value, value))
     return spectrum, math.sqrt(dist_sq)
 
 
@@ -511,11 +509,11 @@ def full_bound_report(
     ContractError raised before any fit or state, as is the spin cap's
     CapacityError.
 
-    The network's state is the only 2^n statevector when mu = 1: the
-    auxiliary entropy and the distance come from the split factorization of
-    the fit (``_split_chain``), read against the state's bipartition matrix,
-    which also gives the measured entropy. For mu >= 2 the auxiliary state
-    is materialized and read like the network's.
+    The network's state is the only 2^n statevector when mu = 1, and is
+    never copied: the auxiliary entropy and the distance come from the
+    split factorization of the fit (``_split_chain``), read against the
+    state's column blocks as ``subregion_entropy`` reads them. For mu >= 2
+    the auxiliary state is materialized and read like the network's.
     """
     if not (_is_integer(degree) or isinstance(degree, str) and degree == "auto"):
         raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
@@ -541,14 +539,11 @@ def full_bound_report(
 
     psi = materialize(g, threads=threads)
     norm_was = psi.norm_was
+    s_measured = subregion_entropy(psi, region).entropy
     if r.mu == 1:
-        bm = bipartition(psi, region)
-        del psi  # the bipartition matrix holds every amplitude from here on
-        s_measured = entropy(bm).entropy
-        aux, dist = _split_chain(r.features[0], fit, bm)
+        aux, dist = _split_chain(r.features[0], fit, psi, region)
     else:
         psi_aux = auxiliary_state(r, fit)
-        s_measured = subregion_entropy(psi, region).entropy
         aux = subregion_entropy(psi_aux, region)
         dist = two_norm_distance(psi, psi_aux)
 

@@ -14,12 +14,12 @@ the state, it falls back to the dense O(4^min(|A|, n-|A|)) Gram and its full
 eigensolve.
 
 The routine reads M in column blocks, one pass over M per step, and never
-holds M whole. :func:`subregion_entropy` gathers each block from the
-permuted (2,)*n view of the state's amplitudes into one scratch array of
-about _BLOCK elements (at least _BLOCK_COLS columns), so an entropy holds
-the state plus one block, the sketch's Z and Y and, on the dense path, the
-Gram. :func:`entropy` runs the same routine over views of a given
-:class:`BipartitionMatrix`.
+holds M whole. Every read of a state's cut (:func:`subregion_entropy`,
+``approx``'s bound chain) goes through ``_state_reader``, which gathers
+each block from the amplitudes into one scratch array of about _BLOCK
+elements (at least _BLOCK_COLS columns), so an entropy holds the state
+plus one block, the sketch's Z and Y and, on the dense path, the Gram.
+:func:`entropy` runs the same routine over views of a given matrix.
 
 Every step follows the dtype of the state: a real (float64) state gives a
 real M, a real sketch, a real symmetric Gram and a real eigensolve, which
@@ -55,12 +55,11 @@ class BipartitionMatrix:
 
     Row index bit j corresponds to the j-th smallest member of A; column
     bits run over the complement the same way. The rearrangement is a
-    permutation, so the Frobenius norm equals the state norm. ``entropy``
-    reads only M's singular values and the region, so a smaller matrix with
-    the same singular values (``approx._split_chain``'s QR factor) stands in.
-    ``bipartition`` builds M as a copy of the state, which
-    ``subregion_entropy`` never makes: it reads the same matrix block by
-    block from the amplitudes.
+    permutation, so the Frobenius norm equals the state norm.
+    ``bipartition`` builds M as a copy of the state, which no library path
+    makes: the entropies and the bound chain read the same matrix block by
+    block from the amplitudes (``_state_reader``). The class, ``bipartition``
+    and ``entropy`` remain the explicit-matrix API.
     """
 
     M: np.ndarray
@@ -86,7 +85,8 @@ def _check_cut(psi: Statevector, region: Subregion) -> None:
 
 
 def bipartition(psi: Statevector, region: Subregion) -> BipartitionMatrix:
-    """Permute the amplitudes into a 2^|A| x 2^(n-|A|) matrix."""
+    """Permute the amplitudes into a 2^|A| x 2^(n-|A|) matrix, a copy of
+    the state that the library itself never makes."""
     _check_cut(psi, region)
     m = region.size
     tensor = psi.amplitudes.reshape((2,) * psi.n).transpose(_axes(region))
@@ -114,14 +114,18 @@ def entropy(bm: BipartitionMatrix) -> EntropyResult:
 
 
 def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
-    """``entropy(bipartition(psi, region))`` without the bipartition copy.
+    """``entropy(bipartition(psi, region))`` without the bipartition copy:
+    the spectrum of ``_state_reader``'s matrix, so the call holds the state
+    and one block. The sketch's Omega stays keyed by ``region``."""
+    return _spectrum_of(_state_reader(psi, region)[1], region)
 
-    The bipartition matrix of the smaller side (A when |A| <= n/2, else the
-    complement, rows in ``bipartition``'s bit order of that side) is read in
-    column blocks gathered from the amplitudes into one reused scratch
-    array, so the call holds the state and one block. A block's columns are
-    the configurations of the larger side's lowest spins, with its higher
-    spins fixed; the sketch's Omega stays keyed by ``region``.
+
+def _state_reader(psi: Statevector, region: Subregion) -> tuple[Subregion, _ColumnReader]:
+    """The smaller side of the cut (A when 2|A| <= n, else the complement)
+    and a reader of its bipartition matrix, rows and columns in
+    ``bipartition``'s bit order of each side. Blocks are gathered into one
+    reused scratch array; a block's columns are the configurations of the
+    larger side's lowest spins, with its higher spins fixed.
     """
     _check_cut(psi, region)
     n, amps = psi.n, psi.amplitudes
@@ -145,7 +149,7 @@ def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
             np.take(amps[row_start + col_start :], index, out=scratch[k * step : (k + 1) * step], mode="wrap")
         return scratch
 
-    return _spectrum_of(_ColumnReader(rows, cols, amps.dtype, read), region)
+    return side, _ColumnReader(rows, cols, amps.dtype, read)
 
 
 def _offsets(spins: list[int]) -> np.ndarray:

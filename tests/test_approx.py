@@ -8,7 +8,7 @@ from numpy.polynomial import chebyshev
 
 from oracles import cheb_fit_1d
 
-from nqsent import approx
+from nqsent import approx, entanglement
 from nqsent.activations import Activation
 from nqsent.ansatz import CosnetSpec, DickeSpec, SnnqsSpec, build_cosnet, build_dicke, build_snnqs
 from nqsent.approx import (
@@ -27,7 +27,7 @@ from nqsent.cli import main
 from nqsent.errors import CapacityError, ContractError, DegenerateStateError, DomainError, NqsError, NumericError
 from nqsent.graph import ComputationGraph, Node, feature_reduce, save_graph
 from nqsent.statevector import materialize, two_norm_distance
-from nqsent.entanglement import bipartition, subregion_entropy
+from nqsent.entanglement import subregion_entropy
 
 
 def test_fit_chebyshev_polynomial_exact():
@@ -707,9 +707,14 @@ def test_auto_degree_stops_at_the_fit_point_cap(monkeypatch):
     def no_state(*args, **kwargs):
         raise AssertionError("state built before the fit's point cap")
 
+    # the largest degree within the cap misses the target, so no other is tried
+    degrees = []
+    error_bound = Certificate.error_bound
+    monkeypatch.setattr(Certificate, "error_bound", lambda cert, d, mu: degrees.append(d) or error_bound(cert, d, mu))
     monkeypatch.setattr(approx, "materialize", no_state)
     with pytest.raises(CapacityError, match=r"^degree 1048576 needs 4194308\^1 quadrature points"):
         full_bound_report(g, Subregion(0b111, 6), degree="auto")
+    assert len(degrees) <= 3
 
 
 def _assert_split_chain_matches_state(g, region, degree):
@@ -722,7 +727,7 @@ def _assert_split_chain_matches_state(g, region, degree):
     distance = two_norm_distance(psi, aux)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result, split_distance = approx._split_chain(r.features[0], fit, bipartition(psi, region))
+        result, split_distance = approx._split_chain(r.features[0], fit, psi, region)
     assert abs(result.entropy - expected.entropy) <= 1e-12
     assert result.schmidt_rank == expected.schmidt_rank
     # the spectra, each padded with zeros to the longer one's length
@@ -770,6 +775,29 @@ def test_split_chain_constant_side(mask):
     if mask in (0b00000111, 0b11111000):
         report = full_bound_report(g, Subregion(mask, n), degree=12)
         assert report.measured_entropy_aux == 0.0
+
+
+@pytest.mark.parametrize("mask", [0b1, 0b111, 0b11111, 0b1111111, 0b1111111110])
+def test_split_chain_distance_over_many_blocks(monkeypatch, mask):
+    # the reader's blocks shrink to a few columns, so the distance sums over
+    # many of them on both sides of the cut; with one spin in the rows, L's
+    # tables also go in several slices of each block
+    monkeypatch.setattr(entanglement, "_BLOCK", 64)
+    monkeypatch.setattr(entanglement, "_BLOCK_COLS", 4)
+    monkeypatch.setattr(approx, "_SPLIT_BYTES", 256)
+    n = 10
+    _assert_split_chain_matches_state(_one_feature_graph("snnqs i*tanh", n, RngStream(31).child(0)), Subregion(mask, n), 40)
+
+
+def test_bound_report_forms_no_bipartition_copy(monkeypatch):
+    def no_copy(*args, **kwargs):
+        raise AssertionError("the bound chain copied the state into a bipartition matrix")
+
+    monkeypatch.setattr(entanglement, "bipartition", no_copy)
+    monkeypatch.setattr(approx, "bipartition", no_copy, raising=False)
+    g = build_snnqs(SnnqsSpec(n=10, activation="i*tanh", bias_std=0.5), RngStream(1))
+    report = full_bound_report(g, Subregion(0b11111, 10), degree="auto")
+    assert report.mu == 1 and report.certified
 
 
 def test_vanishing_auxiliary_state_is_degenerate():
