@@ -53,7 +53,7 @@ from .errors import CapacityError, ContractError, DegenerateStateError, DomainEr
 from .graph import ComputationGraph, ReducedForm, feature_reduce
 from .graph import _eval_bits_chunked, _scratch, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance, _normalized
-from .entanglement import EntropyResult, fa_slack_from_bound, subregion_entropy, _ColumnReader, _spectrum_of, _state_reader
+from .entanglement import EntropyResult, fa_slack_from_bound, subregion_entropy, _ColumnReader, _one_blas_thread, _spectrum_of, _state_reader
 
 MULTIVAR_CAP = 4
 # cap on the K^mu quadrature points of a multivariable fit. The grid (mu
@@ -494,6 +494,7 @@ class BoundReport:
         return doc
 
 
+@_one_blas_thread()
 def full_bound_report(
     g: ComputationGraph,
     region: Subregion,
@@ -514,6 +515,9 @@ def full_bound_report(
     split factorization of the fit (``_split_chain``), read against the
     state's column blocks as ``subregion_entropy`` reads them. For mu >= 2
     the auxiliary state is materialized and read like the network's.
+
+    The whole report runs on one BLAS thread (``_one_blas_thread``, as a
+    decorator), so its bytes do not depend on ``OPENBLAS_NUM_THREADS``.
     """
     if not (_is_integer(degree) or isinstance(degree, str) and degree == "auto"):
         raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")

@@ -202,7 +202,7 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker threads for statevector evaluation (results do not depend on this)",
+        help="worker threads for statevector evaluation and for a sweep's region entropies (results do not depend on this)",
     )
     parser.add_argument("--log-base", choices=["e", "2"], default="e", dest="log_base")
     sub = parser.add_subparsers(dest="command", required=True)

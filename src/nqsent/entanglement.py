@@ -26,12 +26,23 @@ real M, a real sketch, a real symmetric Gram and a real eigensolve, which
 move half the bytes and do about a quarter of the products of the complex
 path that complex128 states take (``conj()`` of a real array is the array
 itself, not a copy).
+
+Every spectrum runs with its thread on one BLAS thread (``_one_blas_thread``
+over numpy's bundled OpenBLAS), so its bytes depend neither on
+``OPENBLAS_NUM_THREADS`` nor on how many spectra run at once: a sweep
+spreads one state's regions over its ``threads`` workers
+(``experiments.run_sweep``), each spectrum on its own thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +58,69 @@ _DRIFT_ERROR = 1e-8
 _SKETCH_START = 16
 _BLOCK = 1 << 17  # elements of the block every pass reads M through
 _BLOCK_COLS = 128  # fewest columns of a block
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[int], int] | None, str | None]:
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with numpy
+    (in ``numpy.libs``, or ``numpy/.dylibs`` on macOS) and the library's
+    configuration string, which names its CPU kernel; None for what is not
+    there, as under a system BLAS. Looked up on first use, not on import."""
+    here = os.path.dirname(np.__file__)
+    found = [glob.glob(os.path.join(here, *where, "*openblas*")) for where in ((os.pardir, "numpy.libs"), (".dylibs",))]
+    for path in sorted(found[0]) + sorted(found[1]):
+        try:
+            lib = ctypes.CDLL(path)
+            set_local = lib.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
+        config = None
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+            if hasattr(lib, name):
+                get_config = getattr(lib, name)
+                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+                config = get_config().decode(errors="replace")
+                break
+        return set_local, config
+    return None, None
+
+
+def _blas_record() -> dict:
+    """The BLAS the spectra run on: numpy's name for it (None where numpy
+    does not report one), the library's configuration string (version and
+    CPU kernel; None unless it is numpy's bundled OpenBLAS) and whether
+    each spectrum is pinned to one BLAS thread."""
+    try:
+        vendor = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        vendor = None
+    set_threads, config = _openblas()
+    return {"vendor": vendor, "config": config, "pinned": set_threads is not None}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with the calling thread on one BLAS thread, and yield
+    whether it is: every spectrum and every bound report runs inside, so
+    their bytes depend neither on ``OPENBLAS_NUM_THREADS`` nor on how many
+    regions run at once. The previous count comes back on exit, error
+    included. Without numpy's bundled OpenBLAS nothing is pinned.
+
+    numpy's (pthreads) OpenBLAS keeps one count for the whole process, so a
+    run that spreads spectra over threads holds the pin on its calling
+    thread around the whole run: every worker then finds 1 and puts 1 back,
+    and the calling thread restores the count it found once all are done.
+    """
+    set_threads = _openblas()[0]
+    if set_threads is None:
+        yield False
+        return
+    previous = set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(previous)
 
 
 @dataclass
@@ -124,8 +198,10 @@ def _state_reader(psi: Statevector, region: Subregion) -> tuple[Subregion, _Colu
     """The smaller side of the cut (A when 2|A| <= n, else the complement)
     and a reader of its bipartition matrix, rows and columns in
     ``bipartition``'s bit order of each side. Blocks are gathered into one
-    reused scratch array; a block's columns are the configurations of the
-    larger side's lowest spins, with its higher spins fixed.
+    scratch array, reused within a pass and let go at its end, so that the
+    sketch's QR and the eigensolve run without it; a block's columns are
+    the configurations of the larger side's lowest spins, with its higher
+    spins fixed.
     """
     _check_cut(psi, region)
     n, amps = psi.n, psi.amplitudes
@@ -141,15 +217,17 @@ def _state_reader(psi: Statevector, region: Subregion) -> tuple[Subregion, _Colu
     low_rows, low_cols = step.bit_length() - 1, width.bit_length() - 1
     index = _offsets(row_spins[:low_rows])[:, None] + _offsets(col_spins[:low_cols])
     row_starts, col_starts = _offsets(row_spins[low_rows:]), _offsets(col_spins[low_cols:])
-    scratch = np.empty((rows, width), dtype=amps.dtype)
+    held = []  # the scratch, from a pass's first read to the pass's end
 
     def read(cut: slice) -> np.ndarray:
+        if not held:
+            held.append(np.empty((rows, width), dtype=amps.dtype))
         col_start = col_starts[cut.start // width]
         for k, row_start in enumerate(row_starts):
-            np.take(amps[row_start + col_start :], index, out=scratch[k * step : (k + 1) * step], mode="wrap")
-        return scratch
+            np.take(amps[row_start + col_start :], index, out=held[0][k * step : (k + 1) * step], mode="wrap")
+        return held[0]
 
-    return side, _ColumnReader(rows, cols, amps.dtype, read)
+    return side, _ColumnReader(rows, cols, amps.dtype, read, held.clear)
 
 
 def _offsets(spins: list[int]) -> np.ndarray:
@@ -173,19 +251,26 @@ class _ColumnReader:
 
     ``read(cut)`` returns M[:, cut], valid until the next read. Each call
     of ``blocks()`` is one pass over M: (cut, block) pairs in a fixed order,
-    with boundaries that depend only on the shape.
+    with boundaries that depend only on the shape. ``release()``, when
+    given, runs at the end of each pass and lets go of what ``read`` holds;
+    the pass's consumer keeps no block past the pass.
     """
 
     rows: int
     cols: int
     dtype: np.dtype
     read: Callable[[slice], np.ndarray]
+    release: Callable[[], None] | None = None
 
     def blocks(self):
         width = _block_width(self.rows, self.cols)
-        for start in range(0, self.cols if self.rows else 0, width):
-            cut = slice(start, min(start + width, self.cols))
-            yield cut, self.read(cut)
+        try:
+            for start in range(0, self.cols if self.rows else 0, width):
+                cut = slice(start, min(start + width, self.cols))
+                yield cut, self.read(cut)
+        finally:
+            if self.release is not None:
+                self.release()
 
 
 def _spectrum_of(m: _ColumnReader, region: Subregion) -> EntropyResult:
@@ -201,15 +286,17 @@ def _spectrum_of(m: _ColumnReader, region: Subregion) -> EntropyResult:
     sketch draws from a stream keyed by the region alone, so results do not
     depend on the thread count of upstream evaluation. A NaN or infinite
     entry of M raises NumericError on either path: from an eigensolver that
-    fails on it, or from the spectrum's non-finite eigenvalues.
+    fails on it, or from the spectrum's non-finite eigenvalues. Every
+    product and eigensolve runs on one BLAS thread (``_one_blas_thread``).
     """
     try:
         # a complex inf entry makes the products meet inf - inf; the
         # eigensolver or the spectrum then refuses what they give
-        with np.errstate(invalid="ignore", over="ignore"):
-            sketch = _sketched_gram(m, region)
-            gram, tail = sketch if sketch is not None else (_dense_gram(m), 0.0)
-        lam = np.linalg.eigvalsh(gram)
+        with _one_blas_thread():
+            with np.errstate(invalid="ignore", over="ignore"):
+                sketch = _sketched_gram(m, region)
+                gram, tail = sketch if sketch is not None else (_dense_gram(m), 0.0)
+            lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
     return _spectrum(lam, m.rows, tail)
@@ -252,13 +339,15 @@ def _sketched_gram(m: _ColumnReader, region: Subregion) -> tuple[np.ndarray, flo
 
     Omega starts at _SKETCH_START columns and doubles; new columns are
     appended rather than redrawn. Each width takes one pass over M's blocks
-    that extends both Z = Omega^dag M and Y = M Z^dag by the new columns.
-    Z Z^dag = Omega^dag M M^dag Omega is the Gram compressed to the sketch,
-    and its eigenvalues follow M's. While the smallest is above
-    RANK_THRESHOLD_ABS of the largest, M has more eigenvalues above the tail
-    threshold than the sketch has columns, so the sketch grows. Otherwise
-    Q = orth(Y), and one more pass sums B B^dag and the exact tail block by
-    block, the residual an eighth of a block's rows at a time.
+    that computes the new rows of Z = Omega^dag M and the new columns of
+    Y = M Z^dag, kept as one piece per width: no width copies the earlier
+    ones. Z Z^dag = Omega^dag M M^dag Omega is the Gram compressed to the
+    sketch, grown by the new rows' products with every piece, and its
+    eigenvalues follow M's. While the smallest is above RANK_THRESHOLD_ABS
+    of the largest, M has more eigenvalues above the tail threshold than the
+    sketch has columns, so the sketch grows. Otherwise Q = orth(Y), with Y
+    stacked once, and one more pass sums B B^dag and the exact tail
+    (``_projected_gram``).
 
     The width stays at most rows/8 and rows^2/cols, so Z and Y together
     cost at most half the products of the dense Gram as a general product,
@@ -271,43 +360,68 @@ def _sketched_gram(m: _ColumnReader, region: Subregion) -> tuple[np.ndarray, flo
     if cap < 2 * _SKETCH_START:
         return None
     gen = RngStream(region.n, region.mask).generator()
-    z = np.zeros((0, cols), dtype=dtype)
-    y = np.zeros((rows, 0), dtype=dtype)
-    width = _SKETCH_START
+    zs, ys = [], []  # Z by rows and Y by columns, one piece per width
+    zz = np.zeros((0, 0), dtype=dtype)  # Z Z^dag, its lower triangle
+    width, done = _SKETCH_START, 0
     while width <= cap:
-        omega = gen.standard_normal((width - z.shape[0], rows)).astype(dtype, copy=False)
-        new = omega.shape[0]
-        z = np.vstack([z, np.empty((new, cols), dtype=dtype)])
-        y = np.hstack([y, np.zeros((rows, new), dtype=dtype)])
-        for cut, block in m.blocks():
-            part = z[-new:, cut] = omega @ block
-            y[:, -new:] += block @ part.conj().T
-        ev = np.linalg.eigvalsh(z @ z.conj().T)
+        _sketch_pass(m, gen.standard_normal((width - done, rows)).astype(dtype, copy=False), zs, ys)
+        grown = np.zeros((width, width), dtype=dtype)
+        grown[:done, :done] = zz
+        grown[done:] = np.hstack([zs[-1] @ piece.conj().T for piece in zs])
+        zz, done = grown, width
+        ev = np.linalg.eigvalsh(zz)  # reads the lower triangle only
         if ev[0] <= RANK_THRESHOLD_ABS * ev[-1]:
-            q = np.linalg.qr(y)[0]
-            q_dag = q.conj().T
-            gram = np.zeros((width, width), dtype=dtype)
-            tail, step = 0.0, max(1, rows // 8)
-            for _, block in m.blocks():
-                piece = q_dag @ block
-                gram += piece @ piece.conj().T
-                # the residual an eighth of the block's rows at a time
-                for lo in range(0, rows, step):
-                    resid = q[lo : lo + step] @ piece
-                    resid -= block[lo : lo + step]
-                    tail += float(np.vdot(resid, resid).real)
+            ys = [np.hstack(ys)]
+            gram, tail = _projected_gram(m, ys[0])
             if tail <= RANK_THRESHOLD_ABS:
                 return gram, tail
         width *= 2
     return None
 
 
-def _dense_gram(m: _ColumnReader) -> np.ndarray:
-    """M M^dag, summed over the blocks through one product buffer."""
-    gram = np.zeros((m.rows, m.rows), dtype=m.dtype)
-    product = np.empty_like(gram)
+def _sketch_pass(m: _ColumnReader, omega: np.ndarray, zs: list, ys: list) -> None:
+    """Append the new rows Omega^dag M of Z to ``zs`` and the new columns
+    M (Omega^dag M)^dag of Y to ``ys``, for the sketch columns ``omega``,
+    in one pass over M's blocks."""
+    z = np.empty((omega.shape[0], m.cols), dtype=m.dtype)
+    y = np.zeros((m.rows, omega.shape[0]), dtype=m.dtype)
+    for cut, block in m.blocks():
+        part = z[:, cut] = omega @ block
+        y += block @ part.conj().T
+    zs.append(z)
+    ys.append(y)
+
+
+def _projected_gram(m: _ColumnReader, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """B B^dag for B = Q^dag M with Q = orth(y), and the tail
+    ||M - Q B||_F^2, summed over M's blocks in one pass; Q is conjugated in
+    place and read as Q^dag, and the residual is formed an eighth of a
+    block's rows at a time."""
+    q = np.linalg.qr(y)[0]
+    q_dag = np.conjugate(q, out=q).T
+    gram = np.zeros((y.shape[1], y.shape[1]), dtype=m.dtype)
+    tail, step = 0.0, max(1, m.rows // 8)
     for _, block in m.blocks():
-        gram += np.matmul(block, block.conj().T, out=product)
+        piece = q_dag @ block
+        gram += piece @ piece.conj().T
+        for lo in range(0, m.rows, step):
+            resid = q_dag[:, lo : lo + step].conj().T @ piece
+            resid -= block[lo : lo + step]
+            tail += float(np.vdot(resid, resid).real)
+    return gram, tail
+
+
+def _dense_gram(m: _ColumnReader) -> np.ndarray:
+    """The lower triangle of M M^dag, the part the eigensolver reads, summed
+    over the blocks. From 256 rows on, a block's product is formed in
+    panels of an eighth of its columns: rows lo.. against rows lo..lo+step.
+    That skips most of the upper part's products and holds an eighth of the
+    rows x rows product and of the block's conjugate at a time."""
+    gram = np.zeros((m.rows, m.rows), dtype=m.dtype)
+    step = m.rows // 8 if m.rows >= 256 else m.rows
+    for _, block in m.blocks():
+        for lo in range(0, m.rows, step):
+            gram[lo:, lo : lo + step] += block[lo:] @ block[lo : lo + step].conj().T
     return gram
 
 

@@ -30,8 +30,9 @@ from .errors import (
     ExperimentError,
 )
 from .ansatz import ansatz_from_config
-from .entanglement import subregion_entropy
-from .statevector import materialize
+from .entanglement import _blas_record, _one_blas_thread, subregion_entropy
+from .graph import _run_jobs
+from .statevector import Statevector, materialize
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +186,14 @@ def _default_sizes(cfg: ExperimentConfig, n: int) -> list[int]:
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Execute the configured ensemble; deterministic given (config, seed)."""
+    """Execute the configured ensemble; deterministic given (config, seed).
+
+    Each trial's state is materialized on up to ``threads`` threads, and its
+    regions are drawn from the trial's region stream, every size in turn.
+    Their entropies then run as jobs on up to ``threads`` workers
+    (``_region_entropies``), and the rows follow in region order, so the
+    rows do not depend on ``threads``.
+    """
     base = RngStream(cfg.seed)
     rows: list[SweepRow] = []
     excluded: list[dict] = []
@@ -213,21 +221,24 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
                     continue
                 # a cosnet's k counts the units of one component, and both are live
                 k_col = graph.k // 2 if cfg.ansatz.get("family") == "cosnet" else graph.k
-                for size in _default_sizes(cfg, n):
-                    for region in _sample_regions(cfg.region_mode, n, size, cfg.regions_per_trial, region_gen):
-                        ent = subregion_entropy(psi, region).entropy
-                        rows.append(
-                            SweepRow(
-                                experiment=cfg.name,
-                                n=n,
-                                subsystem_size=size,
-                                k=k_col,
-                                trial=trial,
-                                region_mask=region.mask,
-                                seed=cfg.seed,
-                                entropy_nats=ent,
-                            )
+                regions = [
+                    region
+                    for size in _default_sizes(cfg, n)
+                    for region in _sample_regions(cfg.region_mode, n, size, cfg.regions_per_trial, region_gen)
+                ]
+                for region, ent in zip(regions, _region_entropies(psi, regions, threads)):
+                    rows.append(
+                        SweepRow(
+                            experiment=cfg.name,
+                            n=n,
+                            subsystem_size=region.size,
+                            k=k_col,
+                            trial=trial,
+                            region_mask=region.mask,
+                            seed=cfg.seed,
+                            entropy_nats=ent,
                         )
+                    )
             if point_excluded * 2 > cfg.trials:
                 raise ExperimentError(
                     f"{point_excluded}/{cfg.trials} degenerate trials at n={n}, k={k_val}"
@@ -236,6 +247,27 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     if cfg.k_grid:
         refs = {f"n={n},m={s}": page_value(s, n) for n in cfg.n_grid for s in _default_sizes(cfg, n)}
     return SweepResult(rows=rows, excluded=excluded, page_reference=refs)
+
+
+def _region_entropies(psi: Statevector, regions: list[Subregion], threads: int) -> list[float]:
+    """The entropy of each region's cut of ``psi``, in region order.
+
+    The regions are jobs of one ``_run_jobs`` run on up to ``threads``
+    workers, handed out largest smaller side first so that the big cuts do
+    not finish last; the first failing region in region order raises. The
+    calling thread holds the BLAS pin around the run, and each spectrum
+    runs on one BLAS thread, so the entropies do not depend on ``threads``.
+    Where spectra cannot be pinned, the regions run on the calling thread.
+    """
+    out = [0.0] * len(regions)
+
+    def job(i: int) -> None:
+        out[i] = subregion_entropy(psi, regions[i]).entropy
+
+    order = sorted(range(len(regions)), key=lambda i: -min(regions[i].size, psi.n - regions[i].size))
+    with _one_blas_thread() as pinned:
+        _run_jobs(job, order, threads if pinned else 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +286,15 @@ def write_csv(result: SweepResult, path) -> None:
 
 
 def write_aggregates(result: SweepResult, path) -> None:
+    """Per-point aggregates, excluded trials, and the BLAS the spectra ran
+    on (``entanglement._blas_record``: numpy's name for it, the library's
+    configuration string with its CPU kernel, and whether every spectrum was
+    pinned to one BLAS thread). The CSV holds none of this."""
     doc = {
         "schema_version": 1,
         "points": result.aggregates(),
         "excluded": result.excluded,
+        "blas": _blas_record(),
     }
     if result.page_reference is not None:
         doc["page_reference"] = result.page_reference

@@ -105,7 +105,7 @@ _SCRATCH = threading.local()
 def _scratch(size: int) -> np.ndarray:
     """``size`` float64 elements of storage for value and Chebyshev tables.
 
-    Inside a chunk run (``_eval_bits_chunked``) each thread keeps its
+    Inside a run of the thread driver (``_run_jobs``) each thread keeps its
     storage from one chunk to the next, shared by every tape and fit it
     evaluates: allocating it per chunk lets the allocator hand the pages
     back and fault them in again. The storage goes when the chunk run ends,
@@ -133,14 +133,9 @@ def _eval_bits_chunked(evaluate, bits, dtype, threads: int = 1, chunk: int = DEF
     configurations; an overflow's batch column becomes its configuration.
 
     Chunk boundaries depend on ``chunk`` only, never on ``threads``, so every
-    floating-point result is the same for any thread count. Up to
-    ``threads`` workers, never more than there are chunks, take the chunks
-    in order from one queue: the calling thread and pool threads (callers
-    pass 1 unless the evaluating tape is heavy). Each worker keeps its
-    scratch for the run and gets an equal share of the ``_TABLE_BYTES``
-    budget. If chunks fail, no chunk after the first failure is started,
-    and the error of the first failing chunk is raised once every worker
-    has stopped.
+    floating-point result is the same for any thread count. The chunks are
+    jobs of one ``_run_jobs`` run, in order (callers pass ``threads`` = 1
+    unless the evaluating tape is heavy).
     """
     if not isinstance(bits, range):
         bits = np.asarray(bits)
@@ -152,10 +147,9 @@ def _eval_bits_chunked(evaluate, bits, dtype, threads: int = 1, chunk: int = DEF
     count = len(bits)
     out = np.empty(count, dtype)
     starts = range(0, count, chunk)
-    workers = max(1, min(threads, len(starts)))
-    lock, taken, end, failed = threading.Lock(), 0, len(starts), {}
 
-    def write(start):
+    def write(i):
+        start = starts[i]
         piece = bits[start : start + chunk]
         if isinstance(piece, range):
             piece = np.arange(piece.start, piece.stop, piece.step, dtype=np.int64)
@@ -172,21 +166,40 @@ def _eval_bits_chunked(evaluate, bits, dtype, threads: int = 1, chunk: int = DEF
             raise ContractError(f"a chunk of {values.dtype} values for a {np.dtype(dtype)} result")
         out[start : start + len(values)] = values
 
+    _run_jobs(write, range(len(starts)), threads)
+    return out
+
+
+def _run_jobs(job, order: Sequence[int], threads: int = 1) -> None:
+    """``job(i)`` for every index i in ``order``, the one thread driver of
+    the library: the chunks of a state and the region entropies of a sweep.
+
+    Up to ``threads`` workers, never more than there are jobs, take the
+    jobs in ``order`` from one queue: the calling thread and pool threads.
+    Each worker keeps its scratch (``_scratch``) for the run and gets an
+    equal share of the ``_TABLE_BYTES`` budget. Once job i fails, no job
+    after i in index order is started, while the ones before it still run;
+    the error of the failing job of smallest index is raised once every
+    worker has stopped.
+    """
+    workers = max(1, min(threads, len(order)))
+    lock, queue, end, failed = threading.Lock(), iter(order), math.inf, {}
+
     def work():
-        nonlocal taken, end
+        nonlocal end
         _SCRATCH.kept, _SCRATCH.share = True, workers
         try:
             while True:
                 with lock:
-                    if taken >= end:
-                        return
-                    i, taken = taken, taken + 1
+                    i = next((i for i in queue if i < end), None)
+                if i is None:
+                    return
                 try:
-                    write(starts[i])
+                    job(i)
                 except Exception as exc:
                     with lock:
                         failed[i] = exc
-                        end = min(end, i)  # every chunk before i is taken, and one may fail first
+                        end = min(end, i)
         finally:
             _SCRATCH.__dict__.clear()
 
@@ -202,7 +215,6 @@ def _eval_bits_chunked(evaluate, bits, dtype, threads: int = 1, chunk: int = DEF
         future.result()
     if failed:
         raise failed[min(failed)]
-    return out
 
 
 @dataclass(frozen=True)

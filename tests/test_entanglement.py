@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,7 +180,9 @@ def test_haar_state_falls_back_to_dense_gram(monkeypatch):
     res = entropy(bm)
     assert accepted == [False]
     assert res.tail == 0.0
-    lam = np.clip(np.linalg.eigvalsh(entanglement._dense_gram(_reader(bm.M)))[::-1], 0.0, None)
+    # the Gram and its eigensolve on one BLAS thread, as every spectrum runs
+    with entanglement._one_blas_thread():
+        lam = np.clip(np.linalg.eigvalsh(entanglement._dense_gram(_reader(bm.M)))[::-1], 0.0, None)
     if abs(lam.sum() - 1.0) > 1e-10 or lam.sum() != 1.0:
         lam = lam / lam.sum()
     assert res.eigenvalues.tobytes() == lam.tobytes()
@@ -499,3 +506,43 @@ def test_fannes_audenaert_inequality_random_pairs(seed):
     T = reduced_trace_distance(a, b, region)
     lhs = abs(subregion_entropy(a, region).entropy - subregion_entropy(b, region).entropy)
     assert lhs <= fannes_audenaert_bound(min(1.0, T), region.size) + 1e-9
+
+
+# three random half cuts of fig1d_mlp's ansatz at n=16 (dense Grams of 256
+# rows, which OpenBLAS spreads over its threads) and a mu=1 bound report
+_BLAS_BYTES_SCRIPT = """
+import json
+import numpy as np
+import nqsent as nq
+from nqsent.core import RngStream, Subregion
+from nqsent.experiments import PRESETS
+
+mlp = next(c for c in PRESETS["fig1d"] if c.name == "fig1d_mlp").ansatz
+psi = nq.materialize(nq.ansatz_from_config(dict(mlp, n=16), RngStream(3).child(0)))
+gen = np.random.default_rng(0)
+out = []
+for _ in range(3):
+    res = nq.subregion_entropy(psi, Subregion.from_members(gen.choice(16, 8, replace=False).tolist(), 16))
+    out.append([res.eigenvalues.tobytes().hex(), res.entropy])
+g = nq.build_snnqs(nq.SnnqsSpec(n=12, activation="i*tanh", bias_std=0.5), RngStream(1))
+out.append(nq.full_bound_report(g, Subregion(0x3F, 12)).to_json())
+print(json.dumps(out))
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(entanglement.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _BLAS_BYTES_SCRIPT],
+            env=dict(env, OPENBLAS_NUM_THREADS=str(t)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=600,
+        ).stdout
+        for t in (1, 2)
+    ]
+    assert json.loads(outs[0])[3]["mu"] == 1
+    assert outs[0] == outs[1]

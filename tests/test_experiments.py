@@ -1,14 +1,17 @@
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from nqsent import entanglement, experiments
 from nqsent.analytic import dicke_entropy, page_value
 from nqsent.ansatz import ansatz_from_config
 from nqsent.core import RngStream
-from nqsent.errors import ContractError, ExperimentError
+from nqsent.errors import ContractError, ExperimentError, NumericError
 from nqsent.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -53,6 +56,141 @@ def test_determinism_across_threads_and_reruns(tmp_path):
     write_csv(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
     assert pa.read_text().splitlines()[0] == CSV_HEADER
+
+
+def _mixed_cfg(**kw):
+    """n=16 snnqs phase states of weight_std 0.5: random halves have the 256
+    rows a sketch needs and ranks it accepts, cuts of 3 spins (either side)
+    take the dense Gram. Per trial the regions are two of each size, sizes
+    3, 8 and 13 in turn."""
+    ansatz = dict(_phase_cfg().ansatz, weight_std=0.5)
+    return _phase_cfg(**dict(dict(ansatz=ansatz, n_grid=[16], sizes=[3, 8, 13], trials=2, regions_per_trial=2), **kw))
+
+
+def test_sweep_rows_do_not_depend_on_threads(monkeypatch):
+    accepted, sketched = [], entanglement._sketched_gram
+
+    def spy(m, region):
+        out = sketched(m, region)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(entanglement, "_sketched_gram", spy)
+    runs = [run_sweep(_mixed_cfg(), threads=t).rows for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert [r.subsystem_size for r in runs[0]] == [3, 3, 8, 8, 13, 13] * 2
+    # every thread count saw both paths: sketched halves, dense 3-spin cuts
+    assert accepted.count(True) == 3 * 4 and accepted.count(False) == 3 * 8
+
+
+def test_region_jobs_go_largest_first_on_the_pinned_workers(monkeypatch):
+    calls, run_jobs = [], experiments._run_jobs
+
+    def spy(job, order, threads):
+        calls.append((list(order), threads))
+        run_jobs(job, order, threads)
+
+    monkeypatch.setattr(experiments, "_run_jobs", spy)
+    run_sweep(_mixed_cfg(trials=1), threads=3)
+    # the halves (regions 2 and 3) first, then the 3-spin cuts in region order
+    threads = 3 if entanglement._openblas()[0] is not None else 1
+    assert calls == [([2, 3, 0, 1, 4, 5], threads)]
+
+
+def test_region_rows_hold_with_more_workers_than_cores_and_fast_switching():
+    # eight workers and a switch interval of a microsecond: a lost or
+    # misplaced entropy would change the rows
+    cfg = _phase_cfg(n_grid=[10], sizes=[1, 3, 5, 7, 9], trials=2, regions_per_trial=4)
+    expected = run_sweep(cfg, threads=1).rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = run_sweep(cfg, threads=8).rows
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == expected and len(rows) == 2 * 5 * 4
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_first_failing_region_in_region_order_raises(threads, monkeypatch):
+    # region 3 (a half, taken second) fails before region 1 (3 spins, taken
+    # third) is started; region 1's error is raised, once every worker stopped
+    rows = run_sweep(_mixed_cfg(trials=1)).rows
+    failing = {rows[1].region_mask, rows[3].region_mask}
+    real = experiments.subregion_entropy
+
+    def entropy(psi, region):
+        if region.mask in failing:
+            raise NumericError(f"region {region.mask:x}")
+        return real(psi, region)
+
+    monkeypatch.setattr(experiments, "subregion_entropy", entropy)
+    before = set(threading.enumerate())
+    with pytest.raises(NumericError, match=f"region {rows[1].region_mask:x}$"):
+        run_sweep(_mixed_cfg(trials=1), threads=threads)
+    assert set(threading.enumerate()) == before
+
+
+def test_spectra_run_on_one_blas_thread_and_the_count_comes_back(monkeypatch):
+    # a stand-in for OpenBLAS's one process-wide count: every eigensolve of
+    # a sweep sees 1, and the count is back after success and after an error
+    lock, count = threading.Lock(), [4]
+
+    def set_count(k):
+        with lock:
+            previous, count[0] = count[0], k
+        return previous
+
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(count[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "_openblas", lambda: (set_count, None))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    run_sweep(_mixed_cfg(trials=1), threads=2)
+    assert len(seen) >= 6 and set(seen) == {1}
+    assert count == [4]
+    monkeypatch.setattr(experiments, "subregion_entropy", lambda psi, region: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_sweep(_mixed_cfg(trials=1), threads=2)
+    assert count == [4]
+
+
+@pytest.mark.skipif(entanglement._openblas()[0] is None, reason="numpy has no bundled OpenBLAS")
+def test_the_library_blas_count_comes_back(monkeypatch):
+    set_count = entanglement._openblas()[0]
+    before = set_count(3)
+    try:
+        run_sweep(_mixed_cfg(trials=1), threads=2)
+        assert set_count(3) == 3
+        monkeypatch.setattr(experiments, "subregion_entropy", lambda psi, region: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_sweep(_mixed_cfg(trials=1), threads=2)
+        assert set_count(3) == 3
+    finally:
+        set_count(before)
+
+
+def test_without_the_pin_regions_run_on_the_calling_thread(monkeypatch, tmp_path):
+    # n=10: every Gram is at most 32 x 32, too small for BLAS to spread, so
+    # the unpinned rows equal the pinned ones
+    cfg = _phase_cfg(n_grid=[10], sizes=[2, 5, 7], trials=2)
+    pinned = run_sweep(cfg, threads=2).rows
+    seen, real = set(), experiments.subregion_entropy
+
+    def entropy(psi, region):
+        seen.add(threading.get_ident())
+        return real(psi, region)
+
+    monkeypatch.setattr(entanglement, "_openblas", lambda: (None, None))
+    monkeypatch.setattr(experiments, "subregion_entropy", entropy)
+    res = run_sweep(cfg, threads=2)
+    assert res.rows == pinned
+    assert seen == {threading.get_ident()}
+    write_aggregates(res, tmp_path / "rows.agg.json")
+    assert json.loads((tmp_path / "rows.agg.json").read_text())["blas"]["pinned"] is False
 
 
 def test_seed_changes_rows():
@@ -298,6 +436,13 @@ def test_csv_and_aggregate_artifacts(tmp_path):
     doc = json.loads(agg_path.read_text())
     assert doc["schema_version"] == 1
     assert doc["points"]
+    # the BLAS the spectra ran on; numpy's bundled OpenBLAS names its kernel
+    set_count, config = entanglement._openblas()
+    pinned = set_count is not None
+    blas = doc["blas"]
+    assert sorted(blas) == ["config", "pinned", "vendor"]
+    assert blas["config"] == config and blas["pinned"] is pinned
+    assert not pinned or (blas["config"].startswith("OpenBLAS") and "openblas" in blas["vendor"])
 
 
 def test_presets_registry_valid():
