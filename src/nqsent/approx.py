@@ -53,7 +53,7 @@ from .errors import CapacityError, ContractError, DegenerateStateError, DomainEr
 from .graph import ComputationGraph, ReducedForm, feature_reduce
 from .graph import _eval_bits_chunked, _scratch, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance, _normalized
-from .entanglement import EntropyResult, fa_slack_from_bound, subregion_entropy, _ColumnReader, _one_blas_thread, _spectrum_of, _state_reader
+from .entanglement import EntropyResult, fa_slack_from_bound, subregion_entropy, _check_cut, _one_blas_thread, _spectrum_of, _state_reader, _view_reader
 
 MULTIVAR_CAP = 4
 # cap on the K^mu quadrature points of a multivariable fit. The grid (mu
@@ -420,7 +420,6 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, psi: Statevector, regio
         points.append(mid + half * _quad_nodes(deg + 1))
     grid = fit.evaluate_unit((points[0][:, None] + points[1][None, :]).reshape(1, -1))
     C = weights[0] @ grid.reshape(points[0].size, points[1].size) @ weights[1].T
-    # the reader's scratch is first written in the distance pass
     (rows_side, reader), (y_s, y_l) = _state_reader(psi, region), y
     if rows_side != region:
         C, y_s, y_l = C.T, y_l, y_s
@@ -445,7 +444,7 @@ def _split_chain(f: AffineFeature, fit: ChebyshevApprox, psi: Statevector, regio
     if norm_sq == 0.0:
         raise DegenerateStateError("the auxiliary state vanishes; it cannot be normalized")
     R = R / math.sqrt(norm_sq)
-    spectrum = _spectrum_of(_ColumnReader(*R.shape, R.dtype, lambda cut: R[:, cut]), region)
+    spectrum = _spectrum_of(_view_reader(R), region)
 
     split = np.iscomplexobj(C) or np.iscomplexobj(psi.amplitudes)
     parts = [C.real, C.imag] if split else [C]
@@ -521,10 +520,7 @@ def full_bound_report(
     """
     if not (_is_integer(degree) or isinstance(degree, str) and degree == "auto"):
         raise ContractError(f"degree must be 'auto' or an integer, got {degree!r}")
-    if region.n != g.n:
-        raise ContractError(f"region has n={region.n}, graph has n={g.n}")
-    if not 0 < region.size < g.n:
-        raise ContractError("subregion must be a proper nonempty subset")
+    _check_cut(g.n, region)
     check_n(g.n)
     r = feature_reduce(g)
     if r.mu == 0:

@@ -70,7 +70,7 @@ class Subregion:
         # numpy integers would carry into masks derived from this one
         object.__setattr__(self, "mask", int(self.mask))
         object.__setattr__(self, "n", int(self.n))
-        if not 0 <= self.mask < (1 << self.n):
+        if self.n < 0 or not 0 <= self.mask < (1 << self.n):
             raise ContractError(f"mask={self.mask:#x} out of range for n={self.n}")
 
     @classmethod

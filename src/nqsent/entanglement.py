@@ -14,12 +14,13 @@ the state, it falls back to the dense O(4^min(|A|, n-|A|)) Gram and its full
 eigensolve.
 
 The routine reads M in column blocks, one pass over M per step, and never
-holds M whole. Every read of a state's cut (:func:`subregion_entropy`,
-``approx``'s bound chain) goes through ``_state_reader``, which gathers
-each block from the amplitudes into one scratch array of about _BLOCK
-elements (at least _BLOCK_COLS columns), so an entropy holds the state
-plus one block, the sketch's Z and Y and, on the dense path, the Gram.
-:func:`entropy` runs the same routine over views of a given matrix.
+holds M whole: each pass is a generator of (cut, M[:, cut]) pairs from a
+reader (``_ColumnReader``) that owns their bounds and scratch. A state's
+cut (:func:`subregion_entropy`, ``approx``'s bound chain) is read by
+``_state_reader``, whose pass gathers each block into one scratch array of
+about _BLOCK elements (at least _BLOCK_COLS columns), so an entropy holds
+the state plus one block, the sketch's Z and Y and, on the dense path, the
+Gram. :func:`entropy` and the bound chain's R are read as views.
 
 Every step follows the dtype of the state: a real (float64) state gives a
 real M, a real sketch, a real symmetric Gram and a real eigensolve, which
@@ -41,7 +42,8 @@ import functools
 import glob
 import math
 import os
-from collections.abc import Callable
+import threading
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -58,6 +60,8 @@ _DRIFT_ERROR = 1e-8
 _SKETCH_START = 16
 _BLOCK = 1 << 17  # elements of the block every pass reads M through
 _BLOCK_COLS = 128  # fewest columns of a block
+_pin_lock = threading.Lock()
+_pins = []  # the count each body inside ``_one_blas_thread`` replaced, the first one's first
 
 
 @functools.cache
@@ -101,26 +105,28 @@ def _blas_record() -> dict:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body with the calling thread on one BLAS thread, and yield
-    whether it is: every spectrum and every bound report runs inside, so
-    their bytes depend neither on ``OPENBLAS_NUM_THREADS`` nor on how many
-    regions run at once. The previous count comes back on exit, error
-    included. Without numpy's bundled OpenBLAS nothing is pinned.
-
-    numpy's (pthreads) OpenBLAS keeps one count for the whole process, so a
-    run that spreads spectra over threads holds the pin on its calling
-    thread around the whole run: every worker then finds 1 and puts 1 back,
-    and the calling thread restores the count it found once all are done.
+    """Run the body on one BLAS thread, and yield whether it does; without
+    numpy's bundled OpenBLAS nothing is pinned. Every spectrum and bound
+    report runs inside, so their bytes depend neither on
+    ``OPENBLAS_NUM_THREADS`` nor on how many run at once. numpy's (pthreads)
+    OpenBLAS keeps one count for the whole process, so the pin is counted
+    under a lock: every entry sets 1, the first keeps the count it replaced,
+    and the last exit, error included, restores it. Bodies may overlap on
+    any threads; meanwhile every BLAS call of the process runs on one thread.
     """
     set_threads = _openblas()[0]
     if set_threads is None:
         yield False
         return
-    previous = set_threads(1)
+    with _pin_lock:
+        _pins.append(set_threads(1))
     try:
         yield True
     finally:
-        set_threads(previous)
+        with _pin_lock:
+            previous = _pins.pop()  # 1 unless this is the last exit
+            if not _pins:
+                set_threads(previous)
 
 
 @dataclass
@@ -151,17 +157,18 @@ def _axes(region: Subregion) -> list[int]:
     ]
 
 
-def _check_cut(psi: Statevector, region: Subregion) -> None:
-    if region.n != psi.n:
-        raise ContractError(f"region has n={region.n}, state has n={psi.n}")
-    if not 0 < region.size < psi.n:
+def _check_cut(n: int, region: Subregion) -> None:
+    if region.n != n:
+        raise ContractError(f"region has n={region.n}, state has n={n}")
+    if not 0 < region.size < n:
         raise ContractError("subregion must be a proper nonempty subset")
 
 
 def bipartition(psi: Statevector, region: Subregion) -> BipartitionMatrix:
     """Permute the amplitudes into a 2^|A| x 2^(n-|A|) matrix, a copy of
-    the state that the library itself never makes."""
-    _check_cut(psi, region)
+    the state that the library itself never makes. It stays because
+    perfbench's tracer patches it by name (ROADMAP items 10, 11 and 17)."""
+    _check_cut(psi.n, region)
     m = region.size
     tensor = psi.amplitudes.reshape((2,) * psi.n).transpose(_axes(region))
     # a C-ordered copy, never a view of the state, even for the identity order
@@ -179,12 +186,14 @@ class EntropyResult:
 def entropy(bm: BipartitionMatrix) -> EntropyResult:
     """Spectrum, entropy (nats) and numerical Schmidt rank of the bipartition.
 
-    M is bm.M read on its smaller side, as a transposed view when
-    |A| > n/2 (M^T conj(M) has the spectrum of M^dag M), in column blocks
-    that are views of bm.M; see ``_spectrum_of``.
+    bm.M is read as views (``_view_reader``); a shape other than
+    (2^|A|, 2^(n-|A|)) for a proper region is a ContractError. It stays
+    because perfbench's tracer patches it by name (ROADMAP items 10, 11, 17).
     """
-    M = bm.M if bm.M.shape[0] <= bm.M.shape[1] else bm.M.T
-    return _spectrum_of(_ColumnReader(*M.shape, M.dtype, lambda cut: M[:, cut]), bm.region)
+    m, n = bm.region.size, bm.region.n
+    if not 0 < m < n or bm.M.shape != (1 << m, 1 << (n - m)):
+        raise ContractError(f"a {bm.M.shape} matrix is no bipartition matrix of |A|={m} of n={n} spins")
+    return _spectrum_of(_view_reader(bm.M), bm.region)
 
 
 def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
@@ -197,13 +206,12 @@ def subregion_entropy(psi: Statevector, region: Subregion) -> EntropyResult:
 def _state_reader(psi: Statevector, region: Subregion) -> tuple[Subregion, _ColumnReader]:
     """The smaller side of the cut (A when 2|A| <= n, else the complement)
     and a reader of its bipartition matrix, rows and columns in
-    ``bipartition``'s bit order of each side. Blocks are gathered into one
-    scratch array, reused within a pass and let go at its end, so that the
-    sketch's QR and the eigensolve run without it; a block's columns are
-    the configurations of the larger side's lowest spins, with its higher
-    spins fixed.
+    ``bipartition``'s bit order of each side. A block's columns are the
+    configurations of the larger side's lowest spins, with its higher spins
+    fixed. Each pass gathers into a scratch array of its own, which dies
+    with the pass, so that the sketch's QR and the eigensolve run without it.
     """
-    _check_cut(psi, region)
+    _check_cut(psi.n, region)
     n, amps = psi.n, psi.amplitudes
     side = region if 2 * region.size <= n else region.complement()
     rows, cols = 1 << side.size, 1 << (n - side.size)
@@ -217,17 +225,24 @@ def _state_reader(psi: Statevector, region: Subregion) -> tuple[Subregion, _Colu
     low_rows, low_cols = step.bit_length() - 1, width.bit_length() - 1
     index = _offsets(row_spins[:low_rows])[:, None] + _offsets(col_spins[:low_cols])
     row_starts, col_starts = _offsets(row_spins[low_rows:]), _offsets(col_spins[low_cols:])
-    held = []  # the scratch, from a pass's first read to the pass's end
 
-    def read(cut: slice) -> np.ndarray:
-        if not held:
-            held.append(np.empty((rows, width), dtype=amps.dtype))
-        col_start = col_starts[cut.start // width]
-        for k, row_start in enumerate(row_starts):
-            np.take(amps[row_start + col_start :], index, out=held[0][k * step : (k + 1) * step], mode="wrap")
-        return held[0]
+    def blocks() -> Iterator[tuple[slice, np.ndarray]]:
+        out = np.empty((rows, width), dtype=amps.dtype)
+        for j, col_start in enumerate(col_starts):
+            for k, row_start in enumerate(row_starts):
+                np.take(amps[row_start + col_start :], index, out=out[k * step : (k + 1) * step], mode="wrap")
+            yield slice(j * width, (j + 1) * width), out
 
-    return side, _ColumnReader(rows, cols, amps.dtype, read, held.clear)
+    return side, _ColumnReader(rows, cols, amps.dtype, blocks)
+
+
+def _view_reader(M: np.ndarray) -> _ColumnReader:
+    """A reader of M's views on its smaller side, M^T when M has more rows
+    than columns (M^T conj(M) has the spectrum of M^dag M)."""
+    M = M if M.shape[0] <= M.shape[1] else M.T
+    width, cols = _block_width(*M.shape), M.shape[1]
+    cuts = [slice(start, min(start + width, cols)) for start in range(0, cols, width)]
+    return _ColumnReader(*M.shape, M.dtype, lambda: ((cut, M[:, cut]) for cut in cuts))
 
 
 def _offsets(spins: list[int]) -> np.ndarray:
@@ -242,39 +257,28 @@ def _offsets(spins: list[int]) -> np.ndarray:
 def _block_width(rows: int, cols: int) -> int:
     """Columns per block: _BLOCK elements, but at least _BLOCK_COLS so that
     the sketch's products over a block stay wide, and at most cols."""
-    return max(1, min(cols, max(_BLOCK_COLS, _BLOCK // max(rows, 1))))
+    return min(cols, max(_BLOCK_COLS, _BLOCK // rows))
 
 
 @dataclass
 class _ColumnReader:
     """A rows x cols matrix M read in column blocks of ``_block_width``.
 
-    ``read(cut)`` returns M[:, cut], valid until the next read. Each call
-    of ``blocks()`` is one pass over M: (cut, block) pairs in a fixed order,
-    with boundaries that depend only on the shape. ``release()``, when
-    given, runs at the end of each pass and lets go of what ``read`` holds;
-    the pass's consumer keeps no block past the pass.
+    Each call of ``blocks()`` is one pass over M, a generator of
+    (cut, M[:, cut]) pairs in a fixed order, with bounds that depend only on
+    the shape. A block is valid until the generator moves on, and its
+    consumer keeps none past the pass; any scratch is the generator's own
+    and dies with the pass, finished or abandoned.
     """
 
     rows: int
     cols: int
     dtype: np.dtype
-    read: Callable[[slice], np.ndarray]
-    release: Callable[[], None] | None = None
-
-    def blocks(self):
-        width = _block_width(self.rows, self.cols)
-        try:
-            for start in range(0, self.cols if self.rows else 0, width):
-                cut = slice(start, min(start + width, self.cols))
-                yield cut, self.read(cut)
-        finally:
-            if self.release is not None:
-                self.release()
+    blocks: Callable[[], Iterator[tuple[slice, np.ndarray]]]
 
 
 def _spectrum_of(m: _ColumnReader, region: Subregion) -> EntropyResult:
-    """The EntropyResult of the bipartition matrix M that ``m`` reads.
+    """The EntropyResult of the matrix M that ``m`` reads, one ``m.blocks()`` per pass.
 
     A sketch Q of M's range is tried first; when its tail delta =
     ||M - Q Q^dag M||_F^2 is at most RANK_THRESHOLD_ABS, the spectrum is
@@ -316,8 +320,7 @@ def _spectrum(lam: np.ndarray, rows: int, tail: float) -> EntropyResult:
     lam = np.sort(np.concatenate([lam, np.zeros(rows - lam.size)]))[::-1]
     if not np.isfinite(lam).all():
         raise NumericError("Gram eigenvalues are not all finite; the state has a NaN or infinite amplitude")
-    # a hand-built BipartitionMatrix may have no rows; its drift of 1 is refused below
-    if lam.size and lam[-1] < _EIG_CLAMP:
+    if lam[-1] < _EIG_CLAMP:
         raise NumericError(f"Gram eigenvalue {lam[-1]:.3e} below clamp window")
     lam = np.clip(lam, 0.0, None)
     drift = abs(float(lam.sum()) - 1.0)

@@ -169,6 +169,9 @@ def test_config_validation():
         Subregion(16, 4)
     with pytest.raises(ContractError):
         Subregion.from_members([4], 4)
+    # not the ValueError of a negative shift count
+    with pytest.raises(ContractError, match="out of range for n=-1$"):
+        Subregion(0, -1)
 
 
 def test_spin_cap_env_override(monkeypatch):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -142,12 +143,6 @@ def _dense_entropy(bm, monkeypatch):
         return entropy(bm)
 
 
-def _reader(M: np.ndarray) -> entanglement._ColumnReader:
-    """The reader ``entropy`` builds for a matrix with no more rows than
-    columns."""
-    return entanglement._ColumnReader(*M.shape, M.dtype, lambda cut: M[:, cut])
-
-
 def test_sketch_matches_dense_every_size(monkeypatch):
     # n=18: the sketch needs at least 256 rows, and snnqs half cuts at n=16
     # need more columns than its cap of 32 allows there
@@ -182,7 +177,7 @@ def test_haar_state_falls_back_to_dense_gram(monkeypatch):
     assert res.tail == 0.0
     # the Gram and its eigensolve on one BLAS thread, as every spectrum runs
     with entanglement._one_blas_thread():
-        lam = np.clip(np.linalg.eigvalsh(entanglement._dense_gram(_reader(bm.M)))[::-1], 0.0, None)
+        lam = np.clip(np.linalg.eigvalsh(entanglement._dense_gram(entanglement._view_reader(bm.M)))[::-1], 0.0, None)
     if abs(lam.sum() - 1.0) > 1e-10 or lam.sum() != 1.0:
         lam = lam / lam.sum()
     assert res.eigenvalues.tobytes() == lam.tobytes()
@@ -347,6 +342,44 @@ def test_subregion_entropy_holds_one_block_not_a_copy(monkeypatch):
     assert accepted == [True, False]
 
 
+def test_a_state_pass_lets_its_block_go_finished_or_abandoned(monkeypatch):
+    # each pass gathers every block into one scratch array of its own, which
+    # dies with the pass, so the sketch's QR and the eigensolve run without it
+    monkeypatch.setattr(entanglement, "_BLOCK", 1 << 10)
+    psi, region = materialize(build_dicke(DickeSpec(12))), Subregion(0b111, 12)
+    M = bipartition(psi, region).M
+    reader = entanglement._state_reader(psi, region)[1]
+    scratch = set()
+    for cut, block in reader.blocks():
+        assert block.tobytes() == M[:, cut].tobytes()
+        scratch.add(id(block))
+        last = weakref.ref(block)
+    assert cut.stop == M.shape[1] and len(scratch) == 1
+    del block
+    assert last() is None
+    pass_ = reader.blocks()
+    first = weakref.ref(next(pass_)[1])
+    assert first() is not None
+    pass_.close()
+    assert first() is None
+
+
+def test_view_reader_blocks_are_views_of_the_matrix(monkeypatch):
+    # read on its smaller side, a transposed view for a tall matrix, in
+    # blocks of 512 elements
+    monkeypatch.setattr(entanglement, "_BLOCK", 512)
+    M = np.arange(4 * 1024, dtype=float).reshape(4, 1024)
+    for matrix in (M, M.T):
+        reader = entanglement._view_reader(matrix)
+        assert (reader.rows, reader.cols, reader.dtype) == (4, 1024, M.dtype)
+        cuts = []
+        for cut, block in reader.blocks():
+            assert np.shares_memory(block, M)
+            assert block.tobytes() == M[:, cut].tobytes()
+            cuts.append(cut)
+        assert [c.start for c in cuts] == list(range(0, 1024, 128))
+
+
 def test_spectrum_refuses_negative_and_drifting_eigenvalues():
     with pytest.raises(NumericError, match="below clamp window"):
         entanglement._spectrum(np.array([1.0 + 1e-9, -1e-9]), 2, 0.0)
@@ -355,10 +388,14 @@ def test_spectrum_refuses_negative_and_drifting_eigenvalues():
     # M = 0.6 I is no unit vector: its Gram has trace 2 * 0.36 = 0.72
     with pytest.raises(ConsistencyError, match="drifts from 1 by 2.800e-01"):
         entropy(BipartitionMatrix(0.6 * np.eye(2), Subregion(1, 2)))
-    # an empty matrix has no eigenvalue at all, and a trace of 0
-    for shape in ((0, 4), (4, 0)):
-        with pytest.raises(ConsistencyError, match="drifts from 1 by 1.000e"):
-            entropy(BipartitionMatrix(np.zeros(shape), Subregion(1, 3)))
+    # an empty matrix, or one whose shape is not that of the region's cut,
+    # is no bipartition matrix: a 4 x 4 matrix for a one-spin region of
+    # three spins would give ln 4
+    for M in (np.zeros((0, 4)), np.zeros((4, 0)), np.eye(4) / 2, np.eye(4)[0]):
+        with pytest.raises(ContractError, match="no bipartition matrix"):
+            entropy(BipartitionMatrix(M, Subregion(1, 3)))
+    with pytest.raises(ContractError, match="no bipartition matrix"):
+        entropy(BipartitionMatrix(np.ones((1, 1)), Subregion(0, 0)))
 
 
 def test_spectrum_renormalizes_exactly_when_the_sum_is_not_one():
@@ -508,8 +545,9 @@ def test_fannes_audenaert_inequality_random_pairs(seed):
     assert lhs <= fannes_audenaert_bound(min(1.0, T), region.size) + 1e-9
 
 
-# three random half cuts of fig1d_mlp's ansatz at n=16 (dense Grams of 256
-# rows, which OpenBLAS spreads over its threads) and a mu=1 bound report
+# three random half cuts each of fig1d_mlp's ansatz at n=16 (dense Grams of
+# 256 rows, which OpenBLAS spreads over its threads) and of fig1c_snnqs's at
+# n=18 (complex, all three sketched), and a mu=1 bound report
 _BLAS_BYTES_SCRIPT = """
 import json
 import numpy as np
@@ -517,13 +555,14 @@ import nqsent as nq
 from nqsent.core import RngStream, Subregion
 from nqsent.experiments import PRESETS
 
-mlp = next(c for c in PRESETS["fig1d"] if c.name == "fig1d_mlp").ansatz
-psi = nq.materialize(nq.ansatz_from_config(dict(mlp, n=16), RngStream(3).child(0)))
-gen = np.random.default_rng(0)
 out = []
-for _ in range(3):
-    res = nq.subregion_entropy(psi, Subregion.from_members(gen.choice(16, 8, replace=False).tolist(), 16))
-    out.append([res.eigenvalues.tobytes().hex(), res.entropy])
+for preset, name, n in (("fig1d", "fig1d_mlp", 16), ("fig1c", "fig1c_snnqs", 18)):
+    ansatz = next(c for c in PRESETS[preset] if c.name == name).ansatz
+    psi = nq.materialize(nq.ansatz_from_config(dict(ansatz, n=n), RngStream(3).child(0)))
+    gen = np.random.default_rng(0)
+    for _ in range(3):
+        res = nq.subregion_entropy(psi, Subregion.from_members(gen.choice(n, n // 2, replace=False).tolist(), n))
+        out.append([res.eigenvalues.tobytes().hex(), res.entropy, res.schmidt_rank, res.tail])
 g = nq.build_snnqs(nq.SnnqsSpec(n=12, activation="i*tanh", bias_std=0.5), RngStream(1))
 out.append(nq.full_bound_report(g, Subregion(0x3F, 12)).to_json())
 print(json.dumps(out))
@@ -544,5 +583,8 @@ def test_bytes_do_not_depend_on_the_blas_thread_count():
         ).stdout
         for t in (1, 2)
     ]
-    assert json.loads(outs[0])[3]["mu"] == 1
+    doc = json.loads(outs[0])
+    # the snnqs cuts take the sketch: a nonzero tail, ranks 25 to 30
+    assert all(tail > 0.0 and 25 <= rank <= 30 for _, _, rank, tail in doc[3:6])
+    assert doc[6]["mu"] == 1
     assert outs[0] == outs[1]

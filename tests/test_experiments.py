@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -131,9 +132,9 @@ def test_first_failing_region_in_region_order_raises(threads, monkeypatch):
     assert set(threading.enumerate()) == before
 
 
-def test_spectra_run_on_one_blas_thread_and_the_count_comes_back(monkeypatch):
-    # a stand-in for OpenBLAS's one process-wide count: every eigensolve of
-    # a sweep sees 1, and the count is back after success and after an error
+def _stand_in_blas_count(monkeypatch) -> list:
+    """A stand-in for OpenBLAS's one process-wide thread count, starting
+    at 4, that ``_one_blas_thread`` sets instead of the library's."""
     lock, count = threading.Lock(), [4]
 
     def set_count(k):
@@ -141,13 +142,20 @@ def test_spectra_run_on_one_blas_thread_and_the_count_comes_back(monkeypatch):
             previous, count[0] = count[0], k
         return previous
 
+    monkeypatch.setattr(entanglement, "_openblas", lambda: (set_count, None))
+    return count
+
+
+def test_spectra_run_on_one_blas_thread_and_the_count_comes_back(monkeypatch):
+    # every eigensolve of a sweep sees 1, and the count is back after
+    # success and after an error
+    count = _stand_in_blas_count(monkeypatch)
     seen, eigvalsh = [], np.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
         seen.append(count[0])
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(entanglement, "_openblas", lambda: (set_count, None))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     run_sweep(_mixed_cfg(trials=1), threads=2)
     assert len(seen) >= 6 and set(seen) == {1}
@@ -155,6 +163,67 @@ def test_spectra_run_on_one_blas_thread_and_the_count_comes_back(monkeypatch):
     monkeypatch.setattr(experiments, "subregion_entropy", lambda psi, region: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         run_sweep(_mixed_cfg(trials=1), threads=2)
+    assert count == [4]
+
+
+def test_overlapping_pins_hold_one_blas_thread_until_the_last_exit(monkeypatch):
+    # A enters, B enters, A exits: B's body still runs on one BLAS thread,
+    # and the count A found comes back only when B exits too, whether the
+    # pins overlap on user threads or on a sweep's workers
+    count = _stand_in_blas_count(monkeypatch)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with entanglement._one_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with entanglement._one_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(count[0])
+        seen.append(count[0])
+
+    workers = [threading.Thread(target=f) for f in (a, b)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(20)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == [1, 4]
+    assert count == [4]
+
+
+def test_many_threads_pinning_at_once_never_see_another_count(monkeypatch):
+    # more threads than cores enter and leave the pin while the interpreter
+    # switches threads often: a lost update of the pin's bookkeeping would
+    # show a body a count other than 1, or leave the count off 4
+    count = _stand_in_blas_count(monkeypatch)
+    seen, start = set(), threading.Barrier(8)
+
+    def work():
+        start.wait(10)
+        for _ in range(2000):
+            with entanglement._one_blas_thread():
+                time.sleep(0)  # lets another thread in while this one is inside
+                seen.add(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == {1}
     assert count == [4]
 
 
