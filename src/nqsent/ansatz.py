@@ -11,8 +11,10 @@ reports the exact count of scalar nonlinear operations, which is larger
 than the nominal neuron count for LayerNorm and attention architectures.
 
 Every builder first applies one field rule to its spec: an ``int`` field
-is an integer >= 1 and a ``float`` field a finite number >= 0. A config
-block may set exactly the fields of its family's spec.
+is an integer >= 1, a ``float`` field a finite number >= 0 (a bool is
+neither), a ``bool`` field a bool, a ``str`` field a str and an activation
+field an ``Activation`` or a str. A config block may set exactly the fields
+of its family's spec.
 """
 
 from __future__ import annotations
@@ -33,17 +35,29 @@ _LN_EPS = 1e-5
 _FROZEN_CHILD = 0x46
 
 
+# each field annotation (a string under postponed evaluation): what its
+# value must be, and the test that says whether it is
+_FIELD_RULES = {
+    "int": ("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    "float": (
+        "a finite number >= 0",
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) and v >= 0,
+    ),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "str": ("a str", lambda v: isinstance(v, str)),
+    "Activation | str": ("an Activation or a str", lambda v: isinstance(v, (Activation, str))),
+}
+
+
 def _check_fields(spec) -> None:
     """The field rule every builder applies; a ContractError names the
     family and the first field that breaks it."""
     family = type(spec).__name__.removesuffix("Spec").lower()
     for f in fields(spec):
         v = getattr(spec, f.name)
-        if f.type == "int" and not (_is_integer(v) and v >= 1):
-            raise ContractError(f"{family} ansatz field {f.name!r} must be an integer >= 1, not {v!r}")
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if f.type == "float" and not (real and math.isfinite(v) and v >= 0):
-            raise ContractError(f"{family} ansatz field {f.name!r} must be a finite number >= 0, not {v!r}")
+        rule, holds = _FIELD_RULES[f.type]
+        if not holds(v):
+            raise ContractError(f"{family} ansatz field {f.name!r} must be {rule}, not {v!r}")
 
 
 def _as_activation(a) -> Activation:
@@ -279,7 +293,7 @@ class CosnetSpec:
     n: int
     k: int = 16  # cosine units per component; the graph carries 2k in total
     sigma_a: float = 10.0
-    sigma_w: float = 1.0  # unit scale nears Haar at k >> n; "inverse_n" (sigma_w/sqrt(n)) stays far below
+    sigma_w: float = 1.0  # weights ~ N(0, sigma_w^2) near Haar at k >> n; sigma_w/sqrt(n) saturates far below
 
 
 def build_cosnet(spec: CosnetSpec, rng: RngStream) -> ComputationGraph:
@@ -335,21 +349,13 @@ _FAMILIES = {
 
 def ansatz_from_config(block: dict, rng: RngStream, frozen_rng: RngStream | None = None) -> ComputationGraph:
     """Build from a block {"family": ..., <spec fields>}; other keys, and a
-    value not of its field's type (a bool counts as neither an int nor a
-    float), raise ``ContractError``."""
+    value the builder's field rule refuses, raise ``ContractError``."""
     block = dict(block)
     family = block.pop("family", None)
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ContractError(f"unknown ansatz family {family!r}")
     spec_type, build = _FAMILIES[family]
-    # each field's annotation, a string under postponed evaluation
-    types = {f.name: f.type for f in fields(spec_type)}
-    unknown = sorted(set(block) - set(types))
+    unknown = sorted(set(block) - {f.name for f in fields(spec_type)})
     if unknown:
         raise ContractError(f"unknown {family} ansatz key {unknown[0]!r}")
-    kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
-    for key, value in block.items():
-        kind = kinds.get(types[key], (Activation, str))
-        if not isinstance(value, kind) or (isinstance(value, bool) and types[key] != "bool"):
-            raise ContractError(f"{family} ansatz key {key!r} must be {types[key]}, not {value!r}")
     return build(spec_type(**block), rng, frozen_rng)

@@ -14,7 +14,7 @@ approximated function, shared by all mu variables, in one formula
 One blocked evaluator, ``ChebyshevApprox.evaluate_unit``, serves
 ``evaluate``, the fit's check grid and auxiliary states. It takes the points
 in column blocks whose float64 storage stays near ``graph._TABLE_BYTES``
-(8 MiB), carved from per-thread scratch. In a block each variable's table
+(8 MiB), carved from one buffer per call. In a block each variable's table
 T_0..T_d comes from the recurrence T_i = 2x T_i-1 - T_i-2 with 2x computed
 once, two ufunc calls per row. The coefficient tensor, reshaped to
 (-1, d+1), meets the last variable's table in two real BLAS products, one
@@ -51,7 +51,7 @@ import numpy as np
 from .core import AffineFeature, Subregion, _is_integer, affine_tables, check_n, feature_supnorm
 from .errors import CapacityError, ContractError, DegenerateStateError, DomainError, NumericError
 from .graph import ComputationGraph, ReducedForm, feature_reduce
-from .graph import _eval_bits_chunked, _scratch, _TABLE_BYTES
+from .graph import _eval_bits_chunked, _TABLE_BYTES
 from .statevector import Statevector, materialize, two_norm_distance, _normalized
 from .entanglement import EntropyResult, fa_slack_from_bound, subregion_entropy, _check_cut, _one_blas_thread, _spectrum_of, _state_reader, _view_reader
 
@@ -118,7 +118,7 @@ class ChebyshevApprox:
         # part's partial sums
         per_column = mu * (d + 1) + 1 + len(parts) * c.shape[0]
         width = max(1, min(count, _TABLE_BYTES // (8 * per_column)))
-        buf = _scratch(per_column * width)
+        buf = np.empty(per_column * width)
         for lo in range(0, count, width):
             w = min(width, count - lo)
             tables, two_x, *sums_of = _carve(buf, (mu, d + 1, w), (w,), *[(c.shape[0], w)] * len(parts))

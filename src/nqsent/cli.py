@@ -201,7 +201,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
+        # the CPUs this process may run on (its affinity mask), not the machine's
+        default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
         help="worker threads for statevector evaluation and for a sweep's region entropies (results do not depend on this)",
     )
     parser.add_argument("--log-base", choices=["e", "2"], default="e", dest="log_base")

@@ -40,8 +40,9 @@ its sum order is (bias + low part) + high part; the raw-spin port rows
 that deeper groups read are filled from the bits.
 
 A batch is evaluated in column sub-blocks whose width keeps the value
-tables near 8 MiB (372 columns for the 2569-node transformer at n=16), in
-storage each thread keeps for the length of a chunk run. ``eval_bits``
+tables near 8 MiB (372 columns for the 2569-node transformer at n=16);
+each sub-block allocates its tables and drops them before the next one
+starts, so no graph or thread holds any between calls. ``eval_bits``
 hands it ``DEFAULT_CHUNK`` = 2^14 columns at a time through one
 ``_eval_bits_chunked`` run over the whole batch, into an array of the
 dtype of the tape's output table. Only a heavy tape, one whose steps hold
@@ -99,26 +100,8 @@ DEPENDENCE_TOL = 1e-10
 _CONST_TOL = 1e-15
 
 
-_SCRATCH = threading.local()
-
-
-def _scratch(size: int) -> np.ndarray:
-    """``size`` float64 elements of storage for value and Chebyshev tables.
-
-    Inside a run of the thread driver (``_run_jobs``) each thread keeps its
-    storage from one chunk to the next, shared by every tape and fit it
-    evaluates: allocating it per chunk lets the allocator hand the pages
-    back and fault them in again. The storage goes when the chunk run ends,
-    so no graph, fit or idle thread holds any; a call outside a chunk run
-    gets its own. Chunk runs do not nest: each state is one run over its
-    whole configuration range.
-    """
-    if not getattr(_SCRATCH, "kept", False):
-        return np.empty(size)
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _SCRATCH.buf = np.empty(size)
-    return buf[:size]
+# the per-worker state of a thread-driver run: its share of the table budget
+_RUN = threading.local()
 
 
 def _eval_bits_chunked(evaluate, bits, dtype, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
@@ -176,18 +159,17 @@ def _run_jobs(job, order: Sequence[int], threads: int = 1) -> None:
 
     Up to ``threads`` workers, never more than there are jobs, take the
     jobs in ``order`` from one queue: the calling thread and pool threads.
-    Each worker keeps its scratch (``_scratch``) for the run and gets an
-    equal share of the ``_TABLE_BYTES`` budget. Once job i fails, no job
-    after i in index order is started, while the ones before it still run;
-    the error of the failing job of smallest index is raised once every
-    worker has stopped.
+    Each worker gets an equal share of the ``_TABLE_BYTES`` budget for the
+    run (``_RUN.share``). Once job i fails, no job after i in index order
+    is started, while the ones before it still run; the error of the
+    failing job of smallest index is raised once every worker has stopped.
     """
     workers = max(1, min(threads, len(order)))
     lock, queue, end, failed = threading.Lock(), iter(order), math.inf, {}
 
     def work():
         nonlocal end
-        _SCRATCH.kept, _SCRATCH.share = True, workers
+        _RUN.share = workers
         try:
             while True:
                 with lock:
@@ -201,7 +183,7 @@ def _run_jobs(job, order: Sequence[int], threads: int = 1) -> None:
                         failed[i] = exc
                         end = min(end, i)
         finally:
-            _SCRATCH.__dict__.clear()
+            _RUN.__dict__.clear()
 
     # an executor starts a thread per submitted loop only, and keeps what
     # escapes one for ``result()``; it needs one slot even when it gets none
@@ -359,19 +341,18 @@ class ComputationGraph:
         divided by the thread's share of the table budget."""
         B = inputs.shape[-1]
         out = np.empty(B, dtype=tape.dtype)
-        width = max(1, min(B, tape.width // getattr(_SCRATCH, "share", 1)))
-        buffers = tape.buffers(width)
+        width = max(1, min(B, tape.width // getattr(_RUN, "share", 1)))
         for start in range(0, B, width):
             block = inputs[..., start : start + width]
             try:
-                out[start : start + block.shape[-1]] = _run_checked(tape, block, buffers)
+                out[start : start + block.shape[-1]] = _run_checked(tape, block)
             except AmplitudeOverflowError as exc:
                 # the block stopped at the first step that overflowed, but an
                 # earlier column may overflow in a later step: name the first
                 # column that fails alone, whatever the sub-block width
                 while exc.bits:
                     try:
-                        _run_checked(tape, block[..., : exc.bits], buffers)
+                        _run_checked(tape, block[..., : exc.bits])
                         break
                     except AmplitudeOverflowError as earlier:
                         exc = earlier
@@ -407,10 +388,10 @@ class ComputationGraph:
         )
 
 
-def _run_checked(tape: "_Tape", block: np.ndarray, buffers) -> np.ndarray:
+def _run_checked(tape: "_Tape", block: np.ndarray) -> np.ndarray:
     """``tape.run`` on one sub-block; a non-finite amplitude raises
     ``AmplitudeOverflowError`` naming its column."""
-    amps = tape.run(block, buffers)
+    amps = tape.run(block)
     if not np.isfinite(amps).all():
         column = int(np.argmin(np.isfinite(amps)))
         raise AmplitudeOverflowError(f"non-finite amplitude {amps[column]}", bits=column)
@@ -589,18 +570,11 @@ class _Tape:
         # the (table, port) rows that the steps without spin tables read
         self.port_rows = sorted(port_rows)
 
-    def buffers(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Storage for the real and the complex table of sub-blocks up to
-        ``width`` wide, carved from the calling thread's scratch."""
-        real, cplx = self.sizes[0] * width, self.sizes[1] * width
-        buf = _scratch(real + 2 * cplx)
-        return buf[:real], buf[real:].view(np.complex128)
-
-    def run(self, inputs: np.ndarray, buffers) -> np.ndarray:
+    def run(self, inputs: np.ndarray) -> np.ndarray:
         """Amplitudes of one sub-block: (n, w) port columns, or on a bits
         tape w configuration bits."""
         n, w = self.n, inputs.shape[-1]
-        tables = [buf[: size * w].reshape(size, w) for buf, size in zip(buffers, self.sizes)]
+        tables = [np.empty((size, w), dtype) for size, dtype in zip(self.sizes, (np.float64, np.complex128))]
         for table in tables:
             table[:1] = 1.0
         if self.bits:

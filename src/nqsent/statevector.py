@@ -155,7 +155,9 @@ def save_nqsv(psi: Statevector, path) -> None:
     header = NQSV_MAGIC + struct.pack("<III", NQSV_VERSION, psi.n, 0)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(psi.amplitudes.astype("<c16").tobytes())
+        # in NORM_CHUNK pieces: no whole-state copy is made for the file
+        for start in range(0, 1 << psi.n, NORM_CHUNK):
+            psi.amplitudes[start : start + NORM_CHUNK].astype("<c16").tofile(fh)
 
 
 def load_nqsv(path) -> Statevector:
@@ -167,10 +169,9 @@ def load_nqsv(path) -> Statevector:
         if version != NQSV_VERSION:
             raise ContractError(f"{path}: unsupported dump version {version}")
         check_n(n)  # before reading a body the cap would refuse
-        body = fh.read(16 << n)
-        if len(body) != 16 << n or fh.read(1):
+        amplitudes = np.fromfile(fh, "<c16", count=1 << n).astype(np.complex128, copy=False)
+        if amplitudes.shape[0] != 1 << n or fh.read(1):
             raise ContractError(f"{path}: the header's n={n} needs exactly {16 << n} bytes of amplitudes")
-    amplitudes = np.frombuffer(body, dtype="<c16").astype(np.complex128)
     norm = _norm(amplitudes)
     # a dump of a normalized state loads as written: dividing it by a norm
     # that is 1 to within the rounding of the norm's own sum would only move

@@ -254,11 +254,14 @@ _SPINS = {"snnqs": 6, "mlp": 6, "transformer": 12, "cosnet": 6, "dicke": 6}
         ("cosnet", "sigma_w", -0.1),
         ("dicke", "n", 0),
         ("dicke", "n", -2),
+        ("snnqs", "activation", 3),
+        ("mlp", "layernorm", "no"),
     ],
 )
 def test_builders_apply_one_field_rule(family, key, value):
     fields = {"n": _SPINS[family], key: value}
-    rule = "an integer >= 1" if isinstance(value, int) else "a finite number >= 0"
+    rule = {"activation": "an Activation or a str", "layernorm": "a bool"}.get(key)
+    rule = rule or ("an integer >= 1" if isinstance(value, int) else "a finite number >= 0")
     message = f"^{re.escape(f'{family} ansatz field {key!r} must be {rule}, not {value!r}')}$"
     rng = RngStream(0).child(0)
     with pytest.raises(ContractError, match=message):
@@ -357,20 +360,21 @@ def test_ansatz_from_config_refuses_unknown_keys(block, key):
 
 
 @pytest.mark.parametrize(
-    "block, key",
+    "block, key, rule",
     [
-        ({"family": "snnqs", "n": 4, "activation": 5}, "activation"),
-        ({"family": "snnqs", "n": 4, "bias_std": "a"}, "bias_std"),
-        ({"family": "mlp", "n": 4, "width": "2"}, "width"),
-        ({"family": "cosnet", "n": 4, "k": 2.5}, "k"),
-        ({"family": "cosnet", "n": 4, "k": True}, "k"),
-        ({"family": "snnqs", "n": 4, "weight_std": False}, "weight_std"),
-        ({"family": "mlp", "n": 4, "layernorm": 1}, "layernorm"),
+        ({"family": "snnqs", "n": 4, "activation": 5}, "activation", "an Activation or a str"),
+        ({"family": "snnqs", "n": 4, "bias_std": "a"}, "bias_std", "a finite number >= 0"),
+        ({"family": "mlp", "n": 4, "width": "2"}, "width", "an integer >= 1"),
+        ({"family": "cosnet", "n": 4, "k": 2.5}, "k", "an integer >= 1"),
+        ({"family": "cosnet", "n": 4, "k": True}, "k", "an integer >= 1"),
+        ({"family": "snnqs", "n": 4, "weight_std": False}, "weight_std", "a finite number >= 0"),
+        ({"family": "mlp", "n": 4, "layernorm": 1}, "layernorm", "a bool"),
     ],
     ids=["activation_int", "float_str", "int_str", "int_float", "int_bool", "float_bool", "bool_int"],
 )
-def test_ansatz_from_config_refuses_wrong_value_types(block, key):
-    with pytest.raises(ContractError, match=f"{block['family']} ansatz key '{key}' must be"):
+def test_ansatz_from_config_refuses_wrong_value_types(block, key, rule):
+    message = f"{block['family']} ansatz field {key!r} must be {rule}, not {block[key]!r}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         ansatz_from_config(block, RngStream(0).child(0))
 
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from nqsent.ansatz import DickeSpec, SnnqsSpec, build_dicke, build_snnqs
-from nqsent.cli import main
+from nqsent.cli import build_parser, main
 from nqsent.core import RngStream
 from nqsent.graph import save_graph, to_json
 from nqsent.statevector import from_amplitudes, load_nqsv, save_nqsv
@@ -31,6 +31,13 @@ def _last_json(capsys):
     # outputs are an echo line followed by a pretty-printed document
     blob = "\n".join(text[1:]) if len(text) > 1 else text[0]
     return json.loads(blob)
+
+
+def test_threads_default_to_the_affinity_mask(monkeypatch):
+    # a process pinned to one CPU gets one worker, whatever the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert build_parser().parse_args(["dicke", "--n", "4", "--m", "2"]).threads == 1
 
 
 def test_dicke_command_values(capsys):
@@ -539,6 +546,6 @@ def test_run_config_bad_ansatz_value_is_domain_error(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
     err = json.loads(capsys.readouterr().err)
-    message = "snnqs ansatz key 'activation' must be Activation | str, not 5"
+    message = "snnqs ansatz field 'activation' must be an Activation or a str, not 5"
     assert err == {"schema_version": 1, "error": {"type": "ContractError", "message": message}}
     assert not (tmp_path / "x.csv").exists()

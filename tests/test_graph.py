@@ -21,9 +21,8 @@ from nqsent.graph import (
     to_json,
     _bit_pieces,
     _is_raw,
-    _SCRATCH,
+    _RUN,
     _eval_bits_chunked,
-    _scratch,
 )
 from nqsent.ansatz import (
     CosnetSpec,
@@ -921,50 +920,22 @@ def test_overflow_names_the_first_failing_column_in_any_block():
         assert err.value.bits == 2
 
 
-def test_scratch_lives_for_one_chunk_run():
-    # every chunk of a run gets the thread's one buffer; it goes when the
-    # run ends, so no graph or fit holds table storage between runs
-    serial = []
-
-    def evaluate(piece):
-        serial.append(_scratch(16))
-        return np.zeros(len(piece))
-
-    _eval_bits_chunked(evaluate, range(8), np.float64, chunk=4)
-    assert len(serial) == 2 and all(np.shares_memory(serial[0], b) for b in serial)
-    assert not np.shares_memory(_scratch(16), _scratch(16))
-    with pytest.raises(ZeroDivisionError):
-        _eval_bits_chunked(lambda piece: 1 / 0, range(8), np.float64, chunk=4)
-    assert not np.shares_memory(_scratch(16), _scratch(16))
-
-    pooled = {}
-
-    def pooled_evaluate(piece):
-        pooled.setdefault(threading.get_ident(), []).append(_scratch(16))
-        return np.zeros(len(piece))
-
-    _eval_bits_chunked(pooled_evaluate, range(_POOLED_BATCH), np.float64, threads=2, chunk=1 << 13)
-    assert sum(map(len, pooled.values())) == 16
-    for bufs in pooled.values():
-        assert all(np.shares_memory(bufs[0], b) for b in bufs)
-
-
 def test_pooled_workers_split_the_table_budget():
     # every worker of a pooled run evaluates with a third of the table budget
     # on three threads; a serial run keeps a whole one
     shares = []
 
     def evaluate(piece):
-        shares.append(_SCRATCH.share)
+        shares.append(_RUN.share)
         return np.zeros(len(piece))
 
     _eval_bits_chunked(evaluate, range(6), np.float64, threads=3, chunk=1)
     assert shares == [3] * 6
-    assert not hasattr(_SCRATCH, "share")
+    assert not hasattr(_RUN, "share")
     shares.clear()
     _eval_bits_chunked(evaluate, range(6), np.float64, threads=1, chunk=1)
     assert shares == [1] * 6
-    assert not hasattr(_SCRATCH, "share")
+    assert not hasattr(_RUN, "share")
 
 
 def test_random_graphs_reduced_eval_matches():

@@ -27,6 +27,7 @@ from nqsent.activations import Activation
 from nqsent.errors import AmplitudeOverflowError, CapacityError, ContractError, DegenerateStateError, NumericError
 from nqsent.graph import _TABLE_BYTES, ComputationGraph, Node, _eval_bits_chunked, feature_reduce
 from nqsent.statevector import (
+    NORM_CHUNK,
     Statevector,
     from_amplitudes,
     load_nqsv,
@@ -432,17 +433,61 @@ def test_real_state_bytes_ignore_threads():
             assert other.norm_was == base.norm_was
 
 
+def _traced_peak(make):
+    """``make()`` and the peak of the memory numpy and Python allocated in it."""
+    tracemalloc.start()
+    try:
+        out = make()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_materialize_forms_no_index_array_of_the_state():
     # only each chunk's bits become an array: an index array of all 2^n
     # configurations would add the 8 MiB of the state once more
     g = build_dicke(DickeSpec(20))
-    tracemalloc.start()
-    try:
-        psi = materialize(g, threads=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    psi, peak = _traced_peak(lambda: materialize(g, threads=2))
     assert peak <= psi.amplitudes.nbytes + _TABLE_BYTES + (1 << 20)
+
+
+def test_pooled_materialize_stays_within_one_table_budget():
+    # the two workers of the transformer's run split the 8 MiB of value
+    # tables (11.2 MiB above the state in all); a whole budget on each
+    # worker took 21.6 MiB
+    g = build_transformer(TransformerSpec(n=16), RngStream(1))
+    g.eval_bits(range(4))  # the tape, compiled once per graph, is not a table
+    psi, peak = _traced_peak(lambda: materialize(g, threads=2))
+    assert peak <= psi.amplitudes.nbytes + _TABLE_BYTES + (4 << 20)
+
+
+def test_chebyshev_blocks_share_one_buffer():
+    # evaluate_unit carves every block's tables from one buffer per call
+    # (9.0 MiB above the mu=2 auxiliary state); arrays allocated per block
+    # kept the last block's alive while the next one's were made, 13.0 MiB
+    r = feature_reduce(build_cosnet(CosnetSpec(n=16, k=1), RngStream(1)))
+    assert r.mu == 2
+    fit = cheb_fit_multi(r.g_eval, [feature_supnorm(f) for f in r.features], 51)
+    psi, peak = _traced_peak(lambda: auxiliary_state(r, fit))
+    assert peak <= psi.amplitudes.nbytes + _TABLE_BYTES + (2 << 20)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_nqsv_io_makes_no_whole_state_copy(tmp_path, real):
+    # the dump goes out and comes in without a copy of the state's bytes:
+    # what remains is the norm's work on one NORM_CHUNK block (its scaled
+    # copy and two squared halves, 2 MiB for a complex block) and, for a
+    # real dump, the real part taken from the complex array read
+    gen = np.random.default_rng(3)
+    raw = gen.normal(size=1 << 18)
+    psi = from_amplitudes(raw if real else raw + 1j * gen.normal(size=raw.size))
+    path = tmp_path / "state.nqsv"
+    work = 2 * NORM_CHUNK * 16 + (64 << 10)
+    _, peak = _traced_peak(lambda: save_nqsv(psi, path))
+    assert peak <= work
+    back, peak = _traced_peak(lambda: load_nqsv(path))
+    assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
+    assert peak <= (16 << 18) + work + (psi.amplitudes.nbytes if real else 0)
 
 
 class _Forwarding:
