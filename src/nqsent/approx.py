@@ -56,11 +56,13 @@ from .statevector import Statevector, materialize, two_norm_distance, _normalize
 from .entanglement import EntropyResult, fa_slack_from_bound, subregion_entropy, _check_cut, _one_blas_thread, _spectrum_of, _state_reader, _view_reader
 
 MULTIVAR_CAP = 4
-# cap on the K^mu quadrature points of a multivariable fit. The grid (mu
-# float64 rows), its complex values and the residual graph's per-node
-# temporaries all grow with it; 4M points stay within a few hundred MiB.
-# A mu=2, d=51 fit uses 43k points; a mu=4 cosnet fit at auto degree and
-# n=12 would need 3.7e7.
+# cap on the K^mu quadrature points of a multivariable fit and on its
+# (d+1) x K coefficient table. The grid (mu float64 rows), its complex
+# values and the residual graph's per-node temporaries all grow with the
+# points; 4M points stay within a few hundred MiB. The table binds only
+# mu=1 (K = 4(d+1)), at d <= 1023, where the split chain also evaluates a
+# (d+1)^2 grid. A mu=2, d=51 fit uses 43k points; a mu=4 cosnet fit at auto
+# degree and n=12 would need 3.7e7.
 FIT_POINT_CAP = 1 << 22
 DENSE_GRID_POINTS = 10_000
 _SUP_INFLATION = 1.1
@@ -237,8 +239,11 @@ def cheb_fit_multi(G, t_bars, d: int) -> ChebyshevApprox:
         raise DomainError("t_bar must be positive")
 
     K = _nodes_per_axis(d, mu)
-    if K**mu > FIT_POINT_CAP:
-        raise CapacityError(f"degree {d} needs {K}^{mu} quadrature points, above the cap {FIT_POINT_CAP}")
+    if max(K**mu, (d + 1) * K) > FIT_POINT_CAP:
+        raise CapacityError(
+            f"degree {d} needs {K}^{mu} quadrature points and a {d + 1} x {K} coefficient table;"
+            f" the cap is {FIT_POINT_CAP} entries for each"
+        )
     scale_t = np.asarray(t_bars)[:, None]
     vals = np.asarray(G(_tensor_grid(_quad_nodes(K), mu) * scale_t), dtype=np.complex128).reshape((K,) * mu)
     if not np.all(np.isfinite(vals)):
@@ -288,14 +293,17 @@ def _auto_degree(cert: Certificate, n: int, mu: int) -> int:
     chain's target 2^(-n/2)/(4 n^min(mu, 2)): /(4n) for one variable,
     /(4n^2) for several. An exact polynomial's bound is inf below its exact
     degree and 0 from it on. The bound does not grow with d, so when the
-    largest degree within ``FIT_POINT_CAP`` fit points misses the target,
-    the next, which ``cheb_fit_multi`` refuses, is returned at once; else d
-    counts up from 0 (a log/ceil closed form errs on exact boundaries).
+    largest degree whose fit points and coefficient table are within
+    ``FIT_POINT_CAP`` misses the target, the next, which ``cheb_fit_multi``
+    refuses, is returned at once; else d counts up from 0 (a log/ceil closed
+    form errs on exact boundaries).
     """
     target = 2.0 ** (-n / 2.0) / (4.0 * n ** min(mu, 2))
     root = round(FIT_POINT_CAP ** (1.0 / mu))
     root -= root**mu > FIT_POINT_CAP  # the float root may round up
-    top = root // _nodes_per_axis(0, mu) - 1
+    per_degree = _nodes_per_axis(0, mu)  # K = per_degree * (d + 1)
+    # (per_degree (d+1))^mu points and a (d+1) x per_degree (d+1) table
+    top = min(root // per_degree, math.isqrt(FIT_POINT_CAP // per_degree)) - 1
     if top < 0 or cert.error_bound(top, mu) > target:
         return top + 1
     d = 0

@@ -19,8 +19,8 @@ reader (``_ColumnReader``) that owns their bounds and scratch. A state's
 cut (:func:`subregion_entropy`, ``approx``'s bound chain) is read by
 ``_state_reader``, whose pass gathers each block into one scratch array of
 about _BLOCK elements (at least _BLOCK_COLS columns), so an entropy holds
-the state plus one block, the sketch's Z and Y and, on the dense path, the
-Gram. :func:`entropy` and the bound chain's R are read as views.
+the state plus one block, the sketch's Y and Omega and, on the dense path,
+the Gram. :func:`entropy` and the bound chain's R are read as views.
 
 Every step follows the dtype of the state: a real (float64) state gives a
 real M, a real sketch, a real symmetric Gram and a real eigensolve, which
@@ -340,39 +340,37 @@ def _sketched_gram(m: _ColumnReader, region: Subregion) -> tuple[np.ndarray, flo
     Q = orth(M M^dag Omega), or None when no sketch within the width cap
     leaves a tail of at most RANK_THRESHOLD_ABS.
 
-    Omega starts at _SKETCH_START columns and doubles; new columns are
-    appended rather than redrawn. Each width takes one pass over M's blocks
-    that computes the new rows of Z = Omega^dag M and the new columns of
-    Y = M Z^dag, kept as one piece per width: no width copies the earlier
-    ones. Z Z^dag = Omega^dag M M^dag Omega is the Gram compressed to the
-    sketch, grown by the new rows' products with every piece, and its
-    eigenvalues follow M's. While the smallest is above RANK_THRESHOLD_ABS
-    of the largest, M has more eigenvalues above the tail threshold than the
-    sketch has columns, so the sketch grows. Otherwise Q = orth(Y), with Y
-    stacked once, and one more pass sums B B^dag and the exact tail
-    (``_projected_gram``).
+    Omega starts at _SKETCH_START columns and doubles. Each width redraws
+    Omega whole from the region's stream, whose first values do not depend
+    on how many are drawn, so a width's Omega extends the last one. One pass
+    over M's blocks computes only the new columns of Y = M M^dag Omega
+    (``_sketch_pass``), kept as one piece per width: no width copies the
+    earlier ones. Omega^dag Y = Omega^dag M M^dag Omega is the Gram
+    compressed to the sketch, and its eigenvalues follow M's. While the
+    smallest is above RANK_THRESHOLD_ABS of the largest, M has more
+    eigenvalues above the tail threshold than the sketch has columns, so the
+    sketch grows. Otherwise Omega is dropped, Q = orth(Y) with Y stacked
+    once, and one more pass sums B B^dag and the exact tail
+    (``_projected_gram``). The sketch holds Y, Omega and one block; nothing
+    it keeps grows with M's column count.
 
-    The width stays at most rows/8 and rows^2/cols, so Z and Y together
-    cost at most half the products of the dense Gram as a general product,
-    and the passes for B and the tail as much again. When the cap leaves room for fewer than two widths
-    (fewer than 256 rows, or more than rows^2/32 columns), the dense path is
-    taken at once.
+    The width stays at most rows/8 and rows^2/cols, so Y costs at most half
+    the products of the dense Gram as a general product, and the passes for
+    B and the tail as much again. When the cap leaves room for fewer than
+    two widths (fewer than 256 rows, or more than rows^2/32 columns), the
+    dense path is taken at once.
     """
     rows, cols, dtype = m.rows, m.cols, m.dtype
     cap = min(rows // 8, rows * rows // cols)
     if cap < 2 * _SKETCH_START:
         return None
-    gen = RngStream(region.n, region.mask).generator()
-    zs, ys = [], []  # Z by rows and Y by columns, one piece per width
-    zz = np.zeros((0, 0), dtype=dtype)  # Z Z^dag, its lower triangle
-    width, done = _SKETCH_START, 0
+    ys = []  # Y by columns, one piece per width
+    width = _SKETCH_START
     while width <= cap:
-        _sketch_pass(m, gen.standard_normal((width - done, rows)).astype(dtype, copy=False), zs, ys)
-        grown = np.zeros((width, width), dtype=dtype)
-        grown[:done, :done] = zz
-        grown[done:] = np.hstack([zs[-1] @ piece.conj().T for piece in zs])
-        zz, done = grown, width
-        ev = np.linalg.eigvalsh(zz)  # reads the lower triangle only
+        omega = RngStream(region.n, region.mask).generator().standard_normal((width, rows)).astype(dtype, copy=False)
+        ys.append(_sketch_pass(m, omega[width // 2 if ys else 0 :]))
+        ev = np.linalg.eigvalsh(np.hstack([omega @ y for y in ys]))  # reads the lower triangle only
+        del omega
         if ev[0] <= RANK_THRESHOLD_ABS * ev[-1]:
             ys = [np.hstack(ys)]
             gram, tail = _projected_gram(m, ys[0])
@@ -382,17 +380,14 @@ def _sketched_gram(m: _ColumnReader, region: Subregion) -> tuple[np.ndarray, flo
     return None
 
 
-def _sketch_pass(m: _ColumnReader, omega: np.ndarray, zs: list, ys: list) -> None:
-    """Append the new rows Omega^dag M of Z to ``zs`` and the new columns
-    M (Omega^dag M)^dag of Y to ``ys``, for the sketch columns ``omega``,
-    in one pass over M's blocks."""
-    z = np.empty((omega.shape[0], m.cols), dtype=m.dtype)
+def _sketch_pass(m: _ColumnReader, omega: np.ndarray) -> np.ndarray:
+    """The new columns M (Omega^dag M)^dag of Y for the sketch columns
+    ``omega``, in one pass over M's blocks; Omega^dag M is formed a block at
+    a time and kept no longer."""
     y = np.zeros((m.rows, omega.shape[0]), dtype=m.dtype)
-    for cut, block in m.blocks():
-        part = z[:, cut] = omega @ block
-        y += block @ part.conj().T
-    zs.append(z)
-    ys.append(y)
+    for _, block in m.blocks():
+        y += block @ (omega @ block).conj().T
+    return y
 
 
 def _projected_gram(m: _ColumnReader, y: np.ndarray) -> tuple[np.ndarray, float]:

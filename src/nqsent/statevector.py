@@ -101,13 +101,18 @@ def _norm(amplitudes: np.ndarray) -> float:
     if scale == 0.0:
         raise DegenerateStateError("all amplitudes vanish; state cannot be normalized")
     norm_sq_scaled = 0.0
+    buf = np.empty(chunks[0].shape[0], dtype=amplitudes.dtype)  # each block is scaled and squared here
     for piece in chunks:  # sequential, chunk-ordered reduction
+        scaled = buf[: piece.shape[0]]
         if real:
-            scaled = piece * (1.0 / scale)
-            norm_sq_scaled += float(np.sum(scaled * scaled))
+            np.multiply(piece, 1.0 / scale, out=scaled)
+            norm_sq_scaled += float(np.sum(np.square(scaled, out=scaled)))
         else:
-            scaled = piece / scale
-            norm_sq_scaled += float(np.sum(scaled.real**2 + scaled.imag**2))
+            np.divide(piece, scale, out=scaled)
+            re, im = scaled.real, scaled.imag
+            np.square(re, out=re)
+            np.square(im, out=im)
+            norm_sq_scaled += float(np.sum(re + im))  # summed contiguous: a strided sum may add in another order
     norm = scale * float(np.sqrt(norm_sq_scaled))
     if not np.isfinite(norm):
         raise DegenerateStateError(f"state norm {norm} cannot normalize the amplitudes")

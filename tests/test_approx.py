@@ -236,13 +236,15 @@ def _auto(n: int, a: float, C: float, mu: int = 1) -> int:
 
 
 def test_auto_degree_matches_the_closed_forms():
-    # the first degree whose fit needs more than FIT_POINT_CAP points ends
-    # the search; cheb_fit_multi refuses it
-    unfit = {
-        mu: next(d for d in range(1 << 21) if ((4 if mu <= 2 else 2) * (d + 1)) ** mu > approx.FIT_POINT_CAP)
-        for mu in range(1, 5)
-    }
-    assert unfit == {1: 1 << 20, 2: 512, 3: 80, 4: 22}
+    # the first degree whose fit needs more than FIT_POINT_CAP points, or a
+    # (d+1) x K coefficient table above it, ends the search; cheb_fit_multi
+    # refuses it. The table binds at mu=1 only
+    def size(d, mu):
+        K = (4 if mu <= 2 else 2) * (d + 1)
+        return max(K**mu, (d + 1) * K)
+
+    unfit = {mu: next(d for d in range(1 << 21) if size(d, mu) > approx.FIT_POINT_CAP) for mu in range(1, 5)}
+    assert unfit == {1: 1024, 2: 512, 3: 80, 4: 22}
     grid = [
         (n, a, 10.0**e, mu)
         for n in range(2, 41)
@@ -700,7 +702,8 @@ def test_full_report_refuses_spin_cap_before_any_work(monkeypatch, degree):
 def test_auto_degree_stops_at_the_fit_point_cap(monkeypatch):
     # weights near 1e9 put the tanh pole within a ~ 2e-10 of the interval,
     # where the target needs a degree near 1e11; the search ends at the
-    # first degree the fit refuses, before any state
+    # first degree the fit refuses, whose coefficient table is above the
+    # cap, before any state
     g = build_snnqs(SnnqsSpec(n=6, activation="tanh", weight_std=1e9, bias_std=0.5), RngStream(1))
     assert reduced_certificate(feature_reduce(g)).a < 1e-9
 
@@ -712,9 +715,23 @@ def test_auto_degree_stops_at_the_fit_point_cap(monkeypatch):
     error_bound = Certificate.error_bound
     monkeypatch.setattr(Certificate, "error_bound", lambda cert, d, mu: degrees.append(d) or error_bound(cert, d, mu))
     monkeypatch.setattr(approx, "materialize", no_state)
-    with pytest.raises(CapacityError, match=r"^degree 1048576 needs 4194308\^1 quadrature points"):
+    with pytest.raises(CapacityError, match=r"^degree 1024 needs 4100\^1 quadrature points and a 1025 x 4100 coefficient table"):
         full_bound_report(g, Subregion(0b111, 6), degree="auto")
     assert len(degrees) <= 3
+
+
+def test_explicit_degree_above_the_table_cap_is_refused_before_any_state(monkeypatch):
+    # at mu=1, d=5000 needs only 20004 quadrature points, but a 5001 x 20004
+    # coefficient table (1.6 GB of cosines) and a 5001^2 split-chain grid
+    g = build_snnqs(SnnqsSpec(n=6, activation="tanh", bias_std=0.5), RngStream(1))
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("state built before the fit's table cap")
+
+    monkeypatch.setattr(approx, "materialize", no_state)
+    monkeypatch.setattr(approx, "_cos_matrix", no_state)
+    with pytest.raises(CapacityError, match=r"^degree 5000 needs 20004\^1 quadrature points and a 5001 x 20004"):
+        full_bound_report(g, Subregion(0b111, 6), degree=5000)
 
 
 def _assert_split_chain_matches_state(g, region, degree):

@@ -342,6 +342,29 @@ def test_subregion_entropy_holds_one_block_not_a_copy(monkeypatch):
     assert accepted == [True, False]
 
 
+def test_sketch_holds_y_and_one_block_nothing_over_the_columns(monkeypatch):
+    # a complex cut of 512 rows and 2048 columns: a block is 512 x 256
+    # (2 MiB) and Y at the sketch's cap of 64 columns is 0.5 MiB. The sketch
+    # holds one block, Y and numpy's QR of Y (about four copies of it); a
+    # 64 x 2048 Z = Omega^dag M kept for the width test would add 2 MiB
+    psi = materialize(build_snnqs(SnnqsSpec(n=20, activation="i*tanh"), RngStream(1).child(20)))
+    region = Subregion((1 << 9) - 1, 20)
+    rows, cols = 1 << 9, 1 << 11
+    block = rows * entanglement._block_width(rows, cols) * 16
+    y = rows * min(rows // 8, rows * rows // cols) * 16
+    accepted = _sketch_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        res = subregion_entropy(psi, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert accepted == [True]
+    assert peak <= block + 5 * y
+    dense = _dense_entropy(bipartition(psi, region), monkeypatch)
+    assert abs(res.entropy - dense.entropy) <= 1e-12
+
+
 def test_a_state_pass_lets_its_block_go_finished_or_abandoned(monkeypatch):
     # each pass gathers every block into one scratch array of its own, which
     # dies with the pass, so the sketch's QR and the eigensolve run without it

@@ -475,14 +475,15 @@ def test_chebyshev_blocks_share_one_buffer():
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_nqsv_io_makes_no_whole_state_copy(tmp_path, real):
     # the dump goes out and comes in without a copy of the state's bytes:
-    # what remains is the norm's work on one NORM_CHUNK block (its scaled
-    # copy and two squared halves, 2 MiB for a complex block) and, for a
-    # real dump, the real part taken from the complex array read
+    # what remains is the norm's work on one NORM_CHUNK block (one scaled
+    # buffer, squared in place, and the sum of its squared halves: 1.5 MiB
+    # for a complex block) and, for a real dump, the real part taken from
+    # the complex array read
     gen = np.random.default_rng(3)
     raw = gen.normal(size=1 << 18)
     psi = from_amplitudes(raw if real else raw + 1j * gen.normal(size=raw.size))
     path = tmp_path / "state.nqsv"
-    work = 2 * NORM_CHUNK * 16 + (64 << 10)
+    work = 3 * NORM_CHUNK * 8 + (64 << 10)
     _, peak = _traced_peak(lambda: save_nqsv(psi, path))
     assert peak <= work
     back, peak = _traced_peak(lambda: load_nqsv(path))
