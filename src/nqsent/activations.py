@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import AmplitudeOverflowError, ContractError, NumericError
 
@@ -35,7 +34,10 @@ def _relu(x):
 
 
 def _gelu(x):
-    # exact Gaussian-CDF form x * Phi(x)
+    # exact Gaussian-CDF form x * Phi(x); scipy loads on first use, so that
+    # importing the library loads no scipy module
+    from scipy.special import erf
+
     return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 

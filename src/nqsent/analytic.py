@@ -11,7 +11,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .core import _is_integer
 from .errors import DomainError
@@ -103,6 +102,8 @@ def page_value(m: int, n: int) -> float:
     floats, so n is refused once 2^n is not a finite float. For m > n/2 the
     pure-state symmetry m <-> n-m applies.
     """
+    from scipy.special import digamma  # on first use: importing the library loads no scipy module
+
     _integers(m=m, n=n)
     if not 1 <= m <= n - 1:
         raise DomainError(f"m={m} outside 1..{n - 1}")

@@ -25,33 +25,44 @@ through ports (a product through one linear node per factor).
 
 Evaluation runs a tape compiled once per graph and per kind of input (real
 ports, complex ports, configuration bits): the live nodes are grouped by
-depth level, function and realness, and each group is one ``scipy.sparse``
-CSR product over a value table followed by one vectorized activation call
-on the group's rows; a product group's matrix stacks the first factors
-above the second ones, and its function multiplies the two halves. On
-ports each node still sums its bias and weighted inputs in its own input
-order, so ``eval_ports`` gives the amplitudes of a per-edge loop bit for
-bit, except that a complex weight times a complex value, and a complex
+depth level, function and realness, and each group is one step of numpy
+calls that write its pre-activations into value-table rows, followed by
+one vectorized activation call on the group's rows; a product group
+stacks the first factors above the second ones, and its function
+multiplies the two halves. Rows of a step that read one set of two or
+more distinct source rows with real weights, at least ``_BLOCK_WEIGHTS``
+weights in all, are one dense block, a BLAS product (the transformer's
+per-token Q/K/V and feed-forward layers). Every other row sums its bias and weighted inputs in
+its own input order, exactly as a per-edge loop does (and as a
+``scipy.sparse`` CSR product did), from gathered table rows; so outside
+blocks ``eval_ports`` gives the amplitudes of a per-edge loop bit for bit,
+except that a complex weight times a complex value, and a complex
 product, are the plain (not fused) complex product. On bits, a group that
-reads only raw spins (level 1) takes no CSR product: each of its rows is
+reads only raw spins (level 1) takes no sum: each of its rows is
 T_lo[s mod 2^l] + T_hi[s >> l] of two tables over the low l = ceil(n/2)
 and the high configuration bits, built with the tape (``_SpinTables``), so
 its sum order is (bias + low part) + high part; the raw-spin port rows
-that deeper groups read are filled from the bits.
+that deeper groups read are filled from the bits. The library needs
+numpy alone for this: no scipy module is imported.
 
 A batch is evaluated in column sub-blocks whose width keeps the value
-tables near 8 MiB (372 columns for the 2569-node transformer at n=16);
-each sub-block allocates its tables and drops them before the next one
-starts, so no graph or thread holds any between calls. ``eval_bits``
-hands it ``DEFAULT_CHUNK`` = 2^14 columns at a time through one
-``_eval_bits_chunked`` run over the whole batch, into an array of the
+tables and the step scratch near 8 MiB, rounded down to a multiple of 8
+columns (320 for the 2569-node transformer at n=16), and a final partial
+sub-block is padded to a multiple of 8 with its last column. The sub-blocks
+run on one BLAS thread (``entanglement._one_blas_thread``): OpenBLAS gives
+a dense block's column the same bytes at every multiple of 8 columns, so a
+configuration's amplitude depends neither on the batch it is in nor on the
+thread counts. Each sub-block allocates its tables and drops them before
+the next one starts, so no graph or thread holds any between calls.
+``eval_bits`` hands it ``DEFAULT_CHUNK`` = 2^14 columns at a time through
+one ``_eval_bits_chunked`` run over the whole batch, into an array of the
 dtype of the tape's output table. Only a heavy tape, one whose steps hold
-at least ``_HEAVY_NONZEROS`` matrix nonzeros per configuration, spreads a
-run over the threads, from two chunks on: the bits tape of the n=16
-transformer or of a cosnet with k >= 128, or the residual tape of the
-transformer's reduced form. The threads of such a run split the 8 MiB
-(186 columns each for the transformer on two threads); every other run
-stays on the calling thread.
+at least ``_HEAVY_NONZEROS`` weights per configuration, spreads a run over
+the threads, from two chunks on: the bits tape of the n=16 transformer or
+of a cosnet with k >= 128, or the residual tape of the transformer's
+reduced form. The threads of such a run split the 8 MiB (160 columns each
+for the transformer on two threads); every other run stays on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -68,7 +79,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .activations import Activation, format_activation, parse_activation, _checked_exp
 from .core import HARD_SPIN_CAP, AffineFeature, _is_integer, affine_tables
@@ -79,20 +89,32 @@ from .errors import AmplitudeOverflowError, CapacityError, ContractError, CycleE
 # values and amplitudes small (value and Chebyshev tables are blocked within
 # a chunk by _TABLE_BYTES)
 DEFAULT_CHUNK = 1 << 14
-# tape sub-blocks are as wide as keeps a tape's value tables near this many
-# bytes, split between the threads of a run: 372 columns for the 2569-node
-# transformer, 2^14 and more for small graphs. ChebyshevApprox.evaluate_unit
-# blocks its tables by the same budget, unsplit, so its blocks and bytes
-# depend on the batch alone.
+# tape sub-blocks are as wide as keeps a tape's value tables and scratch
+# near this many bytes, split between the threads of a run and rounded down
+# to a multiple of 8 columns: 320 columns for the 2569-node transformer,
+# 2^14 and more for small graphs. ChebyshevApprox.evaluate_unit blocks its
+# tables by the same budget, unsplit, so its blocks and bytes depend on the
+# batch alone.
 _TABLE_BYTES = 1 << 23
-# matrix nonzeros per configuration, over every step of a tape (a spin-table
-# step counts the spin weights its tables sum), from which the tape is heavy:
+# weights per configuration, over every step of a tape (a spin-table step
+# counts the spin weights its tables sum), from which the tape is heavy:
 # only a heavy tape's runs spread their chunks over threads. At n=16 the
 # transformer's bits tape has 35,448 (two threads took its materialize from
 # 1.55 to 0.81 s) and its reduced form's residual 39,145; cosnet k=128 has
 # 4,608 (0.48 to 0.26 s). Cosnet k=1 (36), Dicke (23), SN-NQS (22) and MLP
 # tapes (121 to 430) stay light: a second thread gained nothing on them.
 _HEAVY_NONZEROS = 1 << 12
+# rows of a step that read one set of two or more source rows, with at
+# least this many weights in all, are one BLAS product (a block): the
+# transformer's per-token blocks have 2,080 to 3,072 and its reduced form's
+# port block 13,568; a cosnet's first layer is one on ports from k = 64 on
+# (3,328 at k=128, n=12), never on bits, where spin tables give it. MLP
+# layers (at most 30 weights), SN-NQS and Dicke have none, so their rows
+# keep the CSR order and their bytes
+_BLOCK_WEIGHTS = 1 << 10
+# terms that one pass of a CSR-order sum gathers, into scratch that the
+# table budget counts
+_GATHER_TERMS = 1 << 9
 DEPENDENCE_TOL = 1e-10
 # rows whose weight part is pure cancellation debris relative to the row
 # magnitude count as constants; anything larger stays a feature so folding
@@ -338,27 +360,33 @@ class ComputationGraph:
     def _evaluate(self, tape: "_Tape", inputs: np.ndarray) -> np.ndarray:
         """Amplitudes of the batch columns of ``inputs``, (n, B) port values
         or B configuration bits, in sub-blocks of ``tape.width`` columns
-        divided by the thread's share of the table budget."""
+        divided by the thread's share of the table budget and rounded down
+        to a multiple of 8, on one BLAS thread (``_one_blas_thread``), so
+        that a block's bytes depend on neither ``OPENBLAS_NUM_THREADS`` nor
+        the batch."""
+        from .entanglement import _one_blas_thread  # entanglement imports this module
+
         B = inputs.shape[-1]
         out = np.empty(B, dtype=tape.dtype)
-        width = max(1, min(B, tape.width // getattr(_RUN, "share", 1)))
-        for start in range(0, B, width):
-            block = inputs[..., start : start + width]
-            try:
-                out[start : start + block.shape[-1]] = _run_checked(tape, block)
-            except AmplitudeOverflowError as exc:
-                # the block stopped at the first step that overflowed, but an
-                # earlier column may overflow in a later step: name the first
-                # column that fails alone, whatever the sub-block width
-                while exc.bits:
-                    try:
-                        _run_checked(tape, block[..., : exc.bits])
-                        break
-                    except AmplitudeOverflowError as earlier:
-                        exc = earlier
-                if exc.bits is not None:
-                    exc.bits += start
-                raise exc from None
+        width = max(8, tape.width // getattr(_RUN, "share", 1) // 8 * 8)
+        with _one_blas_thread():
+            for start in range(0, B, width):
+                block = inputs[..., start : start + width]
+                try:
+                    out[start : start + block.shape[-1]] = _run_checked(tape, block)
+                except AmplitudeOverflowError as exc:
+                    # the block stopped at the first step that overflowed, but an
+                    # earlier column may overflow in a later step: name the first
+                    # column that fails alone, whatever the sub-block width
+                    while exc.bits:
+                        try:
+                            _run_checked(tape, block[..., : exc.bits])
+                            break
+                        except AmplitudeOverflowError as earlier:
+                            exc = earlier
+                    if exc.bits is not None:
+                        exc.bits += start
+                    raise exc from None
         return out
 
     def eval_ports(self, ports: np.ndarray) -> np.ndarray:
@@ -450,6 +478,7 @@ class _SpinTables:
         if np.iscomplexobj(bias) and bias.imag.any():
             self.lo = self.lo + 1j * bias.imag[:, None]
         self.hi = affine_tables(weights[:, l:], np.zeros(len(bias)))
+        self.weights, self.bias = weights, bias
 
     def values(self, pieces: list[tuple], B: int) -> np.ndarray:
         """(rows, B) values of a batch split by ``_bit_pieces``."""
@@ -461,41 +490,188 @@ class _SpinTables:
 
 @dataclass(frozen=True)
 class _Step:
-    """One group of nodes: a sparse product over a source table, or on
-    configuration bits the spin tables of a group that reads only raw spins,
-    then the group's function on the rows it yields."""
+    """One group of nodes: its pre-activations as BLAS blocks and sums in
+    CSR order over a source table, or on configuration bits from the spin
+    tables of a group that reads only raw spins, then the group's function
+    on them."""
 
-    matrix: scipy.sparse.csr_array  # a row per node (per factor of a product), a column per source-table row
     src: int  # table read: 0 real, 1 complex
+    acc: int  # pre-activations: 0 real, 1 complex
     dst: int  # table written
     lo: int  # first destination row
+    size: int  # destination rows, one per node
+    pre: int  # pre-activation rows held in scratch, 0 when they go straight into the destination rows
     mirror: int | None  # first complex-table row of the copy a real group keeps there
     fn: object  # Activation.apply, _checked_exp, _multiply_halves, or None for affine nodes
-    spins: _SpinTables | None  # the rows of ``matrix`` over configuration bits, on a bits tape
+    spins: _SpinTables | None  # the step's rows over configuration bits, on a bits tape
+    blocks: tuple = ()  # (first row, source rows: a slice or an index array, real weights (rows, sources))
+    # (first row, rows, terms, term-major source rows, their weights (terms * rows, 1) or None for
+    # ones, carry, part: None for the whole pre-activation, 0 or 1 for its real or imaginary part)
+    sums: tuple = ()
+
+
+def _carve(buf: np.ndarray, rows: int, width: int, dtype) -> np.ndarray:
+    """A (rows, width) ``dtype`` array at the start of the float64 ``buf``."""
+    return buf[: rows * width * (np.dtype(dtype).itemsize // 8)].view(dtype).reshape(rows, width)
+
+
+def _affine(step: _Step, table: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """The pre-activation rows of ``step`` over the source ``table``, into
+    ``out``, with ``spare`` as scratch for gathers.
+
+    A block is one BLAS product over its source rows, a real one over the
+    float view of a complex table. Every other row sums 0 + w0 x0 + w1 x1 ...
+    in CSR order, as scipy's ``csr_matvecs`` does: a pass gathers term t of
+    its rows as slab t, scales it (by a complex weight unfused, as
+    ``_multiply_halves`` forms products) and adds the slabs in order onto 0,
+    or onto the rows' partial sums when it carries on from a pass over
+    their earlier terms.
+    """
+    width = table.shape[1]
+    flat, flat_out = table.view(np.float64), out.view(np.float64)
+    for first, cols, weights in step.blocks:
+        rows = flat[cols] if isinstance(cols, slice) else flat.take(
+            cols, axis=0, out=_carve(spare, len(cols), flat.shape[1], np.float64), mode="wrap"
+        )
+        np.matmul(weights, rows, out=flat_out[first : first + len(weights)])
+    for first, count, terms, cols, weights, carry, part in step.sums:
+        acc = out[first : first + count]
+        if part is not None:
+            acc = acc.imag if part else acc.real
+        # one term, no carry, whole values: the gather goes straight into the rows
+        direct = terms == 1 and not carry and part is None
+        slabs = acc if direct else _carve(spare, terms * count, width, table.dtype)
+        table.take(cols, axis=0, out=slabs, mode="wrap")
+        if weights is not None:
+            _scale(slabs, weights, spare if direct else spare[slabs.size * (slabs.itemsize // 8) :])
+        if direct:
+            np.add(slabs, 0.0, out=acc)
+            continue
+        slabs = slabs.reshape(terms, count, width)
+        if carry:
+            np.add(acc, slabs[0], out=slabs[0])
+        np.add.reduce(slabs, axis=0, out=acc, initial=0.0)
+
+
+def _scale(slabs: np.ndarray, weights: np.ndarray, spare: np.ndarray) -> None:
+    """Each row of ``slabs`` times its weight, in place. A complex weight
+    multiplies unfused, (wr xr - wi xi) + i (wr xi + wi xr): the float view
+    of the row, (xr, xi) pairs, times wr in place and times wi into
+    ``spare``, then the pairs' cross terms."""
+    if not np.iscomplexobj(slabs):
+        np.multiply(slabs, weights, out=slabs)
+        return
+    pairs = slabs.view(np.float64)
+    by_im = _carve(spare, *pairs.shape, np.float64)
+    np.multiply(pairs, weights.imag, out=by_im)
+    np.multiply(pairs, weights.real, out=pairs)
+    np.subtract(pairs[:, 0::2], by_im[:, 1::2], out=pairs[:, 0::2])
+    np.add(pairs[:, 1::2], by_im[:, 0::2], out=pairs[:, 1::2])
+
+
+def _plan(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, complex_acc: bool, complex_src: bool) -> tuple[np.ndarray, tuple, tuple, int]:
+    """Order, BLAS blocks and CSR-order sums of a step's pre-activation
+    rows, given as a CSR matrix whose rows hold (source row, weight) in sum
+    order, and the scratch floats per column that running them takes.
+
+    Rows that read one set of at least two distinct source rows with real
+    weights, at least ``_BLOCK_WEIGHTS`` weights in all, are one block when
+    the table has the type of the pre-activations; blocks come first. The other rows
+    follow by descending term count (stably), a row without terms reading 0
+    times the ones row. A pass sums up to ``_GATHER_TERMS`` gathered terms:
+    terms of consecutive rows, padded with 0 times the ones row (adding +0
+    to a sum that started at 0 leaves it as it is), and a longer row
+    continues over further passes. Complex pre-activations over the real
+    table take a pass for the real and one for the imaginary part of the
+    weights: a real value's imaginary part is +0, so each part's terms and
+    sums are those of the complex product.
+    """
+    lens = np.diff(indptr)
+    owner = np.repeat(np.arange(len(lens)), lens)
+    # each row's entries by source row: a block's key and weight columns
+    by_source = np.lexsort((indices, owner))
+    sources, weights = indices[by_source].astype(np.int64), data[by_source]
+    keyed: dict[bytes, list[int]] = {}
+    if complex_acc == complex_src:
+        shut = np.zeros(len(lens), dtype=bool)  # a row with a repeated source or a complex weight
+        shut[owner[1:][(sources[1:] == sources[:-1]) & (owner[1:] == owner[:-1])]] = True
+        shut[owner[data.imag != 0]] = True
+        raw, bounds = sources.tobytes(), (8 * indptr).tolist()
+        for i in np.flatnonzero(~shut & (lens > 0)).tolist():
+            keyed.setdefault(raw[bounds[i] : bounds[i + 1]], []).append(i)
+    grouped = [(key, members) for key, members in keyed.items() if len(key) > 8 and len(key) // 8 * len(members) >= _BLOCK_WEIGHTS]
+    blocked = np.zeros(len(lens), dtype=bool)
+    for _, members in grouped:
+        blocked[members] = True
+    rest = np.flatnonzero(~blocked)
+    rest = rest[np.argsort(-lens[rest], kind="stable")]
+    order = np.concatenate([np.array(members, dtype=np.intp) for _, members in grouped] + [rest])
+    units = 2 if complex_src else 1  # floats per value
+    blocks, need, first = [], 0, 0
+    for key, members in grouped:
+        key = np.frombuffer(key, dtype=np.int64)
+        cols = slice(int(key[0]), int(key[-1]) + 1) if key[-1] - key[0] == len(key) - 1 else key.astype(np.intp)
+        block = np.stack([weights[indptr[i] : indptr[i + 1]].real for i in members])
+        blocks.append((first, cols, block))
+        need = max(need, 0 if isinstance(cols, slice) else units * len(key))
+        first += len(members)
+    starts, lens = indptr[rest], lens[rest]
+    padded = np.maximum(lens, 1)  # a row without terms reads 0 times the ones row
+    parts = (0, 1) if complex_acc and not complex_src else (None,)
+    sums, done = [], 0
+    while len(padded) and padded[0] > done:
+        live = int(np.count_nonzero(padded > done))
+        a = 0
+        while a < live:
+            terms = min(_GATHER_TERMS, int(padded[a]) - done)
+            # one term, no carry, whole values: the gather goes straight into the rows, all in one pass
+            direct = terms == 1 and not done and parts == (None,)
+            b = live if direct else min(live, a + max(1, _GATHER_TERMS // terms))
+            # term-major picks of rows a..b, 0 times the ones row past a row's end
+            t = np.arange(done, done + terms)[:, None]
+            held = t < lens[None, a:b]
+            at = np.where(held, starts[None, a:b] + t, 0).ravel()
+            held = held.ravel()
+            cols = np.where(held, indices[at], 0).astype(np.intp)
+            picked = np.where(held, data[at], 0.0)
+            for part in parts:
+                w = picked if part is None else (picked.real, picked.imag)[part]
+                w = np.array(w, dtype=np.complex128 if complex_src else np.float64)
+                ones = not complex_src and (w == 1.0).all()  # 1.0 x is x, whatever x is
+                sums.append((int(first + a), b - a, terms, cols, None if ones else w[:, None], done > 0, part))
+            need = max(need, (0 if direct else units * len(cols)) + (2 * len(cols) if complex_src else 0))
+            a = b
+        done += _GATHER_TERMS
+    return order, tuple(blocks), tuple(sums), need
 
 
 class _Tape:
-    """A graph compiled to sparse products over per-sub-block value tables,
-    for port values or, with ``bits``, for configuration bits.
+    """A graph compiled to BLAS blocks and CSR-order sums over per-sub-block
+    value tables, for port values or, with ``bits``, for configuration bits.
 
     Every live node owns one row of the real (float64) or the complex
     (complex128) table, by the realness of its value; row 0 of both tables
     holds ones and rows 1..n the ports, of which each sub-block fills the
     rows that the steps read (``port_rows``). Nodes are grouped by (depth
     level, function, realness of the pre-activation). A group reads only
-    lower levels, so one CSR product gives all its pre-activations and one
-    vectorized call applies its function. Each CSR row holds the bias (as
-    the weight of the ones row) and then the node's inputs in their own
-    order, so every node sums bias + w0 x0 + w1 x1 ... in the order of a
-    per-edge loop; a product group has a row per factor, w_a x_a, and
-    multiplies its two halves. A complex pre-activation reads the complex
-    table only, which therefore also holds a copy of the ports and of each
-    real group that one reads.
+    lower levels, so one step (``_affine``) gives all its pre-activations
+    and one vectorized call applies its function. Each row holds the bias
+    (as the weight of the ones row) and then the node's inputs in their own
+    order, so a row outside a block sums bias + w0 x0 + w1 x1 ... in the
+    order of a per-edge loop; a product group has a row per factor, w_a
+    x_a, and multiplies its two halves. A complex pre-activation of real
+    values only (a complex output over real units) is two sums over the real
+    table, by the real and by the imaginary parts of its weights; any other
+    complex pre-activation reads the complex table only, which therefore
+    also holds a copy of the ports and of each real group that one reads
+    (``mirror``). Pre-activations go straight into
+    the group's rows when the types allow, else into per-sub-block scratch
+    (``scratch`` floats per column), which the gathers share.
 
-    That per-edge order holds on ports. A bits tape gives each level-1
-    group, which reads only raw spins, the ``_SpinTables`` of its matrix
-    rows instead, so its port rows are those that later groups read, filled
-    from the bits: no spin matrix is formed.
+    That per-edge order holds on ports outside blocks. A bits tape gives
+    each level-1 group, which reads only raw spins, the ``_SpinTables`` of
+    its rows instead, so its port rows are those that later groups read,
+    filled from the bits: no spin matrix is formed.
     """
 
     def __init__(self, g: ComputationGraph, complex_ports: bool, bits: bool = False):
@@ -514,93 +690,128 @@ class _Tape:
                 fn = _multiply_halves
             groups.setdefault((level[nid], fn, acc_c[nid]), []).append(nid)
 
-        # what a complex pre-activation reads from the real side
-        mirrored = {r for nid in g.live_order if acc_c[nid] for r in nodes[nid].preds}
+        # a group whose values in are all real reads the real table
+        reads_real = {
+            key: not key[2] or not (complex_ports or any(val_c[r] for nid in members for r in nodes[nid].preds))
+            for key, members in groups.items()
+        }
+        # what a complex pre-activation reads from the real side otherwise
+        mirrored = {r for key, members in groups.items() if not reads_real[key] for nid in members for r in nodes[nid].preds}
 
         sizes = [1 + n, 1 + n]
         row: list[dict[int, int]] = [{}, {}]
-        placed = []
+        self.steps, port_rows, nonzeros, self.scratch = [], set(), 0, 0
+        # a group reads only lower levels, whose rows are placed by then
         for (depth, fn, acc_complex), members in sorted(groups.items(), key=lambda item: item[0][0]):
-            dst = int(val_c[members[0]])
+            acc, src, dst = int(acc_complex), int(not reads_real[depth, fn, acc_complex]), int(val_c[members[0]])
+
+            # one CSR row per node; a product group's first factors, then its
+            # second ones: the bias as the weight of the ones row, then the inputs
+            arity = len(nodes[members[0]].arguments)
+            indptr, indices, data = [0], [], []
+            for f in range(arity):
+                for nid in members:
+                    bias, inputs, raw = nodes[nid].arguments[f]
+                    if bias != 0:
+                        indices.append(0)
+                        data.append(bias)
+                    indices.extend(1 + r[1] if spin else row[src][r] for (r, _), spin in zip(inputs, raw))
+                    data.extend(w for _, w in inputs)
+                    indptr.append(len(indices))
+            indptr, indices = np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp)
+            data = np.array(data, dtype=np.complex128)
+            if not acc:
+                data = data.real
+            nonzeros += len(indices)
+            # a bits tape's level-1 group is spin tables over its rows; any
+            # other group is planned, and its nodes take the plan's order (a
+            # product's factor rows read one value each, so no block takes
+            # them, and their order stays)
+            spin_only = bits and depth == 1
+            if not spin_only:
+                order, blocks, sums, need = _plan(indptr, indices, data, bool(acc), bool(src))
+                if arity == 1:
+                    members = [members[i] for i in order]
+
             lo, sizes[dst] = sizes[dst], sizes[dst] + len(members)
             row[dst].update((nid, lo + j) for j, nid in enumerate(members))
             mirror = None
             if not dst and mirrored.intersection(members):
                 mirror, sizes[1] = sizes[1], sizes[1] + len(members)
                 row[1].update((nid, mirror + j) for j, nid in enumerate(members))
-            placed.append((members, fn, int(acc_complex), dst, lo, mirror, depth == 1))
-
-        self.steps, port_rows = [], set()
-        for members, fn, src, dst, lo, mirror, spin_only in placed:
-            # one row per node; a product group's first factors, then its second ones
-            arity = len(nodes[members[0]].arguments)
-            terms = [nodes[nid].arguments[f] for f in range(arity) for nid in members]
-            indptr, indices, data = [0], [], []
-            for bias, inputs, raw in terms:
-                if bias != 0:
-                    indices.append(0)
-                    data.append(bias)
-                indices.extend(1 + r[1] if spin else row[src][r] for (r, _), spin in zip(inputs, raw))
-                data.extend(w for _, w in inputs)
-                indptr.append(len(indices))
-            data = np.array(data, dtype=np.complex128)
-            matrix = scipy.sparse.csr_array(
-                (data if src else data.real.copy(), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-                shape=(len(terms), sizes[src]),
-            )
             apply = fn.apply if isinstance(fn, Activation) else fn
-            spins = None
-            if bits and spin_only:
-                # the matrix rows read only column 0, the bias, and 1 + i, spin i
-                dense = matrix[:, : 1 + n].toarray()
+            if spin_only:
+                # the rows read only column 0, the bias, and 1 + i, spin i
+                dense = np.zeros((len(indptr) - 1, 1 + n), dtype=np.complex128)
+                np.add.at(dense, (np.repeat(np.arange(len(dense)), np.diff(indptr)), indices), data)
                 spins = _SpinTables(dense[:, 1:].real, dense[:, 0])
-            else:
-                port_rows.update((src, r[1]) for _, inputs, raw in terms for (r, _), spin in zip(inputs, raw) if spin)
-            self.steps.append(_Step(matrix, src, dst, lo, mirror, apply, spins))
+                self.steps.append(_Step(src, acc, dst, lo, len(members), 0, mirror, apply, spins))
+                continue
+            port_rows.update((src, int(c) - 1) for c in np.unique(indices[(indices >= 1) & (indices <= n)]))
+            # pre-activations of another type than the values, and a product's factors, take scratch
+            pre = len(indptr) - 1 if arity == 2 or acc != dst else 0
+            self.scratch = max(self.scratch, pre * (1 + acc) + need)
+            self.steps.append(_Step(src, acc, dst, lo, len(members), pre, mirror, apply, None, blocks, sums))
         out = int(val_c[g.output_id])
         self.out = (out, row[out][g.output_id])
         self.dtype = np.complex128 if out else np.float64
         # a table that no step reads or writes takes no memory
         used = {t for step in self.steps for t in (step.src, step.dst)}
         self.sizes = [size if t in used else 0 for t, size in enumerate(sizes)]
-        self.width = max(1, _TABLE_BYTES // (8 * self.sizes[0] + 16 * self.sizes[1]))
-        # work per column: the nonzeros of every step's matrix
-        self.heavy = sum(step.matrix.nnz for step in self.steps) >= _HEAVY_NONZEROS
+        self.width = max(1, _TABLE_BYTES // (8 * self.sizes[0] + 16 * self.sizes[1] + 8 * self.scratch))
+        # work per column: the weights of every step (of its spin tables on a bits tape)
+        self.heavy = nonzeros >= _HEAVY_NONZEROS
         self.n, self.bits = n, bits
         # the (table, port) rows that the steps without spin tables read
         self.port_rows = sorted(port_rows)
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
         """Amplitudes of one sub-block: (n, w) port columns, or on a bits
-        tape w configuration bits."""
+        tape w configuration bits. The sub-block runs on a multiple of 8
+        columns, its last column repeated: OpenBLAS gives a column the same
+        bytes at every such count."""
         n, w = self.n, inputs.shape[-1]
-        tables = [np.empty((size, w), dtype) for size, dtype in zip(self.sizes, (np.float64, np.complex128))]
+        if w % 8:
+            inputs = np.concatenate([inputs, np.repeat(inputs[..., -1:], -w % 8, axis=-1)], axis=-1)
+        width = inputs.shape[-1]
+        tables = [np.empty((size, width), dtype) for size, dtype in zip(self.sizes, (np.float64, np.complex128))]
+        scratch = np.empty(self.scratch * width)
         for table in tables:
             table[:1] = 1.0
         if self.bits:
             pieces = _bit_pieces(inputs, n)
         for t, i in self.port_rows:
             tables[t][1 + i] = ((inputs >> i) & 1) * 2.0 - 1.0 if self.bits else inputs[i]
-        for step in self.steps:
-            vals = step.matrix @ tables[step.src] if step.spins is None else step.spins.values(pieces, w)
-            if step.fn is not None:
-                vals = step.fn(vals)
-            tables[step.dst][step.lo : step.lo + len(vals)] = vals
-            if step.mirror is not None:
-                tables[1][step.mirror : step.mirror + len(vals)] = vals
+        # a sum or product that overflows passes silently: an activation or
+        # _run_checked refuses the non-finite value it leaves
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in self.steps:
+                rows = tables[step.dst][step.lo : step.lo + step.size]
+                if step.spins is not None:
+                    vals = step.spins.values(pieces, width)
+                else:
+                    vals = _carve(scratch, step.pre, width, (np.float64, np.complex128)[step.acc]) if step.pre else rows
+                    _affine(step, tables[step.src], vals, scratch[step.pre * (1 + step.acc) * width :])
+                if step.fn is _multiply_halves:
+                    vals = _multiply_halves(vals, rows)
+                elif step.fn is not None:
+                    vals = step.fn(vals)
+                if vals is not rows:
+                    rows[...] = vals
+                if step.mirror is not None:
+                    tables[1][step.mirror : step.mirror + step.size] = vals
         t, r = self.out
-        return tables[t][r]
+        return tables[t][r, :w]
 
 
-def _multiply_halves(vals: np.ndarray) -> np.ndarray:
-    """Top half of the rows times the bottom half. A complex product is
-    formed unfused, (ar br - ai bi) + i (ar bi + ai br), like the complex
-    weights of the sparse products, so no CPU's fused multiply-add moves it."""
+def _multiply_halves(vals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top half of the rows times the bottom half, into ``out``. A complex
+    product is formed unfused, (ar br - ai bi) + i (ar bi + ai br), like
+    the complex weights of the sums, so no CPU's fused multiply-add moves it."""
     half = len(vals) // 2
     a, b = vals[:half], vals[half:]
     if not np.iscomplexobj(vals):
-        return np.multiply(a, b, out=a)
-    out = np.empty_like(a)
+        return np.multiply(a, b, out=out)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out

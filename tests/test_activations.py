@@ -53,6 +53,10 @@ def test_gelu_exact_gaussian_cdf():
     # x * Phi(x) at x=1 with the exact normal CDF
     assert act.apply(1.0).real == pytest.approx(0.8413447460685429, abs=1e-15)
     assert act.apply(-10.0).real == pytest.approx(0.0, abs=1e-12)
+    # x * Phi(x) through the standard library's erf
+    xs = [-3.0, -1.2, -0.5, 0.3, 1.0, 2.5, 6.0]
+    expected = [x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in xs]
+    np.testing.assert_allclose(act.apply(np.array(xs)), expected, rtol=1e-13, atol=0.0)
 
 
 @given(st.floats(-40, 40), st.floats(0.5, 50))

@@ -145,6 +145,14 @@ def test_page_value_n2_m1():
     assert page_value(1, 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def test_page_value_matches_exact_harmonic_sums():
+    # H(2^n) - H(2^(n-m)) is the sum of 1/j over 2^(n-m) < j <= 2^n, in exact fractions
+    for m, n in ((1, 2), (1, 5), (2, 6), (3, 8), (4, 9), (7, 10)):
+        m = min(m, n - m)
+        exact = sum(Fraction(1, j) for j in range(2 ** (n - m) + 1, 2**n + 1)) - Fraction(2**m - 1, 2 ** (n - m + 1))
+        assert page_value(m, n) == pytest.approx(float(exact), rel=1e-14)
+
+
 def test_page_value_haar_sampling_oracle():
     gen = np.random.default_rng(123)
     vals = []

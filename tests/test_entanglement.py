@@ -570,8 +570,10 @@ def test_fannes_audenaert_inequality_random_pairs(seed):
 
 # three random half cuts each of fig1d_mlp's ansatz at n=16 (dense Grams of
 # 256 rows, which OpenBLAS spreads over its threads) and of fig1c_snnqs's at
-# n=18 (complex, all three sketched), and a mu=1 bound report
+# n=18 (complex, all three sketched), a mu=1 bound report, and the n=16
+# transformer's state, whose tape runs its dense blocks through BLAS
 _BLAS_BYTES_SCRIPT = """
+import hashlib
 import json
 import numpy as np
 import nqsent as nq
@@ -588,6 +590,8 @@ for preset, name, n in (("fig1d", "fig1d_mlp", 16), ("fig1c", "fig1c_snnqs", 18)
         out.append([res.eigenvalues.tobytes().hex(), res.entropy, res.schmidt_rank, res.tail])
 g = nq.build_snnqs(nq.SnnqsSpec(n=12, activation="i*tanh", bias_std=0.5), RngStream(1))
 out.append(nq.full_bound_report(g, Subregion(0x3F, 12)).to_json())
+psi = nq.materialize(nq.build_transformer(nq.TransformerSpec(n=16), RngStream(1)), threads=2)
+out.append(hashlib.sha256(psi.amplitudes.tobytes()).hexdigest())
 print(json.dumps(out))
 """
 

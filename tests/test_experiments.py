@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,3 +543,36 @@ def test_preset_smoke_run_small():
     doc["n_grid"] = [6]
     res = run_sweep(ExperimentConfig.from_json(doc))
     assert {r.subsystem_size for r in res.rows} == set(range(1, 6))
+
+
+_NO_SCIPY_SCRIPT = """
+import os, sys
+import nqsent as nq
+from nqsent.core import RngStream, Subregion
+from nqsent.experiments import ExperimentConfig, run_sweep
+
+ansatz = {"family": "snnqs", "activation": "i*tanh", "parameterization": "wrap_exp", "bias_std": 0.5}
+run_sweep(ExperimentConfig(name="s", ansatz=ansatz, n_grid=[6], sizes=[1, 3], trials=1, regions_per_trial=1))
+g = nq.ansatz_from_config({"family": "cosnet", "k": 1, "n": 6}, RngStream(0))
+nq.full_bound_report(g, Subregion(0b111, 6), degree=8)
+# a tape with BLAS blocks
+nq.build_transformer(nq.TransformerSpec(n=6), RngStream(1)).eval_bits(range(64))
+blas = set()
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        blas = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), len(blas) if blas else None)
+"""
+
+
+def test_a_sweep_and_a_bound_report_load_no_scipy():
+    # the tape, the spectra and the bound chain need numpy alone: no scipy
+    # module, and (where the process maps can be read) one BLAS library
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True, check=True, timeout=300
+    ).stdout
+    modules, libraries = out.split()[0], out.split()[-1]
+    assert modules == "[]"
+    assert libraries in ("1", "None")

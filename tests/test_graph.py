@@ -550,6 +550,30 @@ def test_eval_bits_thread_determinism():
         assert chunked_eval_bits(ev, span, threads=2, chunk=1 << 12).tobytes() == expected
 
 
+def test_blas_blocks_give_each_configuration_one_set_of_bytes():
+    # the transformer's dense blocks and its reduced form's port block run
+    # through BLAS on a multiple of 8 columns: a configuration's amplitude
+    # is the same in the whole-state batch that materialize evaluates, in
+    # pooled chunks whose workers halve the sub-block width, in short
+    # batches and in a scattered one
+    g = build_transformer(TransformerSpec(n=11), RngStream(1))
+    r = feature_reduce(g)
+    assert any(step.blocks for step in g._tape(False, bits=True).steps)
+    assert any(step.blocks for step in r.residual._tape(False).steps)
+    gen = np.random.default_rng(0)
+    configs = np.arange(1 << g.n)
+    for ev in (g, r):
+        state = ev.eval_bits(range(1 << g.n))
+        for threads in (1, 2):
+            assert ev.eval_bits(range(1 << g.n), threads=threads).tobytes() == state.tobytes()
+            assert chunked_eval_bits(ev, configs, threads, chunk=1 << 9).tobytes() == state.tobytes()
+        for size in (1, 3, 8, 13):
+            start = int(gen.integers(0, len(configs) - size))
+            assert ev.eval_bits(configs[start : start + size]).tobytes() == state[start : start + size].tobytes()
+        scattered = gen.permutation(configs)[:301]
+        assert ev.eval_bits(scattered).tobytes() == state[scattered].tobytes()
+
+
 def bit_batch(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Configuration bits in every shape ``eval_bits`` takes, and for each
     the index of its configuration in the aligned ascending range that
@@ -590,16 +614,17 @@ def check_bits_path(g: ComputationGraph, gen: np.random.Generator) -> None:
         assert pooled.tobytes() == ref[np.resize(index, len(many))].tobytes()
         assert pooled.tobytes() == ev.eval_bits(many).tobytes()
 
-    tape = g._tape(False, bits=True)
-    table = np.zeros((max(tape.sizes), len(bits)))
-    table[0] = 1.0
-    table[1 : 1 + n] = spin_matrix(bits, n).T
+    spins = spin_matrix(bits, n).T
     eps = np.finfo(np.float64).eps
-    for step in tape.steps:
+    for step in g._tape(False, bits=True).steps:
         if step.spins is None:
             continue
-        sequential = step.matrix @ table[: step.matrix.shape[1]]
-        tol = (n + 1) * eps * abs(step.matrix[:, : 1 + n]).sum(axis=1)
+        # the affine rows the spin tables hold, summed bias first, then spin by spin
+        weights, bias = step.spins.weights, step.spins.bias
+        sequential = np.zeros((len(bias), len(bits)), dtype=bias.dtype) + bias[:, None]
+        for i in range(n):
+            sequential = sequential + weights[:, i : i + 1] * spins[i]
+        tol = (n + 1) * eps * (np.abs(bias) + np.abs(weights).sum(axis=1))
         got = step.spins.values(_bit_pieces(bits, n), len(bits))
         assert np.all(np.abs(got - sequential) <= tol[:, None])
 
@@ -1031,6 +1056,16 @@ def test_tape_matches_reference_evaluator(seed):
     g = with_dead_nodes(random_dag(gen, n, 8), gen)
     assert len(g.dead) >= 2
     check_tape_against_reference(g, gen)
+
+
+def test_wide_product_group_keeps_its_factor_order():
+    # 1100 products of two spins, 1574 of whose 2200 factor rows read s_1:
+    # a block of those rows would move them away from the factors that they
+    # multiply (the output's complex weights keep it a sum)
+    gen = np.random.default_rng(5)
+    nodes = [Node(j, "product", ((("s", j % 2), gen.normal()), (("s", int(j < 1024)), gen.normal()))) for j in range(1100)]
+    nodes.append(Node(1100, "output", tuple((j, 1.0 + 0.5j) for j in range(1100)), output_mode="amplitude"))
+    check_tape_against_reference(ComputationGraph(nodes, n=2), gen)
 
 
 def test_overflow_in_later_sub_block_reports_global_bits():
